@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 data error (malformed
 certificate, corrupt corpus or model, mismatched index, and the like).
 File outputs are written to a temporary file and renamed into place, so a
-failing run never leaves a partial output file behind.
+failing run never leaves a partial output file behind.  The exception is
+the probe corpus, which is appended to record by record, so a re-probe
+adds to it and a crash keeps every record already harvested.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 import tempfile
 from collections.abc import Iterator
 
-from .corpus import build_corpus_index, load_corpus, record_to_line
+from .corpus import CorpusWriter, build_corpus_index, load_corpus, record_to_line
 from .errors import CertsiftError, StorageFull, UsageError
 from .features import (
     BogusValueList,
@@ -33,12 +35,10 @@ from .ml import (
     load_model,
     train,
 )
-from .ml.persist import model_to_json
+from .ml.persist import write_model
 from .probe import ProbeConfig, probe_corpus
 from .report import boolean_feature_table, feature_cdf, write_cdf_csv
 from .synth import load_spec, sample_corpus
-
-import json
 
 
 @contextlib.contextmanager
@@ -98,10 +98,14 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         https_port=args.https_port,
         resolver=resolver,
     )
-    with _atomic_output(args.out) as out:
+    if args.out in (None, "-"):
         summary = probe_corpus(
-            domains, config, sink=lambda record: out.write(record_to_line(record) + "\n")
+            domains, config, sink=lambda record: sys.stdout.write(record_to_line(record) + "\n")
         )
+        sys.stdout.flush()
+    else:
+        with CorpusWriter(args.out, append=True) as writer:
+            summary = probe_corpus(domains, config, sink=writer.append)
     _note(
         f"probed {summary.total} domains: {summary.both} both, "
         f"{summary.https_only} https_only, {summary.http_only} http_only, "
@@ -157,8 +161,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     dataset = Dataset(read_features_csv(args.features))
     model = train(dataset, args.algo, _hyperparameters(args), seed=args.seed)
     with _atomic_output(args.model_out) as out:
-        json.dump(model_to_json(model), out, indent=1)
-        out.write("\n")
+        write_model(model, out)
     _note(
         f"trained {args.algo} on {len(dataset)} rows (seed {args.seed}); "
         f"model -> {args.model_out or 'stdout'}"
@@ -186,10 +189,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         vectors = read_features_csv(args.features)
     else:
         _, vectors = _extract_vectors(args, args.corpus)
+    labels, scores = model.predict_batch(vectors)
     with _atomic_output(args.out) as out:
         out.write("domain,label,score\n")
-        for fv in vectors:
-            label, score = model.predict(fv)
+        for fv, label, score in zip(vectors, labels, scores):
             out.write(f"{fv.domain},{label},{score:.6f}\n")
     _note(f"classified {len(vectors)} rows with the {model.kind} model")
     return 0

@@ -26,7 +26,7 @@ from .schema import (
     column_arrays,
     encode_labels,
 )
-from .tree import column_tests, decode_tree, grow_tree, leaf_fraction, leaf_fractions
+from .tree import column_tests, decode_tree, grow_tree, leaf_fractions
 
 DEFAULT_SEED = 17
 
@@ -63,18 +63,31 @@ def resolve_hyperparameters(kind: str, overrides: dict | None) -> dict[str, int]
     return merged
 
 
-class DecisionTreeModel:
-    kind = KIND_TREE
+class _Model:
+    """State every model kind carries, and prediction of a single vector.
 
-    def __init__(self, root: dict, schema: FeatureSchema, hyperparameters: dict, seed: int):
-        self.root = root
+    Subclasses implement predict_batch; predict is a batch of one, so the
+    two can never disagree.
+    """
+
+    kind: str
+
+    def __init__(self, schema: FeatureSchema, hyperparameters: dict, seed: int):
         self.schema = schema
         self.hyperparameters = dict(hyperparameters)
         self.seed = seed
 
     def predict(self, fv: FeatureVector) -> tuple[str, float]:
-        score = leaf_fraction(self.root, fv)
-        return _label(score), score
+        labels, scores = self.predict_batch([fv])
+        return labels[0], float(scores[0])
+
+
+class DecisionTreeModel(_Model):
+    kind = KIND_TREE
+
+    def __init__(self, root: dict, schema: FeatureSchema, hyperparameters: dict, seed: int):
+        super().__init__(schema, hyperparameters, seed)
+        self.root = root
 
     def predict_batch(self, rows: Sequence[FeatureVector]) -> tuple[list[str], np.ndarray]:
         columns = column_arrays(self.schema.included(), rows)
@@ -82,15 +95,13 @@ class DecisionTreeModel:
         return [_label(s) for s in scores], scores
 
 
-class TreeEnsembleModel:
+class TreeEnsembleModel(_Model):
     """Shared behavior of bagged trees and random forests.
 
     Every member tree casts one vote (its leaf majority); the ensemble
     score is the fraction of positive votes and the label follows the
     majority.
     """
-
-    kind = "ensemble"
 
     def __init__(
         self,
@@ -99,15 +110,8 @@ class TreeEnsembleModel:
         hyperparameters: dict,
         seed: int,
     ):
+        super().__init__(schema, hyperparameters, seed)
         self.members = members
-        self.schema = schema
-        self.hyperparameters = dict(hyperparameters)
-        self.seed = seed
-
-    def predict(self, fv: FeatureVector) -> tuple[str, float]:
-        votes = sum(leaf_fraction(root, fv) >= 0.5 for root in self.members)
-        score = votes / len(self.members)
-        return _label(score), score
 
     def predict_batch(self, rows: Sequence[FeatureVector]) -> tuple[list[str], np.ndarray]:
         columns = column_arrays(self.schema.included(), rows)
@@ -126,7 +130,7 @@ class RandomForestModel(TreeEnsembleModel):
     kind = KIND_FOREST
 
 
-class NearestNeighborModel:
+class NearestNeighborModel(_Model):
     """k nearest training rows under a mean per-feature mismatch distance.
 
     Boolean and categorical features contribute 0 on match and 1 on
@@ -149,9 +153,7 @@ class NearestNeighborModel:
         matrix: np.ndarray,
         labels: np.ndarray,
     ):
-        self.schema = schema
-        self.hyperparameters = dict(hyperparameters)
-        self.seed = seed
+        super().__init__(schema, hyperparameters, seed)
         self.vocabs = vocabs
         self.ranges = ranges
         self.matrix = matrix
@@ -177,29 +179,19 @@ class NearestNeighborModel:
                     out[j] = min(max((float(value) - lo) / (hi - lo), 0.0), 1.0)
         return out
 
-    def _distances(self, encoded: np.ndarray) -> np.ndarray:
-        per_feature = np.empty_like(self.matrix)
-        eq = self._is_eq
-        per_feature[:, eq] = (self.matrix[:, eq] != encoded[eq]).astype(np.float64)
-        per_feature[:, ~eq] = np.abs(self.matrix[:, ~eq] - encoded[~eq])
-        return per_feature.mean(axis=1)
+    def _distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Mean per-feature mismatch between encoded rows, over the last axis."""
+        return np.where(self._is_eq, a != b, np.abs(a - b)).mean(axis=-1)
 
     def distance(self, a: FeatureVector, b: FeatureVector) -> float:
         """Distance between two vectors under this model's fitted scaling."""
-        ea, eb = self._encode_row(a), self._encode_row(b)
-        eq = self._is_eq
-        parts = np.where(eq, (ea != eb).astype(np.float64), np.abs(ea - eb))
-        return float(parts.mean())
+        return float(self._distances(self._encode_row(a), self._encode_row(b)))
 
     def _score(self, encoded: np.ndarray) -> float:
-        dists = self._distances(encoded)
+        dists = self._distances(self.matrix, encoded)
         k = min(self.hyperparameters["k"], dists.size)
         nearest = np.argsort(dists, kind="stable")[:k]
         return float(self.labels[nearest].mean())
-
-    def predict(self, fv: FeatureVector) -> tuple[str, float]:
-        score = self._score(self._encode_row(fv))
-        return _label(score), score
 
     def predict_batch(self, rows: Sequence[FeatureVector]) -> tuple[list[str], np.ndarray]:
         scores = np.array([self._score(self._encode_row(fv)) for fv in rows])

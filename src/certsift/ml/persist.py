@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from typing import TextIO
 
 import numpy as np
 
@@ -87,10 +88,15 @@ def model_to_json(model: TrainedModel) -> dict:
     return doc
 
 
+def write_model(model: TrainedModel, fh: TextIO) -> None:
+    """Write the model file (indented JSON and a final newline) to a text stream."""
+    json.dump(model_to_json(model), fh, indent=1)
+    fh.write("\n")
+
+
 def save_model(model: TrainedModel, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(model), fh, indent=1)
-        fh.write("\n")
+        write_model(model, fh)
 
 
 def model_from_json(doc: dict) -> TrainedModel:

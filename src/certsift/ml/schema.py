@@ -129,10 +129,12 @@ class Encoder:
         self.schema = schema
         self.columns = schema.included()
         self.vocabs: dict[str, dict[str, int]] = {}
+        self._values: dict[str, dict[int, str]] = {}
         for col in self.columns:
             if col.kind == KIND_CATEGORICAL:
                 values = sorted({fv.value(col.name) for fv in rows})
                 self.vocabs[col.name] = {v: i for i, v in enumerate(values)}
+                self._values[col.name] = dict(enumerate(values))
 
     def encode_value(self, col: FeatureColumn, value) -> float:
         if col.kind == KIND_BOOLEAN:
@@ -151,12 +153,10 @@ class Encoder:
         if col.kind == KIND_BOOLEAN:
             return bool(encoded)
         if col.kind == KIND_CATEGORICAL:
-            for value, code in self.vocabs[col.name].items():
-                if code == int(encoded):
-                    return value
-            raise SchemaError(f"code {encoded} has no value in {col.name}")
-        if col.kind == KIND_INTEGER:
-            return encoded
+            try:
+                return self._values[col.name][int(encoded)]
+            except KeyError:
+                raise SchemaError(f"code {encoded} has no value in {col.name}") from None
         return encoded
 
 

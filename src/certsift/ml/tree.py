@@ -17,7 +17,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..errors import CorruptModel
-from ..features import FeatureVector
 from .schema import KIND_BOOLEAN, KIND_CATEGORICAL, Encoder
 
 TEST_EQ = "eq"
@@ -169,24 +168,13 @@ def decode_tree(node: dict, encoder: Encoder) -> dict:
     }
 
 
-def leaf_fraction(node: dict, fv: FeatureVector) -> float:
-    """Positive fraction at the leaf this vector lands in (decoded tree).
+def leaf_fractions(node: dict, columns: dict[str, np.ndarray], n: int) -> np.ndarray:
+    """Positive fraction at the leaf each row lands in (decoded tree).
 
-    Equality tests route any value not equal to the stored one (including
+    columns maps each feature name to its values over the n rows.  Equality
+    tests route any value not equal to the stored one (including
     categorical values never seen in training) to the right branch.
     """
-    while node["node"] == "split":
-        value = fv.value(node["feature"])
-        if node["test"] == TEST_EQ:
-            go_left = value == node["value"]
-        else:
-            go_left = float(value) <= node["value"]
-        node = node["left"] if go_left else node["right"]
-    return node["positive_fraction"]
-
-
-def leaf_fractions(node: dict, columns: dict[str, np.ndarray], n: int) -> np.ndarray:
-    """Vectorized leaf_fraction over per-feature value arrays."""
     out = np.empty(n, dtype=np.float64)
 
     def walk(node: dict, idx: np.ndarray) -> None:

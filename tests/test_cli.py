@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import shutil
 import subprocess
@@ -198,6 +199,36 @@ class TestClassifyCommand:
             "--features", str(synth_csv), "--corpus", str(corpus),
         ) == 1
 
+    # SHA-256 of `classify` output for each kind, trained on synth phishing vs
+    # alexa (60 per class, seed 5) and applied to a fresh sample (seed 6).
+    # Recorded before classify moved to batch prediction; the output bytes
+    # must never change without a stated reason.
+    GOLDEN_CLASSIFY = {
+        "tree": "9487f9a6f2909efa264b951fafb2befb0f5b7cc8c04e708d078521ea7e3a7d39",
+        "bagging": "7a01e64efc17dcf1b6f1879c1783a660521e83f92e74a89098f4007551cbf769",
+        "forest": "53e73c2afa4728a6be24f04fd3813a2873cfddb32d1c3c4eaa25245b7a866d90",
+        "knn": "71fe79a5668de62e37cab94c171c38eb2a6dd426cafa7f775e60d766cdca38da",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_CLASSIFY))
+    def test_classify_output_golden(self, kind, tmp_path):
+        train_csv, query_csv = tmp_path / "train.csv", tmp_path / "query.csv"
+        for path, n, seed in ((train_csv, "60", "5"), (query_csv, "40", "6")):
+            assert run(
+                "synth", "--pos-spec", "phishing", "--neg-spec", "alexa",
+                "--n", n, "--seed", seed, "--out", str(path),
+            ) == 0
+        model = tmp_path / "model.json"
+        argv = ["train", "--features", str(train_csv), "--algo", kind, "--model-out", str(model)]
+        if kind in ("bagging", "forest"):
+            argv += ["--trees", "15"]
+        assert main(argv) == 0
+        out = tmp_path / "classify.csv"
+        assert run(
+            "classify", "--model", str(model), "--features", str(query_csv), "--out", str(out),
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_CLASSIFY[kind]
+
     def test_corrupt_model_exit_3(self, synth_csv, tmp_path, capsys):
         broken = tmp_path / "broken.json"
         broken.write_text("{\"format_version\": 1, \"kind\": \"tree\"")
@@ -374,6 +405,22 @@ class TestProbeCommand:
         assert rows[DOMAIN_TLS_ONLY].f5 is False  # chains to the farm root
         assert rows[DOMAIN_BOTH].f5 is True  # self-signed stranger
         assert rows[DOMAIN_BOTH].f3 is True
+
+    def test_reprobe_appends_to_corpus(self, farm, tmp_path):
+        domains = [DOMAIN_BOTH, DOMAIN_TLS_ONLY, DOMAIN_HTTP_ONLY, DOMAIN_DEAD]
+        domains_file = tmp_path / "domains.txt"
+        domains_file.write_text("\n".join(domains) + "\n")
+        corpus = tmp_path / "corpus.ndjson"
+        assert main(self._probe_argv(farm, domains_file, corpus)) == 0
+        assert main(self._probe_argv(farm, domains_file, corpus)) == 0
+        records = load_corpus(corpus)
+        assert sorted(r.domain for r in records) == sorted(domains * 2)
+        out = tmp_path / "features.csv"
+        assert run("extract", "--corpus", str(corpus), "--out", str(out)) == 0
+        # only the two domains that served a certificate yield a vector
+        assert sorted(fv.domain for fv in read_features_csv(out)) == sorted(
+            [DOMAIN_BOTH, DOMAIN_TLS_ONLY]
+        )
 
     def test_bad_resolve_syntax_exit_1(self, tmp_path, capsys):
         domains_file = tmp_path / "domains.txt"

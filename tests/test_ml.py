@@ -23,8 +23,10 @@ from certsift.ml import (
     KIND_KNN,
     KIND_TREE,
     Dataset,
+    DecisionTreeModel,
     FeatureColumn,
     FeatureSchema,
+    NearestNeighborModel,
     cross_validate,
     default_schema,
     load_model,
@@ -46,6 +48,39 @@ def fv(domain: str, label: str | None = None, **overrides) -> FeatureVector:
     )
     base.update(overrides)
     return FeatureVector(domain=domain, label=label, **base)
+
+
+def reference_leaf_fraction(node: dict, fv: FeatureVector) -> float:
+    """Per-row walk of a decoded tree: the reference for batch prediction.
+
+    Equality tests route any value not equal to the stored one (including
+    categorical values never seen in training) to the right branch.
+    """
+    while node["node"] == "split":
+        value = fv.value(node["feature"])
+        if node["test"] == "eq":
+            go_left = value == node["value"]
+        else:
+            go_left = float(value) <= node["value"]
+        node = node["left"] if go_left else node["right"]
+    return node["positive_fraction"]
+
+
+def reference_predict(model, fv: FeatureVector, dataset: Dataset) -> tuple[str, float]:
+    """One row through the dict walk (tree kinds) or a pairwise k-NN scan
+    over the training dataset."""
+    if isinstance(model, DecisionTreeModel):
+        score = reference_leaf_fraction(model.root, fv)
+    elif isinstance(model, NearestNeighborModel):
+        rows = [dataset.rows[i] for i in dataset.canonical_order()]
+        dists = [model.distance(fv, row) for row in rows]
+        nearest = sorted(range(len(rows)), key=lambda i: (dists[i], i))
+        nearest = nearest[: model.hyperparameters["k"]]
+        score = sum(rows[i].label == "pos" for i in nearest) / len(nearest)
+    else:
+        votes = sum(reference_leaf_fraction(root, fv) >= 0.5 for root in model.members)
+        score = votes / len(model.members)
+    return ("pos" if score >= 0.5 else "neg"), score
 
 
 def f3_dataset(n_per_class: int = 20) -> Dataset:
@@ -115,6 +150,9 @@ class TestSchema:
         assert encoder.encode_value(col, "Alpha") == 0.0
         assert encoder.encode_value(col, "Gamma") == -1.0
         assert encoder.decode_value(col, 1.0) == "Beta"
+        for unknown in (2.0, -1.0):
+            with pytest.raises(SchemaError):
+                encoder.decode_value(col, unknown)
 
     def test_encoder_matrix_shape(self):
         rows = [fv("a.example"), fv("b.example", f1=True)]
@@ -229,7 +267,7 @@ class TestDecisionTree:
         assert model.root["node"] == "leaf"
         assert model.root["positive_fraction"] == 0.5
 
-    def test_batch_predictions_match_single(self):
+    def test_batch_predictions_match_reference_walk(self):
         rng = random.Random(5)
         rows = [
             fv(
@@ -243,13 +281,12 @@ class TestDecisionTree:
             )
             for i in range(60)
         ]
-        model = train(Dataset(rows), KIND_TREE)
+        dataset = Dataset(rows)
+        model = train(dataset, KIND_TREE)
         queries = rows[::3]
         labels, scores = model.predict_batch(queries)
         for query, label, score in zip(queries, labels, scores):
-            single_label, single_score = model.predict(query)
-            assert label == single_label
-            assert score == single_score
+            assert (label, score) == reference_predict(model, query, dataset)
 
 
 class TestEnsembles:
@@ -617,13 +654,17 @@ class TestPersistence:
 
 
 class TestBatchAgreement:
-    def test_all_kinds_batch_equals_single(self):
+    def test_all_kinds_batch_equals_reference(self):
+        # exact equality: the references do the same arithmetic row by row
         dataset = TestPersistence()._mixed_dataset()
-        queries = dataset.rows[::5]
+        queries = dataset.rows[::5] + [
+            fv("fresh.example", f9="Never Seen CA", f14=200, f15=0.123456)
+        ]
         for kind in (KIND_TREE, KIND_BAGGING, KIND_FOREST, KIND_KNN):
             hp = {"n_trees": 4} if kind in (KIND_BAGGING, KIND_FOREST) else None
             model = train(dataset, kind, hp)
             labels, scores = model.predict_batch(queries)
             for query, label, score in zip(queries, labels, scores):
-                single = model.predict(query)
-                assert (label, float(score)) == (single[0], pytest.approx(single[1]))
+                want = reference_predict(model, query, dataset)
+                assert (label, float(score)) == want, kind
+                assert model.predict(query) == want, kind
