@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import errno
 import io
 import json
 import logging
@@ -107,19 +108,25 @@ class CorpusWriter:
             self._fh.write(line.encode("utf-8"))
             self._fh.flush()
         except OSError as exc:
-            if exc.errno == 28:  # ENOSPC
+            if exc.errno == errno.ENOSPC:
                 raise StorageFull(f"no space appending to {self.path}") from exc
             raise
         self.count += 1
 
     def close(self) -> None:
+        """Flush, fsync and close; a failed write-back raises (ENOSPC as
+        StorageFull).  EINVAL, which a pipe or tty gives, is ignored."""
         if not self._fh.closed:
             try:
                 self._fh.flush()
                 os.fsync(self._fh.fileno())
-            except OSError:
-                pass
-            self._fh.close()
+            except OSError as exc:
+                if exc.errno == errno.ENOSPC:
+                    raise StorageFull(f"no space flushing {self.path}") from exc
+                if exc.errno != errno.EINVAL:
+                    raise
+            finally:
+                self._fh.close()
 
     def __enter__(self) -> "CorpusWriter":
         return self

@@ -2,9 +2,22 @@
 
 Splits minimize Gini impurity.  Boolean and categorical columns split on
 equality against one observed value; numeric columns split on thresholds
-halfway between consecutive distinct observed values.  Ties are broken
-deterministically: the first strictly-best candidate wins, scanning
-columns in ascending order and candidate values in ascending order.
+halfway between consecutive distinct observed values.
+
+Split search is an exact histogram search (after LightGBM, Ke et al.
+2017).  Each column is binned once per tree, one bin per distinct value,
+all columns sharing one id space (column by column, values ascending).
+Per node, one bincount gives the rows and positives of every bin; an
+equality candidate sends its bin left, a threshold candidate its column's
+bins up to its own, and one vectorised expression scores them all.
+
+Ties are broken deterministically: the first strictly-best candidate wins,
+scanning columns in ascending order and candidate values in ascending
+order, which is index order in the bin space, so argmax keeps it.  A bin
+none of the node's rows fall in never wins: as an equality candidate it
+sends no row left, and as a threshold it ties with the non-empty bin
+below it.  A threshold lies halfway to the next non-empty bin of its
+column, so every split is the one a per-node sort-and-scan would pick.
 
 Grown trees are stored decoded (feature names and raw values), so a
 persisted tree predicts without the training vocabulary.
@@ -32,57 +45,6 @@ def column_tests(encoder: Encoder) -> list[str]:
     ]
 
 
-def _scan_columns(
-    X: np.ndarray,
-    y: np.ndarray,
-    tests: Sequence[str],
-    cols: Sequence[int],
-    min_leaf: int,
-) -> tuple[tuple[int, str, float] | None, float]:
-    """Best (column, test, encoded value) over the given columns, or None."""
-    n = y.size
-    pos = float(y.sum())
-    parent = 2.0 * (pos / n) * (1.0 - pos / n)
-    best: tuple[int, str, float] | None = None
-    best_gain = _MIN_GAIN
-    for j in cols:
-        col = X[:, j]
-        if tests[j] == TEST_EQ:
-            uniq, inverse = np.unique(col, return_inverse=True)
-            if uniq.size < 2:
-                continue
-            n_left = np.bincount(inverse).astype(np.float64)
-            pos_left = np.bincount(inverse, weights=y)
-            candidates = uniq
-        else:
-            order = np.argsort(col, kind="stable")
-            sorted_values = col[order]
-            boundaries = np.nonzero(sorted_values[1:] != sorted_values[:-1])[0]
-            if boundaries.size == 0:
-                continue
-            n_left = (boundaries + 1).astype(np.float64)
-            pos_left = np.cumsum(y[order])[boundaries]
-            candidates = (sorted_values[boundaries] + sorted_values[boundaries + 1]) / 2.0
-        n_right = n - n_left
-        pos_right = pos - pos_left
-        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not valid.any():
-            continue
-        frac_left = np.divide(pos_left, n_left, out=np.zeros_like(n_left), where=n_left > 0)
-        frac_right = np.divide(pos_right, n_right, out=np.zeros_like(n_right), where=n_right > 0)
-        gain = (
-            parent
-            - (n_left / n) * 2.0 * frac_left * (1.0 - frac_left)
-            - (n_right / n) * 2.0 * frac_right * (1.0 - frac_right)
-        )
-        gain[~valid] = -np.inf
-        k = int(np.argmax(gain))
-        if gain[k] > best_gain:
-            best_gain = float(gain[k])
-            best = (j, tests[j], float(candidates[k]))
-    return best, best_gain
-
-
 def grow_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -92,7 +54,8 @@ def grow_tree(
     rng: np.random.Generator | None = None,
     n_sample_features: int | None = None,
 ) -> dict:
-    """Grow a tree on encoded data; returns the root node (encoded values).
+    """Grow a tree on encoded data and 0/1 labels (min_leaf >= 1); returns
+    the root node (encoded values).
 
     When n_sample_features is set, each split first searches a random
     subset of that many columns and falls back to the remaining columns
@@ -100,53 +63,83 @@ def grow_tree(
     never passed over just because the draw missed it.
     """
     n, d = X.shape
-    all_cols = list(range(d))
-    subsampling = (
-        rng is not None and n_sample_features is not None and n_sample_features < d
-    )
+    subsampling = rng is not None and n_sample_features is not None and n_sample_features < d
+    # bin each column once; bin ids run column by column, values ascending
+    binned = [np.unique(column, return_inverse=True) for column in X.T]
+    bin_value = np.concatenate([np.empty(0), *(values for values, _ in binned)])
+    bin_col = np.repeat(np.arange(d), [values.size for values, _ in binned])
+    n_bins = bin_value.size
+    first = np.searchsorted(bin_col, np.arange(d))  # each column's first bin
+    inverse = np.array([inv for _, inv in binned], dtype=np.intp).reshape(d, n).T
+    # every cell's bin id, a positive row's in a second copy of the id space
+    labelled = inverse + first + np.where(y > 0, n_bins, 0)[:, None]
+    # left side of candidate b: bin b alone (eq) or its column's bins up to b (le)
+    is_le = np.array([t == TEST_LE for t in tests], dtype=bool)[bin_col]
+    base = np.where(is_le, first[bin_col], np.arange(n_bins))
 
-    def leaf(idx: np.ndarray) -> dict:
-        count = int(idx.size)
-        positive = float(y[idx].sum())
-        return {"node": "leaf", "positive_fraction": positive / count, "count": count}
+    def best_split(idx: np.ndarray, count: int, positive: float) -> tuple[int, float] | None:
+        """Best (column, encoded value) for the node's rows, or None."""
+        if subsampling:
+            sampled = np.zeros(d, dtype=bool)
+            sampled[rng.choice(d, size=n_sample_features, replace=False)] = True
+        hist = np.bincount(labelled[idx].ravel(), minlength=2 * n_bins).reshape(2, n_bins)
+        running = np.zeros((2, n_bins + 1), dtype=hist.dtype)
+        np.cumsum(hist, axis=1, out=running[:, 1:])
+        neg_left, pos_left = running[:, 1:] - running[:, base]
+        n_left = neg_left + pos_left
+        n_right = count - n_left
+        # candidates that leave min_leaf rows on each side, in scan order
+        cand = np.flatnonzero((n_left >= min_leaf) & (n_right >= min_leaf))
+        n_left, n_right, pos_left = n_left[cand], n_right[cand], pos_left[cand]
+        parent = 2.0 * (positive / count) * (1.0 - positive / count)
+        frac_left = pos_left / n_left
+        frac_right = (positive - pos_left) / n_right
+        gain = (
+            parent
+            - (n_left / count) * 2.0 * frac_left * (1.0 - frac_left)
+            - (n_right / count) * 2.0 * frac_right * (1.0 - frac_right)
+        )
+        if subsampling:
+            in_block = sampled[bin_col[cand]]
+            blocks = [np.where(in_block, gain, -np.inf), np.where(in_block, -np.inf, gain)]
+        else:
+            blocks = [gain]
+        for block in blocks:
+            if block.size and block.max() > _MIN_GAIN:
+                k = int(cand[np.argmax(block)])
+                break
+        else:
+            return None
+        j = int(bin_col[k])
+        if tests[j] == TEST_EQ:
+            return j, float(bin_value[k])
+        upper = k + 1 + int(np.argmax(hist[:, k + 1 :].any(axis=0)))
+        return j, float((bin_value[k] + bin_value[upper]) / 2.0)
 
     def grow(idx: np.ndarray, depth: int) -> dict:
-        y_node = y[idx]
         count = idx.size
-        positive = y_node.sum()
-        if (
-            positive == 0
-            or positive == count
-            or depth >= max_depth
-            or count < 2 * min_leaf
-        ):
-            return leaf(idx)
-        if subsampling:
-            sampled = sorted(rng.choice(d, size=n_sample_features, replace=False).tolist())
-            blocks = [sampled, sorted(set(all_cols) - set(sampled))]
-        else:
-            blocks = [all_cols]
-        X_node = X[idx]
-        best = None
-        for cols in blocks:
-            best, _ = _scan_columns(X_node, y_node, tests, cols, min_leaf)
-            if best is not None:
-                break
+        positive = float(y[idx].sum())
+        leaf = {"node": "leaf", "positive_fraction": positive / count, "count": count}
+        if positive in (0, count) or depth >= max_depth or count < 2 * min_leaf:
+            return leaf
+        best = best_split(idx, count, positive)
         if best is None:
-            return leaf(idx)
-        j, test, value = best
-        column = X_node[:, j]
-        mask = column == value if test == TEST_EQ else column <= value
+            return leaf
+        j, value = best
+        column = X[idx, j]
+        mask = column == value if tests[j] == TEST_EQ else column <= value
         return {
             "node": "split",
             "col": j,
-            "test": test,
+            "test": tests[j],
             "value": value,
             "left": grow(idx[mask], depth + 1),
             "right": grow(idx[~mask], depth + 1),
         }
 
-    return grow(np.arange(n), 0)
+    root = grow(np.arange(n), 0)
+    del grow  # a recursive closure is a reference cycle; free its arrays now
+    return root
 
 
 def decode_tree(node: dict, encoder: Encoder) -> dict:

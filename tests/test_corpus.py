@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 
 import pytest
 
@@ -17,7 +19,7 @@ from certsift.corpus import (
     record_to_json,
     record_to_line,
 )
-from certsift.errors import CorruptRecord, SerializationFailure
+from certsift.errors import CorruptRecord, SerializationFailure, StorageFull
 
 
 def _record(domain="a.test", cert=None, chain=None, https=True, time_=T0, error=None):
@@ -126,6 +128,44 @@ class TestCorpusFile:
         with open(path, "wb") as fh:
             fh.write((record_to_line(_record()) + "\n\n").encode())
         assert len(load_corpus(path)) == 1
+
+
+class TestCorpusWriterClose:
+    """close() reports a failed write-back instead of hiding it."""
+
+    def _failing_fsync(self, monkeypatch, code):
+        def fsync(fd):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr("certsift.corpus.os.fsync", fsync)
+
+    def _writer(self, tmp_path):
+        writer = CorpusWriter(tmp_path / "out.ndjson", append=False)
+        writer.append(_record(domain="kept.test"))
+        return writer
+
+    def test_eio_raises_and_closes(self, tmp_path, monkeypatch):
+        writer = self._writer(tmp_path)
+        self._failing_fsync(monkeypatch, errno.EIO)
+        with pytest.raises(OSError) as info:
+            writer.close()
+        assert info.value.errno == errno.EIO
+        assert writer._fh.closed
+        writer.close()  # a second close is a no-op
+
+    def test_enospc_raises_storage_full(self, tmp_path, monkeypatch):
+        writer = self._writer(tmp_path)
+        self._failing_fsync(monkeypatch, errno.ENOSPC)
+        with pytest.raises(StorageFull):
+            writer.close()
+        assert writer._fh.closed
+
+    def test_einval_from_pipe_or_tty_is_ignored(self, tmp_path, monkeypatch):
+        writer = self._writer(tmp_path)
+        self._failing_fsync(monkeypatch, errno.EINVAL)
+        writer.close()
+        assert writer._fh.closed
+        assert [r.domain for r in load_corpus(tmp_path / "out.ndjson")] == ["kept.test"]
 
 
 class TestLatestRecords:

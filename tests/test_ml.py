@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import random
 
@@ -36,8 +38,10 @@ from certsift.ml import (
     stratified_fold_indices,
     train,
 )
-from certsift.ml.persist import model_to_json
+from certsift.ml.persist import model_to_json, write_model
 from certsift.ml.schema import Encoder, canonical_key
+from certsift.ml.tree import _MIN_GAIN, TEST_EQ, TEST_LE, grow_tree
+from certsift.synth import boolean_only_variant, load_spec, sample_corpus
 
 
 def fv(domain: str, label: str | None = None, **overrides) -> FeatureVector:
@@ -81,6 +85,126 @@ def reference_predict(model, fv: FeatureVector, dataset: Dataset) -> tuple[str, 
         votes = sum(reference_leaf_fraction(root, fv) >= 0.5 for root in model.members)
         score = votes / len(model.members)
     return ("pos" if score >= 0.5 else "neg"), score
+
+
+def reference_scan_columns(X, y, tests, cols, min_leaf):
+    """Best (column, test, encoded value) over the given columns, or None.
+
+    The per-column sort-and-scan split search: the reference the
+    histogram search in grow_tree is checked against, exactly.
+    """
+    n = y.size
+    pos = float(y.sum())
+    parent = 2.0 * (pos / n) * (1.0 - pos / n)
+    best = None
+    best_gain = _MIN_GAIN
+    for j in cols:
+        col = X[:, j]
+        if tests[j] == TEST_EQ:
+            uniq, inverse = np.unique(col, return_inverse=True)
+            if uniq.size < 2:
+                continue
+            n_left = np.bincount(inverse).astype(np.float64)
+            pos_left = np.bincount(inverse, weights=y)
+            candidates = uniq
+        else:
+            order = np.argsort(col, kind="stable")
+            sorted_values = col[order]
+            boundaries = np.nonzero(sorted_values[1:] != sorted_values[:-1])[0]
+            if boundaries.size == 0:
+                continue
+            n_left = (boundaries + 1).astype(np.float64)
+            pos_left = np.cumsum(y[order])[boundaries]
+            candidates = (sorted_values[boundaries] + sorted_values[boundaries + 1]) / 2.0
+        n_right = n - n_left
+        pos_right = pos - pos_left
+        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not valid.any():
+            continue
+        frac_left = np.divide(pos_left, n_left, out=np.zeros_like(n_left), where=n_left > 0)
+        frac_right = np.divide(pos_right, n_right, out=np.zeros_like(n_right), where=n_right > 0)
+        gain = (
+            parent
+            - (n_left / n) * 2.0 * frac_left * (1.0 - frac_left)
+            - (n_right / n) * 2.0 * frac_right * (1.0 - frac_right)
+        )
+        gain[~valid] = -np.inf
+        k = int(np.argmax(gain))
+        if gain[k] > best_gain:
+            best_gain = float(gain[k])
+            best = (j, tests[j], float(candidates[k]))
+    return best
+
+
+def reference_grow_tree(X, y, tests, max_depth, min_leaf, rng=None, n_sample_features=None):
+    """Depth-first growth over reference_scan_columns, drawing the forest's
+    feature subset at the same points, in the same order, as grow_tree."""
+    n, d = X.shape
+    all_cols = list(range(d))
+    subsampling = rng is not None and n_sample_features is not None and n_sample_features < d
+
+    def leaf(idx):
+        return {"node": "leaf", "positive_fraction": float(y[idx].sum()) / idx.size,
+                "count": int(idx.size)}
+
+    def grow(idx, depth):
+        y_node = y[idx]
+        count = idx.size
+        positive = y_node.sum()
+        if positive == 0 or positive == count or depth >= max_depth or count < 2 * min_leaf:
+            return leaf(idx)
+        if subsampling:
+            sampled = sorted(rng.choice(d, size=n_sample_features, replace=False).tolist())
+            blocks = [sampled, sorted(set(all_cols) - set(sampled))]
+        else:
+            blocks = [all_cols]
+        X_node = X[idx]
+        best = None
+        for cols in blocks:
+            best = reference_scan_columns(X_node, y_node, tests, cols, min_leaf)
+            if best is not None:
+                break
+        if best is None:
+            return leaf(idx)
+        j, test, value = best
+        column = X_node[:, j]
+        mask = column == value if test == TEST_EQ else column <= value
+        return {
+            "node": "split", "col": j, "test": test, "value": value,
+            "left": grow(idx[mask], depth + 1),
+            "right": grow(idx[~mask], depth + 1),
+        }
+
+    return grow(np.arange(n), 0)
+
+
+def random_encoded_matrix(rng: np.random.Generator):
+    """A small encoded matrix with the awkward cases split search meets:
+    tied values, duplicated rows, constant and single-valued columns, mixed
+    eq/le columns, and labels that follow a column or are pure noise."""
+    n = int(rng.integers(2, 70))
+    d = int(rng.integers(1, 7))
+    tests = [TEST_EQ if rng.random() < 0.5 else TEST_LE for _ in range(d)]
+    X = np.empty((n, d), dtype=np.float64)
+    for j, test in enumerate(tests):
+        shape = rng.integers(0, 4)
+        if shape == 0:  # constant (single-valued)
+            X[:, j] = float(rng.integers(0, 3))
+        elif test == TEST_EQ:  # boolean or categorical codes, with gaps
+            X[:, j] = rng.choice(rng.permutation(8)[: int(rng.integers(2, 6))], size=n)
+        elif shape == 1:  # few distinct reals, many ties
+            X[:, j] = rng.choice(np.round(rng.normal(size=4), 3), size=n)
+        else:  # integers over a wide range
+            X[:, j] = rng.integers(-20, 400, size=n)
+    if rng.random() < 0.5:
+        y = (rng.random(n) < 0.5).astype(np.float64)
+    else:  # labels driven by one column, with noise
+        j = int(rng.integers(0, d))
+        y = ((X[:, j] > np.median(X[:, j])) ^ (rng.random(n) < 0.15)).astype(np.float64)
+    if rng.random() < 0.3:  # a bootstrap, as ensembles grow on: duplicated rows
+        boot = rng.integers(0, n, size=n)
+        X, y = X[boot], y[boot]
+    return X, y, tests
 
 
 def f3_dataset(n_per_class: int = 20) -> Dataset:
@@ -287,6 +411,78 @@ class TestDecisionTree:
         labels, scores = model.predict_batch(queries)
         for query, label, score in zip(queries, labels, scores):
             assert (label, score) == reference_predict(model, query, dataset)
+
+
+class TestHistogramGrowth:
+    """grow_tree against the sort-and-scan reference: equal dicts, exact floats."""
+
+    CASES = 400
+
+    def test_matches_reference(self):
+        cases = np.random.default_rng(2024)
+        for _ in range(self.CASES):
+            X, y, tests = random_encoded_matrix(cases)
+            max_depth = int(cases.integers(1, 7))
+            min_leaf = int(cases.integers(1, 5))
+            want = reference_grow_tree(X, y, tests, max_depth, min_leaf)
+            assert grow_tree(X, y, tests, max_depth, min_leaf) == want
+
+    def test_no_columns_grows_a_leaf(self):
+        X, y = np.empty((6, 0)), np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+        assert grow_tree(X, y, [], 3, 1) == reference_grow_tree(X, y, [], 3, 1)
+
+    def test_matches_reference_with_feature_subsampling(self):
+        cases = np.random.default_rng(2025)
+        for _ in range(self.CASES):
+            X, y, tests = random_encoded_matrix(cases)
+            max_depth = int(cases.integers(1, 7))
+            min_leaf = int(cases.integers(1, 5))
+            n_sample = int(cases.integers(1, X.shape[1] + 1))
+            seed = int(cases.integers(0, 2**32))
+            want = reference_grow_tree(
+                X, y, tests, max_depth, min_leaf, np.random.default_rng(seed), n_sample
+            )
+            got = grow_tree(
+                X, y, tests, max_depth, min_leaf, np.random.default_rng(seed), n_sample
+            )
+            assert got == want
+
+
+class TestGoldenModels:
+    """SHA-256 of the model file for fixed data and seed.
+
+    Recorded before the histogram split search replaced the per-column
+    sort-and-scan, and unchanged by it: any change to these bytes is a
+    change in the trees grown.
+    """
+
+    DIGESTS = {
+        ("full", KIND_TREE): "6ee37c438233af75f4145541b468339b1b0c6f609eecc153b75272ad6bbfb885",
+        ("full", KIND_BAGGING): "77ba59ff529fb095837b7c631f2b005976307a91b1f5b277494fd3f63395e7bf",
+        ("full", KIND_FOREST): "e81ecc0953d9dba9378b4a64a5a2169c1bb954293b9611739d323a7f1c64d8f3",
+        ("boolean", KIND_TREE): "78dfd74f0182cc83f52ca1b5646ceb9f81d5457544b369cb094b53f64919d168",
+        ("boolean", KIND_BAGGING): "35dfc27604f0f9b0da93c618f530874a7554122cad25c8cfcd4f802f1d3920d5",
+        ("boolean", KIND_FOREST): "dba41f2f641c048bc064a24a384ee177d45b7c82c5e9f882d739fc5b7c015616",
+    }
+
+    @pytest.fixture(scope="class")
+    def datasets(self):
+        pos, neg = load_spec("phishing"), load_spec("alexa")
+        return {
+            "full": sample_corpus(pos, neg, 150, seed=17),
+            "boolean": sample_corpus(
+                boolean_only_variant(pos), boolean_only_variant(neg), 150, seed=17
+            ),
+        }
+
+    @pytest.mark.parametrize("data", ["full", "boolean"])
+    @pytest.mark.parametrize("kind", [KIND_TREE, KIND_BAGGING, KIND_FOREST])
+    def test_model_file_digest(self, datasets, data, kind):
+        hp = None if kind == KIND_TREE else {"n_trees": 15}
+        buf = io.StringIO()
+        write_model(train(datasets[data], kind, hp), buf)
+        digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+        assert digest == self.DIGESTS[(data, kind)]
 
 
 class TestEnsembles:
