@@ -15,6 +15,7 @@ The pipeline runs in stages, each usable on its own:
 from .certs import (
     CertificateSummary,
     DistinguishedName,
+    IssuerIndex,
     SignatureAlgorithm,
     Verdict,
     VerificationOutcome,
@@ -55,6 +56,7 @@ __all__ = [
     "DistinguishedName",
     "DomainRecord",
     "FeatureVector",
+    "IssuerIndex",
     "ProbeConfig",
     "ProbeSummary",
     "SignatureAlgorithm",

@@ -7,14 +7,22 @@ certificate.  Verification builds an issuer path from the certificates a
 server presented plus a local trust store and reports a single verdict;
 hostname checking is deliberately out of scope because name mismatch is
 judged separately by the name-similarity feature.
+
+Issuer selection: a certificate's issuer is the first trust anchor in
+store order, else the first presented certificate in presented order,
+whose subject equals the certificate's issuer name as a multiset of
+(type, trimmed value) pairs.  Lookup goes through each name's precomputed
+key in an IssuerIndex, a dictionary built once per certificate set.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import logging
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -91,6 +99,11 @@ class DistinguishedName:
 
     def text(self) -> str:
         return ", ".join(f"{name}={value}" for name, value in self.attributes)
+
+    @functools.cached_property
+    def key(self) -> tuple[tuple[str, str], ...]:
+        """The name as a sorted multiset of (type, trimmed value) pairs."""
+        return tuple(sorted((name, value.strip()) for name, value in self.attributes))
 
 
 @dataclass(frozen=True)
@@ -224,11 +237,9 @@ def dn_equal(a: DistinguishedName, b: DistinguishedName) -> bool:
     """Compare two names as multisets of (type, trimmed value) pairs.
 
     Attribute order does not matter; repeated attributes must occur the
-    same number of times on both sides.
+    same number of times on both sides; case matters.
     """
-    key_a = sorted((name, value.strip()) for name, value in a.attributes)
-    key_b = sorted((name, value.strip()) for name, value in b.attributes)
-    return key_a == key_b
+    return a.key == b.key
 
 
 def load_trust_store(path: str) -> list[CertificateSummary]:
@@ -263,13 +274,28 @@ def _signature_valid(child: CertificateSummary, parent: CertificateSummary) -> b
         return False
 
 
-def _find_issuer(
-    candidates: list[CertificateSummary], issuer: DistinguishedName
-) -> CertificateSummary | None:
-    for cand in candidates:
-        if dn_equal(cand.subject, issuer):
-            return cand
-    return None
+class IssuerIndex:
+    """Candidate issuers keyed by subject name, for chain building.
+
+    by_subject maps a subject key (DistinguishedName.key) to the first
+    certificate in the given order carrying it; by_fingerprint holds every
+    certificate by its fingerprint.  Build one per trust store and pass it
+    to verify_chain for every leaf checked against that store.
+    """
+
+    def __init__(self, certs: Iterable[CertificateSummary]):
+        self.by_subject: dict[tuple[tuple[str, str], ...], CertificateSummary] = {}
+        self.by_fingerprint: dict[str, CertificateSummary] = {}
+        for cert in certs:
+            self.by_subject.setdefault(cert.subject.key, cert)
+            self.by_fingerprint.setdefault(cert.fingerprint, cert)
+
+    @classmethod
+    def of(cls, certs: IssuerIndex | Iterable[CertificateSummary]) -> IssuerIndex:
+        return certs if isinstance(certs, cls) else cls(certs)
+
+    def issuer_of(self, cert: CertificateSummary) -> CertificateSummary | None:
+        return self.by_subject.get(cert.issuer.key)
 
 
 _MAX_PATH = 16
@@ -277,15 +303,21 @@ _MAX_PATH = 16
 
 def verify_chain(
     leaf: CertificateSummary,
-    presented_chain: list[CertificateSummary],
-    trust_store: list[CertificateSummary],
+    presented_chain: Iterable[CertificateSummary],
+    trust_store: IssuerIndex | Iterable[CertificateSummary],
     at_time: int,
 ) -> VerificationOutcome:
     """Build an issuer path for leaf and judge it at the given time.
 
-    The path walks from the leaf through the presented certificates
-    (matching issuer name to subject name) until it reaches a trust
-    anchor.  Failures are reported in a fixed order: structural problems
+    The path walks from the leaf through the presented certificates until
+    it reaches a trust anchor.  Each step takes the first trust anchor in
+    store order, else the first presented certificate (other than the
+    leaf) in presented order, whose subject equals the current
+    certificate's issuer as a multiset (see dn_equal); lookup goes through
+    the names' precomputed keys.  trust_store may be an IssuerIndex built
+    once for many calls; any other iterable is indexed here.
+
+    Failures are reported in a fixed order: structural problems
     (duplicate presented certificates, issuer loops, absurdly long
     paths) as MalformedChain; a leaf that is its own issuer as
     SelfSigned; a walk that never reaches the store as UntrustedRoot;
@@ -301,16 +333,16 @@ def verify_chain(
             Verdict.MALFORMED_CHAIN, "duplicate certificates in presented chain"
         )
 
-    anchor_fps = {c.fingerprint for c in trust_store}
+    anchors = IssuerIndex.of(trust_store)
     path: list[CertificateSummary]
-    self_anchor = leaf.fingerprint in anchor_fps
-    if self_anchor:
+    if leaf.fingerprint in anchors.by_fingerprint:
         path = [leaf]
     elif dn_equal(leaf.issuer, leaf.subject):
         return VerificationOutcome(
             Verdict.SELF_SIGNED, f"leaf is self-signed: {leaf.subject.text()}"
         )
     else:
+        candidates = IssuerIndex(c for c in presented if c.fingerprint != leaf.fingerprint)
         path = [leaf]
         seen = {leaf.fingerprint}
         current = leaf
@@ -319,14 +351,11 @@ def verify_chain(
                 return VerificationOutcome(
                     Verdict.MALFORMED_CHAIN, f"path longer than {_MAX_PATH}"
                 )
-            anchor = _find_issuer(trust_store, current.issuer)
+            anchor = anchors.issuer_of(current)
             if anchor is not None:
                 path.append(anchor)
                 break
-            nxt = _find_issuer(
-                [c for c in presented if c.fingerprint != leaf.fingerprint],
-                current.issuer,
-            )
+            nxt = candidates.issuer_of(current)
             if nxt is None:
                 return VerificationOutcome(
                     Verdict.UNTRUSTED_ROOT,

@@ -20,11 +20,11 @@ import io
 import json
 import logging
 import os
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .certs import parse_certificate
+from .certs import CertificateSummary, parse_certificate
 from .errors import CorruptRecord, MalformedInput, SerializationFailure, StorageFull
 from .probe import DomainRecord
 
@@ -212,22 +212,34 @@ def latest_records(records: Iterable[DomainRecord]) -> list[DomainRecord]:
     return list(latest.values())
 
 
-def build_corpus_index(records: Iterable[DomainRecord]) -> CorpusIndex:
+def _parse_leaf(record: DomainRecord) -> CertificateSummary | None:
+    if record.cert_der is None:
+        return None
+    try:
+        return parse_certificate(record.cert_der)
+    except MalformedInput as exc:
+        log.warning("skipping unparseable certificate for %s: %s", record.domain, exc)
+        return None
+
+
+def build_corpus_index(
+    records: Iterable[DomainRecord],
+    leaf: Callable[[DomainRecord], CertificateSummary | None] = _parse_leaf,
+) -> CorpusIndex:
     """Index the newest record of every domain that delivered a certificate.
 
-    Records whose certificate bytes do not parse are skipped with a
-    warning; they cannot contribute a serial and their fingerprint would
-    never be asked about by the feature extractor (which parses first).
+    leaf gives a record's parsed certificate, or None to leave the record
+    out.  By default the record's bytes are parsed here, and records whose
+    bytes do not parse are skipped with a warning; they cannot contribute
+    a serial and their fingerprint would never be asked about by the
+    feature extractor (which parses first).  extract_corpus passes the
+    leaves it has already parsed and warned about.
     """
     by_fp: dict[str, set[str]] = {}
     by_serial: dict[str, set[tuple[str, str]]] = {}
     for record in latest_records(records):
-        if record.cert_der is None:
-            continue
-        try:
-            summary = parse_certificate(record.cert_der)
-        except MalformedInput as exc:
-            log.warning("skipping unparseable certificate for %s: %s", record.domain, exc)
+        summary = leaf(record)
+        if summary is None:
             continue
         by_fp.setdefault(summary.fingerprint, set()).add(record.domain)
         by_serial.setdefault(str(summary.serial), set()).add(

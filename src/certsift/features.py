@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from .certs import (
     OID_MD5_RSA,
     CertificateSummary,
+    IssuerIndex,
     dn_equal,
     parse_certificate,
     verify_chain,
@@ -176,7 +177,7 @@ def extract_features(
     domain: str,
     harvest_time: int,
     index: CorpusIndex,
-    trust_store: Sequence[CertificateSummary],
+    trust_store: IssuerIndex | Sequence[CertificateSummary],
     bogus: BogusValueList | None = None,
     presented_chain: Sequence[CertificateSummary] = (),
     shingle_size: int = DEFAULT_SHINGLE_SIZE,
@@ -185,7 +186,9 @@ def extract_features(
 
     The index must have been built over a corpus containing this
     (domain, certificate) pair; anything else raises IndexMismatch, since
-    the duplicate features would silently come out wrong.
+    the duplicate features would silently come out wrong.  A caller that
+    extracts many certificates against one trust store passes it as an
+    IssuerIndex, so the anchors are indexed once.
     """
     # Index identity keeps the full domain; alias stripping is only for f15.
     host = domain.strip().lower().rstrip(".")
@@ -196,7 +199,7 @@ def extract_features(
     if bogus is None:
         bogus = BogusValueList.default()
 
-    outcome = verify_chain(cert, list(presented_chain), list(trust_store), harvest_time)
+    outcome = verify_chain(cert, presented_chain, trust_store, harvest_time)
     validity_days = (cert.not_after - cert.not_before) // SECONDS_PER_DAY
     subject_cn = cert.subject.get("CN") or MISSING
     return FeatureVector(
@@ -224,7 +227,7 @@ def extract_features(
 
 def extract_corpus(
     records: Iterable[DomainRecord],
-    trust_store: Sequence[CertificateSummary] = (),
+    trust_store: IssuerIndex | Iterable[CertificateSummary] = (),
     bogus: BogusValueList | None = None,
     shingle_size: int = DEFAULT_SHINGLE_SIZE,
     index: CorpusIndex | None = None,
@@ -232,36 +235,63 @@ def extract_corpus(
     """Extract features for every certificate-bearing domain in a corpus.
 
     Uses the newest record per domain.  When no index is given, one is
-    built from the same records.  Records whose certificate bytes do not
-    parse are skipped with a warning.
+    built from the same records.  Each distinct certificate is parsed
+    once per call and the trust store is indexed once per call.  Records
+    whose certificate bytes do not parse are skipped with one warning
+    each.
     """
-    records = list(records)
-    if index is None:
-        index = build_corpus_index(records)
-    vectors = []
-    for record in sorted(latest_records(records), key=lambda r: r.domain):
+    newest = sorted(latest_records(records), key=lambda r: r.domain)
+    anchors = IssuerIndex.of(trust_store)
+    # Certificate bytes -> summary, or the error text of a failed parse,
+    # starting from the anchors, which servers often present as well.
+    # Only the text is kept: an exception's traceback would hold its
+    # frames, and through them this cache, in a reference cycle.
+    parsed: dict[bytes, CertificateSummary | str] = {
+        anchor.der_bytes: anchor for anchor in anchors.by_fingerprint.values()
+    }
+
+    def parse(der: bytes) -> CertificateSummary | str:
+        summary = parsed.get(der)
+        if summary is None:
+            try:
+                summary = parse_certificate(der)
+            except MalformedInput as exc:
+                summary = str(exc)
+            parsed[der] = summary
+        return summary
+
+    leaves: dict[str, CertificateSummary] = {}
+    for record in newest:
         if record.cert_der is None:
             continue
-        try:
-            cert = parse_certificate(record.cert_der)
-        except MalformedInput as exc:
-            log.warning("skipping %s: %s", record.domain, exc)
+        cert = parse(record.cert_der)
+        if isinstance(cert, str):
+            log.warning("skipping %s: %s", record.domain, cert)
+        else:
+            leaves[record.domain] = cert
+    if index is None:
+        index = build_corpus_index(newest, leaf=lambda r: leaves.get(r.domain))
+    vectors = []
+    for record in newest:
+        cert = leaves.get(record.domain)
+        if cert is None:
             continue
         chain = []
         for der in record.presented_chain_der or ():
             if der == record.cert_der:
                 continue
-            try:
-                chain.append(parse_certificate(der))
-            except MalformedInput:
+            summary = parse(der)
+            if isinstance(summary, str):
                 log.warning("skipping unparseable chain certificate for %s", record.domain)
+            else:
+                chain.append(summary)
         vectors.append(
             extract_features(
                 cert,
                 record.domain,
                 record.harvest_time,
                 index,
-                trust_store,
+                anchors,
                 bogus=bogus,
                 presented_chain=chain,
                 shingle_size=shingle_size,

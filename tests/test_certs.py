@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 from cryptography import x509
+from cryptography.x509.oid import NameOID
 
 from certbuild import DAY, T0, make_cert, name, patch_md5_oid, rsa_key, to_pem
 from certsift import (
@@ -282,6 +283,61 @@ class TestVerifyChain:
         )
         outcome = verify_chain(parse_certificate(leaf_der), [], [root_summary], T0)
         assert outcome.verdict is Verdict.BAD_SIGNATURE
+
+    @pytest.mark.parametrize("signer_first", [False, True])
+    def test_first_anchor_with_issuer_subject_is_chosen(self, signer_first):
+        # two anchors share a subject; only the second signed the leaf
+        twin = name("Twin Root", o="Test Roots")
+        first, _ = make_cert(twin, key=rsa_key(1), ca=True)
+        signer_der, signer_key = make_cert(twin, key=rsa_key(2), ca=True)
+        leaf_der, _ = make_cert(
+            "twin.example", issuer_name=twin, issuer_key=signer_key, key=rsa_key(3)
+        )
+        anchors = [parse_certificate(first), parse_certificate(signer_der)]
+        if signer_first:
+            anchors.reverse()
+        outcome = verify_chain(parse_certificate(leaf_der), [], anchors, T0)
+        want = Verdict.VERIFIED if signer_first else Verdict.BAD_SIGNATURE
+        assert outcome.verdict is want
+
+    @pytest.mark.parametrize("signer_first", [False, True])
+    def test_first_presented_with_issuer_subject_is_chosen(self, root, signer_first):
+        root_summary, root_cert, root_key = root
+        twin = name("Twin Intermediate", o="Test Roots")
+        inters = [
+            make_cert(twin, issuer_cert=root_cert, issuer_key=root_key,
+                      key=rsa_key(slot), ca=True)[0]
+            for slot in (3, 4)
+        ]
+        leaf_der, _ = make_cert(
+            "twin-inter.example", issuer_name=twin, issuer_key=rsa_key(4), key=rsa_key(5)
+        )
+        presented = [parse_certificate(der) for der in inters]
+        if signer_first:
+            presented.reverse()
+        outcome = verify_chain(parse_certificate(leaf_der), presented, [root_summary], T0)
+        want = Verdict.VERIFIED if signer_first else Verdict.BAD_SIGNATURE
+        assert outcome.verdict is want
+
+    def test_anchor_found_despite_attribute_order_and_spaces(self):
+        spaced = x509.Name([
+            x509.NameAttribute(NameOID.ORGANIZATION_NAME, " Test Roots"),
+            x509.NameAttribute(NameOID.COMMON_NAME, "Spaced Root  "),
+        ])
+        anchor_der, anchor_key = make_cert(spaced, key=rsa_key(1), ca=True)
+        leaf_der, _ = make_cert(
+            "spaced.example",
+            issuer_name=name("Spaced Root", o="Test Roots"),
+            issuer_key=anchor_key,
+            key=rsa_key(3),
+        )
+        outcome = verify_chain(
+            parse_certificate(leaf_der), [], [parse_certificate(anchor_der)], T0
+        )
+        # The anchor is on the path (not UntrustedRoot); the crypto backend
+        # then compares the names byte for byte and refuses the link.
+        assert outcome.verdict is Verdict.BAD_SIGNATURE
+        assert "against 'O= Test Roots, CN=Spaced Root  '" in outcome.detail
 
     def test_empty_trust_store_is_untrusted(self):
         root_summary, root_cert, root_key = _ca("Lonely Root", 1)

@@ -9,9 +9,18 @@ import shutil
 import subprocess
 
 import pytest
+from cryptography import x509
 
-from certbuild import T0, make_cert, rsa_key
-from certsift import DomainRecord, load_corpus, read_features_csv, write_corpus
+from certbuild import DAY, T0, make_cert, name, rsa_key, to_pem
+from certsift import (
+    DomainRecord,
+    Verdict,
+    load_corpus,
+    read_features_csv,
+    verify_chain,
+    write_corpus,
+)
+from certsift import features
 from certsift.cli import _atomic_output, main
 from certsift.ml import load_model
 
@@ -348,6 +357,97 @@ class TestExtractCommand:
         assert run("extract", "--corpus", str(corpus), "--out", str(a)) == 0
         assert run("extract", "--corpus", str(corpus), "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    # SHA-256 of the feature CSV for the corpus below, recorded before chain
+    # verification moved to a subject-keyed issuer index and extraction to
+    # one parse per certificate; the bytes must never change without a
+    # stated reason.  Keys are random per run, so every serial is fixed and
+    # no feature depends on key or signature bytes.
+    GOLDEN_EXTRACT = "00f7334cebd830d2f8957e826f51fd2a471815579a098a4626d5c12a1e9194cb"
+
+    def test_extract_output_golden(self, tmp_path, monkeypatch):
+        root_der, root_key = make_cert(
+            name("Golden Root", o="Test Roots", c="US"), key=rsa_key(1), ca=True,
+            serial=1, days=3650,
+        )
+        root = x509.load_der_x509_certificate(root_der)
+        inter_der, inter_key = make_cert(
+            name("Golden Intermediate", o="Test Roots"), issuer_cert=root,
+            issuer_key=root_key, key=rsa_key(2), ca=True, serial=2, days=1825,
+        )
+        inter = x509.load_der_x509_certificate(inter_der)
+        stray_der, stray_key = make_cert(
+            name("Stray Root"), key=rsa_key(3), ca=True, serial=3, days=3650,
+        )
+        stray = x509.load_der_x509_certificate(stray_der)
+        by_root = {"issuer_cert": root, "issuer_key": root_key, "key": rsa_key(4)}
+        by_inter = {"issuer_cert": inter, "issuer_key": inter_key, "key": rsa_key(4)}
+        leaves = {
+            "verified.test": make_cert("verified.test", serial=1001, **by_root)[0],
+            "chained.test": make_cert("chained.test", serial=1002, **by_inter)[0],
+            "www.chained-too.test": make_cert(
+                "chained-too.test", serial=1003, days=1500, **by_inter)[0],
+            "selfsigned.test": make_cert(
+                name("localhost", o="Internet Widgits Pty Ltd"), serial=1004,
+                key=rsa_key(4))[0],
+            "untrusted.test": make_cert(
+                "untrusted.test", issuer_cert=stray, issuer_key=stray_key,
+                key=rsa_key(4), serial=1005)[0],
+            "expired.test": make_cert(
+                "expired.test", serial=1006, not_before=T0 - 400 * DAY, days=30,
+                **by_root)[0],
+            "early.test": make_cert(
+                "early.test", serial=1007, not_before=T0 + 10 * DAY, days=30,
+                **by_root)[0],
+            "forged.test": make_cert(
+                "forged.test", issuer_name=root.subject, key=rsa_key(4), serial=1008)[0],
+            "weak.test": make_cert("weak.test", serial=1009, md5=True, **by_root)[0],
+            "duplicated.test": make_cert("duplicated.test", serial=1010, **by_inter)[0],
+            "shared-a.test": make_cert("shared.test", serial=1011, **by_root)[0],
+            "serial-a.test": make_cert("serial-a.test", serial=4242, **by_root)[0],
+            "serial-b.test": make_cert("serial-b.test", serial=4242, **by_inter)[0],
+            "badchain.test": make_cert("badchain.test", serial=1012, **by_root)[0],
+            "anchor.test": root_der,
+            "badleaf.test": b"\x30\x03bad",
+        }
+        leaves["shared-b.test"] = leaves["shared-a.test"]
+        chains = {
+            "chained.test": (inter_der,),
+            "www.chained-too.test": (inter_der,),
+            "duplicated.test": (inter_der, inter_der),
+            "serial-b.test": (inter_der,),
+            "badchain.test": (b"\x30\x03bad",),
+        }
+        records = [
+            DomainRecord(domain="verified.test", http_ok=True, https_ok=True,
+                         harvest_time=T0 - DAY, cert_der=leaves["forged.test"]),
+            DomainRecord(domain="nocert.test", http_ok=True, https_ok=False,
+                         harvest_time=T0),
+        ]
+        records += [
+            DomainRecord(domain=domain, http_ok=True, https_ok=True, harvest_time=T0,
+                         cert_der=der, presented_chain_der=(der,) + chains.get(domain, ()))
+            for domain, der in sorted(leaves.items())
+        ]
+        corpus, bundle = tmp_path / "corpus.ndjson", tmp_path / "anchors.pem"
+        write_corpus(corpus, records)
+        other_der, _ = make_cert(name("Other Anchor"), key=rsa_key(5), ca=True, serial=5)
+        bundle.write_bytes(to_pem(other_der) + to_pem(root_der))
+        verdicts = []
+
+        def recording_verify(*args):
+            outcome = verify_chain(*args)
+            verdicts.append(outcome.verdict)
+            return outcome
+
+        monkeypatch.setattr(features, "verify_chain", recording_verify)
+        out = tmp_path / "features.csv"
+        assert run(
+            "extract", "--corpus", str(corpus), "--trust-store", str(bundle),
+            "--out", str(out),
+        ) == 0
+        assert set(verdicts) == set(Verdict)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_EXTRACT
 
 
 class TestProbeCommand:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import logging
 
 import pytest
 from cryptography import x509
@@ -338,6 +339,32 @@ class TestExtractCorpus:
             )
         ]
         assert extract_corpus(records) == []
+
+    def test_unparseable_certificates_warned_once_per_domain(self, caplog):
+        good_der, _ = make_cert("good.example")
+        records = [
+            DomainRecord(
+                domain=domain, http_ok=False, https_ok=True, harvest_time=T0,
+                cert_der=b"\xde\xad",
+            )
+            for domain in ("junk-a.example", "junk-b.example")
+        ] + [
+            DomainRecord(
+                domain=domain, http_ok=True, https_ok=True, harvest_time=T0,
+                cert_der=good_der, presented_chain_der=(good_der, b"\xbe\xef"),
+            )
+            for domain in ("good.example", "good-too.example")
+        ]
+        with caplog.at_level(logging.WARNING):
+            vectors = extract_corpus(records)
+        assert [fv.domain for fv in vectors] == ["good-too.example", "good.example"]
+        warned = sorted(
+            domain
+            for record in caplog.records
+            for domain in ("junk-a", "junk-b", "good", "good-too")
+            if f" {domain}.example" in record.getMessage()
+        )
+        assert warned == ["good", "good-too", "junk-a", "junk-b"]
 
     def test_presented_chain_feeds_verification(self):
         root_der, root_key = make_cert(name("Chain Root"), key=rsa_key(1), ca=True)
