@@ -12,21 +12,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from itertools import compress
 
 import numpy as np
 
 from ..errors import SchemaError
 from ..features import LABEL_NEGATIVE, LABEL_POSITIVE, FeatureVector
-from .schema import (
-    KIND_BOOLEAN,
-    KIND_CATEGORICAL,
-    Dataset,
-    Encoder,
-    FeatureSchema,
-    column_arrays,
-    encode_labels,
-)
-from .tree import column_tests, decode_tree, grow_tree, leaf_fractions
+from .schema import Dataset, Encoder, FeatureSchema, column_arrays, encode_labels
+from .tree import decode_tree, grow_tree, leaf_fractions
 
 DEFAULT_SEED = 17
 
@@ -130,15 +123,24 @@ class RandomForestModel(TreeEnsembleModel):
     kind = KIND_FOREST
 
 
+def _min_max(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Columns scaled from [lo, hi] onto [0, 1], values outside clamped to
+    the edges; a constant column (lo == hi) scales to 0."""
+    span = np.where(hi == lo, 1.0, hi - lo)
+    return np.where(hi == lo, 0.0, np.clip((X - lo) / span, 0.0, 1.0))
+
+
 class NearestNeighborModel(_Model):
     """k nearest training rows under a mean per-feature mismatch distance.
 
-    Boolean and categorical features contribute 0 on match and 1 on
-    mismatch; numeric features contribute the absolute difference after
-    min-max scaling to [0, 1] over the training rows (values outside the
-    training range clamp to the edges, and a constant training column
-    contributes 0).  Equidistant neighbors at the cut resolve by training
-    row order, which is canonical.
+    Query rows go through the two steps that made the stored matrix: an
+    Encoder rebuilt from the training vocabularies, then min-max scaling
+    of numeric columns over the training ranges.  Boolean and categorical
+    features contribute 0 on match and 1 on mismatch (an unseen category
+    matches nothing); numeric features contribute the absolute difference
+    of their scaled values (values outside the training range clamp to
+    the edges, and a constant training column contributes 0).  Equidistant
+    neighbors at the cut resolve by training row order, which is canonical.
     """
 
     kind = KIND_KNN
@@ -154,38 +156,27 @@ class NearestNeighborModel(_Model):
         labels: np.ndarray,
     ):
         super().__init__(schema, hyperparameters, seed)
-        self.vocabs = vocabs
+        self.encoder = Encoder(schema, vocabs=vocabs)
         self.ranges = ranges
         self.matrix = matrix
         self.labels = labels
-        self._columns = schema.included()
-        self._is_eq = np.array(
-            [col.kind in (KIND_BOOLEAN, KIND_CATEGORICAL) for col in self._columns]
-        )
+        numeric = compress(self.encoder.columns, ~self.encoder.eq_mask)
+        self._lo, self._hi = np.array([ranges[c.name] for c in numeric]).reshape(-1, 2).T
 
-    def _encode_row(self, fv: FeatureVector) -> np.ndarray:
-        out = np.empty(len(self._columns), dtype=np.float64)
-        for j, col in enumerate(self._columns):
-            value = fv.value(col.name)
-            if col.kind == KIND_BOOLEAN:
-                out[j] = 1.0 if value else 0.0
-            elif col.kind == KIND_CATEGORICAL:
-                out[j] = float(self.vocabs[col.name].get(value, -1))
-            else:
-                lo, hi = self.ranges[col.name]
-                if hi == lo:
-                    out[j] = 0.0
-                else:
-                    out[j] = min(max((float(value) - lo) / (hi - lo), 0.0), 1.0)
-        return out
+    def encode(self, rows: Sequence[FeatureVector]) -> np.ndarray:
+        """Rows encoded and scaled into the space of the stored matrix."""
+        X = self.encoder.encode_rows(rows)
+        numeric = ~self.encoder.eq_mask
+        X[:, numeric] = _min_max(X[:, numeric], self._lo, self._hi)
+        return X
 
     def _distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Mean per-feature mismatch between encoded rows, over the last axis."""
-        return np.where(self._is_eq, a != b, np.abs(a - b)).mean(axis=-1)
+        return np.where(self.encoder.eq_mask, a != b, np.abs(a - b)).mean(axis=-1)
 
     def distance(self, a: FeatureVector, b: FeatureVector) -> float:
         """Distance between two vectors under this model's fitted scaling."""
-        return float(self._distances(self._encode_row(a), self._encode_row(b)))
+        return float(self._distances(*self.encode([a, b])))
 
     def _score(self, encoded: np.ndarray) -> float:
         dists = self._distances(self.matrix, encoded)
@@ -194,7 +185,7 @@ class NearestNeighborModel(_Model):
         return float(self.labels[nearest].mean())
 
     def predict_batch(self, rows: Sequence[FeatureVector]) -> tuple[list[str], np.ndarray]:
-        scores = np.array([self._score(self._encode_row(fv)) for fv in rows])
+        scores = np.array([self._score(encoded) for encoded in self.encode(rows)])
         return [_label(s) for s in scores], scores
 
 
@@ -208,7 +199,7 @@ def _canonical_rows(dataset: Dataset) -> list[FeatureVector]:
 def _grow_ensemble(
     X: np.ndarray,
     y: np.ndarray,
-    tests: list[str],
+    eq_mask: np.ndarray,
     hp: dict,
     seed: int,
     subsample_features: bool,
@@ -223,7 +214,7 @@ def _grow_ensemble(
             grow_tree(
                 X[boot],
                 y[boot],
-                tests,
+                eq_mask,
                 hp["max_depth"],
                 hp["min_leaf"],
                 rng=rng if subsample_features else None,
@@ -251,29 +242,24 @@ def train(
     encoder = Encoder(schema, rows)
     X = encoder.encode_rows(rows)
     y = encode_labels(rows)
-    tests = column_tests(encoder)
 
     if kind == KIND_TREE:
-        root = grow_tree(X, y, tests, hp["max_depth"], hp["min_leaf"])
+        root = grow_tree(X, y, encoder.eq_mask, hp["max_depth"], hp["min_leaf"])
         return DecisionTreeModel(decode_tree(root, encoder), schema, hp, seed)
     if kind in (KIND_BAGGING, KIND_FOREST):
         subsample = kind == KIND_FOREST
-        members = _grow_ensemble(X, y, tests, hp, seed, subsample)
+        members = _grow_ensemble(X, y, encoder.eq_mask, hp, seed, subsample)
         decoded = [decode_tree(m, encoder) for m in members]
         cls = RandomForestModel if subsample else BaggedTreesModel
         return cls(decoded, schema, hp, seed)
-    # k-NN: scale numeric columns to [0, 1] over the training rows
-    ranges: dict[str, tuple[float, float]] = {}
-    matrix = X.copy()
-    for j, col in enumerate(encoder.columns):
-        if col.kind in (KIND_BOOLEAN, KIND_CATEGORICAL):
-            continue
-        lo, hi = float(X[:, j].min()), float(X[:, j].max())
-        ranges[col.name] = (lo, hi)
-        matrix[:, j] = 0.0 if hi == lo else (X[:, j] - lo) / (hi - lo)
-    return NearestNeighborModel(
-        schema, hp, seed, encoder.vocabs, ranges, matrix, y
-    )
+    # k-NN: scale numeric columns to [0, 1] over the training rows, through
+    # the helper queries use (clamping leaves training values as they are)
+    numeric = ~encoder.eq_mask
+    lo, hi = X[:, numeric].min(axis=0), X[:, numeric].max(axis=0)
+    columns = compress(encoder.columns, numeric)
+    ranges = {c.name: (float(a), float(b)) for c, a, b in zip(columns, lo, hi)}
+    X[:, numeric] = _min_max(X[:, numeric], lo, hi)
+    return NearestNeighborModel(schema, hp, seed, encoder.vocabs, ranges, X, y)
 
 
 def predict(

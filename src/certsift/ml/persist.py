@@ -78,7 +78,7 @@ def model_to_json(model: TrainedModel) -> dict:
         doc["trees"] = model.members
     elif isinstance(model, NearestNeighborModel):
         doc["instances"] = {
-            "vocabs": model.vocabs,
+            "vocabs": model.encoder.vocabs,
             "ranges": {name: list(r) for name, r in model.ranges.items()},
             "matrix": model.matrix.tolist(),
             "labels": model.labels.tolist(),
@@ -146,21 +146,26 @@ def model_from_json(doc: dict) -> TrainedModel:
         }
         matrix = np.array(instances["matrix"], dtype=np.float64)
         labels = np.array(instances["labels"], dtype=np.float64)
+        # a missing vocabulary or range fails here, not at the first prediction
+        model = NearestNeighborModel(
+            schema, hyperparameters, seed, vocabs, ranges, matrix, labels
+        )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CorruptModel(f"nearest-neighbor payload does not decode: {exc}") from exc
     if matrix.ndim != 2 or labels.ndim != 1 or matrix.shape[0] != labels.size:
         raise CorruptModel("nearest-neighbor matrix and labels disagree")
     if matrix.shape[1] != len(schema.included()):
         raise CorruptModel("nearest-neighbor matrix width does not match schema")
-    return NearestNeighborModel(
-        schema, hyperparameters, seed, vocabs, ranges, matrix, labels
-    )
+    return model
 
 
 def load_model(path: str | os.PathLike) -> TrainedModel:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        return model_from_json(doc)
     except json.JSONDecodeError as exc:
         raise CorruptModel(f"{path}: not valid JSON: {exc}") from exc
-    return model_from_json(doc)
+    except RecursionError:
+        # the decoder and the tree check recurse once per nesting level
+        raise CorruptModel(f"{path}: nested too deeply to load") from None

@@ -117,36 +117,49 @@ class Dataset:
 
 
 class Encoder:
-    """Maps feature vectors onto a float matrix for the learners.
+    """The one path from feature vectors to the float matrix the learners use.
 
     Booleans become 0/1.  Categorical values get integer codes from a
-    vocabulary built over the training rows (sorted lexically); values
-    never seen in training encode as -1, which matches no trained code.
-    Numerics pass through unchanged.
+    vocabulary, sorted lexically; values not in it encode as -1, which
+    matches no code.  Numerics pass through unchanged.  The vocabulary is
+    built over the training rows, or given as a model stored it; the
+    decode table follows from it either way.  eq_mask marks the columns
+    compared by equality (booleans and categoricals), the rest by order.
     """
 
-    def __init__(self, schema: FeatureSchema, rows: Sequence[FeatureVector]):
+    def __init__(
+        self,
+        schema: FeatureSchema,
+        rows: Sequence[FeatureVector] = (),
+        vocabs: dict[str, dict[str, int]] | None = None,
+    ):
         self.schema = schema
         self.columns = schema.included()
-        self.vocabs: dict[str, dict[str, int]] = {}
-        self._values: dict[str, dict[int, str]] = {}
-        for col in self.columns:
-            if col.kind == KIND_CATEGORICAL:
-                values = sorted({fv.value(col.name) for fv in rows})
-                self.vocabs[col.name] = {v: i for i, v in enumerate(values)}
-                self._values[col.name] = dict(enumerate(values))
-
-    def encode_value(self, col: FeatureColumn, value) -> float:
-        if col.kind == KIND_BOOLEAN:
-            return 1.0 if value else 0.0
-        if col.kind == KIND_CATEGORICAL:
-            return float(self.vocabs[col.name].get(value, -1))
-        return float(value)
+        categorical = [col.name for col in self.columns if col.kind == KIND_CATEGORICAL]
+        if vocabs is None:
+            vocabs = {}
+            for name in categorical:
+                values = sorted({fv.value(name) for fv in rows})
+                vocabs[name] = {v: i for i, v in enumerate(values)}
+        self.vocabs = {name: vocabs[name] for name in categorical}
+        self._values = {
+            name: {code: v for v, code in vocab.items()}
+            for name, vocab in self.vocabs.items()
+        }
+        self.eq_mask = np.array(
+            [col.kind in (KIND_BOOLEAN, KIND_CATEGORICAL) for col in self.columns],
+            dtype=bool,
+        )
 
     def encode_rows(self, rows: Sequence[FeatureVector]) -> np.ndarray:
         matrix = np.empty((len(rows), len(self.columns)), dtype=np.float64)
+        arrays = column_arrays(self.columns, rows)
         for j, col in enumerate(self.columns):
-            matrix[:, j] = [self.encode_value(col, fv.value(col.name)) for fv in rows]
+            values = arrays[col.name]
+            if col.kind == KIND_CATEGORICAL:
+                code = self.vocabs[col.name].get
+                values = [code(v, -1) for v in values]
+            matrix[:, j] = values
         return matrix
 
     def decode_value(self, col: FeatureColumn, encoded: float):

@@ -25,12 +25,10 @@ persisted tree predicts without the training vocabulary.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from ..errors import CorruptModel
-from .schema import KIND_BOOLEAN, KIND_CATEGORICAL, Encoder
+from .schema import Encoder
 
 TEST_EQ = "eq"
 TEST_LE = "le"
@@ -38,24 +36,18 @@ TEST_LE = "le"
 _MIN_GAIN = 1e-12
 
 
-def column_tests(encoder: Encoder) -> list[str]:
-    return [
-        TEST_EQ if col.kind in (KIND_BOOLEAN, KIND_CATEGORICAL) else TEST_LE
-        for col in encoder.columns
-    ]
-
-
 def grow_tree(
     X: np.ndarray,
     y: np.ndarray,
-    tests: Sequence[str],
+    eq_mask: np.ndarray,
     max_depth: int,
     min_leaf: int,
     rng: np.random.Generator | None = None,
     n_sample_features: int | None = None,
 ) -> dict:
     """Grow a tree on encoded data and 0/1 labels (min_leaf >= 1); returns
-    the root node (encoded values).
+    the root node (encoded values).  eq_mask marks the equality-tested
+    columns (Encoder.eq_mask); the others are split on thresholds.
 
     When n_sample_features is set, each split first searches a random
     subset of that many columns and falls back to the remaining columns
@@ -74,8 +66,7 @@ def grow_tree(
     # every cell's bin id, a positive row's in a second copy of the id space
     labelled = inverse + first + np.where(y > 0, n_bins, 0)[:, None]
     # left side of candidate b: bin b alone (eq) or its column's bins up to b (le)
-    is_le = np.array([t == TEST_LE for t in tests], dtype=bool)[bin_col]
-    base = np.where(is_le, first[bin_col], np.arange(n_bins))
+    base = np.where(eq_mask[bin_col], np.arange(n_bins), first[bin_col])
 
     def best_split(idx: np.ndarray, count: int, positive: float) -> tuple[int, float] | None:
         """Best (column, encoded value) for the node's rows, or None."""
@@ -111,7 +102,7 @@ def grow_tree(
         else:
             return None
         j = int(bin_col[k])
-        if tests[j] == TEST_EQ:
+        if eq_mask[j]:
             return j, float(bin_value[k])
         upper = k + 1 + int(np.argmax(hist[:, k + 1 :].any(axis=0)))
         return j, float((bin_value[k] + bin_value[upper]) / 2.0)
@@ -127,11 +118,11 @@ def grow_tree(
             return leaf
         j, value = best
         column = X[idx, j]
-        mask = column == value if tests[j] == TEST_EQ else column <= value
+        mask = column == value if eq_mask[j] else column <= value
         return {
             "node": "split",
             "col": j,
-            "test": tests[j],
+            "test": TEST_EQ if eq_mask[j] else TEST_LE,
             "value": value,
             "left": grow(idx[mask], depth + 1),
             "right": grow(idx[~mask], depth + 1),

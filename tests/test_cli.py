@@ -22,7 +22,7 @@ from certsift import (
 )
 from certsift import features
 from certsift.cli import _atomic_output, main
-from certsift.ml import load_model
+from certsift.ml import default_schema, load_model
 
 from conftest import (
     DOMAIN_BOTH,
@@ -242,6 +242,21 @@ class TestClassifyCommand:
         broken = tmp_path / "broken.json"
         broken.write_text("{\"format_version\": 1, \"kind\": \"tree\"")
         code = run("classify", "--model", str(broken), "--features", str(synth_csv))
+        assert code == 3
+        assert "CorruptModel" in capsys.readouterr().err
+
+    def test_deeply_nested_model_exit_3(self, model_path, synth_csv, tmp_path, capsys):
+        # a well-formed tree model whose tree nests 3,000 splits deep
+        doc = json.loads(model_path.read_text())
+        assert doc["schema"]["fingerprint"] == default_schema().fingerprint()
+        leaf = '{"node": "leaf", "positive_fraction": 1.0, "count": 1}'
+        split = '{"node": "split", "feature": "f1", "test": "eq", "value": true, "left": '
+        doc["tree"] = "TREE"
+        deep = tmp_path / "deep.json"
+        deep.write_text(json.dumps(doc).replace(
+            '"TREE"', split * 3000 + leaf + (', "right": ' + leaf + "}") * 3000
+        ))
+        code = run("classify", "--model", str(deep), "--features", str(synth_csv))
         assert code == 3
         assert "CorruptModel" in capsys.readouterr().err
 

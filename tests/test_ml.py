@@ -70,6 +70,36 @@ def reference_leaf_fraction(node: dict, fv: FeatureVector) -> float:
     return node["positive_fraction"]
 
 
+def reference_knn_encode(model: NearestNeighborModel, fv: FeatureVector) -> np.ndarray:
+    """Per-cell k-NN encoding of one row: the reference for Encoder.encode_rows
+    followed by the model's clamped min-max scaling of numeric columns."""
+    out = []
+    for col in model.schema.included():
+        value = fv.value(col.name)
+        if col.kind == "boolean":
+            out.append(1.0 if value else 0.0)
+        elif col.kind == "categorical":
+            out.append(float(model.encoder.vocabs[col.name].get(value, -1)))
+        else:
+            lo, hi = model.ranges[col.name]
+            if hi == lo:
+                out.append(0.0)
+            else:
+                out.append(min(max((float(value) - lo) / (hi - lo), 0.0), 1.0))
+    return np.array(out, dtype=np.float64)
+
+
+def reference_knn_distance(model: NearestNeighborModel, a: FeatureVector, b: FeatureVector) -> float:
+    """Mean per-feature mismatch of two reference-encoded rows."""
+    ea, eb = reference_knn_encode(model, a), reference_knn_encode(model, b)
+    kinds = [col.kind for col in model.schema.included()]
+    parts = [
+        float(x != y) if kind in ("boolean", "categorical") else abs(x - y)
+        for kind, x, y in zip(kinds, ea, eb)
+    ]
+    return float(np.mean(parts))
+
+
 def reference_predict(model, fv: FeatureVector, dataset: Dataset) -> tuple[str, float]:
     """One row through the dict walk (tree kinds) or a pairwise k-NN scan
     over the training dataset."""
@@ -77,7 +107,7 @@ def reference_predict(model, fv: FeatureVector, dataset: Dataset) -> tuple[str, 
         score = reference_leaf_fraction(model.root, fv)
     elif isinstance(model, NearestNeighborModel):
         rows = [dataset.rows[i] for i in dataset.canonical_order()]
-        dists = [model.distance(fv, row) for row in rows]
+        dists = [reference_knn_distance(model, fv, row) for row in rows]
         nearest = sorted(range(len(rows)), key=lambda i: (dists[i], i))
         nearest = nearest[: model.hyperparameters["k"]]
         score = sum(rows[i].label == "pos" for i in nearest) / len(nearest)
@@ -207,6 +237,11 @@ def random_encoded_matrix(rng: np.random.Generator):
     return X, y, tests
 
 
+def eq_mask(tests: list[str]) -> np.ndarray:
+    """grow_tree's column mask for the reference's per-column test names."""
+    return np.array([test == TEST_EQ for test in tests], dtype=bool)
+
+
 def f3_dataset(n_per_class: int = 20) -> Dataset:
     rows = []
     for i in range(n_per_class):
@@ -271,12 +306,28 @@ class TestSchema:
         encoder = Encoder(default_schema(), rows)
         assert encoder.vocabs["f9"] == {"Alpha": 0, "Beta": 1}
         col = next(c for c in encoder.columns if c.name == "f9")
-        assert encoder.encode_value(col, "Alpha") == 0.0
-        assert encoder.encode_value(col, "Gamma") == -1.0
+        j = encoder.columns.index(col)
+        queries = [fv("q1.example", f9="Alpha"), fv("q2.example", f9="Gamma")]
+        assert encoder.encode_rows(queries)[:, j].tolist() == [0.0, -1.0]
         assert encoder.decode_value(col, 1.0) == "Beta"
         for unknown in (2.0, -1.0):
             with pytest.raises(SchemaError):
                 encoder.decode_value(col, unknown)
+
+    def test_encoder_from_stored_vocabs(self):
+        rows = [fv("a.example", f9="Beta", f1=True), fv("b.example", f9="Alpha", f15=0.25)]
+        fitted = Encoder(default_schema(), rows)
+        # as a model file holds them, here with each vocabulary's entries reversed
+        stored_vocabs = {n: dict(reversed(v.items())) for n, v in fitted.vocabs.items()}
+        stored = Encoder(default_schema(), vocabs=json.loads(json.dumps(stored_vocabs)))
+        assert stored.vocabs == fitted.vocabs
+        assert stored.eq_mask.tolist() == fitted.eq_mask.tolist()
+        queries = rows + [fv("q.example", f9="Gamma", f14=99)]
+        assert stored.encode_rows(queries).tobytes() == fitted.encode_rows(queries).tobytes()
+        col = next(c for c in stored.columns if c.name == "f9")
+        assert [stored.decode_value(col, code) for code in (0.0, 1.0)] == ["Alpha", "Beta"]
+        with pytest.raises(SchemaError):
+            stored.decode_value(col, 2.0)
 
     def test_encoder_matrix_shape(self):
         rows = [fv("a.example"), fv("b.example", f1=True)]
@@ -425,11 +476,11 @@ class TestHistogramGrowth:
             max_depth = int(cases.integers(1, 7))
             min_leaf = int(cases.integers(1, 5))
             want = reference_grow_tree(X, y, tests, max_depth, min_leaf)
-            assert grow_tree(X, y, tests, max_depth, min_leaf) == want
+            assert grow_tree(X, y, eq_mask(tests), max_depth, min_leaf) == want
 
     def test_no_columns_grows_a_leaf(self):
         X, y = np.empty((6, 0)), np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
-        assert grow_tree(X, y, [], 3, 1) == reference_grow_tree(X, y, [], 3, 1)
+        assert grow_tree(X, y, eq_mask([]), 3, 1) == reference_grow_tree(X, y, [], 3, 1)
 
     def test_matches_reference_with_feature_subsampling(self):
         cases = np.random.default_rng(2025)
@@ -443,7 +494,7 @@ class TestHistogramGrowth:
                 X, y, tests, max_depth, min_leaf, np.random.default_rng(seed), n_sample
             )
             got = grow_tree(
-                X, y, tests, max_depth, min_leaf, np.random.default_rng(seed), n_sample
+                X, y, eq_mask(tests), max_depth, min_leaf, np.random.default_rng(seed), n_sample
             )
             assert got == want
 
@@ -613,6 +664,44 @@ class TestNearestNeighbor:
         model = train(Dataset(rows), KIND_KNN, {"k": 50})
         _, score = model.predict(fv("q.example"))
         assert score == pytest.approx(2 / 3)
+
+    @staticmethod
+    def _edge_dataset() -> Dataset:
+        # f14 is constant over training; f15 spans [0.1, 0.9]; f9 has two CAs
+        rows = [
+            fv(f"r{i}.example", "pos" if i % 3 else "neg", f1=i % 2 == 0,
+               f9=("CA Alpha", "CA Beta")[i % 2], f14=7, f15=0.1 + 0.8 * i / 11)
+            for i in range(12)
+        ]
+        return Dataset(rows)
+
+    def test_batch_encoding_matches_reference_on_edge_values(self):
+        dataset = self._edge_dataset()
+        model = train(dataset, KIND_KNN, {"k": 3})
+        queries = [
+            fv("unseen.example", f9="Never Seen CA"),
+            fv("above.example", f15=1.0, f14=400),
+            fv("below.example", f15=0.0, f14=0),
+            fv("inside.example", f9="CA Beta", f15=0.37, f14=7),
+        ]
+        encoded = model.encode(queries)
+        for row, query in zip(encoded, queries):
+            assert row.tobytes() == reference_knn_encode(model, query).tobytes()
+        names = [c.name for c in model.schema.included()]
+        f9, f14, f15 = (names.index(name) for name in ("f9", "f14", "f15"))
+        assert encoded[0, f9] == -1.0
+        assert encoded[:, f14].tolist() == [0.0] * 4
+        assert encoded[1, f15] == 1.0 and encoded[2, f15] == 0.0
+        labels, scores = model.predict_batch(queries)
+        for query, label, score in zip(queries, labels, scores):
+            assert (label, float(score)) == reference_predict(model, query, dataset)
+
+    def test_stored_matrix_is_reference_scaling_of_training_rows(self):
+        for dataset in (self._edge_dataset(), TestPersistence()._mixed_dataset()):
+            model = train(dataset, KIND_KNN)
+            rows = [dataset.rows[i] for i in dataset.canonical_order()]
+            want = np.array([reference_knn_encode(model, row) for row in rows])
+            assert model.matrix.tobytes() == want.tobytes()
 
 
 class TestTrainErrors:
@@ -785,6 +874,18 @@ class TestPersistence:
         for query in queries:
             assert loaded.predict(query) == model.predict(query)
 
+    def test_reloaded_knn_encodes_bit_identically(self, tmp_path):
+        dataset = self._mixed_dataset()
+        model = train(dataset, KIND_KNN)
+        path = tmp_path / "knn.model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        queries = dataset.rows[::3] + [
+            fv("fresh.example", f9="Never Seen CA", f14=500, f15=1.0)
+        ]
+        assert loaded.encode(queries).tobytes() == model.encode(queries).tobytes()
+        assert loaded.matrix.tobytes() == model.matrix.tobytes()
+
     def test_round_trip_preserves_document(self, tmp_path):
         model = train(self._mixed_dataset(), KIND_KNN)
         path = tmp_path / "knn.model.json"
@@ -834,6 +935,17 @@ class TestPersistence:
         model = train(f3_dataset(3), KIND_KNN)
         doc = model_to_json(model)
         doc["instances"]["matrix"] = [row[:-1] for row in doc["instances"]["matrix"]]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptModel):
+            load_model(path)
+
+    @pytest.mark.parametrize("section,name", [("vocabs", "f9"), ("ranges", "f15")])
+    def test_knn_missing_vocab_or_range(self, section, name, tmp_path):
+        # caught at load, not as a KeyError at the first prediction
+        model = train(self._mixed_dataset(), KIND_KNN)
+        doc = model_to_json(model)
+        del doc["instances"][section][name]
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(CorruptModel):
