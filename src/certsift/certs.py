@@ -165,16 +165,20 @@ def _convert_name(name: x509.Name) -> DistinguishedName:
     return DistinguishedName(tuple(attrs))
 
 
+def _pem_body_to_der(body: bytes) -> bytes:
+    try:
+        return base64.b64decode(b"".join(body.split()), validate=True)
+    except (ValueError, base64.binascii.Error) as exc:
+        raise MalformedInput(f"PEM body is not valid base64: {exc}") from exc
+
+
 def _pem_to_der(blob: bytes) -> bytes:
     blocks = _PEM_BLOCK.findall(blob)
     if len(blocks) != 1:
         raise MalformedInput(
             f"expected exactly one PEM certificate block, found {len(blocks)}"
         )
-    try:
-        return base64.b64decode(b"".join(blocks[0].split()), validate=True)
-    except (ValueError, base64.binascii.Error) as exc:
-        raise MalformedInput(f"PEM body is not valid base64: {exc}") from exc
+    return _pem_body_to_der(blocks[0])
 
 
 def parse_certificate(blob: bytes | str) -> CertificateSummary:
@@ -249,14 +253,7 @@ def load_trust_store(path: str) -> list[CertificateSummary]:
     blocks = _PEM_BLOCK.findall(blob)
     if not blocks:
         raise MalformedInput(f"no PEM certificate blocks in {path}")
-    anchors = []
-    for body in blocks:
-        try:
-            der = base64.b64decode(b"".join(body.split()), validate=True)
-        except (ValueError, base64.binascii.Error) as exc:
-            raise MalformedInput(f"trust store PEM body is not base64: {exc}") from exc
-        anchors.append(parse_certificate(der))
-    return anchors
+    return [parse_certificate(_pem_body_to_der(body)) for body in blocks]
 
 
 def _signature_valid(child: CertificateSummary, parent: CertificateSummary) -> bool:

@@ -17,7 +17,7 @@ import sys
 import tempfile
 from collections.abc import Iterator
 
-from .corpus import CorpusWriter, build_corpus_index, load_corpus, record_to_line
+from .corpus import CorpusWriter, load_corpus, record_to_line
 from .errors import CertsiftError, StorageFull, UsageError
 from .features import (
     BogusValueList,
@@ -114,24 +114,17 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_bogus(args: argparse.Namespace) -> BogusValueList | None:
-    if getattr(args, "bogus_list", None):
-        return BogusValueList.from_file(args.bogus_list)
-    return None
-
-
 def _extract_vectors(args: argparse.Namespace, corpus_path: str):
     records = load_corpus(corpus_path)
-    index = None
-    if getattr(args, "index_corpus", None):
-        index = build_corpus_index(load_corpus(args.index_corpus))
+    index_records = load_corpus(args.index_corpus) if args.index_corpus else None
     trust = load_trust_store(args.trust_store) if args.trust_store else []
+    bogus = BogusValueList.from_file(args.bogus_list) if args.bogus_list else None
     return records, extract_corpus(
         records,
         trust_store=trust,
-        bogus=_load_bogus(args),
+        bogus=bogus,
         shingle_size=args.shingle,
-        index=index,
+        index_records=index_records,
     )
 
 
@@ -254,6 +247,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
+    def add_extraction_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--trust-store", help="PEM bundle of trust anchors")
+        p.add_argument("--bogus-list", help="file of placeholder subject values, one per line")
+        p.add_argument("--shingle", type=int, default=DEFAULT_SHINGLE_SIZE, choices=(1, 2, 3),
+                       help="shingle size for the name-similarity feature")
+        p.add_argument("--index-corpus",
+                       help="corpus to compute duplicate features against "
+                       "(default: --corpus itself)")
+
+    def add_training_flags(p: argparse.ArgumentParser, with_model_out: bool) -> None:
+        p.add_argument("--features", required=True, help="labeled feature CSV")
+        p.add_argument("--algo", required=True, choices=MODEL_KINDS)
+        if with_model_out:
+            p.add_argument("--model-out", help="model JSON output (default: stdout)")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--trees", type=int, help="ensemble size override")
+        p.add_argument("--depth", type=int, help="tree depth override")
+        p.add_argument("--min-leaf", type=int, help="minimum rows per leaf override")
+        p.add_argument("--k", type=int, help="neighbor count override")
+
     p = sub.add_parser("probe", help="probe domains over HTTP/HTTPS and harvest certificates")
     p.add_argument("--domains", required=True, help="file with one domain per line")
     p.add_argument("--out", help="NDJSON corpus output (default: stdout)")
@@ -270,25 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract feature vectors from a harvested corpus")
     p.add_argument("--corpus", required=True, help="NDJSON corpus from probe")
     p.add_argument("--out", help="feature CSV output (default: stdout)")
-    p.add_argument("--trust-store", help="PEM bundle of trust anchors")
-    p.add_argument("--bogus-list", help="file of placeholder subject values, one per line")
-    p.add_argument("--shingle", type=int, default=DEFAULT_SHINGLE_SIZE, choices=(1, 2, 3),
-                   help="shingle size for the name-similarity feature")
-    p.add_argument("--index-corpus",
-                   help="corpus to compute duplicate features against "
-                   "(default: --corpus itself)")
+    add_extraction_flags(p)
     p.set_defaults(handler=_cmd_extract)
-
-    def add_training_flags(p: argparse.ArgumentParser, with_model_out: bool) -> None:
-        p.add_argument("--features", required=True, help="labeled feature CSV")
-        p.add_argument("--algo", required=True, choices=MODEL_KINDS)
-        if with_model_out:
-            p.add_argument("--model-out", help="model JSON output (default: stdout)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--trees", type=int, help="ensemble size override")
-        p.add_argument("--depth", type=int, help="tree depth override")
-        p.add_argument("--min-leaf", type=int, help="minimum rows per leaf override")
-        p.add_argument("--k", type=int, help="neighbor count override")
 
     p = sub.add_parser("train", help="train a classifier on labeled features")
     add_training_flags(p, with_model_out=True)
@@ -304,10 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model JSON from train")
     p.add_argument("--features", help="feature CSV to classify")
     p.add_argument("--corpus", help="NDJSON corpus to extract and classify")
-    p.add_argument("--trust-store", help="PEM bundle of trust anchors (with --corpus)")
-    p.add_argument("--bogus-list", help="placeholder subject values (with --corpus)")
-    p.add_argument("--shingle", type=int, default=DEFAULT_SHINGLE_SIZE, choices=(1, 2, 3))
-    p.add_argument("--index-corpus", help="duplicate index corpus (with --corpus)")
+    add_extraction_flags(p)
     p.add_argument("--out", help="CSV output (default: stdout)")
     p.set_defaults(handler=_cmd_classify)
 

@@ -232,8 +232,8 @@ def build_corpus_index(
     out.  By default the record's bytes are parsed here, and records whose
     bytes do not parse are skipped with a warning; they cannot contribute
     a serial and their fingerprint would never be asked about by the
-    feature extractor (which parses first).  extract_corpus passes the
-    leaves it has already parsed and warned about.
+    feature extractor (which parses first).  extract_corpus passes its
+    own parse, which caches each distinct certificate and warns once.
     """
     by_fp: dict[str, set[str]] = {}
     by_serial: dict[str, set[tuple[str, str]]] = {}

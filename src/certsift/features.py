@@ -17,7 +17,7 @@ import io
 import logging
 import os
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .certs import (
     OID_MD5_RSA,
@@ -230,18 +230,21 @@ def extract_corpus(
     trust_store: IssuerIndex | Iterable[CertificateSummary] = (),
     bogus: BogusValueList | None = None,
     shingle_size: int = DEFAULT_SHINGLE_SIZE,
-    index: CorpusIndex | None = None,
+    index_records: Iterable[DomainRecord] | None = None,
 ) -> list[FeatureVector]:
     """Extract features for every certificate-bearing domain in a corpus.
 
-    Uses the newest record per domain.  When no index is given, one is
-    built from the same records.  Each distinct certificate is parsed
-    once per call and the trust store is indexed once per call.  Records
-    whose certificate bytes do not parse are skipped with one warning
-    each.
+    Uses the newest record per domain.  The duplicate features are
+    computed against index_records, or against the same records when it
+    is None.  Each distinct certificate of either corpus is parsed once
+    per call, and the trust store and the default bogus list are built
+    once per call.  Records whose certificate bytes do not parse are
+    skipped with one warning per domain.
     """
     newest = sorted(latest_records(records), key=lambda r: r.domain)
     anchors = IssuerIndex.of(trust_store)
+    if bogus is None:
+        bogus = BogusValueList.default()
     # Certificate bytes -> summary, or the error text of a failed parse,
     # starting from the anchors, which servers often present as well.
     # Only the text is kept: an exception's traceback would hold its
@@ -260,17 +263,21 @@ def extract_corpus(
             parsed[der] = summary
         return summary
 
-    leaves: dict[str, CertificateSummary] = {}
-    for record in newest:
+    skipped: set[str] = set()
+
+    def leaf(record: DomainRecord) -> CertificateSummary | None:
         if record.cert_der is None:
-            continue
+            return None
         cert = parse(record.cert_der)
-        if isinstance(cert, str):
+        if not isinstance(cert, str):
+            return cert
+        if record.domain not in skipped:
+            skipped.add(record.domain)
             log.warning("skipping %s: %s", record.domain, cert)
-        else:
-            leaves[record.domain] = cert
-    if index is None:
-        index = build_corpus_index(newest, leaf=lambda r: leaves.get(r.domain))
+        return None
+
+    leaves = {record.domain: leaf(record) for record in newest}
+    index = build_corpus_index(newest if index_records is None else index_records, leaf=leaf)
     vectors = []
     for record in newest:
         cert = leaves.get(record.domain)
@@ -384,7 +391,3 @@ def read_features_csv(source: io.TextIOBase | str | os.PathLike) -> list[Feature
         except (ValueError, KeyError) as exc:
             raise SerializationFailure(f"line {lineno} does not parse: {exc}") from exc
     return vectors
-
-
-def relabel(vectors: Iterable[FeatureVector], label: str | None) -> list[FeatureVector]:
-    return [replace(fv, label=label) for fv in vectors]

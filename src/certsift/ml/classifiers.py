@@ -18,8 +18,8 @@ import numpy as np
 
 from ..errors import SchemaError
 from ..features import LABEL_NEGATIVE, LABEL_POSITIVE, FeatureVector
-from .schema import Dataset, Encoder, FeatureSchema, column_arrays, encode_labels
-from .tree import decode_tree, grow_tree, leaf_fractions
+from .schema import Dataset, Encoder, FeatureSchema, encode_labels
+from .tree import NodeTable, decode_tree, grow_tree
 
 DEFAULT_SEED = 17
 
@@ -81,10 +81,10 @@ class DecisionTreeModel(_Model):
     def __init__(self, root: dict, schema: FeatureSchema, hyperparameters: dict, seed: int):
         super().__init__(schema, hyperparameters, seed)
         self.root = root
+        self._table = NodeTable([root], schema)
 
     def predict_batch(self, rows: Sequence[FeatureVector]) -> tuple[list[str], np.ndarray]:
-        columns = column_arrays(self.schema.included(), rows)
-        scores = leaf_fractions(self.root, columns, len(rows))
+        (scores,) = self._table.walk(rows)
         return [_label(s) for s in scores], scores
 
 
@@ -105,12 +105,12 @@ class TreeEnsembleModel(_Model):
     ):
         super().__init__(schema, hyperparameters, seed)
         self.members = members
+        self._table = NodeTable(members, schema)
 
     def predict_batch(self, rows: Sequence[FeatureVector]) -> tuple[list[str], np.ndarray]:
-        columns = column_arrays(self.schema.included(), rows)
         votes = np.zeros(len(rows), dtype=np.float64)
-        for root in self.members:
-            votes += leaf_fractions(root, columns, len(rows)) >= 0.5
+        for fractions in self._table.walk(rows):
+            votes += fractions >= 0.5
         scores = votes / len(self.members)
         return [_label(s) for s in scores], scores
 

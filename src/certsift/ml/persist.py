@@ -29,7 +29,6 @@ from .classifiers import (
     TrainedModel,
 )
 from .schema import FeatureColumn, FeatureSchema, KIND_BOOLEAN, KIND_CATEGORICAL, KIND_INTEGER, KIND_REAL
-from .tree import validate_node
 
 FORMAT_VERSION = 1
 
@@ -121,15 +120,11 @@ def model_from_json(doc: dict) -> TrainedModel:
     schema = _schema_from_json(doc.get("schema") or {})
 
     if kind == KIND_TREE:
-        root = doc.get("tree")
-        validate_node(root)
-        return DecisionTreeModel(root, schema, hyperparameters, seed)
+        return DecisionTreeModel(doc.get("tree"), schema, hyperparameters, seed)
     if kind in _ENSEMBLE_CLASSES:
         members = doc.get("trees")
         if not isinstance(members, list) or not members:
             raise CorruptModel("ensemble model holds no trees")
-        for i, member in enumerate(members):
-            validate_node(member, path=f"tree[{i}]")
         return _ENSEMBLE_CLASSES[kind](members, schema, hyperparameters, seed)
 
     instances = doc.get("instances")
@@ -167,5 +162,5 @@ def load_model(path: str | os.PathLike) -> TrainedModel:
     except json.JSONDecodeError as exc:
         raise CorruptModel(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError:
-        # the decoder and the tree check recurse once per nesting level
+        # the JSON decoder recurses once per nesting level; nothing else does
         raise CorruptModel(f"{path}: nested too deeply to load") from None

@@ -92,9 +92,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def labels(self) -> list[str | None]:
-        return [fv.label for fv in self.rows]
-
     def class_counts(self) -> dict[str, int]:
         counts = {LABEL_POSITIVE: 0, LABEL_NEGATIVE: 0}
         for fv in self.rows:
@@ -153,9 +150,8 @@ class Encoder:
 
     def encode_rows(self, rows: Sequence[FeatureVector]) -> np.ndarray:
         matrix = np.empty((len(rows), len(self.columns)), dtype=np.float64)
-        arrays = column_arrays(self.columns, rows)
         for j, col in enumerate(self.columns):
-            values = arrays[col.name]
+            values = [fv.value(col.name) for fv in rows]
             if col.kind == KIND_CATEGORICAL:
                 code = self.vocabs[col.name].get
                 values = [code(v, -1) for v in values]
@@ -177,17 +173,3 @@ def encode_labels(rows: Sequence[FeatureVector]) -> np.ndarray:
     return np.array(
         [1.0 if fv.label == LABEL_POSITIVE else 0.0 for fv in rows], dtype=np.float64
     )
-
-
-def column_arrays(
-    columns: Sequence[FeatureColumn], rows: Sequence[FeatureVector]
-) -> dict[str, np.ndarray]:
-    """Per-feature arrays over raw values, for batch prediction."""
-    out: dict[str, np.ndarray] = {}
-    for col in columns:
-        values = [fv.value(col.name) for fv in rows]
-        if col.kind == KIND_CATEGORICAL:
-            out[col.name] = np.array(values, dtype=object)
-        else:
-            out[col.name] = np.array(values, dtype=np.float64)
-    return out

@@ -20,20 +20,27 @@ below it.  A threshold lies halfway to the next non-empty bin of its
 column, so every split is the one a per-node sort-and-scan would pick.
 
 Grown trees are stored decoded (feature names and raw values), so a
-persisted tree predicts without the training vocabulary.
+persisted tree predicts without the training vocabulary, through a
+NodeTable that checks and walks a model's trees without recursion.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
+
 import numpy as np
 
 from ..errors import CorruptModel
-from .schema import Encoder
+from ..features import FeatureVector
+from .schema import KIND_BOOLEAN, KIND_CATEGORICAL, Encoder, FeatureSchema
 
 TEST_EQ = "eq"
 TEST_LE = "le"
 
 _MIN_GAIN = 1e-12
+
+# the test and the value types of a split, by column kind (else numeric)
+_SPLIT_FORM = {KIND_BOOLEAN: (TEST_EQ, (bool,)), KIND_CATEGORICAL: (TEST_EQ, (str,))}
 
 
 def grow_tree(
@@ -152,53 +159,69 @@ def decode_tree(node: dict, encoder: Encoder) -> dict:
     }
 
 
-def leaf_fractions(node: dict, columns: dict[str, np.ndarray], n: int) -> np.ndarray:
-    """Positive fraction at the leaf each row lands in (decoded tree).
+class NodeTable:
+    """A model's decoded trees as flat node arrays (scikit-learn's Tree layout,
+    sklearn/tree/_tree.pyx); node t is tree t's root.  A split sends a row to
+    left[i] if its encoded column[i] equals value[i] (boolean, categorical)
+    or is <= value[i] (numeric), else to right[i]; a leaf has column -1.
 
-    columns maps each feature name to its values over the n rows.  Equality
-    tests route any value not equal to the stored one (including
-    categorical values never seen in training) to the right branch.
+    Building the table breadth first checks a loaded tree: it raises
+    CorruptModel on any node prediction could not walk.  A category no split
+    tests encodes as -1, so it matches nothing and goes right.
     """
-    out = np.empty(n, dtype=np.float64)
 
-    def walk(node: dict, idx: np.ndarray) -> None:
-        while node["node"] == "split" and idx.size:
-            arr = columns[node["feature"]][idx]
-            if node["test"] == TEST_EQ:
-                mask = arr == node["value"]
-            else:
-                mask = arr <= node["value"]
-            walk(node["left"], idx[mask])
-            node, idx = node["right"], idx[~mask]
-        if idx.size:
-            out[idx] = node["positive_fraction"]
+    def __init__(self, roots: Sequence, schema: FeatureSchema):
+        columns = schema.included()
+        where = {col.name: j for j, col in enumerate(columns)}
+        vocabs = {col.name: {} for col in columns if col.kind == KIND_CATEGORICAL}
+        table = []  # column, value and fraction of each node in turn
+        nodes = list(roots)
+        for i, node in enumerate(nodes):  # children are queued as parents are read
+            kind = node.get("node") if isinstance(node, dict) else type(node).__name__
+            if kind == "leaf":
+                share, count = node.get("positive_fraction"), node.get("count")
+                if not (isinstance(share, (int, float)) and 0.0 <= share <= 1.0
+                        and isinstance(count, int) and count >= 1):
+                    raise CorruptModel(f"node {i}: bad leaf {share!r} of {count!r} rows")
+                table += (-1, 0.0, share)
+                continue
+            if kind != "split":
+                raise CorruptModel(f"node {i}: {kind!r} is not a node type")
+            name, test, value = node.get("feature"), node.get("test"), node.get("value")
+            j = where.get(name) if isinstance(name, str) else None
+            if j is None:
+                raise CorruptModel(f"node {i}: {name!r} is not a feature the model reads")
+            want_test, types = _SPLIT_FORM.get(columns[j].kind, (TEST_LE, (int, float)))
+            if test != want_test or type(value) not in types:
+                raise CorruptModel(f"node {i}: {test!r} test of {name} against {value!r}")
+            if "left" not in node or "right" not in node:
+                raise CorruptModel(f"node {i}: missing child")
+            if name in vocabs:
+                value = vocabs[name].setdefault(value, len(vocabs[name]))
+            table += (j, value, 0.0)
+            nodes += (node["left"], node["right"])
+        self.n_trees = len(roots)
+        self.encoder = Encoder(schema, vocabs=vocabs)
+        try:
+            column, self.value, self.fraction = np.array(table, dtype=np.float64).reshape(-1, 3).T
+        except OverflowError:
+            raise CorruptModel("a split threshold is out of float range") from None
+        self.column = column.astype(np.intp)
+        # children were queued in order, two per split, after the roots
+        self.left = np.full(column.size, -1, dtype=np.intp)
+        self.left[self.column >= 0] = np.arange(len(roots), column.size, 2)
+        self.right = np.where(self.left < 0, -1, self.left + 1)
 
-    walk(node, np.arange(n))
-    return out
-
-
-def validate_node(node, path: str = "root") -> None:
-    """Structural check for trees loaded from disk; raises CorruptModel."""
-    if not isinstance(node, dict):
-        raise CorruptModel(f"{path}: node is not an object")
-    kind = node.get("node")
-    if kind == "leaf":
-        fraction = node.get("positive_fraction")
-        count = node.get("count")
-        if not isinstance(fraction, (int, float)) or not 0.0 <= fraction <= 1.0:
-            raise CorruptModel(f"{path}: bad positive_fraction {fraction!r}")
-        if not isinstance(count, int) or count < 1:
-            raise CorruptModel(f"{path}: bad count {count!r}")
-        return
-    if kind != "split":
-        raise CorruptModel(f"{path}: unknown node type {kind!r}")
-    if node.get("test") not in (TEST_EQ, TEST_LE):
-        raise CorruptModel(f"{path}: unknown test {node.get('test')!r}")
-    if not isinstance(node.get("feature"), str):
-        raise CorruptModel(f"{path}: bad feature {node.get('feature')!r}")
-    if node["test"] == TEST_LE and not isinstance(node.get("value"), (int, float)):
-        raise CorruptModel(f"{path}: threshold must be numeric")
-    for side in ("left", "right"):
-        if side not in node:
-            raise CorruptModel(f"{path}: missing {side} child")
-        validate_node(node[side], f"{path}.{side}")
+    def walk(self, rows: Sequence[FeatureVector]) -> Iterator[np.ndarray]:
+        """Per tree in turn, the positive fraction of the leaf each row lands in."""
+        X = self.encoder.encode_rows(rows)
+        for root in range(self.n_trees):
+            node, live = np.full(len(rows), root, dtype=np.intp), np.arange(len(rows))
+            # step the rows still at a split one level down, until none is
+            while (live := live[self.column[node[live]] >= 0]).size:
+                at = node[live]
+                col, value = self.column[at], self.value[at]
+                x = X[live, col]
+                go_left = np.where(self.encoder.eq_mask[col], x == value, x <= value)
+                node[live] = np.where(go_left, self.left[at], self.right[at])
+            yield self.fraction[node]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import logging
 import shutil
 import subprocess
 
@@ -16,11 +17,12 @@ from certsift import (
     DomainRecord,
     Verdict,
     load_corpus,
+    parse_certificate,
     read_features_csv,
     verify_chain,
     write_corpus,
 )
-from certsift import features
+from certsift import corpus as corpus_module, features
 from certsift.cli import _atomic_output, main
 from certsift.ml import default_schema, load_model
 
@@ -260,6 +262,16 @@ class TestClassifyCommand:
         assert code == 3
         assert "CorruptModel" in capsys.readouterr().err
 
+    def test_unknown_feature_model_exit_3(self, model_path, synth_csv, tmp_path, capsys):
+        doc = json.loads(model_path.read_text())
+        assert doc["tree"]["node"] == "split"
+        doc["tree"]["feature"] = "f99"
+        bad = tmp_path / "f99.json"
+        bad.write_text(json.dumps(doc))
+        code = run("classify", "--model", str(bad), "--features", str(synth_csv))
+        assert code == 3
+        assert "CorruptModel" in capsys.readouterr().err
+
 
 class TestReportCommand:
     def test_table_mode(self, tmp_path, capsys):
@@ -352,6 +364,29 @@ class TestExtractCommand:
         ) == 0
         rows = read_features_csv(out)
         assert len(rows) == 1 and rows[0].f6
+
+    def test_index_corpus_parses_each_certificate_once(self, tmp_path, monkeypatch, caplog):
+        # one corpus as both inputs: the index reuses extraction's parses
+        corpus = tmp_path / "corpus.ndjson"
+        records = _write_fixture_corpus(corpus, shared=False)
+        records.append(DomainRecord(domain="junk.test", http_ok=False, https_ok=True,
+                                    harvest_time=T0, cert_der=b"\x30\x03bad"))
+        write_corpus(corpus, records)
+        parsed = []
+
+        def counting_parse(der):
+            parsed.append(der)
+            return parse_certificate(der)
+
+        for module in (corpus_module, features):
+            monkeypatch.setattr(module, "parse_certificate", counting_parse)
+        with caplog.at_level(logging.WARNING):
+            assert run(
+                "extract", "--corpus", str(corpus), "--index-corpus", str(corpus),
+                "--out", str(tmp_path / "features.csv"),
+            ) == 0
+        assert sorted(parsed) == sorted(r.cert_der for r in records)
+        assert sum("junk.test" in r.getMessage() for r in caplog.records) == 1
 
     def test_disjoint_index_corpus_exit_3(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.ndjson"

@@ -920,6 +920,15 @@ class TestPersistence:
             lambda doc: doc["tree"].__setitem__("node", "branch"),
             lambda doc: doc["tree"]["left"].__setitem__("positive_fraction", 7.5),
             lambda doc: doc["tree"].pop("right"),
+            # the root is an eq split on boolean f3; each split below is one
+            # that prediction could not walk
+            lambda doc: doc["tree"].__setitem__("feature", "f99"),
+            lambda doc: doc["tree"].update(feature="f13", test="le", value=365.0),
+            lambda doc: doc["tree"].pop("value"),
+            lambda doc: doc["tree"].update(feature="f9", value=3),
+            lambda doc: doc["tree"].__setitem__("value", 1),
+            lambda doc: doc["tree"].update(feature="f14", test="le", value="5"),
+            lambda doc: doc["tree"].update(feature="f14", test="le", value=10**400),
         ],
     )
     def test_corrupt_documents(self, mutate, tmp_path):
