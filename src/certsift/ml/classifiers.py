@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import SchemaError
 from ..features import LABEL_NEGATIVE, LABEL_POSITIVE, FeatureVector
 from .schema import Dataset, Encoder, FeatureSchema, encode_labels
-from .tree import NodeTable, decode_tree, grow_tree
+from .tree import NodeTable, decode_tree, grow_tree, grow_trees
 
 DEFAULT_SEED = 17
 
@@ -206,22 +206,19 @@ def _grow_ensemble(
 ) -> list[dict]:
     n, d = X.shape
     n_sample = math.ceil(math.sqrt(d)) if subsample_features else None
-    members = []
-    for child_seed in np.random.SeedSequence(seed).spawn(hp["n_trees"]):
-        rng = np.random.default_rng(child_seed)
-        boot = rng.integers(0, n, size=n)
-        members.append(
-            grow_tree(
-                X[boot],
-                y[boot],
-                eq_mask,
-                hp["max_depth"],
-                hp["min_leaf"],
-                rng=rng if subsample_features else None,
-                n_sample_features=n_sample,
-            )
-        )
-    return members
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(hp["n_trees"])]
+    # each tree's rng draws its bootstrap first, then its feature subsets
+    boots = [rng.integers(0, n, size=n) for rng in rngs]
+    return grow_trees(
+        X,
+        y,
+        eq_mask,
+        boots,
+        hp["max_depth"],
+        hp["min_leaf"],
+        rngs=rngs if subsample_features else None,
+        n_sample_features=n_sample,
+    )
 
 
 def train(
@@ -248,8 +245,9 @@ def train(
         return DecisionTreeModel(decode_tree(root, encoder), schema, hp, seed)
     if kind in (KIND_BAGGING, KIND_FOREST):
         subsample = kind == KIND_FOREST
+        # the encoded trees are freed once decoded, before the model builds its table
         members = _grow_ensemble(X, y, encoder.eq_mask, hp, seed, subsample)
-        decoded = [decode_tree(m, encoder) for m in members]
+        decoded = [decode_tree(members.pop(0), encoder) for _ in range(len(members))]
         cls = RandomForestModel if subsample else BaggedTreesModel
         return cls(decoded, schema, hp, seed)
     # k-NN: scale numeric columns to [0, 1] over the training rows, through

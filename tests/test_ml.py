@@ -40,7 +40,7 @@ from certsift.ml import (
 )
 from certsift.ml.persist import model_to_json, write_model
 from certsift.ml.schema import Encoder, canonical_key
-from certsift.ml.tree import _MIN_GAIN, TEST_EQ, TEST_LE, grow_tree
+from certsift.ml.tree import _MIN_GAIN, TEST_EQ, TEST_LE, decode_tree, grow_tree, grow_trees
 from certsift.synth import boolean_only_variant, load_spec, sample_corpus
 
 
@@ -463,6 +463,21 @@ class TestDecisionTree:
         for query, label, score in zip(queries, labels, scores):
             assert (label, score) == reference_predict(model, query, dataset)
 
+    def test_decode_a_chain_deeper_than_the_recursion_limit(self):
+        encoder = Encoder(default_schema(), vocabs={f"f{i}": {} for i in (9, 10, 11, 12)})
+        j = [col.name for col in encoder.columns].index("f15")
+        leaf = {"node": "leaf", "positive_fraction": 0.5, "count": 2}
+        node = leaf
+        for depth in range(5000):
+            node = {"node": "split", "col": j, "test": TEST_LE, "value": depth,
+                    "left": leaf, "right": node}
+        node = decode_tree(node, encoder)
+        for depth in reversed(range(5000)):
+            assert list(node) == ["node", "feature", "test", "value", "left", "right"]
+            assert (node["feature"], node["value"], node["left"]) == ("f15", float(depth), leaf)
+            node = node["right"]
+        assert node == leaf
+
 
 class TestHistogramGrowth:
     """grow_tree against the sort-and-scan reference: equal dicts, exact floats."""
@@ -497,6 +512,52 @@ class TestHistogramGrowth:
                 X, y, eq_mask(tests), max_depth, min_leaf, np.random.default_rng(seed), n_sample
             )
             assert got == want
+
+    def test_lockstep_equals_one_tree_at_a_time(self, monkeypatch):
+        keyed = []  # the cells (rows x columns) each bincount keys
+        bincount = np.bincount
+
+        def recording(keys, *args, **kwargs):
+            keyed.append(keys.size)
+            return bincount(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", recording)
+        cases = np.random.default_rng(2026)
+        for _ in range(self.CASES // 2):
+            X, y, tests = random_encoded_matrix(cases)
+            (n, d), mask = X.shape, eq_mask(tests)
+            max_depth = int(cases.integers(1, 7))
+            min_leaf = int(cases.integers(1, 5))
+            n_sample = int(cases.integers(1, d + 1))
+            # five full bootstraps put more than 4n rows in the first steps
+            boots = [cases.integers(0, n, size=n) for _ in range(5)]
+            # a root that is already a leaf and a shallow tree, anywhere among them
+            boots.insert(int(cases.integers(0, 6)), np.flatnonzero(y == y[0]))
+            shallow = cases.integers(0, n, size=int(cases.integers(1, 9)))
+            boots.insert(int(cases.integers(0, 7)), shallow)
+            seeds = cases.integers(0, 2**32, size=len(boots))
+            for subsample in (True, False):
+                # each tree has its own rng, seeded alike on both sides
+                rngs = [np.random.default_rng(s) if subsample else None for s in seeds]
+                want = [
+                    reference_grow_tree(X[b], y[b], tests, max_depth, min_leaf, rng, n_sample)
+                    for b, rng in zip(boots, rngs)
+                ]
+                rngs = [np.random.default_rng(s) for s in seeds] if subsample else None
+                keyed.clear()
+                got = grow_trees(X, y, mask, boots, max_depth, min_leaf, rngs, n_sample)
+                assert got == want
+                assert max(keyed, default=0) <= 4 * n * d
+
+        # a step of exactly 4n rows takes one bincount; one more tree cuts it
+        X, y, tests = random_encoded_matrix(np.random.default_rng(7))
+        (n, d), mask = X.shape, eq_mask(tests)
+        assert d and 0 < y.sum() < n
+        want = reference_grow_tree(X, y, tests, 6, 1)
+        for n_trees, first_steps in ((4, [4 * n * d]), (5, [4 * n * d, n * d])):
+            keyed.clear()
+            assert grow_trees(X, y, mask, [np.arange(n)] * n_trees, 6, 1) == [want] * n_trees
+            assert keyed[: len(first_steps)] == first_steps
 
 
 class TestGoldenModels:
