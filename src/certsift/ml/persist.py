@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring_ascii
 from typing import TextIO
 
 import numpy as np
@@ -89,8 +90,73 @@ def model_to_json(model: TrainedModel) -> dict:
 
 def write_model(model: TrainedModel, fh: TextIO) -> None:
     """Write the model file (indented JSON and a final newline) to a text stream."""
-    json.dump(model_to_json(model), fh, indent=1)
+    _write_json(model_to_json(model), fh)
     fh.write("\n")
+
+
+# pieces of text joined into each write, which bounds what a save holds
+_WRITE_PARTS = 4096
+
+_DONE = object()
+
+# json's names for the floats whose repr is not JSON
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_json(doc, fh: TextIO) -> None:
+    """Write doc to fh as the bytes of json.dump(doc, fh, indent=1), for
+    documents whose keys are all str.  Open containers sit on an explicit
+    stack, where the json encoder keeps one generator per nesting level,
+    so no depth of nesting recurses."""
+    parts: list[str] = []
+    stack = []  # open containers: (item iterator, is a dict, separator, closing text)
+    value, lead = doc, ""  # the next value to write and the text before it
+    while True:
+        first = None  # the separator before an opened container's first item
+        if isinstance(value, str):
+            parts.append(lead + encode_basestring_ascii(value))
+        elif value is None:
+            parts.append(lead + "null")
+        elif value is True:
+            parts.append(lead + "true")
+        elif value is False:
+            parts.append(lead + "false")
+        elif isinstance(value, int):
+            parts.append(lead + int.__repr__(value))
+        elif isinstance(value, float):
+            text = float.__repr__(value)
+            parts.append(lead + _NON_FINITE.get(text, text))
+        elif isinstance(value, (list, tuple, dict)):
+            is_dict = isinstance(value, dict)
+            if not value:
+                parts.append(lead + ("{}" if is_dict else "[]"))
+            else:
+                parts.append(lead + ("{" if is_dict else "["))
+                first = "\n" + " " * (len(stack) + 1)
+                close = first[:-1] + ("}" if is_dict else "]")
+                stack.append((iter(value.items() if is_dict else value), is_dict, "," + first, close))
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if len(parts) >= _WRITE_PARTS:
+            fh.write("".join(parts))
+            parts.clear()
+        # the next value is the next item of the innermost open container
+        while stack:
+            items, is_dict, separator, close = stack[-1]
+            item = next(items, _DONE)
+            if item is not _DONE:
+                break
+            parts.append(close)
+            stack.pop()
+        else:
+            break
+        lead = first or separator
+        if is_dict:
+            key, value = item
+            lead += encode_basestring_ascii(key) + ": "
+        else:
+            value = item
+    fh.write("".join(parts))
 
 
 def save_model(model: TrainedModel, path: str | os.PathLike) -> None:
@@ -151,7 +217,33 @@ def model_from_json(doc: dict) -> TrainedModel:
         raise CorruptModel("nearest-neighbor matrix and labels disagree")
     if matrix.shape[1] != len(schema.included()):
         raise CorruptModel("nearest-neighbor matrix width does not match schema")
+    _check_knn(model)
     return model
+
+
+def _check_knn(model: NearestNeighborModel) -> None:
+    """Reject what training never writes and exact chunked prediction
+    relies on (classifiers.NearestNeighborModel): k a whole number >= 1,
+    0/1 labels, finite numeric ranges, and matrix cells that are codes of
+    their column's kind (0/1 booleans, categories below the vocabulary's
+    size) or scaled numerics in [0, 1].  NaN and infinities fail every kind."""
+    k = model.hyperparameters.get("k")
+    if type(k) is not int or k < 1:
+        raise CorruptModel(f"nearest-neighbor k {k!r} is not a whole number >= 1")
+    if not np.isin(model.labels, (0.0, 1.0)).all():
+        raise CorruptModel("nearest-neighbor labels are not all 0 or 1")
+    if not np.isfinite(list(model.ranges.values())).all():
+        raise CorruptModel("nearest-neighbor numeric ranges are not all finite")
+    for col, values in zip(model.encoder.columns, model.matrix.T):
+        if col.kind == KIND_BOOLEAN:
+            fits = np.isin(values, (0.0, 1.0))
+        elif col.kind == KIND_CATEGORICAL:
+            size = len(model.encoder.vocabs[col.name])
+            fits = (values >= 0) & (values < size) & (values == np.floor(values))
+        else:
+            fits = (values >= 0.0) & (values <= 1.0)
+        if not fits.all():
+            raise CorruptModel(f"nearest-neighbor column {col.name} holds a value out of its kind")
 
 
 def load_model(path: str | os.PathLike) -> TrainedModel:

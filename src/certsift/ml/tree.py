@@ -169,7 +169,13 @@ def grow_trees(
             if eq_mask[j]:
                 splits[i] = j, float(bin_value[b])
             else:  # halfway to the node's next non-empty bin, in the same column
-                splits[i] = j, float((bin_value[b] + bin_value[bin_of[k + 1]]) / 2.0)
+                low, high = float(bin_value[b]), float(bin_value[bin_of[k + 1]])
+                # halving first keeps the midpoint finite where low + high
+                # overflows (for values of normal size it is (low + high) / 2);
+                # where it rounds up to high (adjacent doubles), low keeps
+                # high on the right
+                mid = low / 2.0 + high / 2.0
+                splits[i] = j, mid if mid < high else low
         return splits
 
     holders = [{} for _ in boots]

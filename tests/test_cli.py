@@ -262,6 +262,21 @@ class TestClassifyCommand:
         assert code == 3
         assert "CorruptModel" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [0, "5"])
+    def test_bad_knn_k_exit_3(self, k, synth_csv, tmp_path, capsys):
+        # a k no prediction can use (0 scores nan, "5" is no number) fails at load
+        path = tmp_path / "knn.json"
+        argv = ["train", "--features", str(synth_csv), "--algo", "knn", "--model-out", str(path)]
+        assert run(*argv) == 0
+        doc = json.loads(path.read_text())
+        doc["hyperparameters"]["k"] = k
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "predictions.csv"
+        code = run("classify", "--model", str(path), "--features", str(synth_csv), "--out", str(out))
+        assert code == 3
+        assert "CorruptModel" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_feature_model_exit_3(self, model_path, synth_csv, tmp_path, capsys):
         doc = json.loads(model_path.read_text())
         assert doc["tree"]["node"] == "split"

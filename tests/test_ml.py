@@ -6,9 +6,12 @@ import hashlib
 import io
 import json
 import random
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from certsift import FeatureVector
 from certsift.errors import (
@@ -38,7 +41,8 @@ from certsift.ml import (
     stratified_fold_indices,
     train,
 )
-from certsift.ml.persist import model_to_json, write_model
+from certsift.ml import classifiers, persist
+from certsift.ml.persist import _write_json, model_to_json, write_model
 from certsift.ml.schema import Encoder, canonical_key
 from certsift.ml.tree import _MIN_GAIN, TEST_EQ, TEST_LE, decode_tree, grow_tree, grow_trees
 from certsift.synth import boolean_only_variant, load_spec, sample_corpus
@@ -100,6 +104,20 @@ def reference_knn_distance(model: NearestNeighborModel, a: FeatureVector, b: Fea
     return float(np.mean(parts))
 
 
+def reference_knn_scores(model: NearestNeighborModel, X: np.ndarray) -> list[float]:
+    """The per-row scan that chunked k-NN prediction replaced: each encoded
+    query row's distances to every training row, a stable argsort, and the
+    mean label of the first k."""
+    scores = []
+    for row in X:
+        cells = np.where(model.encoder.eq_mask, model.matrix != row, np.abs(model.matrix - row))
+        dists = cells.mean(axis=-1)
+        k = min(model.hyperparameters["k"], dists.size)
+        nearest = np.argsort(dists, kind="stable")[:k]
+        scores.append(float(model.labels[nearest].mean()))
+    return scores
+
+
 def reference_predict(model, fv: FeatureVector, dataset: Dataset) -> tuple[str, float]:
     """One row through the dict walk (tree kinds) or a pairwise k-NN scan
     over the training dataset."""
@@ -145,7 +163,9 @@ def reference_scan_columns(X, y, tests, cols, min_leaf):
                 continue
             n_left = (boundaries + 1).astype(np.float64)
             pos_left = np.cumsum(y[order])[boundaries]
-            candidates = (sorted_values[boundaries] + sorted_values[boundaries + 1]) / 2.0
+            lo, hi = sorted_values[boundaries], sorted_values[boundaries + 1]
+            mid = lo / 2.0 + hi / 2.0  # halfway, or lo where that rounds up to hi
+            candidates = np.where(mid < hi, mid, lo)
         n_right = n - n_left
         pos_right = pos - pos_left
         valid = (n_left >= min_leaf) & (n_right >= min_leaf)
@@ -497,6 +517,17 @@ class TestHistogramGrowth:
         X, y = np.empty((6, 0)), np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
         assert grow_tree(X, y, eq_mask([]), 3, 1) == reference_grow_tree(X, y, [], 3, 1)
 
+    @pytest.mark.parametrize("lo,hi,value", [
+        (1 + 2**-52, 1 + 2**-51, 1 + 2**-52),  # adjacent doubles: the midpoint rounds up to hi
+        (1e308, 1.5e308, 1.25e308),  # lo + hi overflows to inf
+    ])
+    def test_threshold_between_adjacent_or_huge_values(self, lo, hi, value):
+        X, y = np.array([[lo], [lo], [hi], [hi]]), np.array([0.0, 0.0, 1.0, 1.0])
+        root = grow_tree(X, y, eq_mask([TEST_LE]), 3, 1)
+        assert root == reference_grow_tree(X, y, [TEST_LE], 3, 1)
+        assert (root["node"], root["value"]) == ("split", value)
+        assert (root["left"]["count"], root["right"]["count"]) == (2, 2)
+
     def test_matches_reference_with_feature_subsampling(self):
         cases = np.random.default_rng(2025)
         for _ in range(self.CASES):
@@ -756,6 +787,62 @@ class TestNearestNeighbor:
         labels, scores = model.predict_batch(queries)
         for query, label, score in zip(queries, labels, scores):
             assert (label, float(score)) == reference_predict(model, query, dataset)
+
+    @staticmethod
+    def _tied_model(rng: np.random.Generator, n: int, k: int, ranges=None) -> NearestNeighborModel:
+        """A model on a random n-row matrix where most distances tie: codes
+        from {-1, 0, 1, 2}, booleans 0/1, scaled numerics from {0, 1/3, 2/3, 1}."""
+        schema = default_schema()
+        encoder = Encoder(schema, vocabs={f"f{i}": {"a": 0, "b": 1, "c": 2} for i in (9, 10, 11, 12)})
+        kinds = [col.kind for col in encoder.columns]
+        matrix = np.column_stack([
+            rng.integers(0, 2, n) if kind == "boolean"
+            else rng.integers(-1, 3, n) if kind == "categorical"
+            else rng.integers(0, 4, n) / 3
+            for kind in kinds
+        ]).astype(np.float64)
+        labels = rng.integers(0, 2, n).astype(np.float64)
+        ranges = ranges or {"f14": (0.0, 3.0), "f15": (0.0, 1.0)}
+        return NearestNeighborModel(schema, {"k": k}, 0, encoder.vocabs, ranges, matrix, labels)
+
+    @staticmethod
+    def _tied_queries(rng: np.random.Generator, m: int) -> list[FeatureVector]:
+        """m query rows on the same grid; category z is unseen (code -1)."""
+        return [
+            fv(f"q{i}.example", **{f"f{j}": bool(rng.integers(0, 2)) for j in range(1, 9)},
+               **{f"f{j}": str(rng.choice(list("abcz"))) for j in (9, 10, 11, 12)},
+               f14=int(rng.integers(0, 4)), f15=int(rng.integers(0, 4)) / 3)
+            for i in range(m)
+        ]
+
+    def test_chunked_scores_equal_per_row_reference(self, monkeypatch):
+        rng = np.random.default_rng(2027)
+        cells_per_row = 13  # every model here has the default schema's 13 columns
+        for case in range(300):
+            n = int(rng.integers(1, 40))
+            k = int(rng.choice([1, 2, 3, 5, n, n + 3]))  # k = 1, and k >= n
+            model = self._tied_model(rng, n, k)
+            queries = self._tied_queries(rng, int(rng.integers(0, 30)))  # empty batches too
+            # the default budget; one query row per chunk; a few rows, so batches cross chunks
+            budget = (classifiers._CHUNK_CELLS, 1, int(rng.integers(2, 6)) * n * cells_per_row)
+            monkeypatch.setattr(classifiers, "_CHUNK_CELLS", budget[case % 3])
+            labels, scores = model.predict_batch(queries)
+            want = reference_knn_scores(model, model.encode(queries))
+            assert scores.dtype == np.float64 and scores.tolist() == want
+            assert labels == [("pos" if s >= 0.5 else "neg") for s in want]
+
+    def test_nan_distances_rank_last_like_the_per_row_scan(self):
+        # a range whose span overflows (training f14 near -1e308 and 1e308;
+        # here an infinite one, which loading rejects) scales f14 to NaN, so
+        # every distance is NaN and a stable argsort keeps the first k rows
+        rng = np.random.default_rng(5)
+        model = self._tied_model(rng, 12, 5, ranges={"f14": (-np.inf, np.inf), "f15": (0.0, 1.0)})
+        queries = self._tied_queries(rng, 4)
+        with np.errstate(invalid="ignore"):
+            X = model.encode(queries)
+            _, scores = model.predict_batch(queries)
+        assert np.isnan(X[:, [c.name for c in model.encoder.columns].index("f14")]).all()
+        assert scores.tolist() == reference_knn_scores(model, X) == [model.labels[:5].mean()] * 4
 
     def test_stored_matrix_is_reference_scaling_of_training_rows(self):
         for dataset in (self._edge_dataset(), TestPersistence()._mixed_dataset()):
@@ -1018,6 +1105,80 @@ class TestPersistence:
         del doc["instances"][section][name]
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptModel):
+            load_model(path)
+
+    # columns 0, 7 and 12 of the mixed dataset's k-NN matrix: boolean f1,
+    # categorical f9 over two CAs, numeric f15
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda inst, hp: hp.__setitem__("k", 0),
+            lambda inst, hp: hp.__setitem__("k", "5"),
+            lambda inst, hp: hp.__setitem__("k", True),
+            lambda inst, hp: hp.__setitem__("k", 5.0),
+            lambda inst, hp: hp.pop("k"),
+            lambda inst, hp: inst["labels"].__setitem__(0, 0.5),
+            lambda inst, hp: inst["labels"].__setitem__(0, -1.0),
+            lambda inst, hp: inst["matrix"][0].__setitem__(0, float("nan")),
+            lambda inst, hp: inst["matrix"][0].__setitem__(12, float("inf")),
+            lambda inst, hp: inst["matrix"][0].__setitem__(0, 0.5),
+            lambda inst, hp: inst["matrix"][0].__setitem__(0, 2.0),
+            lambda inst, hp: inst["matrix"][0].__setitem__(7, 2.0),
+            lambda inst, hp: inst["matrix"][0].__setitem__(7, 0.5),
+            lambda inst, hp: inst["matrix"][0].__setitem__(7, -1.0),
+            lambda inst, hp: inst["matrix"][0].__setitem__(12, 1.5),
+            lambda inst, hp: inst["matrix"][0].__setitem__(12, -0.25),
+            lambda inst, hp: inst["ranges"]["f14"].__setitem__(0, float("-inf")),
+        ],
+    )
+    def test_corrupt_knn_documents(self, mutate, tmp_path):
+        model = train(self._mixed_dataset(), KIND_KNN)
+        names = [c.name for c in model.encoder.columns]
+        assert (names[0], names[7], names[12]) == ("f1", "f9", "f15")
+        assert len(model.encoder.vocabs["f9"]) == 2
+        path = tmp_path / "model.json"
+        doc = model_to_json(model)
+        path.write_text(json.dumps(doc))
+        assert model_to_json(load_model(path)) == doc  # a trained model loads
+        mutate(doc["instances"], doc["hyperparameters"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptModel):
+            load_model(path)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+            max_leaves=40,
+        ),
+        st.integers(1, 8),
+    )
+    def test_writer_matches_json_dumps(self, doc, parts_per_write):
+        buf = io.StringIO()
+        with mock.patch.object(persist, "_WRITE_PARTS", parts_per_write):
+            _write_json(doc, buf)
+        assert buf.getvalue() == json.dumps(doc, indent=1)
+
+    def test_save_a_model_deeper_than_the_recursion_limit(self, tmp_path):
+        leaf = {"node": "leaf", "positive_fraction": 1.0, "count": 1}
+        root = leaf
+        for _ in range(3000):
+            root = {"node": "split", "feature": "f1", "test": "eq", "value": True,
+                    "left": root, "right": leaf}
+        model = DecisionTreeModel(root, default_schema(), {"max_depth": 3000, "min_leaf": 1}, 0)
+        assert model.predict(fv("deep.example", f1=True)) == ("pos", 1.0)
+        path = tmp_path / "deep.json"
+        save_model(model, path)
+        # load_model rejects this nesting (the JSON decoder recurses per
+        # level), so the file is read back with the recursion limit raised
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(20_000)
+        try:
+            assert json.loads(path.read_text()) == model_to_json(model)
+        finally:
+            sys.setrecursionlimit(limit)
         with pytest.raises(CorruptModel):
             load_model(path)
 
