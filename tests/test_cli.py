@@ -153,6 +153,40 @@ class TestTrainAndEval:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    # SHA-256 of the `eval` JSON report for each kind, on synth phishing vs
+    # alexa (60 per class, seed 5), at 5 folds (24 rows each) and at 7 folds
+    # (16 or 18 rows: unequal training sets).  Recorded before
+    # cross-validation grew the folds' trees together; the report bytes must
+    # never change without a stated reason.
+    GOLDEN_EVAL = {
+        ("tree", 5): "e2dc159b667877f72ea651e87a104ae47d08b455266b5f07153d0b782499ca1c",
+        ("tree", 7): "6051ece3f31e055f38d31dda66101d7aad8a87f4206890066ffd9a13fc836794",
+        ("bagging", 5): "d8dc39396658399c79bf12336e9a6c73dd5d34960bcd8f1b90a5a05786daeddb",
+        ("bagging", 7): "a4619650ac85f179d92a00c9b30e817e04a2596e71339cee9f8f69ade311fa25",
+        ("forest", 5): "29766fe4d06adeeabd6362d7c59796e10cd22bae863de39c83c64957d959238e",
+        ("forest", 7): "bb0db997dba62c64e0e25c45e7c65c82ad030c58ea0ba6b6c909337cb87789c8",
+        ("knn", 5): "da17605084e18a5f074722cf136cb84324d26ce3339611e9a8441186d7442514",
+        ("knn", 7): "fabd812d9579c954ba7194d94d8e75661a230f8fdd9f5125d940cf84a5066a78",
+    }
+
+    @pytest.fixture(scope="class")
+    def eval_csv(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("eval") / "synth.csv"
+        assert run(
+            "synth", "--pos-spec", "phishing", "--neg-spec", "alexa",
+            "--n", "60", "--seed", "5", "--out", str(path),
+        ) == 0
+        return path
+
+    @pytest.mark.parametrize("kind,folds", sorted(GOLDEN_EVAL))
+    def test_eval_report_golden(self, kind, folds, eval_csv, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["eval", "--features", str(eval_csv), "--algo", kind, "--cv", str(folds)]
+        if kind in ("bagging", "forest"):
+            argv += ["--trees", "15"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_EVAL[(kind, folds)]
+
     def test_unlabeled_rows_exit_3(self, synth_csv, tmp_path, capsys):
         text = synth_csv.read_text().splitlines()
         stripped = [text[0]] + [line.rsplit(",", 1)[0] + "," for line in text[1:]]
