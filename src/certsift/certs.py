@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from cryptography import x509
+from cryptography.hazmat.primitives.asymmetric import dsa, ec, ed448, ed25519, rsa
 from cryptography.hazmat.primitives.serialization import Encoding
 
 from .errors import MalformedInput
@@ -257,15 +258,30 @@ def load_trust_store(path: str) -> list[CertificateSummary]:
 
 
 def _signature_valid(child: CertificateSummary, parent: CertificateSummary) -> bool:
-    """True if parent's key verifies child's signature.
+    """True if parent's public key verifies child's signature over child's
+    TBS bytes, under the child's signature algorithm and its parameters
+    (RSA PKCS#1 v1.5 or PSS, ECDSA, Ed25519, Ed448, DSA).
 
-    Any failure to verify (bad signature bytes, key type mismatch, an
-    algorithm the crypto backend refuses) counts as invalid.
+    Names are not compared here: chain building already linked child to
+    parent by the name rule (dn_equal), which a byte-for-byte comparison
+    would overrule.  Any failure to verify (bad signature bytes, key type
+    mismatch, an algorithm the crypto backend refuses) counts as invalid.
     """
     try:
         child_x = x509.load_der_x509_certificate(child.der_bytes)
-        parent_x = x509.load_der_x509_certificate(parent.der_bytes)
-        child_x.verify_directly_issued_by(parent_x)
+        key = x509.load_der_x509_certificate(parent.der_bytes).public_key()
+        signature, tbs = child_x.signature, child_x.tbs_certificate_bytes
+        if isinstance(key, rsa.RSAPublicKey):
+            padding = child_x.signature_algorithm_parameters
+            key.verify(signature, tbs, padding, child_x.signature_hash_algorithm)
+        elif isinstance(key, ec.EllipticCurvePublicKey):
+            key.verify(signature, tbs, child_x.signature_algorithm_parameters)
+        elif isinstance(key, dsa.DSAPublicKey):
+            key.verify(signature, tbs, child_x.signature_hash_algorithm)
+        elif isinstance(key, (ed25519.Ed25519PublicKey, ed448.Ed448PublicKey)):
+            key.verify(signature, tbs)
+        else:
+            return False
         return True
     except Exception:
         return False

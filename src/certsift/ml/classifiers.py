@@ -11,7 +11,7 @@ file order never matters.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from itertools import compress
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import SchemaError
 from ..features import LABEL_NEGATIVE, LABEL_POSITIVE, FeatureVector
 from .schema import Dataset, Encoder, FeatureSchema, encode_labels
-from .tree import NodeTable, decode_tree, grow_tree, grow_trees
+from .tree import NodeTable, decode_tree, grow_tree, grow_trees  # noqa: F401 (grow_tree re-exported)
 
 DEFAULT_SEED = 17
 
@@ -29,6 +29,7 @@ KIND_FOREST = "forest"
 KIND_KNN = "knn"
 
 MODEL_KINDS = (KIND_TREE, KIND_BAGGING, KIND_FOREST, KIND_KNN)
+TREE_KINDS = (KIND_TREE, KIND_BAGGING, KIND_FOREST)
 
 DEFAULT_HYPERPARAMETERS: dict[str, dict[str, int]] = {
     KIND_TREE: {"max_depth": 12, "min_leaf": 2},
@@ -81,10 +82,10 @@ class DecisionTreeModel(_Model):
     def __init__(self, root: dict, schema: FeatureSchema, hyperparameters: dict, seed: int):
         super().__init__(schema, hyperparameters, seed)
         self.root = root
-        self._table = NodeTable([root], schema)
+        self._table, self._encoder = NodeTable.from_dicts([root], schema)
 
     def predict_batch(self, rows: Sequence[FeatureVector]) -> tuple[list[str], np.ndarray]:
-        (scores,) = self._table.walk(rows)
+        (scores,) = self._table.walk_encoded(self._encoder.encode_rows(rows), [0])
         return [_label(s) for s in scores], scores
 
 
@@ -105,11 +106,12 @@ class TreeEnsembleModel(_Model):
     ):
         super().__init__(schema, hyperparameters, seed)
         self.members = members
-        self._table = NodeTable(members, schema)
+        self._table, self._encoder = NodeTable.from_dicts(members, schema)
 
     def predict_batch(self, rows: Sequence[FeatureVector]) -> tuple[list[str], np.ndarray]:
         votes = np.zeros(len(rows), dtype=np.float64)
-        for fractions in self._table.walk(rows):
+        X = self._encoder.encode_rows(rows)
+        for fractions in self._table.walk_encoded(X, range(len(self.members))):
             votes += fractions >= 0.5
         scores = votes / len(self.members)
         return [_label(s) for s in scores], scores
@@ -125,9 +127,20 @@ class RandomForestModel(TreeEnsembleModel):
 
 def _min_max(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Columns scaled from [lo, hi] onto [0, 1], values outside clamped to
-    the edges; a constant column (lo == hi) scales to 0."""
-    span = np.where(hi == lo, 1.0, hi - lo)
-    return np.where(hi == lo, 0.0, np.clip((X - lo) / span, 0.0, 1.0))
+    the edges; a constant column (lo == hi) scales to 0.
+
+    Where hi - lo overflows, every term is halved first, (X/2 - lo/2) /
+    (hi/2 - lo/2), which keeps the span finite.  Elsewhere nothing is
+    halved, since halving rounds away the low bit of a subnormal value.  A
+    value far outside [lo, hi] may overflow to an infinity on the way,
+    which clamps to the edge it lies beyond.
+    """
+    with np.errstate(over="ignore"):
+        span = hi - lo
+        wide = np.isinf(span)
+        offset = np.where(wide, X / 2 - lo / 2, X - lo)
+        span = np.where(wide, hi / 2 - lo / 2, np.where(hi == lo, 1.0, span))
+        return np.where(hi == lo, 0.0, np.clip(offset / span, 0.0, 1.0))
 
 
 # Distance cells (query rows x training rows x columns) that one pass of
@@ -233,29 +246,67 @@ def _canonical_rows(dataset: Dataset) -> list[FeatureVector]:
     return [dataset.rows[i] for i in dataset.canonical_order()]
 
 
-def _grow_ensemble(
+# Bootstrap rows one grow_trees call of _grow_trees holds at most: the
+# index arrays of the trees in flight grow with it.  All five cv-forest
+# benchmark folds (5 x 25 trees x 320 rows, 40,000 rows) fit in one call.
+# A 10-fold cross-validation of a 100-tree forest on 10,000 boolean-only rows
+# (acceptance test_06, 2-CPU VM) peaked at 87 MiB RSS in 12.5 s with this
+# budget; 2^17 rows gave 70 MiB in 18.0 s, 2^21 113 MiB in 11.5 s, no budget
+# 253 MiB in 13.0 s, and training fold by fold 93 MiB in 18.6 s.
+_GROW_ROWS = 2**20
+
+
+def _grow_trees(
     X: np.ndarray,
     y: np.ndarray,
     eq_mask: np.ndarray,
+    kind: str,
     hp: dict,
     seed: int,
-    subsample_features: bool,
-) -> list[dict]:
-    n, d = X.shape
-    n_sample = math.ceil(math.sqrt(d)) if subsample_features else None
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(hp["n_trees"])]
-    # each tree's rng draws its bootstrap first, then its feature subsets
-    boots = [rng.integers(0, n, size=n) for rng in rngs]
-    return grow_trees(
-        X,
-        y,
-        eq_mask,
-        boots,
-        hp["max_depth"],
-        hp["min_leaf"],
-        rngs=rngs if subsample_features else None,
-        n_sample_features=n_sample,
-    )
+    row_sets: Sequence[np.ndarray],
+) -> Iterator[tuple[NodeTable, list[int]]]:
+    """The trees train grows for a tree kind on each row set alone (ascending
+    positions of rows of X, which is in canonical order), grown together in
+    grow_trees calls of at most _GROW_ROWS bootstrap rows.  Yields each
+    call's table and the row set each of its roots belongs to.  Trees come
+    in ensemble order, each for every row set in turn, so one call holds
+    the same tree of several row sets, whose rngs start alike; a row set's
+    trees are in order, and an ensemble's may span calls.
+
+    Each row set's trees are the ones its rows alone would give (see the
+    tree module): its rows, in its own canonical order, are those rows of X
+    in ascending position, and its bootstraps are those positions at the
+    draws train makes, from rngs spawned from seed as train spawns them.
+    """
+    d = X.shape[1]
+    forest = kind == KIND_FOREST
+    n_sample = math.ceil(math.sqrt(d)) if forest else None
+
+    def trees() -> Iterator[tuple[int, np.ndarray, np.random.Generator | None]]:
+        if kind == KIND_TREE:
+            yield from ((s, positions, None) for s, positions in enumerate(row_sets))
+            return
+        for child in np.random.SeedSequence(seed).spawn(hp["n_trees"]):
+            for s, positions in enumerate(row_sets):
+                rng = np.random.default_rng(child)
+                # each tree's rng draws its bootstrap first, then its feature subsets
+                yield s, positions[rng.integers(0, positions.size, size=positions.size)], rng
+
+    def grow(batch: list[tuple]) -> tuple[NodeTable, list[int]]:
+        owners, boots, rngs = zip(*batch)
+        table = grow_trees(X, y, eq_mask, boots, hp["max_depth"], hp["min_leaf"],
+                           rngs if forest else None, n_sample)
+        return table, list(owners)
+
+    batch: list[tuple] = []
+    held = 0
+    for tree in trees():
+        if batch and held + tree[1].size > _GROW_ROWS:
+            yield grow(batch)
+            batch, held = [], 0
+        batch.append(tree)
+        held += tree[1].size
+    yield grow(batch)
 
 
 def train(
@@ -277,16 +328,13 @@ def train(
     X = encoder.encode_rows(rows)
     y = encode_labels(rows)
 
-    if kind == KIND_TREE:
-        root = grow_tree(X, y, encoder.eq_mask, hp["max_depth"], hp["min_leaf"])
-        return DecisionTreeModel(decode_tree(root, encoder), schema, hp, seed)
-    if kind in (KIND_BAGGING, KIND_FOREST):
-        subsample = kind == KIND_FOREST
-        # the encoded trees are freed once decoded, before the model builds its table
-        members = _grow_ensemble(X, y, encoder.eq_mask, hp, seed, subsample)
-        decoded = [decode_tree(members.pop(0), encoder) for _ in range(len(members))]
-        cls = RandomForestModel if subsample else BaggedTreesModel
-        return cls(decoded, schema, hp, seed)
+    if kind in TREE_KINDS:
+        grown = _grow_trees(X, y, encoder.eq_mask, kind, hp, seed, [np.arange(len(rows))])
+        roots = [decode_tree(table, t, encoder) for table, _ in grown for t in range(table.n_trees)]
+        if kind == KIND_TREE:
+            return DecisionTreeModel(roots[0], schema, hp, seed)
+        cls = RandomForestModel if kind == KIND_FOREST else BaggedTreesModel
+        return cls(roots, schema, hp, seed)
     # k-NN: scale numeric columns to [0, 1] over the training rows, through
     # the helper queries use (clamping leaves training values as they are)
     numeric = ~encoder.eq_mask

@@ -17,9 +17,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import TooFewRows
-from ..features import LABEL_NEGATIVE, LABEL_POSITIVE
-from .classifiers import DEFAULT_SEED, resolve_hyperparameters, train
-from .schema import Dataset
+from ..features import LABEL_NEGATIVE, LABEL_POSITIVE, FeatureVector
+from .classifiers import (
+    DEFAULT_SEED,
+    KIND_TREE,
+    TREE_KINDS,
+    _grow_trees,
+    _label,
+    resolve_hyperparameters,
+    train,
+)
+from .schema import Dataset, Encoder, FeatureSchema, encode_labels
 
 
 @dataclass(frozen=True)
@@ -187,6 +195,26 @@ def cross_validate(
     data in a different file order produces the same folds.  Each fold's
     model trains on the other k-1 folds with the same seed; the report
     aggregates the per-fold confusion matrices.
+
+    k-NN trains and predicts fold by fold.  The tree kinds encode the rows
+    once and grow every fold's trees together (classifiers._grow_trees),
+    then walk each fold's test rows, in the same encoding, down its own
+    trees.  Predictions are those of train(...).predict_batch on each fold,
+    to the bit:
+    - A fold's rows in canonical order are already in its own canonical
+      order, so its rows, bootstraps and labels are the ones train sees.
+    - Whole-data category codes are a strictly increasing relabelling of a
+      fold's own codes, so every column's bins keep their order, and with
+      it every tie-break of the split search.
+    - Values absent from a fold only add bins that are empty in every node
+      of its trees; empty (node, bin) pairs are never scored, and a
+      threshold lies halfway to the next non-empty bin in the node, so the
+      splits and thresholds are the fold's own.
+    - An equality test on the codes of one injective encoding is an
+      equality test on the raw values; so a test row whose category the
+      fold never saw matches no split and goes right, as the model's -1
+      code does.  Leaf fractions are the same floats, and a vote sum of
+      0/1 is exact in any order.
     """
     resolved = resolve_hyperparameters(kind, hyperparameters)
     dataset.require_labeled()
@@ -195,16 +223,21 @@ def cross_validate(
     labels = [fv.label for fv in rows]
     folds = stratified_fold_indices(labels, k, seed)
 
-    per_fold: list[Confusion] = []
-    for test_positions in folds:
-        test_set = set(test_positions)
-        train_rows = [fv for i, fv in enumerate(rows) if i not in test_set]
-        test_rows = [rows[i] for i in test_positions]
-        model = train(Dataset(train_rows, dataset.schema), kind, hyperparameters, seed)
-        predicted, _ = model.predict_batch(test_rows)
-        per_fold.append(
-            _confusion_from_predictions([fv.label for fv in test_rows], predicted)
+    if kind in TREE_KINDS:
+        scores = _tree_fold_scores(rows, dataset.schema, kind, resolved, seed, folds)
+    else:
+        scores = []
+        for test_positions in folds:
+            test_set = set(test_positions)
+            train_rows = [fv for i, fv in enumerate(rows) if i not in test_set]
+            model = train(Dataset(train_rows, dataset.schema), kind, hyperparameters, seed)
+            scores.append(model.predict_batch([rows[i] for i in test_positions])[1])
+    per_fold = [
+        _confusion_from_predictions(
+            [labels[i] for i in test_positions], [_label(score) for score in fold_scores]
         )
+        for test_positions, fold_scores in zip(folds, scores)
+    ]
 
     total = Confusion()
     for fold in per_fold:
@@ -217,3 +250,34 @@ def cross_validate(
         confusion=total,
         per_fold=tuple(per_fold),
     )
+
+
+def _tree_fold_scores(
+    rows: Sequence[FeatureVector],
+    schema: FeatureSchema,
+    kind: str,
+    hp: dict,
+    seed: int,
+    folds: Sequence[Sequence[int]],
+) -> list[np.ndarray]:
+    """Each fold's scores for its test rows, from the trees of a tree kind
+    grown on the other folds' rows, all over one encoding of rows (labeled,
+    in canonical order)."""
+    encoder = Encoder(schema, rows)
+    X = encoder.encode_rows(rows)
+    y = encode_labels(rows)
+    tests = [np.array(test_positions, dtype=np.intp) for test_positions in folds]
+    row_sets = []
+    for test in tests:
+        kept = np.ones(len(rows), dtype=bool)
+        kept[test] = False
+        row_sets.append(np.flatnonzero(kept))
+    # a single tree scores its leaf fraction, an ensemble its members' votes
+    sums = [np.zeros(test.size) for test in tests]
+    for table, owners in _grow_trees(X, y, encoder.eq_mask, kind, hp, seed, row_sets):
+        for f in sorted(set(owners)):
+            roots = [t for t, owner in enumerate(owners) if owner == f]
+            for fractions in table.walk_encoded(X[tests[f]], roots):
+                sums[f] += fractions if kind == KIND_TREE else fractions >= 0.5
+    n_trees = 1 if kind == KIND_TREE else hp["n_trees"]
+    return [total / n_trees for total in sums]

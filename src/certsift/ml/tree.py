@@ -19,7 +19,11 @@ bin) pairs are scored, and skipping the empty ones changes no split: an
 empty equality bin sends no row left, and an empty threshold bin ties with
 the non-empty bin below it, which comes first.  A threshold lies halfway
 to the next non-empty bin of its column in the node, so every split is the
-one a per-node sort-and-scan would pick.
+one a per-node sort-and-scan would pick.  The same argument makes a tree
+independent of the rows of X its bootstrap never draws: their values only
+add bins that are empty in every node of it.  So a tree grown on a subset
+of X's rows equals the tree grown on a matrix of that subset alone, with
+the same numeric values and category codes in the same order.
 
 The trees of an ensemble grow in lockstep.  Each keeps its own depth-first
 stack and rng; each step takes from every tree the next node in preorder
@@ -34,20 +38,31 @@ bincounts.  Training the 1,020-row, 100-tree seed-7 benchmark forest
 growing tree by tree), where no cut reached 79 MiB for about 15% less
 time; cutting at n was about 1.25x slower than at 4n.
 
-Grown trees are stored decoded (feature names and raw values), so a
-persisted tree predicts without the training vocabulary, through a
-NodeTable that checks and walks a model's trees.  Growth, decoding and
-the table all keep explicit stacks or queues, so no tree depth recurses.
+Every draw is choice(d, n_sample_features, replace=False), so a tree's
+k-th draw depends only on its rng's starting state.  Trees whose rngs
+start in equal states (the same tree of several cross-validation folds
+with equal training sizes) therefore draw once and replay: exact, and
+never the case for the distinct rngs of one ensemble.
+
+Growth writes nodes straight into one flat NodeTable (typed buffers while
+it grows, numpy arrays once done), in the encoding of X; walk_encoded
+scores rows in that encoding without decoding anything.  decode_tree turns
+one tree of it into a model file's nested dict (feature names and raw
+values), which a model checks and walks through NodeTable.from_dicts, as
+a loaded model does, so a persisted tree predicts without the training
+vocabulary.  Growth, decoding and the table all keep explicit stacks or
+queues, so no tree depth recurses.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from array import array
+from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..errors import CorruptModel
-from ..features import FeatureVector
 from .schema import KIND_BOOLEAN, KIND_CATEGORICAL, Encoder, FeatureSchema
 
 TEST_EQ = "eq"
@@ -67,13 +82,12 @@ def grow_tree(
     min_leaf: int,
     rng: np.random.Generator | None = None,
     n_sample_features: int | None = None,
-) -> dict:
+) -> NodeTable:
     """Grow one tree on every row of X: grow_trees with a single bootstrap."""
     rngs = None if rng is None else [rng]
-    (root,) = grow_trees(
+    return grow_trees(
         X, y, eq_mask, [np.arange(X.shape[0])], max_depth, min_leaf, rngs, n_sample_features
     )
-    return root
 
 
 def grow_trees(
@@ -85,17 +99,21 @@ def grow_trees(
     min_leaf: int,
     rngs: Sequence[np.random.Generator] | None = None,
     n_sample_features: int | None = None,
-) -> list[dict]:
+) -> NodeTable:
     """Grow one tree per bootstrap on encoded data and 0/1 labels (min_leaf
-    >= 1); returns the root nodes (encoded values).  A bootstrap is an array
-    of row indices into X, repeats allowed.  eq_mask marks the
+    >= 1); returns one NodeTable of them all, whose values are X's codes and
+    whose node t is the root of the tree grown on boots[t].  A bootstrap is
+    an array of row indices into X, repeats allowed.  eq_mask marks the
     equality-tested columns (Encoder.eq_mask); the others are split on
     thresholds.
 
-    When rngs (one per tree) and n_sample_features are set, each split first
-    searches a random subset of that many columns and falls back to the
-    remaining columns only if the subset offers no impurity reduction, so a
-    usable split is never passed over just because the draw missed it.
+    When rngs (one per tree, each used by that tree alone) and
+    n_sample_features are set, each split first searches a random subset of
+    that many columns and falls back to the remaining columns only if the
+    subset offers no impurity reduction, so a usable split is never passed
+    over just because the draw missed it.  Trees whose rngs are in equal
+    states share their draws (below); an rng that only replays is not
+    advanced.
     """
     n, d = X.shape
     subsampling = rngs is not None and n_sample_features is not None and n_sample_features < d
@@ -110,9 +128,9 @@ def grow_trees(
     labelled = inverse + first + np.where(y > 0, n_bins, 0)[:, None]
 
     def best_splits(nodes: list[tuple], sampled: np.ndarray | None) -> list:
-        """Best (column, encoded value) of each node, or None, from one
-        bincount keyed by (node, bin) over all the nodes' rows."""
-        _, idxs, _, _, _, counts, positives = zip(*nodes)
+        """Best (column, encoded value, positives sent left) of each node, or
+        None, from one bincount keyed by (node, bin) over all the nodes' rows."""
+        _, idxs, _, _, counts, positives = zip(*nodes)
         counts, positives = np.array(counts), np.array(positives)
         keys = labelled[np.concatenate(idxs)]
         keys += np.repeat(np.arange(len(nodes)) * (2 * n_bins), counts)[:, None]
@@ -165,9 +183,9 @@ def grow_trees(
         splits = [None] * len(nodes)
         for i in np.flatnonzero(won >= 0).tolist():
             k = int(cand[won[i]])
-            j, b = int(col[k]), int(bin_of[k])
+            j, b, left_positive = int(col[k]), int(bin_of[k]), float(pos_left[won[i]])
             if eq_mask[j]:
-                splits[i] = j, float(bin_value[b])
+                splits[i] = j, float(bin_value[b]), left_positive
             else:  # halfway to the node's next non-empty bin, in the same column
                 low, high = float(bin_value[b]), float(bin_value[bin_of[k + 1]])
                 # halving first keeps the midpoint finite where low + high
@@ -175,93 +193,145 @@ def grow_trees(
                 # where it rounds up to high (adjacent doubles), low keeps
                 # high on the right
                 mid = low / 2.0 + high / 2.0
-                splits[i] = j, mid if mid < high else low
+                splits[i] = j, mid if mid < high else low, left_positive
         return splits
 
-    holders = [{} for _ in boots]
-    # each tree's nodes still to grow, in preorder: (rows, depth, parent, side)
-    stacks = [[(np.asarray(boot, dtype=np.intp), 0, holder, "root")]
-              for boot, holder in zip(boots, holders)]
+    n_trees = len(boots)
+    if subsampling:
+        # choice's output depends only on the rng's state and its arguments,
+        # which are the same at every node, so trees whose rngs start in
+        # equal states draw equal subsets in equal order: such a group draws
+        # each subset once, from its first tree's rng, and the others replay it
+        leader: dict[str, int] = {}
+        lead = [leader.setdefault(repr(rng.bit_generator.state), t) for t, rng in enumerate(rngs)]
+        replay = {t: [] for t, members in Counter(lead).items() if members > 1}
+        drawn = [0] * n_trees  # subsets each replaying tree has used
+
+        def subset(t: int) -> np.ndarray:
+            """Tree t's column subset for its next node searched."""
+            if (shared := replay.get(lead[t])) is None:
+                return rngs[t].choice(d, size=n_sample_features, replace=False)
+            if drawn[t] == len(shared):
+                shared.append(rngs[lead[t]].choice(d, size=n_sample_features, replace=False))
+            drawn[t] += 1
+            return shared[drawn[t] - 1]
+
+    # the node table, grown in place: node t is tree t's root, and a split's
+    # two children are appended together, left first, when it splits
+    node_column, node_left = array("q", [-1]) * n_trees, array("q", [-1]) * n_trees
+    node_value, node_fraction, node_count = (array("d", [0.0]) * n_trees for _ in range(3))
+    # each tree's nodes still to grow, in preorder: (rows, depth, node,
+    # positive rows); a split's search counted its children's positives
+    stacks = [[(idx, 0, t, float(y[idx].sum()))]
+              for t, idx in enumerate(np.asarray(boot, dtype=np.intp) for boot in boots)]
 
     def next_split(t: int) -> tuple | None:
         """Tree t's next node that needs a split search, settling the leaves
-        before it: (t, rows, depth, parent, side, count, positive)."""
+        before it: (t, rows, depth, node, count, positive)."""
         stack = stacks[t]
         while stack:
-            idx, depth, parent, side = stack.pop()
+            idx, depth, i, positive = stack.pop()
             count = idx.size
-            positive = float(y[idx].sum())
-            parent[side] = {"node": "leaf", "positive_fraction": positive / count, "count": count}
+            node_fraction[i], node_count[i] = positive / count, count
             if not (positive in (0, count) or depth >= max_depth or count < 2 * min_leaf):
-                return t, idx, depth, parent, side, count, positive
+                return t, idx, depth, i, count, positive
         return None
 
-    step = [node for node in map(next_split, range(len(boots))) if node is not None]
+    step = [node for node in map(next_split, range(n_trees)) if node is not None]
     while step:
         sampled = None
-        if subsampling:  # each tree draws from its own rng, in its own preorder
+        if subsampling:  # each tree draws in its own preorder
             sampled = np.zeros((len(step), d), dtype=bool)
             for s, node in enumerate(step):
-                sampled[s, rngs[node[0]].choice(d, size=n_sample_features, replace=False)] = True
-        # score the step's nodes (count is node[5]), at most 4n rows per bincount
+                sampled[s, subset(node[0])] = True
+        # score the step's nodes (count is node[4]), at most 4n rows per bincount
         splits, lo, held = [], 0, 0
         for hi, node in enumerate(step):
-            if held + node[5] > 4 * n and hi > lo:
+            if held + node[4] > 4 * n and hi > lo:
                 splits += best_splits(step[lo:hi], None if sampled is None else sampled[lo:hi])
                 lo, held = hi, 0
-            held += node[5]
+            held += node[4]
         splits += best_splits(step[lo:], None if sampled is None else sampled[lo:])
-        for (t, idx, depth, parent, side, _, _), split in zip(step, splits):
+        for (t, idx, depth, i, _, positive), split in zip(step, splits):
             if split is None:
                 continue  # the node stays the leaf next_split made it
-            j, value = split
+            j, value, left_positive = split
             column = X[idx, j]
             mask = column == value if eq_mask[j] else column <= value
-            test = TEST_EQ if eq_mask[j] else TEST_LE
-            node = parent[side] = {"node": "split", "col": j, "test": test, "value": value}
-            stacks[t] += [(idx[~mask], depth + 1, node, "right"),
-                          (idx[mask], depth + 1, node, "left")]
+            child = len(node_column)
+            node_column[i], node_value[i], node_left[i] = j, value, child
+            node_fraction[i] = node_count[i] = 0.0
+            node_column.extend((-1, -1))
+            node_left.extend((-1, -1))
+            for cells in (node_value, node_fraction, node_count):
+                cells.extend((0.0, 0.0))
+            stacks[t] += [(idx[~mask], depth + 1, child + 1, positive - left_positive),
+                          (idx[mask], depth + 1, child, left_positive)]
         step = [node for node in map(next_split, [node[0] for node in step]) if node is not None]
-    return [holder["root"] for holder in holders]
+    return NodeTable(node_column, node_value, node_left, node_fraction, node_count, eq_mask)
 
 
-def decode_tree(root: dict, encoder: Encoder) -> dict:
-    """Replace column indices and encoded values with names and raw values."""
+def decode_tree(table: NodeTable, t: int, encoder: Encoder) -> dict:
+    """Tree t of a table grown over encoder's codes as a model file's tree:
+    column indices and encoded values become feature names and raw values."""
+    # memoryviews read single cells as Python numbers, much faster than numpy
+    column, value, left, fraction, count = map(
+        memoryview, (table.column, table.value, table.left, table.fraction, table.count)
+    )
+    eq = encoder.eq_mask.tolist()
     holder: dict = {}
-    stack = [(root, holder, "root")]
+    stack = [(t, holder, "root")]
     while stack:  # left pops first, so its key precedes right's
-        node, parent, side = stack.pop()
-        if node["node"] == "leaf":
-            parent[side] = dict(node)
+        i, parent, side = stack.pop()
+        j = column[i]
+        if j < 0:
+            parent[side] = {"node": "leaf", "positive_fraction": fraction[i], "count": int(count[i])}
             continue
-        col = encoder.columns[node["col"]]
-        if node["test"] == TEST_EQ:
-            value = encoder.decode_value(col, node["value"])
+        col = encoder.columns[j]
+        if eq[j]:
+            test, encoded = TEST_EQ, encoder.decode_value(col, value[i])
         else:
-            value = float(node["value"])
-        parent[side] = split = {
-            "node": "split", "feature": col.name, "test": node["test"], "value": value
-        }
-        stack += [(node["right"], split, "right"), (node["left"], split, "left")]
+            test, encoded = TEST_LE, value[i]
+        parent[side] = split = {"node": "split", "feature": col.name, "test": test, "value": encoded}
+        stack += [(left[i] + 1, split, "right"), (left[i], split, "left")]
     return holder["root"]
 
 
 class NodeTable:
-    """A model's decoded trees as flat node arrays (scikit-learn's Tree layout,
+    """Trees as flat node arrays (scikit-learn's Tree layout,
     sklearn/tree/_tree.pyx); node t is tree t's root.  A split sends a row to
-    left[i] if its encoded column[i] equals value[i] (boolean, categorical)
-    or is <= value[i] (numeric), else to right[i]; a leaf has column -1.
+    left[i] if its encoded column[i] equals value[i] (an eq_mask column) or
+    is <= value[i], else to left[i] + 1; a leaf has column -1, and fraction
+    and count hold its positive fraction and training rows (0 at a split).
 
-    Building the table breadth first checks a loaded tree: it raises
-    CorruptModel on any node prediction could not walk.  A category no split
-    tests encodes as -1, so it matches nothing and goes right.
+    Values are codes of the encoding the table was built over: the training
+    Encoder's for a table grow_trees returns, a vocabulary of the tested
+    values for one from_dicts builds.  Walking never touches a dict.
     """
 
-    def __init__(self, roots: Sequence, schema: FeatureSchema):
+    def __init__(self, column, value, left, fraction, count, eq_mask: np.ndarray):
+        self.column = np.asarray(column, dtype=np.intp)
+        self.value = np.asarray(value, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.intp)
+        self.fraction = np.asarray(fraction, dtype=np.float64)
+        self.count = np.asarray(count, dtype=np.float64)
+        self.eq_mask = eq_mask
+        # every node but a root is one of a split's two children
+        self.n_trees = self.column.size - 2 * int(np.count_nonzero(self.column >= 0))
+
+    @classmethod
+    def from_dicts(cls, roots: Sequence, schema: FeatureSchema) -> tuple[NodeTable, Encoder]:
+        """The table of a model's decoded trees, laid out breadth first, and
+        the Encoder of query rows whose codes its values are.  A category no
+        split tests encodes as -1, so it matches nothing and goes right.
+
+        Building the table checks a loaded tree: it raises CorruptModel on
+        any node prediction could not walk.
+        """
         columns = schema.included()
         where = {col.name: j for j, col in enumerate(columns)}
         vocabs = {col.name: {} for col in columns if col.kind == KIND_CATEGORICAL}
-        table = []  # column, value and fraction of each node in turn
+        table = []  # column, value, fraction and count of each node in turn
         nodes = list(roots)
         for i, node in enumerate(nodes):  # children are queued as parents are read
             kind = node.get("node") if isinstance(node, dict) else type(node).__name__
@@ -270,7 +340,7 @@ class NodeTable:
                 if not (isinstance(share, (int, float)) and 0.0 <= share <= 1.0
                         and isinstance(count, int) and count >= 1):
                     raise CorruptModel(f"node {i}: bad leaf {share!r} of {count!r} rows")
-                table += (-1, 0.0, share)
+                table += (-1, 0.0, share, count)
                 continue
             if kind != "split":
                 raise CorruptModel(f"node {i}: {kind!r} is not a node type")
@@ -285,30 +355,28 @@ class NodeTable:
                 raise CorruptModel(f"node {i}: missing child")
             if name in vocabs:
                 value = vocabs[name].setdefault(value, len(vocabs[name]))
-            table += (j, value, 0.0)
+            table += (j, value, 0.0, 0)
             nodes += (node["left"], node["right"])
-        self.n_trees = len(roots)
-        self.encoder = Encoder(schema, vocabs=vocabs)
+        encoder = Encoder(schema, vocabs=vocabs)
         try:
-            column, self.value, self.fraction = np.array(table, dtype=np.float64).reshape(-1, 3).T
+            column, value, fraction, count = np.array(table, dtype=np.float64).reshape(-1, 4).T
         except OverflowError:
-            raise CorruptModel("a split threshold is out of float range") from None
-        self.column = column.astype(np.intp)
+            raise CorruptModel("a split threshold or leaf count is out of float range") from None
         # children were queued in order, two per split, after the roots
-        self.left = np.full(column.size, -1, dtype=np.intp)
-        self.left[self.column >= 0] = np.arange(len(roots), column.size, 2)
-        self.right = np.where(self.left < 0, -1, self.left + 1)
+        left = np.full(column.size, -1, dtype=np.intp)
+        left[column >= 0] = np.arange(len(roots), column.size, 2)
+        return cls(column, value, left, fraction, count, encoder.eq_mask), encoder
 
-    def walk(self, rows: Sequence[FeatureVector]) -> Iterator[np.ndarray]:
-        """Per tree in turn, the positive fraction of the leaf each row lands in."""
-        X = self.encoder.encode_rows(rows)
-        for root in range(self.n_trees):
-            node, live = np.full(len(rows), root, dtype=np.intp), np.arange(len(rows))
+    def walk_encoded(self, X: np.ndarray, roots: Iterable[int]) -> Iterator[np.ndarray]:
+        """Per root in turn, the positive fraction of the leaf each row of X
+        lands in; X is encoded as the table's values are."""
+        for root in roots:
+            node, live = np.full(len(X), root, dtype=np.intp), np.arange(len(X))
             # step the rows still at a split one level down, until none is
             while (live := live[self.column[node[live]] >= 0]).size:
                 at = node[live]
                 col, value = self.column[at], self.value[at]
                 x = X[live, col]
-                go_left = np.where(self.encoder.eq_mask[col], x == value, x <= value)
-                node[live] = np.where(go_left, self.left[at], self.right[at])
+                go_left = np.where(self.eq_mask[col], x == value, x <= value)
+                node[live] = self.left[at] + ~go_left  # a right child follows its left
             yield self.fraction[node]

@@ -1,7 +1,8 @@
 """Certificate-building helpers shared by the test modules.
 
-Builds throwaway RSA certificates with controllable subject, issuer,
-serial, validity window, and signature algorithm.  Modern crypto backends
+Builds throwaway certificates with controllable subject, issuer, serial,
+validity window, and signature algorithm: RSA (PKCS#1 v1.5 by default, or
+PSS), ECDSA P-256 or Ed25519, following the signing key's type.  Modern crypto backends
 refuse to *sign* with MD5, so md5WithRSAEncryption certificates are made
 by signing with SHA-256 and patching both AlgorithmIdentifier OIDs in the
 DER afterwards; the resulting bytes parse fine and carry the MD5 OID, and
@@ -16,7 +17,7 @@ import functools
 
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import rsa
+from cryptography.hazmat.primitives.asymmetric import ec, ed25519, padding, rsa
 from cryptography.x509.oid import NameOID
 
 _SHA256_RSA_OID_DER = bytes.fromhex("06092a864886f70d01010b")
@@ -34,6 +35,16 @@ DAY = 86400
 def rsa_key(slot: int = 0, bits: int = 2048) -> rsa.RSAPrivateKey:
     """Cached keys; generation dominates test time otherwise."""
     return rsa.generate_private_key(public_exponent=65537, key_size=bits)
+
+
+@functools.lru_cache(maxsize=2)
+def ec_key(slot: int = 0) -> ec.EllipticCurvePrivateKey:
+    return ec.generate_private_key(ec.SECP256R1())
+
+
+@functools.lru_cache(maxsize=2)
+def ed25519_key(slot: int = 0) -> ed25519.Ed25519PrivateKey:
+    return ed25519.Ed25519PrivateKey.generate()
 
 
 def name(cn: str | None = None, **attrs: str) -> x509.Name:
@@ -73,12 +84,15 @@ def make_cert(
     md5: bool = False,
     ca: bool = False,
     issuer_name: x509.Name | None = None,
+    pss: bool = False,
 ) -> tuple[bytes, rsa.RSAPrivateKey]:
     """Build one certificate; returns (der_bytes, subject_key).
 
     With no issuer the certificate is self-signed.  issuer_name without
     issuer_key makes the name claim an issuer while still signing with the
-    subject key (a deliberately broken link for verification tests).
+    subject key (a deliberately broken link for verification tests).  An
+    RSA signer signs with PKCS#1 v1.5, or PSS if pss is set; an Ed25519
+    signer takes no hash.
     """
     if isinstance(subject, str):
         subject = name(subject)
@@ -112,7 +126,13 @@ def make_cert(
         builder = builder.add_extension(
             x509.BasicConstraints(ca=True, path_length=None), critical=True
         )
-    cert = builder.sign(signer_key, hashes.SHA256())
+    if isinstance(signer_key, ed25519.Ed25519PrivateKey):
+        cert = builder.sign(signer_key, None)
+    elif pss:
+        pss_padding = padding.PSS(padding.MGF1(hashes.SHA256()), padding.PSS.DIGEST_LENGTH)
+        cert = builder.sign(signer_key, hashes.SHA256(), rsa_padding=pss_padding)
+    else:
+        cert = builder.sign(signer_key, hashes.SHA256())
     der = cert.public_bytes(serialization.Encoding.DER)
     if md5:
         der = patch_md5_oid(der)

@@ -8,7 +8,17 @@ import pytest
 from cryptography import x509
 from cryptography.x509.oid import NameOID
 
-from certbuild import DAY, T0, make_cert, name, patch_md5_oid, rsa_key, to_pem
+from certbuild import (
+    DAY,
+    T0,
+    ec_key,
+    ed25519_key,
+    make_cert,
+    name,
+    patch_md5_oid,
+    rsa_key,
+    to_pem,
+)
 from certsift import (
     DistinguishedName,
     Verdict,
@@ -334,10 +344,38 @@ class TestVerifyChain:
         outcome = verify_chain(
             parse_certificate(leaf_der), [], [parse_certificate(anchor_der)], T0
         )
-        # The anchor is on the path (not UntrustedRoot); the crypto backend
-        # then compares the names byte for byte and refuses the link.
-        assert outcome.verdict is Verdict.BAD_SIGNATURE
-        assert "against 'O= Test Roots, CN=Spaced Root  '" in outcome.detail
+        # the link follows the name rule; only the signature is checked on it
+        assert outcome.verdict is Verdict.VERIFIED
+
+    # signing key and make_cert options of each signature algorithm checked
+    SIGNERS = {
+        "rsa-pkcs1v15": (lambda: rsa_key(1), {}),
+        "rsa-pss": (lambda: rsa_key(1), {"pss": True}),
+        "ecdsa-p256": (ec_key, {}),
+        "ed25519": (ed25519_key, {}),
+    }
+
+    @pytest.mark.parametrize("tampered", [False, True])
+    @pytest.mark.parametrize("algorithm", sorted(SIGNERS))
+    def test_signature_checked_for_each_algorithm(self, algorithm, tampered):
+        make_key, options = self.SIGNERS[algorithm]
+        anchor_key = make_key()
+        anchor_der, _ = make_cert(
+            name("Algorithm Root", o="Test Roots"), key=anchor_key, ca=True, **options
+        )
+        leaf_der, _ = make_cert(
+            "algorithm.example",
+            issuer_cert=x509.load_der_x509_certificate(anchor_der),
+            issuer_key=anchor_key,
+            key=rsa_key(3),
+            **options,
+        )
+        if tampered:  # the last byte is the signature's
+            leaf_der = leaf_der[:-1] + bytes([leaf_der[-1] ^ 1])
+        outcome = verify_chain(
+            parse_certificate(leaf_der), [], [parse_certificate(anchor_der)], T0
+        )
+        assert outcome.verdict is (Verdict.BAD_SIGNATURE if tampered else Verdict.VERIFIED)
 
     def test_empty_trust_store_is_untrusted(self):
         root_summary, root_cert, root_key = _ca("Lonely Root", 1)

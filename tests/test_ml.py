@@ -41,10 +41,18 @@ from certsift.ml import (
     stratified_fold_indices,
     train,
 )
-from certsift.ml import classifiers, persist
+from certsift.ml import classifiers, evaluate, persist
 from certsift.ml.persist import _write_json, model_to_json, write_model
 from certsift.ml.schema import Encoder, canonical_key
-from certsift.ml.tree import _MIN_GAIN, TEST_EQ, TEST_LE, decode_tree, grow_tree, grow_trees
+from certsift.ml.tree import (
+    _MIN_GAIN,
+    TEST_EQ,
+    TEST_LE,
+    NodeTable,
+    decode_tree,
+    grow_tree,
+    grow_trees,
+)
 from certsift.synth import boolean_only_variant, load_spec, sample_corpus
 
 
@@ -226,6 +234,29 @@ def reference_grow_tree(X, y, tests, max_depth, min_leaf, rng=None, n_sample_fea
         }
 
     return grow(np.arange(n), 0)
+
+
+def nested_trees(table: NodeTable) -> list[dict]:
+    """Every tree of a grown table as the encoded nested dicts
+    reference_grow_tree builds, so that the two compare with ==.  Checks the
+    layout on the way: node t is tree t's root, a split's children are
+    left and left + 1, and every node belongs to exactly one tree."""
+    seen = []
+
+    def tree(i: int) -> dict:
+        seen.append(i)
+        j = int(table.column[i])
+        if j < 0:
+            return {"node": "leaf", "positive_fraction": float(table.fraction[i]),
+                    "count": int(table.count[i])}
+        assert table.fraction[i] == table.count[i] == 0.0
+        left = int(table.left[i])
+        return {"node": "split", "col": j, "test": TEST_EQ if table.eq_mask[j] else TEST_LE,
+                "value": float(table.value[i]), "left": tree(left), "right": tree(left + 1)}
+
+    roots = [tree(t) for t in range(table.n_trees)]
+    assert sorted(seen) == list(range(table.column.size))
+    return roots
 
 
 def random_encoded_matrix(rng: np.random.Generator):
@@ -487,11 +518,19 @@ class TestDecisionTree:
         encoder = Encoder(default_schema(), vocabs={f"f{i}": {} for i in (9, 10, 11, 12)})
         j = [col.name for col in encoder.columns].index("f15")
         leaf = {"node": "leaf", "positive_fraction": 0.5, "count": 2}
-        node = leaf
-        for depth in range(5000):
-            node = {"node": "split", "col": j, "test": TEST_LE, "value": depth,
-                    "left": leaf, "right": node}
-        node = decode_tree(node, encoder)
+        # splits at even nodes 0, 2, ..., 9998, testing 4999 down to 0; each
+        # sends left to the leaf after it and right to the next split
+        splits = np.arange(0, 10000, 2)
+        column = np.full(10001, -1)
+        column[splits] = j
+        value = np.zeros(10001)
+        value[splits] = np.arange(4999, -1, -1)
+        left = np.full(10001, -1)
+        left[splits] = splits + 1
+        table = NodeTable(column, value, left, np.where(column < 0, 0.5, 0.0),
+                          np.where(column < 0, 2.0, 0.0), encoder.eq_mask)
+        assert table.n_trees == 1
+        node = decode_tree(table, 0, encoder)
         for depth in reversed(range(5000)):
             assert list(node) == ["node", "feature", "test", "value", "left", "right"]
             assert (node["feature"], node["value"], node["left"]) == ("f15", float(depth), leaf)
@@ -511,11 +550,11 @@ class TestHistogramGrowth:
             max_depth = int(cases.integers(1, 7))
             min_leaf = int(cases.integers(1, 5))
             want = reference_grow_tree(X, y, tests, max_depth, min_leaf)
-            assert grow_tree(X, y, eq_mask(tests), max_depth, min_leaf) == want
+            assert nested_trees(grow_tree(X, y, eq_mask(tests), max_depth, min_leaf)) == [want]
 
     def test_no_columns_grows_a_leaf(self):
         X, y = np.empty((6, 0)), np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
-        assert grow_tree(X, y, eq_mask([]), 3, 1) == reference_grow_tree(X, y, [], 3, 1)
+        assert nested_trees(grow_tree(X, y, eq_mask([]), 3, 1)) == [reference_grow_tree(X, y, [], 3, 1)]
 
     @pytest.mark.parametrize("lo,hi,value", [
         (1 + 2**-52, 1 + 2**-51, 1 + 2**-52),  # adjacent doubles: the midpoint rounds up to hi
@@ -523,7 +562,7 @@ class TestHistogramGrowth:
     ])
     def test_threshold_between_adjacent_or_huge_values(self, lo, hi, value):
         X, y = np.array([[lo], [lo], [hi], [hi]]), np.array([0.0, 0.0, 1.0, 1.0])
-        root = grow_tree(X, y, eq_mask([TEST_LE]), 3, 1)
+        (root,) = nested_trees(grow_tree(X, y, eq_mask([TEST_LE]), 3, 1))
         assert root == reference_grow_tree(X, y, [TEST_LE], 3, 1)
         assert (root["node"], root["value"]) == ("split", value)
         assert (root["left"]["count"], root["right"]["count"]) == (2, 2)
@@ -542,7 +581,7 @@ class TestHistogramGrowth:
             got = grow_tree(
                 X, y, eq_mask(tests), max_depth, min_leaf, np.random.default_rng(seed), n_sample
             )
-            assert got == want
+            assert nested_trees(got) == [want]
 
     def test_lockstep_equals_one_tree_at_a_time(self, monkeypatch):
         keyed = []  # the cells (rows x columns) each bincount keys
@@ -577,7 +616,7 @@ class TestHistogramGrowth:
                 rngs = [np.random.default_rng(s) for s in seeds] if subsample else None
                 keyed.clear()
                 got = grow_trees(X, y, mask, boots, max_depth, min_leaf, rngs, n_sample)
-                assert got == want
+                assert nested_trees(got) == want
                 assert max(keyed, default=0) <= 4 * n * d
 
         # a step of exactly 4n rows takes one bincount; one more tree cuts it
@@ -587,7 +626,8 @@ class TestHistogramGrowth:
         want = reference_grow_tree(X, y, tests, 6, 1)
         for n_trees, first_steps in ((4, [4 * n * d]), (5, [4 * n * d, n * d])):
             keyed.clear()
-            assert grow_trees(X, y, mask, [np.arange(n)] * n_trees, 6, 1) == [want] * n_trees
+            got = grow_trees(X, y, mask, [np.arange(n)] * n_trees, 6, 1)
+            assert nested_trees(got) == [want] * n_trees
             assert keyed[: len(first_steps)] == first_steps
 
 
@@ -713,6 +753,24 @@ class TestNearestNeighbor:
         inside = fv("q1.example", f14=20)
         outside = fv("q2.example", f14=500)
         assert model.distance(inside, outside) == 0.0
+
+    def test_span_beyond_the_float_range_scales_finitely(self, tmp_path):
+        # 10**308 - -10**308 overflows; a warning would fail this test
+        rows = [
+            fv("a.example", "pos", f14=-10**308),
+            fv("b.example", "neg", f14=0),
+            fv("c.example", "pos", f14=10**308),
+        ]
+        model = train(Dataset(rows), KIND_KNN, {"k": 1})
+        j = [col.name for col in model.schema.included()].index("f14")
+        assert model.matrix[:, j].tolist() == [0.0, 0.5, 1.0]
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)  # the load check rejects NaN cells
+        for row in rows:
+            query = fv("q.example", f14=row.f14)
+            score = 1.0 if row.label == "pos" else 0.0
+            assert loaded.predict(query) == model.predict(query) == (row.label, score)
 
     def test_k_nearest_vote(self):
         values = [0.0, 0.1, 0.2, 0.8, 0.9, 1.0]
@@ -984,6 +1042,119 @@ class TestCrossValidate:
         report = cross_validate(f3_dataset(12), KIND_TREE)
         assert report.k == 10
         assert report.seed == DEFAULT_SEED
+
+
+def reference_fold_scores(dataset: Dataset, kind: str, hp: dict | None, k: int, seed: int):
+    """The per-fold loop tree-kind cross-validation replaced: train on the
+    other folds, predict_batch the fold.  Returns the canonical rows, the
+    folds and each fold's scores."""
+    rows = [dataset.rows[i] for i in dataset.canonical_order()]
+    folds = stratified_fold_indices([fv.label for fv in rows], k, seed)
+    scores = []
+    for test_positions in folds:
+        test_set = set(test_positions)
+        train_rows = [fv for i, fv in enumerate(rows) if i not in test_set]
+        model = train(Dataset(train_rows, dataset.schema), kind, hp, seed)
+        scores.append(model.predict_batch([rows[i] for i in test_positions])[1])
+    return rows, folds, scores
+
+
+class TestCrossValidateGrowsFoldsTogether:
+    """Tree kinds cross-validate over one encoding, every fold's trees grown
+    in shared grow_trees calls; scores must equal the per-fold reference to
+    the bit."""
+
+    @pytest.fixture(scope="class")
+    def datasets(self):
+        pos, neg = load_spec("phishing"), load_spec("alexa")
+        rng = random.Random(8)
+        # many categories and numerics, so folds miss values others hold
+        rows = [
+            fv(
+                f"m{i:03d}.example",
+                "pos" if rng.random() < 0.45 else "neg",
+                f1=rng.random() < 0.4,
+                f9=rng.choice([f"CA {c}" for c in "ABCDEFGH"]),
+                f10=rng.choice(["Org 1", "Org 2", "Org 3", "Org 4", "Org 5"]),
+                f14=rng.randrange(1, 30),
+                f15=round(rng.random(), 2),
+            )
+            for i in range(47)
+        ]
+        return {
+            "synth": sample_corpus(pos, neg, 23, seed=11),
+            "boolean": sample_corpus(
+                boolean_only_variant(pos), boolean_only_variant(neg), 30, seed=12
+            ),
+            "mixed": Dataset(rows),
+        }
+
+    @pytest.mark.parametrize("data", ["synth", "boolean", "mixed"])
+    @pytest.mark.parametrize("kind", [KIND_TREE, KIND_BAGGING, KIND_FOREST])
+    @pytest.mark.parametrize("k,seed", [(3, 5), (4, 17), (7, 9)])
+    def test_scores_equal_training_fold_by_fold(self, datasets, data, kind, k, seed):
+        dataset = datasets[data]
+        overrides = None if kind == KIND_TREE else {"n_trees": 6}
+        rows, folds, want = reference_fold_scores(dataset, kind, overrides, k, seed)
+        hp = resolve_hyperparameters(kind, overrides)
+        got = evaluate._tree_fold_scores(rows, dataset.schema, kind, hp, seed, folds)
+        assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+        report = cross_validate(dataset, kind, k, overrides, seed)
+        for fold, test_positions, scores in zip(report.per_fold, folds, want):
+            labels = [rows[i].label for i in test_positions]
+            predicted = ["pos" if s >= 0.5 else "neg" for s in scores]
+            assert fold.tp == sum(a == b == "pos" for a, b in zip(labels, predicted))
+            assert fold.tn == sum(a == b == "neg" for a, b in zip(labels, predicted))
+            assert fold.total == len(test_positions)
+
+    @pytest.mark.parametrize("budget", [1, 100, 400])
+    def test_small_budget_forces_several_calls_and_the_same_report(
+        self, datasets, budget, monkeypatch
+    ):
+        # 30 to 40 training rows per fold: a budget of 1 grows each tree
+        # alone, 100 three trees at once, and 400 up to ten, each tree of all
+        # three folds together, so every ensemble spans several calls
+        dataset = datasets["boolean"] if budget == 400 else datasets["synth"]
+        want = {kind: cross_validate(dataset, kind, 3, {"n_trees": 5}) for kind in
+                (KIND_BAGGING, KIND_FOREST)}
+        calls = []
+        grow = classifiers.grow_trees
+
+        def counted(X, y, eq_mask, boots, *args):
+            calls.append(sum(len(boot) for boot in boots))
+            return grow(X, y, eq_mask, boots, *args)
+
+        monkeypatch.setattr(classifiers, "grow_trees", counted)
+        monkeypatch.setattr(classifiers, "_GROW_ROWS", budget)
+        for kind, report in want.items():
+            calls.clear()
+            assert cross_validate(dataset, kind, 3, {"n_trees": 5}) == report
+            assert len(calls) > 1
+            assert budget == 1 or max(calls) <= budget
+
+    def test_equal_rng_states_share_draws_exactly(self):
+        cases = np.random.default_rng(2027)
+        for _ in range(60):
+            X, y, tests = random_encoded_matrix(cases)
+            n, d = X.shape
+            max_depth = int(cases.integers(1, 7))
+            min_leaf = int(cases.integers(1, 4))
+            n_sample = int(cases.integers(1, d + 1))
+            seed = int(cases.integers(0, 2**32))
+            # rngs spawned twice from one seed: the i-th of each pair starts alike
+            children = np.random.SeedSequence(seed).spawn(3) * 2
+            rngs = [np.random.default_rng(child) for child in children]
+            boots = [cases.integers(0, n, size=int(cases.integers(1, 2 * n))) for _ in children]
+            want = [
+                reference_grow_tree(X[b], y[b], tests, max_depth, min_leaf,
+                                    np.random.default_rng(child), n_sample)
+                for b, child in zip(boots, children)
+            ]
+            untouched = [rng.bit_generator.state for rng in rngs]
+            got = grow_trees(X, y, eq_mask(tests), boots, max_depth, min_leaf, rngs, n_sample)
+            assert nested_trees(got) == want
+            # the second spawn only replayed the first's draws
+            assert [rng.bit_generator.state for rng in rngs[3:]] == untouched[3:]
 
 
 class TestPersistence:
