@@ -8,6 +8,7 @@ import json
 import logging
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 from cryptography import x509
@@ -32,6 +33,9 @@ from conftest import (
     DOMAIN_HTTP_ONLY,
     DOMAIN_TLS_ONLY,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(*argv: str) -> int:
@@ -254,6 +258,31 @@ class TestClassifyCommand:
         "forest": "53e73c2afa4728a6be24f04fd3813a2873cfddb32d1c3c4eaa25245b7a866d90",
         "knn": "71fe79a5668de62e37cab94c171c38eb2a6dd426cafa7f775e60d766cdca38da",
     }
+
+    # SHA-256 of the version-1 model files under tests/data, written by the
+    # version-1 writer from the GOLDEN_CLASSIFY training sample (bagging and
+    # forest with 15 trees); each must still classify to its golden digest.
+    V1_MODELS = {
+        "tree": "e7456eb7730cff9ad836fce4a42c965fc022956370b1c80b304963163e9d8f5f",
+        "bagging": "07542db47a50aa494914d799f768fc78e37726a6cf58047dc05e6fcb48b63e07",
+        "forest": "9bbbe92e02ace1eef37692a5b4a2a5a48ad70255b79d4ec61b620b6c43a09ef8",
+        "knn": "c7f177da8e57ffa4ccfd9907b9bcf86d314ae0d240917737fb96a9e6d344e631",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(V1_MODELS))
+    def test_v1_model_file_classifies_to_golden(self, kind, tmp_path):
+        model = DATA / f"v1-{kind}.json"
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == self.V1_MODELS[kind]
+        query_csv = tmp_path / "query.csv"
+        assert run(
+            "synth", "--pos-spec", "phishing", "--neg-spec", "alexa",
+            "--n", "40", "--seed", "6", "--out", str(query_csv),
+        ) == 0
+        out = tmp_path / "classify.csv"
+        assert run(
+            "classify", "--model", str(model), "--features", str(query_csv), "--out", str(out),
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_CLASSIFY[kind]
 
     @pytest.mark.parametrize("kind", sorted(GOLDEN_CLASSIFY))
     def test_classify_output_golden(self, kind, tmp_path):
