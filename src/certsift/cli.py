@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import os
 import sys
 import tempfile
@@ -184,9 +185,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         _, vectors = _extract_vectors(args, args.corpus)
     labels, scores = model.predict_batch(vectors)
     with _atomic_output(args.out) as out:
-        out.write("domain,label,score\n")
-        for fv, label, score in zip(vectors, labels, scores):
-            out.write(f"{fv.domain},{label},{score:.6f}\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("domain", "label", "score"))
+        writer.writerows((fv.domain, label, f"{score:.6f}")
+                         for fv, label, score in zip(vectors, labels, scores))
     _note(f"classified {len(vectors)} rows with the {model.kind} model")
     return 0
 

@@ -352,7 +352,10 @@ def read_features_csv(source: io.TextIOBase | str | os.PathLike) -> list[Feature
     """Read feature vectors back from CSV produced by write_features_csv."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, newline="", encoding="utf-8") as fh:
-            return read_features_csv(fh)
+            try:
+                return read_features_csv(fh)
+            except UnicodeDecodeError as exc:
+                raise SerializationFailure(f"{source}: not UTF-8 text: {exc}") from exc
     reader = csv.reader(source)
     try:
         header = next(reader)

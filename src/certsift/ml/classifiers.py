@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import SchemaError
 from ..features import LABEL_NEGATIVE, LABEL_POSITIVE, FeatureVector
 from .schema import Dataset, Encoder, FeatureSchema, encode_labels
-from .tree import NodeTable, decode_tree, grow_tree, grow_trees  # noqa: F401 (grow_tree re-exported)
+from .tree import NodeTable, grow_tree, grow_trees  # noqa: F401 (grow_tree re-exported)
 
 DEFAULT_SEED = 17
 
@@ -76,20 +76,25 @@ class _Model:
         return labels[0], float(scores[0])
 
 
-class DecisionTreeModel(_Model):
+class _TreeModel(_Model):
+    """A tree kind's trees as one NodeTable, with the Encoder whose codes its
+    values are: the training Encoder, or the one a model file stores."""
+
+    def __init__(self, table: NodeTable, encoder: Encoder, hyperparameters: dict, seed: int):
+        super().__init__(encoder.schema, hyperparameters, seed)
+        self.table = table
+        self.encoder = encoder
+
+
+class DecisionTreeModel(_TreeModel):
     kind = KIND_TREE
 
-    def __init__(self, root: dict, schema: FeatureSchema, hyperparameters: dict, seed: int):
-        super().__init__(schema, hyperparameters, seed)
-        self.root = root
-        self._table, self._encoder = NodeTable.from_dicts([root], schema)
-
     def predict_batch(self, rows: Sequence[FeatureVector]) -> tuple[list[str], np.ndarray]:
-        (scores,) = self._table.walk_encoded(self._encoder.encode_rows(rows), [0])
+        (scores,) = self.table.walk_encoded(self.encoder.encode_rows(rows), [0])
         return [_label(s) for s in scores], scores
 
 
-class TreeEnsembleModel(_Model):
+class TreeEnsembleModel(_TreeModel):
     """Shared behavior of bagged trees and random forests.
 
     Every member tree casts one vote (its leaf majority); the ensemble
@@ -97,23 +102,12 @@ class TreeEnsembleModel(_Model):
     majority.
     """
 
-    def __init__(
-        self,
-        members: list[dict],
-        schema: FeatureSchema,
-        hyperparameters: dict,
-        seed: int,
-    ):
-        super().__init__(schema, hyperparameters, seed)
-        self.members = members
-        self._table, self._encoder = NodeTable.from_dicts(members, schema)
-
     def predict_batch(self, rows: Sequence[FeatureVector]) -> tuple[list[str], np.ndarray]:
         votes = np.zeros(len(rows), dtype=np.float64)
-        X = self._encoder.encode_rows(rows)
-        for fractions in self._table.walk_encoded(X, range(len(self.members))):
+        X = self.encoder.encode_rows(rows)
+        for fractions in self.table.walk_encoded(X, range(self.table.n_trees)):
             votes += fractions >= 0.5
-        scores = votes / len(self.members)
+        scores = votes / self.table.n_trees
         return [_label(s) for s in scores], scores
 
 
@@ -239,6 +233,9 @@ class NearestNeighborModel(_Model):
         return [_label(s) for s in scores], scores
 
 
+TREE_CLASSES = {KIND_TREE: DecisionTreeModel, KIND_BAGGING: BaggedTreesModel,
+                KIND_FOREST: RandomForestModel}
+
 TrainedModel = DecisionTreeModel | BaggedTreesModel | RandomForestModel | NearestNeighborModel
 
 
@@ -330,11 +327,8 @@ def train(
 
     if kind in TREE_KINDS:
         grown = _grow_trees(X, y, encoder.eq_mask, kind, hp, seed, [np.arange(len(rows))])
-        roots = [decode_tree(table, t, encoder) for table, _ in grown for t in range(table.n_trees)]
-        if kind == KIND_TREE:
-            return DecisionTreeModel(roots[0], schema, hp, seed)
-        cls = RandomForestModel if kind == KIND_FOREST else BaggedTreesModel
-        return cls(roots, schema, hp, seed)
+        table = NodeTable.join([table for table, _ in grown])
+        return TREE_CLASSES[kind](table, encoder, hp, seed)
     # k-NN: scale numeric columns to [0, 1] over the training rows, through
     # the helper queries use (clamping leaves training values as they are)
     numeric = ~encoder.eq_mask

@@ -2,38 +2,51 @@
 
 The on-disk document records a format version, the model kind, the seed,
 the resolved hyperparameters, the full feature schema (with fingerprint),
-and the kind-specific payload.  Loading validates all of it: a file that
-does not parse or fails structural checks raises CorruptModel; a version
-this code does not speak raises VersionMismatch.
+and the kind-specific payload.  Version 2, the one written, nests nothing
+below its payload: a tree kind's "nodes" are the five arrays of its
+NodeTable (column, value, left, fraction and count, in the training
+encoding) with the vocabularies of that encoding, and a k-NN model's
+"instances" are its vocabularies, numeric ranges, scaled matrix and
+labels.  A file is one compact json.dumps of the document and a newline.
+
+Loading validates all of it: a file that is not UTF-8 JSON or fails
+structural checks raises CorruptModel; a version this code does not speak
+raises VersionMismatch.  Version-1 files, whose trees are nested dicts,
+are read through NodeTable.from_dicts but never written.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from json.encoder import encode_basestring_ascii
+from itertools import compress
 from typing import TextIO
 
 import numpy as np
 
 from ..errors import CorruptModel, VersionMismatch
 from .classifiers import (
-    KIND_BAGGING,
-    KIND_FOREST,
-    KIND_KNN,
     KIND_TREE,
     MODEL_KINDS,
-    BaggedTreesModel,
-    DecisionTreeModel,
+    TREE_CLASSES,
     NearestNeighborModel,
-    RandomForestModel,
     TrainedModel,
 )
-from .schema import FeatureColumn, FeatureSchema, KIND_BOOLEAN, KIND_CATEGORICAL, KIND_INTEGER, KIND_REAL
+from .schema import (
+    KIND_BOOLEAN,
+    KIND_CATEGORICAL,
+    KIND_INTEGER,
+    KIND_REAL,
+    Encoder,
+    FeatureColumn,
+    FeatureSchema,
+)
+from .tree import NodeTable
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-_ENSEMBLE_CLASSES = {KIND_BAGGING: BaggedTreesModel, KIND_FOREST: RandomForestModel}
+# a version-2 tree payload's arrays, one cell per node
+_NODE_ARRAYS = ("column", "value", "left", "fraction", "count")
 
 
 def _schema_to_json(schema: FeatureSchema) -> dict:
@@ -72,11 +85,7 @@ def model_to_json(model: TrainedModel) -> dict:
         "hyperparameters": model.hyperparameters,
         "schema": _schema_to_json(model.schema),
     }
-    if isinstance(model, DecisionTreeModel):
-        doc["tree"] = model.root
-    elif isinstance(model, (BaggedTreesModel, RandomForestModel)):
-        doc["trees"] = model.members
-    elif isinstance(model, NearestNeighborModel):
+    if isinstance(model, NearestNeighborModel):
         doc["instances"] = {
             "vocabs": model.encoder.vocabs,
             "ranges": {name: list(r) for name, r in model.ranges.items()},
@@ -84,79 +93,21 @@ def model_to_json(model: TrainedModel) -> dict:
             "labels": model.labels.tolist(),
         }
     else:
-        raise ValueError(f"cannot serialize model of type {type(model).__name__}")
+        table = model.table
+        doc["nodes"] = {
+            "vocabs": model.encoder.vocabs,
+            "column": table.column.tolist(),
+            "value": table.value.tolist(),
+            "left": table.left.tolist(),
+            "fraction": table.fraction.tolist(),
+            "count": table.count.astype(np.int64).tolist(),
+        }
     return doc
 
 
 def write_model(model: TrainedModel, fh: TextIO) -> None:
-    """Write the model file (indented JSON and a final newline) to a text stream."""
-    _write_json(model_to_json(model), fh)
-    fh.write("\n")
-
-
-# pieces of text joined into each write, which bounds what a save holds
-_WRITE_PARTS = 4096
-
-_DONE = object()
-
-# json's names for the floats whose repr is not JSON
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _write_json(doc, fh: TextIO) -> None:
-    """Write doc to fh as the bytes of json.dump(doc, fh, indent=1), for
-    documents whose keys are all str.  Open containers sit on an explicit
-    stack, where the json encoder keeps one generator per nesting level,
-    so no depth of nesting recurses."""
-    parts: list[str] = []
-    stack = []  # open containers: (item iterator, is a dict, separator, closing text)
-    value, lead = doc, ""  # the next value to write and the text before it
-    while True:
-        first = None  # the separator before an opened container's first item
-        if isinstance(value, str):
-            parts.append(lead + encode_basestring_ascii(value))
-        elif value is None:
-            parts.append(lead + "null")
-        elif value is True:
-            parts.append(lead + "true")
-        elif value is False:
-            parts.append(lead + "false")
-        elif isinstance(value, int):
-            parts.append(lead + int.__repr__(value))
-        elif isinstance(value, float):
-            text = float.__repr__(value)
-            parts.append(lead + _NON_FINITE.get(text, text))
-        elif isinstance(value, (list, tuple, dict)):
-            is_dict = isinstance(value, dict)
-            if not value:
-                parts.append(lead + ("{}" if is_dict else "[]"))
-            else:
-                parts.append(lead + ("{" if is_dict else "["))
-                first = "\n" + " " * (len(stack) + 1)
-                close = first[:-1] + ("}" if is_dict else "]")
-                stack.append((iter(value.items() if is_dict else value), is_dict, "," + first, close))
-        else:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        if len(parts) >= _WRITE_PARTS:
-            fh.write("".join(parts))
-            parts.clear()
-        # the next value is the next item of the innermost open container
-        while stack:
-            items, is_dict, separator, close = stack[-1]
-            item = next(items, _DONE)
-            if item is not _DONE:
-                break
-            parts.append(close)
-            stack.pop()
-        else:
-            break
-        lead = first or separator
-        if is_dict:
-            key, value = item
-            lead += encode_basestring_ascii(key) + ": "
-        else:
-            value = item
-    fh.write("".join(parts))
+    """Write the model file (compact JSON and a final newline) to a text stream."""
+    fh.write(json.dumps(model_to_json(model), separators=(",", ":")) + "\n")
 
 
 def save_model(model: TrainedModel, path: str | os.PathLike) -> None:
@@ -170,10 +121,10 @@ def model_from_json(doc: dict) -> TrainedModel:
     version = doc.get("format_version")
     if not isinstance(version, int):
         raise CorruptModel(f"bad format_version {version!r}")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise VersionMismatch(
             f"model format version {version} is not supported (this code "
-            f"reads version {FORMAT_VERSION})"
+            f"reads versions 1 and {FORMAT_VERSION})"
         )
     kind = doc.get("kind")
     if kind not in MODEL_KINDS:
@@ -185,22 +136,21 @@ def model_from_json(doc: dict) -> TrainedModel:
         raise CorruptModel(f"model header does not decode: {exc}") from exc
     schema = _schema_from_json(doc.get("schema") or {})
 
-    if kind == KIND_TREE:
-        return DecisionTreeModel(doc.get("tree"), schema, hyperparameters, seed)
-    if kind in _ENSEMBLE_CLASSES:
-        members = doc.get("trees")
-        if not isinstance(members, list) or not members:
-            raise CorruptModel("ensemble model holds no trees")
-        return _ENSEMBLE_CLASSES[kind](members, schema, hyperparameters, seed)
+    if kind in TREE_CLASSES:
+        if version == FORMAT_VERSION:
+            table, encoder = _nodes_from_json(doc.get("nodes"), kind, schema)
+        else:
+            roots = [doc.get("tree")] if kind == KIND_TREE else doc.get("trees")
+            if not isinstance(roots, list) or not roots:
+                raise CorruptModel("ensemble model holds no trees")
+            table, encoder = NodeTable.from_dicts(roots, schema)
+        return TREE_CLASSES[kind](table, encoder, hyperparameters, seed)
 
     instances = doc.get("instances")
     if not isinstance(instances, dict):
         raise CorruptModel("nearest-neighbor model holds no instances")
     try:
-        vocabs = {
-            str(name): {str(v): int(code) for v, code in vocab.items()}
-            for name, vocab in instances["vocabs"].items()
-        }
+        vocabs = _vocabs_from_json(instances["vocabs"])
         ranges = {
             str(name): (float(pair[0]), float(pair[1]))
             for name, pair in instances["ranges"].items()
@@ -221,6 +171,70 @@ def model_from_json(doc: dict) -> TrainedModel:
     return model
 
 
+def _vocabs_from_json(vocabs: dict) -> dict[str, dict[str, int]]:
+    """Stored categorical vocabularies; raises what a malformed one raises
+    (KeyError, TypeError, ValueError or AttributeError)."""
+    return {
+        str(name): {str(v): int(code) for v, code in vocab.items()}
+        for name, vocab in vocabs.items()
+    }
+
+
+def _code_counts(encoder: Encoder) -> np.ndarray:
+    """The codes each column's values can take: 2 on a boolean (0/1), its
+    vocabulary's size on a categorical, none on a numeric column."""
+    return np.array([2 if col.kind == KIND_BOOLEAN else len(encoder.vocabs[col.name])
+                     if col.kind == KIND_CATEGORICAL else 0 for col in encoder.columns])
+
+
+def _are_codes(values: np.ndarray, counts) -> np.ndarray:
+    """Which values are whole numbers in [0, counts); NaN never is."""
+    return (values >= 0) & (values < counts) & (values == np.floor(values))
+
+
+def _nodes_from_json(payload, kind: str, schema: FeatureSchema) -> tuple[NodeTable, Encoder]:
+    """The table and Encoder of a version-2 tree payload, checked array-wide
+    against what growth always writes and walking relies on.  Each split
+    tests an included column against a value of that column's kind: 0/1 on
+    a boolean, a whole code inside the vocabulary on a categorical, any
+    number but NaN on a threshold.  Its left child lies after it and its
+    right child (left + 1) inside the table.  Nodes 0..n_trees-1 are the
+    roots, no split's child, and every other node is the child of exactly
+    one split, so every walk from a root ends at a leaf.  A tree model holds
+    one tree.  Leaves hold a fraction in [0, 1] and a whole count >= 1."""
+    try:
+        encoder = Encoder(schema, vocabs=_vocabs_from_json(payload["vocabs"]))
+        arrays = [np.array(payload[name]) for name in _NODE_ARRAYS]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CorruptModel(f"tree payload does not decode: {exc}") from exc
+    size = arrays[0].size
+    if not size or any(a.ndim != 1 or a.size != size or a.dtype.kind not in "iuf" for a in arrays):
+        raise CorruptModel("tree payload arrays are not equal-length lists of numbers")
+    column, value, left, fraction, count = (a.astype(np.float64) for a in arrays)
+    if not np.isin(column, np.arange(-1, len(encoder.columns))).all():
+        raise CorruptModel("a split tests a column the model does not read")
+    split = np.flatnonzero(column >= 0)
+    j, value_at, left_at = column[split].astype(np.intp), value[split], left[split]
+    fits = np.where(encoder.eq_mask[j], _are_codes(value_at, _code_counts(encoder)[j]),
+                    ~np.isnan(value_at))
+    if not fits.all():
+        raise CorruptModel("a split value does not fit its column's kind")
+    if not (_are_codes(left_at, size - 1) & (left_at > split)).all():
+        raise CorruptModel("a split's children do not follow it inside the table")
+    n_trees = size - 2 * split.size
+    hits = np.bincount(np.concatenate([left_at, left_at + 1]).astype(np.intp), minlength=size)
+    if n_trees < 1 or hits[:n_trees].any() or (hits[n_trees:] != 1).any():
+        raise CorruptModel("the nodes are not trees whose roots come first")
+    if kind == KIND_TREE and n_trees != 1:
+        raise CorruptModel(f"a tree model holds {n_trees} trees")
+    leaf = column < 0
+    share, rows = fraction[leaf], count[leaf]
+    if not ((share >= 0.0) & (share <= 1.0) & (rows >= 1) & (rows == np.floor(rows))).all():
+        raise CorruptModel("a leaf's fraction or count is out of range")
+    left = np.where(leaf, -1.0, left)  # a leaf's left is never read
+    return NodeTable(column, value, left, fraction, count, encoder.eq_mask), encoder
+
+
 def _check_knn(model: NearestNeighborModel) -> None:
     """Reject what training never writes and exact chunked prediction
     relies on (classifiers.NearestNeighborModel): k a whole number >= 1,
@@ -234,16 +248,12 @@ def _check_knn(model: NearestNeighborModel) -> None:
         raise CorruptModel("nearest-neighbor labels are not all 0 or 1")
     if not np.isfinite(list(model.ranges.values())).all():
         raise CorruptModel("nearest-neighbor numeric ranges are not all finite")
-    for col, values in zip(model.encoder.columns, model.matrix.T):
-        if col.kind == KIND_BOOLEAN:
-            fits = np.isin(values, (0.0, 1.0))
-        elif col.kind == KIND_CATEGORICAL:
-            size = len(model.encoder.vocabs[col.name])
-            fits = (values >= 0) & (values < size) & (values == np.floor(values))
-        else:
-            fits = (values >= 0.0) & (values <= 1.0)
-        if not fits.all():
-            raise CorruptModel(f"nearest-neighbor column {col.name} holds a value out of its kind")
+    X = model.matrix
+    fits = np.where(model.encoder.eq_mask, _are_codes(X, _code_counts(model.encoder)),
+                    (X >= 0.0) & (X <= 1.0))
+    bad = [col.name for col in compress(model.encoder.columns, ~fits.all(axis=0))]
+    if bad:
+        raise CorruptModel(f"nearest-neighbor column {bad[0]} holds a value out of its kind")
 
 
 def load_model(path: str | os.PathLike) -> TrainedModel:
@@ -253,6 +263,8 @@ def load_model(path: str | os.PathLike) -> TrainedModel:
         return model_from_json(doc)
     except json.JSONDecodeError as exc:
         raise CorruptModel(f"{path}: not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorruptModel(f"{path}: not UTF-8 text: {exc}") from exc
     except RecursionError:
         # the JSON decoder recurses once per nesting level; nothing else does
         raise CorruptModel(f"{path}: nested too deeply to load") from None

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegenerateDataset, SchemaError
+from ..errors import DegenerateDataset
 from ..features import (
     BOOLEAN_FEATURES,
     CATEGORICAL_FEATURES,
@@ -119,9 +119,9 @@ class Encoder:
     Booleans become 0/1.  Categorical values get integer codes from a
     vocabulary, sorted lexically; values not in it encode as -1, which
     matches no code.  Numerics pass through unchanged.  The vocabulary is
-    built over the training rows, or given as a model stored it; the
-    decode table follows from it either way.  eq_mask marks the columns
-    compared by equality (booleans and categoricals), the rest by order.
+    built over the training rows, or given as a model stored it.  eq_mask
+    marks the columns compared by equality (booleans and categoricals), the
+    rest by order.
     """
 
     def __init__(
@@ -139,10 +139,6 @@ class Encoder:
                 values = sorted({fv.value(name) for fv in rows})
                 vocabs[name] = {v: i for i, v in enumerate(values)}
         self.vocabs = {name: vocabs[name] for name in categorical}
-        self._values = {
-            name: {code: v for v, code in vocab.items()}
-            for name, vocab in self.vocabs.items()
-        }
         self.eq_mask = np.array(
             [col.kind in (KIND_BOOLEAN, KIND_CATEGORICAL) for col in self.columns],
             dtype=bool,
@@ -157,16 +153,6 @@ class Encoder:
                 values = [code(v, -1) for v in values]
             matrix[:, j] = values
         return matrix
-
-    def decode_value(self, col: FeatureColumn, encoded: float):
-        if col.kind == KIND_BOOLEAN:
-            return bool(encoded)
-        if col.kind == KIND_CATEGORICAL:
-            try:
-                return self._values[col.name][int(encoded)]
-            except KeyError:
-                raise SchemaError(f"code {encoded} has no value in {col.name}") from None
-        return encoded
 
 
 def encode_labels(rows: Sequence[FeatureVector]) -> np.ndarray:

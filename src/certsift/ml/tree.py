@@ -45,13 +45,14 @@ with equal training sizes) therefore draw once and replay: exact, and
 never the case for the distinct rngs of one ensemble.
 
 Growth writes nodes straight into one flat NodeTable (typed buffers while
-it grows, numpy arrays once done), in the encoding of X; walk_encoded
-scores rows in that encoding without decoding anything.  decode_tree turns
-one tree of it into a model file's nested dict (feature names and raw
-values), which a model checks and walks through NodeTable.from_dicts, as
-a loaded model does, so a persisted tree predicts without the training
-vocabulary.  Growth, decoding and the table all keep explicit stacks or
-queues, so no tree depth recurses.
+it grows, numpy arrays once done), in the encoding of X.  A trained model
+keeps that table with its training Encoder, and a version-2 model file
+stores the table's arrays and the Encoder's vocabularies as they are, so
+training, the file and prediction share one representation; walk_encoded
+scores rows in that encoding without decoding anything.  Only
+NodeTable.from_dicts, the reader of version-1 files, meets nested trees.
+Growth, the table and that reader all keep explicit stacks or queues, so
+no tree depth recurses.
 """
 
 from __future__ import annotations
@@ -271,32 +272,6 @@ def grow_trees(
     return NodeTable(node_column, node_value, node_left, node_fraction, node_count, eq_mask)
 
 
-def decode_tree(table: NodeTable, t: int, encoder: Encoder) -> dict:
-    """Tree t of a table grown over encoder's codes as a model file's tree:
-    column indices and encoded values become feature names and raw values."""
-    # memoryviews read single cells as Python numbers, much faster than numpy
-    column, value, left, fraction, count = map(
-        memoryview, (table.column, table.value, table.left, table.fraction, table.count)
-    )
-    eq = encoder.eq_mask.tolist()
-    holder: dict = {}
-    stack = [(t, holder, "root")]
-    while stack:  # left pops first, so its key precedes right's
-        i, parent, side = stack.pop()
-        j = column[i]
-        if j < 0:
-            parent[side] = {"node": "leaf", "positive_fraction": fraction[i], "count": int(count[i])}
-            continue
-        col = encoder.columns[j]
-        if eq[j]:
-            test, encoded = TEST_EQ, encoder.decode_value(col, value[i])
-        else:
-            test, encoded = TEST_LE, value[i]
-        parent[side] = split = {"node": "split", "feature": col.name, "test": test, "value": encoded}
-        stack += [(left[i] + 1, split, "right"), (left[i], split, "left")]
-    return holder["root"]
-
-
 class NodeTable:
     """Trees as flat node arrays (scikit-learn's Tree layout,
     sklearn/tree/_tree.pyx); node t is tree t's root.  A split sends a row to
@@ -305,8 +280,9 @@ class NodeTable:
     and count hold its positive fraction and training rows (0 at a split).
 
     Values are codes of the encoding the table was built over: the training
-    Encoder's for a table grow_trees returns, a vocabulary of the tested
-    values for one from_dicts builds.  Walking never touches a dict.
+    Encoder's for a table grow_trees returns (and a model file of version 2
+    stores), a vocabulary of the tested values for one from_dicts reads from
+    a version-1 file.  Walking never touches a dict.
     """
 
     def __init__(self, column, value, left, fraction, count, eq_mask: np.ndarray):
@@ -320,10 +296,31 @@ class NodeTable:
         self.n_trees = self.column.size - 2 * int(np.count_nonzero(self.column >= 0))
 
     @classmethod
+    def join(cls, tables: Sequence[NodeTable]) -> NodeTable:
+        """The trees of several tables over one encoding as one table: every
+        table's roots first, in order, then every table's other nodes.  Nodes
+        keep their order within each part, so every child still follows its
+        parent."""
+        offsets = np.cumsum([0] + [table.column.size for table in tables])
+        column, value, left, fraction, count = (np.concatenate(cells) for cells in zip(
+            *((t.column, t.value, t.left + k, t.fraction, t.count) for t, k in zip(tables, offsets))
+        ))
+        order = np.concatenate(
+            [k + np.arange(t.n_trees) for t, k in zip(tables, offsets)]
+            + [k + np.arange(t.n_trees, t.column.size) for t, k in zip(tables, offsets)]
+        )
+        place = np.empty_like(order)  # each node's index in the joined table
+        place[order] = np.arange(order.size)
+        column = column[order]
+        left = np.where(column >= 0, place[left[order]], -1)
+        return cls(column, value[order], left, fraction[order], count[order], tables[0].eq_mask)
+
+    @classmethod
     def from_dicts(cls, roots: Sequence, schema: FeatureSchema) -> tuple[NodeTable, Encoder]:
-        """The table of a model's decoded trees, laid out breadth first, and
-        the Encoder of query rows whose codes its values are.  A category no
-        split tests encodes as -1, so it matches nothing and goes right.
+        """The reader of a version-1 model file's nested trees: their table,
+        laid out breadth first, and the Encoder of query rows whose codes its
+        values are.  A category no split tests encodes as -1, so it matches
+        nothing and goes right.
 
         Building the table checks a loaded tree: it raises CorruptModel on
         any node prediction could not walk.

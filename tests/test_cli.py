@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import base64
+import csv
+import dataclasses
 import hashlib
 import json
 import logging
@@ -114,10 +116,10 @@ class TestTrainAndEval:
         ) == 0
         assert "seed 17" in capsys.readouterr().err
         doc = json.loads(model_path.read_text())
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         assert doc["kind"] == "forest"
         assert doc["hyperparameters"]["n_trees"] == 10
-        assert len(doc["trees"]) == 10
+        assert load_model(model_path).table.n_trees == 10
 
     def test_train_byte_identical_reruns(self, synth_csv, tmp_path):
         a = tmp_path / "a.json"
@@ -297,11 +299,49 @@ class TestClassifyCommand:
         if kind in ("bagging", "forest"):
             argv += ["--trees", "15"]
         assert main(argv) == 0
+        assert json.loads(model.read_text())["format_version"] == 2
         out = tmp_path / "classify.csv"
         assert run(
             "classify", "--model", str(model), "--features", str(query_csv), "--out", str(out),
         ) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_CLASSIFY[kind]
+
+    def test_tree_deeper_than_the_recursion_limit_round_trips(self, tmp_path):
+        # alternating labels along f15 grow a chain about 1,200 splits deep
+        n = 1200
+        rows = [features.FeatureVector(
+            domain=f"r{i:04d}.example", f1=False, f2=False, f3=False, f4=False, f5=False,
+            f6=False, f7=False, f8=False, f9="CA", f10="Org", f11="US", f12="US",
+            f13=365, f14=5, f15=i / n, label="pos" if i % 2 else "neg",
+        ) for i in range(n)]
+        csv_path, model_path, out = (tmp_path / name for name in ("deep.csv", "deep.json", "out.csv"))
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            features.write_features_csv(fh, rows)
+        assert run("train", "--features", str(csv_path), "--algo", "tree", "--depth", "12000",
+                   "--min-leaf", "1", "--model-out", str(model_path)) == 0
+        assert run("classify", "--model", str(model_path), "--features", str(csv_path),
+                   "--out", str(out)) == 0
+        model = load_model(model_path)
+        assert model.table.column.size > 2000
+        _, scores = model.predict_batch(read_features_csv(csv_path))
+        lines = out.read_text().splitlines()[1:]
+        assert [line.rsplit(",", 1)[1] for line in lines] == [f"{s:.6f}" for s in scores]
+
+    def test_domains_holding_delimiters_stay_one_row(self, synth_csv, model_path, tmp_path):
+        rows = read_features_csv(synth_csv)
+        rows[0] = dataclasses.replace(rows[0], domain="evil,pos,1.000000\nx.example")
+        rows[1] = dataclasses.replace(rows[1], domain='quoted"name.example')
+        forged = tmp_path / "forged.csv"
+        with open(forged, "w", encoding="utf-8", newline="") as fh:
+            features.write_features_csv(fh, rows)
+        out = tmp_path / "predictions.csv"
+        assert run("classify", "--model", str(model_path), "--features", str(forged),
+                   "--out", str(out)) == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            got = list(csv.reader(fh))
+        assert got[0] == ["domain", "label", "score"]
+        assert [row[0] for row in got[1:]] == [fv.domain for fv in rows]
+        assert all(len(row) == 3 for row in got)
 
     def test_corrupt_model_exit_3(self, synth_csv, tmp_path, capsys):
         broken = tmp_path / "broken.json"
@@ -311,12 +351,13 @@ class TestClassifyCommand:
         assert "CorruptModel" in capsys.readouterr().err
 
     def test_deeply_nested_model_exit_3(self, model_path, synth_csv, tmp_path, capsys):
-        # a well-formed tree model whose tree nests 3,000 splits deep
+        # a well-formed version-1 tree model whose tree nests 3,000 splits deep
         doc = json.loads(model_path.read_text())
         assert doc["schema"]["fingerprint"] == default_schema().fingerprint()
         leaf = '{"node": "leaf", "positive_fraction": 1.0, "count": 1}'
         split = '{"node": "split", "feature": "f1", "test": "eq", "value": true, "left": '
-        doc["tree"] = "TREE"
+        del doc["nodes"]
+        doc.update(format_version=1, tree="TREE")
         deep = tmp_path / "deep.json"
         deep.write_text(json.dumps(doc).replace(
             '"TREE"', split * 3000 + leaf + (', "right": ' + leaf + "}") * 3000
@@ -324,6 +365,18 @@ class TestClassifyCommand:
         code = run("classify", "--model", str(deep), "--features", str(synth_csv))
         assert code == 3
         assert "CorruptModel" in capsys.readouterr().err
+
+    def test_model_not_utf8_exit_3(self, model_path, synth_csv, capsys):
+        model_path.write_bytes(model_path.read_bytes().replace(b'"tree"', b'"tr\xffe"', 1))
+        code = run("classify", "--model", str(model_path), "--features", str(synth_csv))
+        assert code == 3
+        assert "CorruptModel" in capsys.readouterr().err
+
+    def test_features_not_utf8_exit_3(self, model_path, synth_csv, capsys):
+        synth_csv.write_bytes(synth_csv.read_bytes().replace(b".example", b".ex\xffample", 1))
+        code = run("classify", "--model", str(model_path), "--features", str(synth_csv))
+        assert code == 3
+        assert "SerializationFailure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", [0, "5"])
     def test_bad_knn_k_exit_3(self, k, synth_csv, tmp_path, capsys):
@@ -342,8 +395,8 @@ class TestClassifyCommand:
 
     def test_unknown_feature_model_exit_3(self, model_path, synth_csv, tmp_path, capsys):
         doc = json.loads(model_path.read_text())
-        assert doc["tree"]["node"] == "split"
-        doc["tree"]["feature"] = "f99"
+        assert doc["nodes"]["column"][0] >= 0  # the root is a split
+        doc["nodes"]["column"][0] = 99
         bad = tmp_path / "f99.json"
         bad.write_text(json.dumps(doc))
         code = run("classify", "--model", str(bad), "--features", str(synth_csv))

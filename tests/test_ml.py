@@ -6,12 +6,9 @@ import hashlib
 import io
 import json
 import random
-import sys
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from certsift import FeatureVector
 from certsift.errors import (
@@ -32,6 +29,7 @@ from certsift.ml import (
     FeatureColumn,
     FeatureSchema,
     NearestNeighborModel,
+    RandomForestModel,
     cross_validate,
     default_schema,
     load_model,
@@ -41,15 +39,14 @@ from certsift.ml import (
     stratified_fold_indices,
     train,
 )
-from certsift.ml import classifiers, evaluate, persist
-from certsift.ml.persist import _write_json, model_to_json, write_model
+from certsift.ml import classifiers, evaluate
+from certsift.ml.persist import model_to_json, write_model
 from certsift.ml.schema import Encoder, canonical_key
 from certsift.ml.tree import (
     _MIN_GAIN,
     TEST_EQ,
     TEST_LE,
     NodeTable,
-    decode_tree,
     grow_tree,
     grow_trees,
 )
@@ -80,6 +77,43 @@ def reference_leaf_fraction(node: dict, fv: FeatureVector) -> float:
             go_left = float(value) <= node["value"]
         node = node["left"] if go_left else node["right"]
     return node["positive_fraction"]
+
+
+def decoded_trees(model) -> list[dict]:
+    """A tree model's trees as nested dicts of feature names and raw values
+    (a version-1 file's trees), read off its table and encoder."""
+    table, encoder = model.table, model.encoder
+    values = {name: {code: v for v, code in vocab.items()} for name, vocab in encoder.vocabs.items()}
+
+    def tree(i: int) -> dict:
+        j = int(table.column[i])
+        if j < 0:
+            return {"node": "leaf", "positive_fraction": float(table.fraction[i]),
+                    "count": int(table.count[i])}
+        col, value = encoder.columns[j], float(table.value[i])
+        if col.kind == "boolean":
+            value = bool(value)
+        elif col.kind == "categorical":
+            value = values[col.name][int(value)]
+        left = int(table.left[i])
+        return {"node": "split", "feature": col.name,
+                "test": TEST_EQ if encoder.eq_mask[j] else TEST_LE, "value": value,
+                "left": tree(left), "right": tree(left + 1)}
+
+    return [tree(t) for t in range(table.n_trees)]
+
+
+def v1_document(model) -> dict:
+    """The version-1 document of a tree model: its trees nested as dicts."""
+    doc = model_to_json(model)
+    del doc["nodes"]
+    trees = decoded_trees(model)
+    doc["format_version"] = 1
+    if model.kind == KIND_TREE:
+        doc["tree"] = trees[0]
+    else:
+        doc["trees"] = trees
+    return doc
 
 
 def reference_knn_encode(model: NearestNeighborModel, fv: FeatureVector) -> np.ndarray:
@@ -130,7 +164,7 @@ def reference_predict(model, fv: FeatureVector, dataset: Dataset) -> tuple[str, 
     """One row through the dict walk (tree kinds) or a pairwise k-NN scan
     over the training dataset."""
     if isinstance(model, DecisionTreeModel):
-        score = reference_leaf_fraction(model.root, fv)
+        score = reference_leaf_fraction(decoded_trees(model)[0], fv)
     elif isinstance(model, NearestNeighborModel):
         rows = [dataset.rows[i] for i in dataset.canonical_order()]
         dists = [reference_knn_distance(model, fv, row) for row in rows]
@@ -138,8 +172,9 @@ def reference_predict(model, fv: FeatureVector, dataset: Dataset) -> tuple[str, 
         nearest = nearest[: model.hyperparameters["k"]]
         score = sum(rows[i].label == "pos" for i in nearest) / len(nearest)
     else:
-        votes = sum(reference_leaf_fraction(root, fv) >= 0.5 for root in model.members)
-        score = votes / len(model.members)
+        trees = decoded_trees(model)
+        votes = sum(reference_leaf_fraction(root, fv) >= 0.5 for root in trees)
+        score = votes / len(trees)
     return ("pos" if score >= 0.5 else "neg"), score
 
 
@@ -293,6 +328,14 @@ def eq_mask(tests: list[str]) -> np.ndarray:
     return np.array([test == TEST_EQ for test in tests], dtype=bool)
 
 
+def node_cells(i: int, **cells):
+    """A mutation setting node i's cells of a version-2 document's arrays."""
+    def mutate(doc: dict) -> None:
+        for name, value in cells.items():
+            doc["nodes"][name][i] = value
+    return mutate
+
+
 def f3_dataset(n_per_class: int = 20) -> Dataset:
     rows = []
     for i in range(n_per_class):
@@ -360,10 +403,6 @@ class TestSchema:
         j = encoder.columns.index(col)
         queries = [fv("q1.example", f9="Alpha"), fv("q2.example", f9="Gamma")]
         assert encoder.encode_rows(queries)[:, j].tolist() == [0.0, -1.0]
-        assert encoder.decode_value(col, 1.0) == "Beta"
-        for unknown in (2.0, -1.0):
-            with pytest.raises(SchemaError):
-                encoder.decode_value(col, unknown)
 
     def test_encoder_from_stored_vocabs(self):
         rows = [fv("a.example", f9="Beta", f1=True), fv("b.example", f9="Alpha", f15=0.25)]
@@ -375,10 +414,6 @@ class TestSchema:
         assert stored.eq_mask.tolist() == fitted.eq_mask.tolist()
         queries = rows + [fv("q.example", f9="Gamma", f14=99)]
         assert stored.encode_rows(queries).tobytes() == fitted.encode_rows(queries).tobytes()
-        col = next(c for c in stored.columns if c.name == "f9")
-        assert [stored.decode_value(col, code) for code in (0.0, 1.0)] == ["Alpha", "Beta"]
-        with pytest.raises(SchemaError):
-            stored.decode_value(col, 2.0)
 
     def test_encoder_matrix_shape(self):
         rows = [fv("a.example"), fv("b.example", f1=True)]
@@ -407,10 +442,11 @@ class TestHyperparameters:
 class TestDecisionTree:
     def test_perfectly_separable_single_split(self):
         model = train(f3_dataset(), KIND_TREE)
-        assert model.root["node"] == "split"
-        assert model.root["feature"] == "f3"
-        assert model.root["left"]["node"] == "leaf"
-        assert model.root["right"]["node"] == "leaf"
+        (root,) = decoded_trees(model)
+        assert root["node"] == "split"
+        assert root["feature"] == "f3"
+        assert root["left"]["node"] == "leaf"
+        assert root["right"]["node"] == "leaf"
         for row in f3_dataset().rows:
             label, score = model.predict(row)
             assert label == row.label
@@ -423,7 +459,7 @@ class TestDecisionTree:
             rows.append(fv(f"p{i}.example", "pos", f1=True, f2=True))
             rows.append(fv(f"n{i}.example", "neg", f1=False, f2=False))
         model = train(Dataset(rows), KIND_TREE)
-        assert model.root["feature"] == "f1"
+        assert decoded_trees(model)[0]["feature"] == "f1"
 
     def test_numeric_threshold_split(self):
         rows = []
@@ -431,9 +467,10 @@ class TestDecisionTree:
             rows.append(fv(f"hi{i}.example", "pos", f15=0.9))
             rows.append(fv(f"lo{i}.example", "neg", f15=0.2))
         model = train(Dataset(rows), KIND_TREE)
-        assert model.root["feature"] == "f15"
-        assert model.root["test"] == "le"
-        assert model.root["value"] == pytest.approx(0.55)
+        (root,) = decoded_trees(model)
+        assert root["feature"] == "f15"
+        assert root["test"] == "le"
+        assert root["value"] == pytest.approx(0.55)
         assert model.predict(fv("q.example", f15=0.3))[0] == "neg"
         assert model.predict(fv("q.example", f15=0.8))[0] == "pos"
 
@@ -455,7 +492,7 @@ class TestDecisionTree:
                 walk(node["left"], depth + 1)
                 walk(node["right"], depth + 1)
 
-        walk(stump.root, 0)
+        walk(decoded_trees(stump)[0], 0)
         assert max(depths) <= 1
         deep = train(Dataset(rows), KIND_TREE, {"max_depth": 4})
         assert all(deep.predict(r)[0] == r.label for r in rows)
@@ -472,7 +509,7 @@ class TestDecisionTree:
                 check(node["left"])
                 check(node["right"])
 
-        check(model.root)
+        check(decoded_trees(model)[0])
 
     def test_unseen_category_routes_to_right(self):
         rows = []
@@ -480,9 +517,10 @@ class TestDecisionTree:
             rows.append(fv(f"p{i}.example", "pos", f9="Known Issuer A"))
             rows.append(fv(f"n{i}.example", "neg", f9="Known Issuer B"))
         model = train(Dataset(rows), KIND_TREE)
-        assert model.root["feature"] == "f9"
-        assert model.root["test"] == "eq"
-        assert model.root["value"] == "Known Issuer A"
+        (root,) = decoded_trees(model)
+        assert root["feature"] == "f9"
+        assert root["test"] == "eq"
+        assert root["value"] == "Known Issuer A"
         label, _ = model.predict(fv("new.example", f9="Never Seen CA"))
         assert label == "neg"
 
@@ -490,8 +528,9 @@ class TestDecisionTree:
         rows = [fv(f"p{i}.example", "pos") for i in range(5)]
         rows += [fv(f"n{i}.example", "neg") for i in range(5)]
         model = train(Dataset(rows), KIND_TREE)
-        assert model.root["node"] == "leaf"
-        assert model.root["positive_fraction"] == 0.5
+        (root,) = decoded_trees(model)
+        assert root["node"] == "leaf"
+        assert root["positive_fraction"] == 0.5
 
     def test_batch_predictions_match_reference_walk(self):
         rng = random.Random(5)
@@ -513,29 +552,6 @@ class TestDecisionTree:
         labels, scores = model.predict_batch(queries)
         for query, label, score in zip(queries, labels, scores):
             assert (label, score) == reference_predict(model, query, dataset)
-
-    def test_decode_a_chain_deeper_than_the_recursion_limit(self):
-        encoder = Encoder(default_schema(), vocabs={f"f{i}": {} for i in (9, 10, 11, 12)})
-        j = [col.name for col in encoder.columns].index("f15")
-        leaf = {"node": "leaf", "positive_fraction": 0.5, "count": 2}
-        # splits at even nodes 0, 2, ..., 9998, testing 4999 down to 0; each
-        # sends left to the leaf after it and right to the next split
-        splits = np.arange(0, 10000, 2)
-        column = np.full(10001, -1)
-        column[splits] = j
-        value = np.zeros(10001)
-        value[splits] = np.arange(4999, -1, -1)
-        left = np.full(10001, -1)
-        left[splits] = splits + 1
-        table = NodeTable(column, value, left, np.where(column < 0, 0.5, 0.0),
-                          np.where(column < 0, 2.0, 0.0), encoder.eq_mask)
-        assert table.n_trees == 1
-        node = decode_tree(table, 0, encoder)
-        for depth in reversed(range(5000)):
-            assert list(node) == ["node", "feature", "test", "value", "left", "right"]
-            assert (node["feature"], node["value"], node["left"]) == ("f15", float(depth), leaf)
-            node = node["right"]
-        assert node == leaf
 
 
 class TestHistogramGrowth:
@@ -634,12 +650,25 @@ class TestHistogramGrowth:
 class TestGoldenModels:
     """SHA-256 of the model file for fixed data and seed.
 
-    Recorded before the histogram split search replaced the per-column
-    sort-and-scan, and unchanged by it: any change to these bytes is a
-    change in the trees grown.
+    DIGESTS are of the version-2 file, recorded when the format changed to
+    version 2.  V1_DIGESTS are of the version-1 file, recorded before the
+    histogram split search replaced the per-column sort-and-scan, and
+    unchanged by it and by the format change: the same trees, written as
+    the version-1 writer wrote them (json.dumps with indent=1 and a
+    newline), must still give these bytes.  A change to either is a change
+    in the trees grown.
     """
 
     DIGESTS = {
+        ("full", KIND_TREE): "81f98b35ec69130c2fa54a75dfaf1821183aa30126f39794ff8ff37b3ebf8458",
+        ("full", KIND_BAGGING): "9fdbb01452fe17ddf2ffcc92869008aab5eecb4a680d292362666a49a7341856",
+        ("full", KIND_FOREST): "f56dc87bf4034a43f80ef0b92b873ee0030d606fc46188ad2a47c3ccf4dc701f",
+        ("boolean", KIND_TREE): "2c7184f32f8584457813d544dba54b6baf13fdba1d6eeeea32489885d11fdffc",
+        ("boolean", KIND_BAGGING): "8c05c034abe3f574cf064518f559558e327348651f308fa15db74068ae7b053e",
+        ("boolean", KIND_FOREST): "0c875d4821f80e0bbbb381163143cdfc9e1c91e2301be46690fadf273922188e",
+    }
+
+    V1_DIGESTS = {
         ("full", KIND_TREE): "6ee37c438233af75f4145541b468339b1b0c6f609eecc153b75272ad6bbfb885",
         ("full", KIND_BAGGING): "77ba59ff529fb095837b7c631f2b005976307a91b1f5b277494fd3f63395e7bf",
         ("full", KIND_FOREST): "e81ecc0953d9dba9378b4a64a5a2169c1bb954293b9611739d323a7f1c64d8f3",
@@ -662,10 +691,13 @@ class TestGoldenModels:
     @pytest.mark.parametrize("kind", [KIND_TREE, KIND_BAGGING, KIND_FOREST])
     def test_model_file_digest(self, datasets, data, kind):
         hp = None if kind == KIND_TREE else {"n_trees": 15}
+        model = train(datasets[data], kind, hp)
         buf = io.StringIO()
-        write_model(train(datasets[data], kind, hp), buf)
+        write_model(model, buf)
         digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
         assert digest == self.DIGESTS[(data, kind)]
+        v1 = json.dumps(v1_document(model), indent=1) + "\n"
+        assert hashlib.sha256(v1.encode("utf-8")).hexdigest() == self.V1_DIGESTS[(data, kind)]
 
 
 class TestEnsembles:
@@ -674,7 +706,7 @@ class TestEnsembles:
         label, score = model.predict(fv("q.example", f3=True))
         assert label == "pos"
         assert score == pytest.approx(1.0)
-        assert len(model.members) == 9
+        assert model.table.n_trees == 9
 
     def test_forest_feature_subsampling_still_separates(self):
         model = train(f3_dataset(30), KIND_FOREST, {"n_trees": 25})
@@ -695,7 +727,31 @@ class TestEnsembles:
         rows = f3_dataset(15).rows
         bagged = train(Dataset(rows, schema), KIND_BAGGING, {"n_trees": 1}, seed=23)
         forest = train(Dataset(rows, schema), KIND_FOREST, {"n_trees": 1}, seed=23)
-        assert model_to_json(bagged)["trees"] == model_to_json(forest)["trees"]
+        assert model_to_json(bagged)["nodes"] == model_to_json(forest)["nodes"]
+
+    def test_trees_grown_in_several_calls_join_into_one_table(self, monkeypatch):
+        dataset = TestPersistence()._mixed_dataset()  # 40 rows: 40-row bootstraps
+        queries = dataset.rows + [fv("fresh.example", f9="Never Seen CA", f14=200, f15=0.123456)]
+        grow = classifiers.grow_trees
+        for kind in (KIND_BAGGING, KIND_FOREST):
+            whole = train(dataset, kind, {"n_trees": 7})
+            calls = []
+
+            def counted(X, y, eq_mask, boots, *args):
+                calls.append(len(boots))
+                return grow(X, y, eq_mask, boots, *args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(classifiers, "grow_trees", counted)
+                patch.setattr(classifiers, "_GROW_ROWS", 100)  # two bootstraps a call
+                joined = train(dataset, kind, {"n_trees": 7})
+            assert calls == [2, 2, 2, 1]
+            table = joined.table
+            splits = np.flatnonzero(table.column >= 0)
+            assert (table.left[splits] > splits).all()
+            assert nested_trees(table) == nested_trees(whole.table)
+            assert (joined.predict_batch(queries)[1].tobytes()
+                    == whole.predict_batch(queries)[1].tobytes())
 
     def test_deterministic_across_row_order(self):
         rng = random.Random(11)
@@ -1192,6 +1248,35 @@ class TestPersistence:
         ]
         for query in queries:
             assert loaded.predict(query) == model.predict(query)
+        again = tmp_path / "again.json"
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_grown_tables_round_trip_bit_identically(self, tmp_path):
+        cases = np.random.default_rng(2028)
+        path = tmp_path / "model.json"
+        for _ in range(TestHistogramGrowth.CASES // 2):
+            X, y, tests = random_encoded_matrix(cases)
+            n = X.shape[0]
+            # equality columns as categoricals over the codes 0..7, the rest as reals
+            names = [f"c{j}" for j in range(len(tests))]
+            schema = FeatureSchema(tuple(
+                FeatureColumn(name, "categorical" if test == TEST_EQ else "real", True)
+                for name, test in zip(names, tests)
+            ))
+            encoder = Encoder(schema, vocabs={name: {f"v{code}": code for code in range(8)}
+                                              for name, test in zip(names, tests) if test == TEST_EQ})
+            boots = [cases.integers(0, n, size=n) for _ in range(int(cases.integers(1, 4)))]
+            table = grow_trees(X, y, encoder.eq_mask, boots, int(cases.integers(1, 7)),
+                               int(cases.integers(1, 5)))
+            cls = DecisionTreeModel if len(boots) == 1 else RandomForestModel
+            save_model(cls(table, encoder, {}, 0), path)
+            loaded = load_model(path).table
+            for name in ("column", "value", "left", "fraction", "count", "eq_mask"):
+                assert getattr(loaded, name).tobytes() == getattr(table, name).tobytes()
+            roots = range(table.n_trees)
+            assert ([w.tobytes() for w in loaded.walk_encoded(X, roots)]
+                    == [w.tobytes() for w in table.walk_encoded(X, roots)])
 
     def test_reloaded_knn_encodes_bit_identically(self, tmp_path):
         dataset = self._mixed_dataset()
@@ -1223,38 +1308,81 @@ class TestPersistence:
     def test_version_mismatch(self, tmp_path):
         model = train(f3_dataset(3), KIND_TREE)
         doc = model_to_json(model)
-        doc["format_version"] = 2
+        doc["format_version"] = 3
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(VersionMismatch):
             load_model(path)
 
     @pytest.mark.parametrize(
-        "mutate",
+        "version,mutate",
         [
-            lambda doc: doc.__setitem__("format_version", "one"),
-            lambda doc: doc.__setitem__("kind", "perceptron"),
-            lambda doc: doc.pop("seed"),
-            lambda doc: doc["schema"].__setitem__("fingerprint", "0" * 16),
-            lambda doc: doc["tree"].__setitem__("node", "branch"),
-            lambda doc: doc["tree"]["left"].__setitem__("positive_fraction", 7.5),
-            lambda doc: doc["tree"].pop("right"),
-            # the root is an eq split on boolean f3; each split below is one
-            # that prediction could not walk
-            lambda doc: doc["tree"].__setitem__("feature", "f99"),
-            lambda doc: doc["tree"].update(feature="f13", test="le", value=365.0),
-            lambda doc: doc["tree"].pop("value"),
-            lambda doc: doc["tree"].update(feature="f9", value=3),
-            lambda doc: doc["tree"].__setitem__("value", 1),
-            lambda doc: doc["tree"].update(feature="f14", test="le", value="5"),
-            lambda doc: doc["tree"].update(feature="f14", test="le", value=10**400),
+            (2, lambda doc: doc.__setitem__("format_version", "one")),
+            (2, lambda doc: doc.__setitem__("kind", "perceptron")),
+            (2, lambda doc: doc.pop("seed")),
+            (2, lambda doc: doc["schema"].__setitem__("fingerprint", "0" * 16)),
+            # version 1: the root is an eq split on boolean f3; each split
+            # below is one that prediction could not walk
+            (1, lambda doc: doc["tree"].__setitem__("node", "branch")),
+            (1, lambda doc: doc["tree"]["left"].__setitem__("positive_fraction", 7.5)),
+            (1, lambda doc: doc["tree"].pop("right")),
+            (1, lambda doc: doc["tree"].__setitem__("feature", "f99")),
+            (1, lambda doc: doc["tree"].update(feature="f13", test="le", value=365.0)),
+            (1, lambda doc: doc["tree"].pop("value")),
+            (1, lambda doc: doc["tree"].update(feature="f9", value=3)),
+            (1, lambda doc: doc["tree"].__setitem__("value", 1)),
+            (1, lambda doc: doc["tree"].update(feature="f14", test="le", value="5")),
+            (1, lambda doc: doc["tree"].update(feature="f14", test="le", value=10**400)),
+            # version 2: nodes 0 (the f3 split, column 2), 1 and 2 (leaves);
+            # the arrays decode as equal-length lists of numbers
+            (2, lambda doc: doc["nodes"].pop("count")),
+            (2, lambda doc: doc["nodes"]["vocabs"].pop("f9")),
+            (2, lambda doc: doc["nodes"]["left"].pop()),
+            (2, node_cells(0, value="1")),
+            (2, node_cells(1, count=10**400)),
+            # columns lie in range (13 included) and are whole
+            (2, node_cells(0, column=13)),
+            (2, node_cells(0, column=-2)),
+            (2, node_cells(0, column=1.5)),
+            # values fit the column's kind: boolean f3, categorical f9 (one
+            # category), numeric f15
+            (2, node_cells(0, value=0.5)),
+            (2, node_cells(0, value=2)),
+            (2, node_cells(0, column=7, value=1)),
+            (2, node_cells(0, column=7, value=-1)),
+            (2, node_cells(0, column=7, value=0.5)),
+            (2, node_cells(0, column=12, value=float("nan"))),
+            # a split's children follow it inside the table
+            (2, node_cells(0, left=0)),
+            (2, node_cells(0, left=2)),
+            (2, node_cells(0, left=0.5)),
+            # roots first, every other node reached exactly once
+            (2, lambda doc: [doc["nodes"][name].append(cell) for name, cell in
+                             zip(("column", "value", "left", "fraction", "count"), (-1, 0.0, -1, 1.0, 3))]),
+            (2, lambda doc: doc["nodes"].update(column=[2, 0, -1, -1, -1], value=[1.0, 1.0, 0, 0, 0],
+                                                left=[3, 3, -1, -1, -1], fraction=[0, 0, 1.0, 0.5, 0.5],
+                                                count=[0, 0, 3, 3, 3])),
+            # a tree model holds one tree (this table is a valid two-tree ensemble)
+            (2, lambda doc: doc["nodes"].update(column=[2, -1, -1, -1], value=[1.0, 0, 0, 0],
+                                                left=[2, -1, -1, -1], fraction=[0, 0.5, 1.0, 0],
+                                                count=[0, 6, 3, 3])),
+            # leaves hold a fraction in [0, 1] and a whole count >= 1
+            (2, node_cells(1, fraction=7.5)),
+            (2, node_cells(1, fraction=-0.5)),
+            (2, node_cells(1, fraction=float("nan"))),
+            (2, node_cells(1, count=0)),
+            (2, node_cells(1, count=1.5)),
         ],
     )
-    def test_corrupt_documents(self, mutate, tmp_path):
+    def test_corrupt_documents(self, version, mutate, tmp_path):
         model = train(f3_dataset(3), KIND_TREE)
-        doc = model_to_json(model)
-        mutate(doc)
+        assert model_to_json(model)["nodes"]["column"] == [2, -1, -1]
+        document = model_to_json if version == 2 else v1_document
+        doc = document(model)
         path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert document(load_model(path)) == doc  # unmutated, it loads
+        mutate(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(CorruptModel):
             load_model(path)
@@ -1317,50 +1445,45 @@ class TestPersistence:
         with pytest.raises(CorruptModel):
             load_model(path)
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(
-        st.recursive(
-            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-            lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
-            max_leaves=40,
-        ),
-        st.integers(1, 8),
-    )
-    def test_writer_matches_json_dumps(self, doc, parts_per_write):
-        buf = io.StringIO()
-        with mock.patch.object(persist, "_WRITE_PARTS", parts_per_write):
-            _write_json(doc, buf)
-        assert buf.getvalue() == json.dumps(doc, indent=1)
-
-    def test_save_a_model_deeper_than_the_recursion_limit(self, tmp_path):
-        leaf = {"node": "leaf", "positive_fraction": 1.0, "count": 1}
-        root = leaf
-        for _ in range(3000):
-            root = {"node": "split", "feature": "f1", "test": "eq", "value": True,
-                    "left": root, "right": leaf}
-        model = DecisionTreeModel(root, default_schema(), {"max_depth": 3000, "min_leaf": 1}, 0)
-        assert model.predict(fv("deep.example", f1=True)) == ("pos", 1.0)
+    def test_save_load_and_predict_a_chain_deeper_than_the_recursion_limit(self, tmp_path):
+        encoder = Encoder(default_schema(), vocabs={f"f{i}": {} for i in (9, 10, 11, 12)})
+        j = [col.name for col in encoder.columns].index("f14")
+        # splits at even nodes 0, 2, ..., 9998 test f14 <= 0, 1, ..., 4999;
+        # each sends left to the leaf after it and right to the next split
+        splits = np.arange(0, 10000, 2)
+        column = np.full(10001, -1)
+        column[splits] = j
+        value = np.zeros(10001)
+        value[splits] = np.arange(5000)
+        left = np.full(10001, -1)
+        left[splits] = splits + 1
+        fraction = np.where(column < 0, np.arange(10001) % 7 / 6, 0.0)
+        table = NodeTable(column, value, left, fraction, np.where(column < 0, 2.0, 0.0),
+                          encoder.eq_mask)
+        model = DecisionTreeModel(table, encoder, {"max_depth": 5000, "min_leaf": 1}, 0)
         path = tmp_path / "deep.json"
         save_model(model, path)
-        # load_model rejects this nesting (the JSON decoder recurses per
-        # level), so the file is read back with the recursion limit raised
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(20_000)
-        try:
-            assert json.loads(path.read_text()) == model_to_json(model)
-        finally:
-            sys.setrecursionlimit(limit)
-        with pytest.raises(CorruptModel):
-            load_model(path)
+        loaded = load_model(path)
+        for name in ("column", "value", "left", "fraction", "count"):
+            assert getattr(loaded.table, name).tobytes() == getattr(table, name).tobytes()
+        # a row at f14 = v >= 0 goes right v times, then to a leaf
+        queries = [fv(f"q{v}.example", f14=v) for v in (-1, 0, 1, 2500, 4998, 4999, 10**9)]
+        depth = np.array([0, 0, 1, 2500, 4998, 4999, 5000])
+        want = np.where(depth < 5000, 2 * depth + 1, 10000) % 7 / 6
+        assert loaded.predict_batch(queries)[1].tolist() == want.tolist()
+        assert model.predict_batch(queries)[1].tolist() == want.tolist()
 
     def test_saved_file_is_plain_json(self, tmp_path):
         model = train(f3_dataset(3), KIND_FOREST, {"n_trees": 2})
         path = tmp_path / "model.json"
         save_model(model, path)
-        doc = json.loads(path.read_text())
-        assert doc["format_version"] == 1
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        doc = json.loads(text)
+        assert doc["format_version"] == 2
         assert doc["kind"] == "forest"
-        assert len(doc["trees"]) == 2
+        column = doc["nodes"]["column"]
+        assert len(column) - 2 * sum(j >= 0 for j in column) == 2  # trees: nodes - 2 x splits
 
 
 class TestBatchAgreement:
