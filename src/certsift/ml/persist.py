@@ -32,15 +32,7 @@ from .classifiers import (
     NearestNeighborModel,
     TrainedModel,
 )
-from .schema import (
-    KIND_BOOLEAN,
-    KIND_CATEGORICAL,
-    KIND_INTEGER,
-    KIND_REAL,
-    Encoder,
-    FeatureColumn,
-    FeatureSchema,
-)
+from .schema import Encoder, FeatureColumn, FeatureSchema, KIND_BOOLEAN, KIND_CATEGORICAL, KIND_INTEGER, KIND_REAL
 from .tree import NodeTable
 
 FORMAT_VERSION = 2
@@ -194,14 +186,12 @@ def _are_codes(values: np.ndarray, counts) -> np.ndarray:
 
 def _nodes_from_json(payload, kind: str, schema: FeatureSchema) -> tuple[NodeTable, Encoder]:
     """The table and Encoder of a version-2 tree payload, checked array-wide
-    against what growth always writes and walking relies on.  Each split
-    tests an included column against a value of that column's kind: 0/1 on
-    a boolean, a whole code inside the vocabulary on a categorical, any
-    number but NaN on a threshold.  Its left child lies after it and its
-    right child (left + 1) inside the table.  Nodes 0..n_trees-1 are the
-    roots, no split's child, and every other node is the child of exactly
-    one split, so every walk from a root ends at a leaf.  A tree model holds
-    one tree.  Leaves hold a fraction in [0, 1] and a whole count >= 1."""
+    against what growth always writes and walking relies on: each split
+    tests an included column against a value of its kind (0/1, a code inside
+    the vocabulary, a threshold that is not NaN) and has both children after
+    it inside the table; nodes 0..n_trees-1 are the roots and every other
+    node is the child of exactly one split; a tree model holds one tree; a
+    leaf holds a fraction in [0, 1] and a whole count >= 1."""
     try:
         encoder = Encoder(schema, vocabs=_vocabs_from_json(payload["vocabs"]))
         arrays = [np.array(payload[name]) for name in _NODE_ARRAYS]

@@ -1356,6 +1356,11 @@ class TestPersistence:
             (2, node_cells(0, left=0)),
             (2, node_cells(0, left=2)),
             (2, node_cells(0, left=0.5)),
+            # node 3 is its own left child: each non-root is reached once, but
+            # through a loop
+            (2, lambda doc: doc["nodes"].update(column=[2, -1, -1, 2, -1], value=[1.0, 0, 0, 1.0, 0],
+                                                left=[1, -1, -1, 3, -1], fraction=[0, 1.0, 0.5, 0, 0.5],
+                                                count=[0, 3, 3, 0, 3])),
             # roots first, every other node reached exactly once
             (2, lambda doc: [doc["nodes"][name].append(cell) for name, cell in
                              zip(("column", "value", "left", "fraction", "count"), (-1, 0.0, -1, 1.0, 3))]),
