@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import os
 import sys
 import tempfile
@@ -23,6 +22,7 @@ from .errors import CertsiftError, StorageFull, UsageError
 from .features import (
     BogusValueList,
     DEFAULT_SHINGLE_SIZE,
+    csv_row_writer,
     extract_corpus,
     read_features_csv,
     write_features_csv,
@@ -185,10 +185,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         _, vectors = _extract_vectors(args, args.corpus)
     labels, scores = model.predict_batch(vectors)
     with _atomic_output(args.out) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("domain", "label", "score"))
-        writer.writerows((fv.domain, label, f"{score:.6f}")
-                         for fv, label, score in zip(vectors, labels, scores))
+        writerow = csv_row_writer(out)
+        writerow(("domain", "label", "score"))
+        for fv, label, score in zip(vectors, labels, scores):
+            writerow((fv.domain, label, f"{score:.6f}"))
     _note(f"classified {len(vectors)} rows with the {model.kind} model")
     return 0
 

@@ -16,7 +16,7 @@ import csv
 import io
 import logging
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from .certs import (
@@ -322,20 +322,36 @@ def _format_value(name: str, value) -> str:
     return str(int(value))
 
 
+def csv_row_writer(out: io.TextIOBase) -> Callable[[Sequence[str]], None]:
+    """A writerow for CSV rows ending in "\n", fields quoted where needed.
+
+    A row with a carriage return in any field has every field quoted.
+    Before Python 3.13, csv.writer quotes only the characters of its
+    lineterminator, and csv.reader ends a record at an unquoted "\r".
+    """
+    minimal = csv.writer(out, quoting=csv.QUOTE_MINIMAL, lineterminator="\n").writerow
+    quoted = csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\n").writerow
+
+    def writerow(row: Sequence[str]) -> None:
+        (quoted if "\r" in "".join(row) else minimal)(row)
+
+    return writerow
+
+
 def write_features_csv(out: io.TextIOBase, vectors: Iterable[FeatureVector]) -> int:
     """Write feature vectors as CSV; returns the row count.
 
     Booleans are 0/1, f15 has six decimal places, and the label column is
     pos, neg, or empty for unlabeled rows.
     """
-    writer = csv.writer(out, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    writerow = csv_row_writer(out)
+    writerow(CSV_HEADER)
     count = 0
     for fv in vectors:
         row = [fv.domain]
         row.extend(_format_value(name, fv.value(name)) for name in FEATURE_NAMES)
         row.append(fv.label or "")
-        writer.writerow(row)
+        writerow(row)
         count += 1
     return count
 

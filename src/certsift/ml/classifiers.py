@@ -197,7 +197,11 @@ class NearestNeighborModel(_Model):
 
     def encode(self, rows: Sequence[FeatureVector]) -> np.ndarray:
         """Rows encoded and scaled into the space of the stored matrix."""
-        X = self.encoder.encode_rows(rows)
+        return self.scale(self.encoder.encode_rows(rows))
+
+    def scale(self, X: np.ndarray) -> np.ndarray:
+        """Encoded rows with their numeric columns scaled, in place, over the
+        training ranges."""
         numeric = ~self.encoder.eq_mask
         X[:, numeric] = _min_max(X[:, numeric], self._lo, self._hi)
         return X
@@ -213,12 +217,16 @@ class NearestNeighborModel(_Model):
         return float(self._distances(*self.encode([a, b])))
 
     def predict_batch(self, rows: Sequence[FeatureVector]) -> tuple[list[str], np.ndarray]:
-        X = self.encode(rows)
+        scores = self.score_encoded(self.encode(rows))
+        return [_label(s) for s in scores], scores
+
+    def score_encoded(self, X: np.ndarray) -> np.ndarray:
+        """The score of each row of X, encoded and scaled as encode does."""
         k = min(self.hyperparameters["k"], self.labels.size)
         chunk = max(1, _CHUNK_CELLS // self.matrix.size)
-        cells = np.empty((min(chunk, len(rows)), *self.matrix.shape))
-        scores = np.empty(len(rows))
-        for start in range(0, len(rows), chunk):
+        cells = np.empty((min(chunk, len(X)), *self.matrix.shape))
+        scores = np.empty(len(X))
+        for start in range(0, len(X), chunk):
             block = X[start:start + chunk, None, :]
             dists = self._distances(block, self.matrix, cells[:len(block)])
             # NaN sorts last in an argsort; every number here is at most 1
@@ -230,7 +238,7 @@ class NearestNeighborModel(_Model):
             room = k - np.count_nonzero(below, axis=1)
             keep = below | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
             scores[start:start + chunk] = (keep @ self.labels) / k
-        return [_label(s) for s in scores], scores
+        return scores
 
 
 TREE_CLASSES = {KIND_TREE: DecisionTreeModel, KIND_BAGGING: BaggedTreesModel,
@@ -244,12 +252,14 @@ def _canonical_rows(dataset: Dataset) -> list[FeatureVector]:
 
 
 # Bootstrap rows one grow_trees call of _grow_trees holds at most: the
-# index arrays of the trees in flight grow with it.  All five cv-forest
+# bootstrap index arrays of the trees in flight grow with it, though growth
+# itself holds only their distinct (row, label) pairs.  All five cv-forest
 # benchmark folds (5 x 25 trees x 320 rows, 40,000 rows) fit in one call.
 # A 10-fold cross-validation of a 100-tree forest on 10,000 boolean-only rows
-# (acceptance test_06, 2-CPU VM) peaked at 87 MiB RSS in 12.5 s with this
-# budget; 2^17 rows gave 70 MiB in 18.0 s, 2^21 113 MiB in 11.5 s, no budget
-# 253 MiB in 13.0 s, and training fold by fold 93 MiB in 18.6 s.
+# (acceptance test_06, 2-CPU Xeon VM) peaked at 75 MiB RSS in 3.1-3.3 s with
+# this budget; 2^17 rows gave 65 MiB in 14.0 s (72 calls, each binning the
+# rows again), 2^21 83 MiB in 3.0 s, 2^22 106 MiB in 2.4 s, and no budget
+# 149 MiB in 2.4 s.
 _GROW_ROWS = 2**20
 
 
@@ -329,14 +339,21 @@ def train(
         grown = _grow_trees(X, y, encoder.eq_mask, kind, hp, seed, [np.arange(len(rows))])
         table = NodeTable.join([table for table, _ in grown])
         return TREE_CLASSES[kind](table, encoder, hp, seed)
-    # k-NN: scale numeric columns to [0, 1] over the training rows, through
-    # the helper queries use (clamping leaves training values as they are)
+    return _fit_knn(encoder, hp, seed, X, y)
+
+
+def _fit_knn(encoder: Encoder, hp: dict, seed: int, X: np.ndarray, y: np.ndarray
+             ) -> NearestNeighborModel:
+    """The k-NN model of rows X (encoded by encoder, in canonical order) and
+    labels y: numeric columns scaled in place to [0, 1] over X's ranges,
+    through the helper queries use (clamping leaves training values as they
+    are)."""
     numeric = ~encoder.eq_mask
     lo, hi = X[:, numeric].min(axis=0), X[:, numeric].max(axis=0)
     columns = compress(encoder.columns, numeric)
     ranges = {c.name: (float(a), float(b)) for c, a, b in zip(columns, lo, hi)}
     X[:, numeric] = _min_max(X[:, numeric], lo, hi)
-    return NearestNeighborModel(schema, hp, seed, encoder.vocabs, ranges, X, y)
+    return NearestNeighborModel(encoder.schema, hp, seed, encoder.vocabs, ranges, X, y)
 
 
 def predict(

@@ -22,10 +22,11 @@ from .classifiers import (
     DEFAULT_SEED,
     KIND_TREE,
     TREE_KINDS,
+    _fit_knn,
     _grow_trees,
     _label,
     resolve_hyperparameters,
-    train,
+    train,  # noqa: F401 (perfbench/tracing.py wraps evaluate.train)
 )
 from .schema import Dataset, Encoder, FeatureSchema, encode_labels
 
@@ -196,11 +197,12 @@ def cross_validate(
     model trains on the other k-1 folds with the same seed; the report
     aggregates the per-fold confusion matrices.
 
-    k-NN trains and predicts fold by fold.  The tree kinds encode the rows
-    once and grow every fold's trees together (classifiers._grow_trees),
-    then walk each fold's test rows, in the same encoding, down its own
-    trees.  Predictions are those of train(...).predict_batch on each fold,
-    to the bit:
+    The rows are encoded once, over all of them.  The tree kinds grow every
+    fold's trees together (classifiers._grow_trees), then walk each fold's
+    test rows, in the same encoding, down its own trees; k-NN fits each fold
+    on its training rows of the one matrix and scores its test rows there.
+    Predictions are those of train(...).predict_batch on each fold, to the
+    bit:
     - A fold's rows in canonical order are already in its own canonical
       order, so its rows, bootstraps and labels are the ones train sees.
     - Whole-data category codes are a strictly increasing relabelling of a
@@ -215,6 +217,12 @@ def cross_validate(
       fold never saw matches no split and goes right, as the model's -1
       code does.  Leaf fractions are the same floats, and a vote sum of
       0/1 is exact in any order.
+    - For k-NN, such a category's whole-data code is one no training row
+      of the fold holds, so it mismatches every one of them, as -1 does;
+      codes are whole numbers, so every mismatch counts 1 either way.
+      Numeric columns pass through the encoding unchanged and are scaled
+      over the fold's own training ranges through the same helper, so
+      every distance, and with it every neighbour, is the fold model's.
     """
     resolved = resolve_hyperparameters(kind, hyperparameters)
     dataset.require_labeled()
@@ -223,15 +231,7 @@ def cross_validate(
     labels = [fv.label for fv in rows]
     folds = stratified_fold_indices(labels, k, seed)
 
-    if kind in TREE_KINDS:
-        scores = _tree_fold_scores(rows, dataset.schema, kind, resolved, seed, folds)
-    else:
-        scores = []
-        for test_positions in folds:
-            test_set = set(test_positions)
-            train_rows = [fv for i, fv in enumerate(rows) if i not in test_set]
-            model = train(Dataset(train_rows, dataset.schema), kind, hyperparameters, seed)
-            scores.append(model.predict_batch([rows[i] for i in test_positions])[1])
+    scores = _fold_scores(rows, dataset.schema, kind, resolved, seed, folds)
     per_fold = [
         _confusion_from_predictions(
             [labels[i] for i in test_positions], [_label(score) for score in fold_scores]
@@ -252,7 +252,7 @@ def cross_validate(
     )
 
 
-def _tree_fold_scores(
+def _fold_scores(
     rows: Sequence[FeatureVector],
     schema: FeatureSchema,
     kind: str,
@@ -260,9 +260,9 @@ def _tree_fold_scores(
     seed: int,
     folds: Sequence[Sequence[int]],
 ) -> list[np.ndarray]:
-    """Each fold's scores for its test rows, from the trees of a tree kind
-    grown on the other folds' rows, all over one encoding of rows (labeled,
-    in canonical order)."""
+    """Each fold's scores for its test rows, from the model of a kind fitted
+    on the other folds' rows, all over one encoding of rows (labeled, in
+    canonical order)."""
     encoder = Encoder(schema, rows)
     X = encoder.encode_rows(rows)
     y = encode_labels(rows)
@@ -272,6 +272,12 @@ def _tree_fold_scores(
         kept = np.ones(len(rows), dtype=bool)
         kept[test] = False
         row_sets.append(np.flatnonzero(kept))
+    if kind not in TREE_KINDS:
+        scores = []
+        for test, kept in zip(tests, row_sets):
+            model = _fit_knn(encoder, hp, seed, X[kept], y[kept])
+            scores.append(model.score_encoded(model.scale(X[test])))
+        return scores
     # a single tree scores its leaf fraction, an ensemble its members' votes
     sums = [np.zeros(test.size) for test in tests]
     for table, owners in _grow_trees(X, y, encoder.eq_mask, kind, hp, seed, row_sets):

@@ -70,16 +70,18 @@ def _schema_from_json(doc: dict) -> FeatureSchema:
 
 
 def model_to_json(model: TrainedModel) -> dict:
+    """The model's document, sharing no mutable object with the model."""
+    vocabs = {name: dict(vocab) for name, vocab in model.encoder.vocabs.items()}
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
         "seed": model.seed,
-        "hyperparameters": model.hyperparameters,
+        "hyperparameters": dict(model.hyperparameters),
         "schema": _schema_to_json(model.schema),
     }
     if isinstance(model, NearestNeighborModel):
         doc["instances"] = {
-            "vocabs": model.encoder.vocabs,
+            "vocabs": vocabs,
             "ranges": {name: list(r) for name, r in model.ranges.items()},
             "matrix": model.matrix.tolist(),
             "labels": model.labels.tolist(),
@@ -87,7 +89,7 @@ def model_to_json(model: TrainedModel) -> dict:
     else:
         table = model.table
         doc["nodes"] = {
-            "vocabs": model.encoder.vocabs,
+            "vocabs": vocabs,
             "column": table.column.tolist(),
             "value": table.value.tolist(),
             "left": table.left.tolist(),

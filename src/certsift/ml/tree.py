@@ -7,10 +7,24 @@ halfway between consecutive distinct observed values.
 Split search is an exact histogram search (after LightGBM, Ke et al.
 2017).  Each column of X is binned once per grow_trees call, one bin per
 distinct value, all columns sharing one id space (column by column, values
-ascending); a tree grows on a bootstrap given as row indices into X.  The
-rows and positives of each (node, bin) pair come from one bincount; an
+ascending).  The rows of X are mapped, once per call, to their distinct
+(row, label) pairs, and a tree grows on the pairs its bootstrap draws, each
+weighted by how many times it is drawn: a bootstrap as a multiplicity per
+row (Breiman, Bagging Predictors, 1996).  The weight and positive weight of
+each (node, bin) pair come from one weighted bincount per column; an
 equality candidate sends its bin left, a threshold candidate its column's
 bins up to its own, and one vectorised expression scores them all.
+Weights are whole numbers in float64, and so is every sum of them (below
+2^53), so each count, positive count, Gini term and leaf fraction is, to the
+bit, the one the bootstrap's repeated rows give; a node's count is its
+weight.
+
+Every tree's pairs and weights share one sample array (scikit-learn's
+splitter, sklearn/tree/_splitter.pyx, partitions one samples array the same
+way): a tree holds a range of it, a node is a range of its tree's, and a
+split reorders its node's range in place, left rows first, by a stable
+linear partition.  A node waiting on a stack is a few numbers, not an array
+of rows.
 
 Ties are broken deterministically: the first strictly-best candidate wins,
 scanning columns in ascending order and candidate values in ascending
@@ -32,11 +46,12 @@ own rng, and scores all the step's nodes together.  A tree's nodes are
 searched in the preorder of growing it alone, and its rng is drawn only at
 its own nodes, so each rng stream, and with it each tree, is unchanged:
 lockstep forests are byte-identical to forests grown one tree at a time.
-A step holding more than 4n rows (n = rows of X) is cut into several
-bincounts.  Training the 1,020-row, 100-tree seed-7 benchmark forest
-(2-CPU VM), cutting at 4n kept the process's peak RSS at 59 MiB (60 MiB
-growing tree by tree), where no cut reached 79 MiB for about 15% less
-time; cutting at n was about 1.25x slower than at 4n.
+A step gathers its nodes' rows with one index, and scores and partitions
+them in pieces of whole nodes of at most _STEP_ROWS rows, which bounds the
+memory a step takes.  Training the 1,020-row, 100-tree seed-7 benchmark
+forest (2-CPU Xeon VM) peaked at 5.1 MiB of traced memory in 0.45 s with
+2^13 rows; 2^11 gave 4.5 MiB in 0.61 s, 2^14 5.2 MiB in 0.41 s, and no
+cut 10.8 MiB in 0.48 s.
 
 Every draw is choice(d, n_sample_features, replace=False), so a tree's
 k-th draw depends only on its rng's starting state.  Trees whose rngs
@@ -44,8 +59,8 @@ start in equal states (the same tree of several cross-validation folds
 with equal training sizes) therefore draw once and replay: exact, and
 never the case for the distinct rngs of one ensemble.
 
-Growth writes nodes straight into one flat NodeTable (typed buffers while
-it grows, numpy arrays once done), in the encoding of X.  A trained model
+Growth writes nodes straight into one flat NodeTable (numpy arrays grown
+in place, trimmed once done), in the encoding of X.  A trained model
 keeps that table with its training Encoder, and a version-2 model file
 stores the table's arrays and the Encoder's vocabularies as they are, so
 training, the file and prediction share one representation; walk_encoded
@@ -73,6 +88,11 @@ _MIN_GAIN = 1e-12
 
 # the test and the value types of a split, by column kind (else numeric)
 _SPLIT_FORM = {KIND_BOOLEAN: (TEST_EQ, (bool,)), KIND_CATEGORICAL: (TEST_EQ, (str,))}
+
+# Rows of the sample array that one piece of a lockstep step gathers: a
+# step is scored and partitioned in node-aligned pieces of at most this many
+# rows (or one node, if it holds more), which bounds the step's temporaries.
+_STEP_ROWS = 2**13
 
 
 def grow_tree(
@@ -121,41 +141,56 @@ def grow_trees(
     # bin each column once; bin ids run column by column, values ascending
     binned = [np.unique(column, return_inverse=True) for column in X.T]
     bin_value = np.concatenate([np.empty(0), *(values for values, _ in binned)])
-    bin_col = np.repeat(np.arange(d), [values.size for values, _ in binned])
+    width = np.array([values.size for values, _ in binned], dtype=np.intp)
+    bin_col = np.repeat(np.arange(d), width)
     n_bins = bin_value.size
-    first = np.searchsorted(bin_col, np.arange(d))  # each column's first bin
-    inverse = np.array([inv for _, inv in binned], dtype=np.intp).reshape(d, n).T
-    # every cell's bin id, a positive row's in a second copy of the id space
-    labelled = inverse + first + np.where(y > 0, n_bins, 0)[:, None]
+    first = np.cumsum(width) - width  # each column's first bin
+    local = np.array([inv for _, inv in binned], dtype=np.intp).reshape(d, n)
+    # the distinct (row, label) pairs of X, each standing for its first row
+    positive_row = y > 0
+    _, rep, pair_of = np.unique(
+        np.vstack([local, positive_row]).T, axis=0, return_index=True, return_inverse=True
+    )
+    pair_of = pair_of.reshape(-1)
+    pair_positive = positive_row[rep]
+    # per column, each pair's bin id and its cell in a node's histogram block
+    # of the column (negatives, then positives)
+    pair_bin = local[:, rep] + first[:, None]
+    pair_key = pair_bin - first[:, None] + np.where(pair_positive, width[:, None], 0)
 
-    def best_splits(nodes: list[tuple], sampled: np.ndarray | None) -> list:
-        """Best (column, encoded value, positives sent left) of each node, or
-        None, from one bincount keyed by (node, bin) over all the nodes' rows."""
-        _, idxs, _, _, counts, positives = zip(*nodes)
-        counts, positives = np.array(counts), np.array(positives)
-        keys = labelled[np.concatenate(idxs)]
-        keys += np.repeat(np.arange(len(nodes)) * (2 * n_bins), counts)[:, None]
-        hist = np.bincount(keys.ravel(), minlength=2 * n_bins * len(nodes))
-        hist = hist.reshape(len(nodes), 2, n_bins)
+    def search(row_node: np.ndarray, rows: np.ndarray, w: np.ndarray, counts: np.ndarray,
+               positives: np.ndarray, sampled: np.ndarray | None) -> tuple[np.ndarray, ...]:
+        """The best split of each node of a piece, from one weighted bincount
+        per column keyed by (node, label, bin) over its rows (pairs, with
+        weights w, of node row_node): the splitting nodes and their column,
+        bin, value, and the weight and positive weight they send left."""
+        k = counts.size
+        hist = np.empty((k, 2, n_bins))
+        for j in range(d):
+            keys = row_node * (2 * width[j]) + pair_key[j][rows]
+            hist[:, :, first[j]:first[j] + width[j]] = np.bincount(
+                keys, weights=w, minlength=k * 2 * width[j]
+            ).reshape(k, 2, width[j])
         # the non-empty (node, bin) entries, in scan order within each node
         node_of, bin_of = np.nonzero(hist.any(axis=1))
         pos_in = hist[node_of, 1, bin_of]
         n_in = hist[node_of, 0, bin_of] + pos_in
+        del hist
         col = bin_col[bin_of]
         # left side of an entry: itself (eq) or its run of the node's column so far (le)
-        run = node_of * d + col
-        run_first = np.searchsorted(run, run)  # the first entry of each entry's run
-        n_seen = np.concatenate([[0], np.cumsum(n_in)])
-        pos_seen = np.concatenate([[0], np.cumsum(pos_in)])
+        run_first = np.searchsorted(node_of * d + col, node_of * d + col)  # each run's first entry
         eq = eq_mask[col]
-        n_left = np.where(eq, n_in, n_seen[1:] - n_seen[run_first])
-        pos_left = np.where(eq, pos_in, pos_seen[1:] - pos_seen[run_first])
+        seen = np.concatenate([[0.0], np.cumsum(n_in)])
+        n_left = np.where(eq, n_in, seen[1:] - seen[run_first])
+        seen = np.concatenate([[0.0], np.cumsum(pos_in)])
+        pos_left = np.where(eq, pos_in, seen[1:] - seen[run_first])
+        del run_first, eq, seen, n_in, pos_in
         count, positive = counts[node_of], positives[node_of]
         n_right = count - n_left
         # candidates that leave min_leaf rows on each side, in scan order
         cand = np.flatnonzero((n_left >= min_leaf) & (n_right >= min_leaf))
         if not cand.size:
-            return [None] * len(nodes)
+            return (np.empty(0, dtype=np.intp),) * 6
         n_left, n_right, pos_left = n_left[cand], n_right[cand], pos_left[cand]
         count, positive, node_of = count[cand], positive[cand], node_of[cand]
         impurity = 2.0 * (positive / count) * (1.0 - positive / count)
@@ -173,7 +208,7 @@ def grow_trees(
             blocks = [gain]
         starts = np.flatnonzero(np.diff(node_of, prepend=-1))  # each node's candidates
         owner = node_of[starts]
-        won = np.full(len(nodes), -1)  # each node's winning candidate
+        won = np.full(counts.size, -1)  # each node's winning candidate
         for block in blocks:
             top = np.maximum.reduceat(block, starts)
             # the first candidate reaching its node's best gain
@@ -181,21 +216,21 @@ def grow_trees(
             firsts = hits[np.diff(node_of[hits], prepend=-1) != 0]
             take = (won[owner] < 0) & (top > _MIN_GAIN)
             won[owner[take]] = firsts[take]
-        splits = [None] * len(nodes)
-        for i in np.flatnonzero(won >= 0).tolist():
-            k = int(cand[won[i]])
-            j, b, left_positive = int(col[k]), int(bin_of[k]), float(pos_left[won[i]])
-            if eq_mask[j]:
-                splits[i] = j, float(bin_value[b]), left_positive
-            else:  # halfway to the node's next non-empty bin, in the same column
-                low, high = float(bin_value[b]), float(bin_value[bin_of[k + 1]])
-                # halving first keeps the midpoint finite where low + high
-                # overflows (for values of normal size it is (low + high) / 2);
-                # where it rounds up to high (adjacent doubles), low keeps
-                # high on the right
-                mid = low / 2.0 + high / 2.0
-                splits[i] = j, mid if mid < high else low, left_positive
-        return splits
+        split = np.flatnonzero(won >= 0)
+        won = won[split]
+        entry = cand[won]
+        j, b = col[entry], bin_of[entry]
+        # an eq split tests its bin's value; a threshold lies halfway to the
+        # node's next non-empty bin, in the same column.  Halving first keeps
+        # the midpoint finite where low + high overflows (for values of
+        # normal size it is (low + high) / 2); where it rounds up to high
+        # (adjacent doubles), low keeps high on the right
+        low = bin_value[b]
+        high = bin_value[bin_of[np.minimum(entry + 1, bin_of.size - 1)]]
+        with np.errstate(invalid="ignore"):
+            mid = low / 2.0 + high / 2.0
+        value = np.where(eq_mask[j] | ~(mid < high), low, mid)
+        return split, j, b, value, n_left[won], pos_left[won]
 
     n_trees = len(boots)
     if subsampling:
@@ -208,67 +243,135 @@ def grow_trees(
         replay = {t: [] for t, members in Counter(lead).items() if members > 1}
         drawn = [0] * n_trees  # subsets each replaying tree has used
 
+        def draw(rng: np.random.Generator) -> np.ndarray:
+            mask = np.zeros(d, dtype=bool)
+            mask[rng.choice(d, size=n_sample_features, replace=False)] = True
+            return mask
+
         def subset(t: int) -> np.ndarray:
-            """Tree t's column subset for its next node searched."""
+            """Tree t's column subset for its next node searched, as a mask."""
             if (shared := replay.get(lead[t])) is None:
-                return rngs[t].choice(d, size=n_sample_features, replace=False)
+                return draw(rngs[t])
             if drawn[t] == len(shared):
-                shared.append(rngs[lead[t]].choice(d, size=n_sample_features, replace=False))
+                shared.append(draw(rngs[lead[t]]))
             drawn[t] += 1
             return shared[drawn[t] - 1]
 
-    # the node table, grown in place: node t is tree t's root, and a split's
-    # two children are appended together, left first, when it splits
-    node_column, node_left = array("q", [-1]) * n_trees, array("q", [-1]) * n_trees
-    node_value, node_fraction, node_count = (array("d", [0.0]) * n_trees for _ in range(3))
-    # each tree's nodes still to grow, in preorder: (rows, depth, node,
-    # positive rows); a split's search counted its children's positives
-    stacks = [[(idx, 0, t, float(y[idx].sum()))]
-              for t, idx in enumerate(np.asarray(boot, dtype=np.intp) for boot in boots)]
+    # The sample array: each tree's range holds the pairs its bootstrap
+    # draws, ascending, and weight their multiplicities.  A node is a range
+    # of its tree's, and a split reorders the range in place, left rows first.
+    samples, weights = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    roots, start = [], 0  # one row per tree, as the stacks hold nodes below
+    for t, boot in enumerate(boots):
+        drawn_pairs = np.bincount(pair_of[np.asarray(boot, dtype=np.intp)], minlength=rep.size)
+        held = np.flatnonzero(drawn_pairs)
+        samples.append(held)
+        weights.append(drawn_pairs[held].astype(np.float64))
+        positive = float(drawn_pairs[held] @ pair_positive[held])
+        roots.append((t, start, start + held.size, 0, t, float(len(boot)), positive))
+        start += held.size
+    sample, weight = np.concatenate(samples), np.concatenate(weights)
+    del samples, weights
 
-    def next_split(t: int) -> tuple | None:
-        """Tree t's next node that needs a split search, settling the leaves
-        before it: (t, rows, depth, node, count, positive)."""
-        stack = stacks[t]
-        while stack:
-            idx, depth, i, positive = stack.pop()
-            count = idx.size
-            node_fraction[i], node_count[i] = positive / count, count
-            if not (positive in (0, count) or depth >= max_depth or count < 2 * min_leaf):
-                return t, idx, depth, i, count, positive
-        return None
+    # The node table, grown in place: node t is tree t's root, and a split's
+    # two children are numbered together, left first, when it splits.
+    node_column, node_left = np.full(n_trees, -1), np.full(n_trees, -1)
+    node_value, node_fraction, node_count = np.zeros(n_trees), np.zeros(n_trees), np.zeros(n_trees)
+    n_nodes = n_trees
 
-    step = [node for node in map(next_split, range(n_trees)) if node is not None]
-    while step:
-        sampled = None
-        if subsampling:  # each tree draws in its own preorder
-            sampled = np.zeros((len(step), d), dtype=bool)
-            for s, node in enumerate(step):
-                sampled[s, subset(node[0])] = True
-        # score the step's nodes (count is node[4]), at most 4n rows per bincount
-        splits, lo, held = [], 0, 0
-        for hi, node in enumerate(step):
-            if held + node[4] > 4 * n and hi > lo:
-                splits += best_splits(step[lo:hi], None if sampled is None else sampled[lo:hi])
-                lo, held = hi, 0
-            held += node[4]
-        splits += best_splits(step[lo:], None if sampled is None else sampled[lo:])
-        for (t, idx, depth, i, _, positive), split in zip(step, splits):
-            if split is None:
-                continue  # the node stays the leaf next_split made it
-            j, value, left_positive = split
-            column = X[idx, j]
-            mask = column == value if eq_mask[j] else column <= value
-            child = len(node_column)
-            node_column[i], node_value[i], node_left[i] = j, value, child
-            node_fraction[i] = node_count[i] = 0.0
-            node_column.extend((-1, -1))
-            node_left.extend((-1, -1))
-            for cells in (node_value, node_fraction, node_count):
-                cells.extend((0.0, 0.0))
-            stacks[t] += [(idx[~mask], depth + 1, child + 1, positive - left_positive),
-                          (idx[mask], depth + 1, child, left_positive)]
-        step = [node for node in map(next_split, [node[0] for node in step]) if node is not None]
+    def add_children(n_splits: int) -> int:
+        """Number the children of n_splits splits; returns the first."""
+        nonlocal n_nodes
+        first_child, n_nodes = n_nodes, n_nodes + 2 * n_splits
+        if n_nodes > node_column.size:  # grow by at least a quarter; new cells are 0
+            size, old = max(n_nodes, node_column.size * 5 // 4), node_column.size
+            for cells in (node_column, node_left, node_value, node_fraction, node_count):
+                cells.resize(size, refcheck=False)
+            node_column[old:] = node_left[old:] = -1
+        return first_child
+
+    def make_leaves(nodes: np.ndarray) -> None:
+        i = nodes[:, 4].astype(np.intp)
+        node_fraction[i], node_count[i] = nodes[:, 6] / nodes[:, 5], nodes[:, 5]
+
+    # each tree's nodes still to search, in preorder, as rows of (tree,
+    # start, end, depth, node, weight, positive weight)
+    stacks: list[list] = [[] for _ in range(n_trees)]
+
+    def settle(nodes: np.ndarray) -> None:
+        """Push each node row that needs a split search onto its tree's
+        stack, in order, and make the others leaves."""
+        depth, count, positive = nodes[:, 3], nodes[:, 5], nodes[:, 6]
+        leaf = (positive == 0) | (positive == count) | (depth >= max_depth) | (count < 2 * min_leaf)
+        make_leaves(nodes[leaf])
+        for node in nodes[~leaf].tolist():
+            stacks[int(node[0])].append(node)
+
+    def grow_piece(nodes: np.ndarray, sampled: np.ndarray | None) -> None:
+        """Search one piece of a step's nodes, and split those a split suits."""
+        k = len(nodes)
+        start, end = nodes[:, 1].astype(np.intp), nodes[:, 2].astype(np.intp)
+        lengths = end - start
+        offset = np.cumsum(lengths) - lengths  # each node's first row in the piece
+        node_of = np.repeat(np.arange(k), lengths)
+        at = np.arange(node_of.size) + np.repeat(start - offset, lengths)
+        rows, w = sample[at], weight[at]
+        del at
+        split, j, b, value, n_left, pos_left = search(node_of, rows, w, nodes[:, 5], nodes[:, 6],
+                                                      sampled)
+        searched = np.ones(k, dtype=bool)
+        searched[split] = False  # the nodes no split suits stay leaves
+        make_leaves(nodes[searched])
+        if not split.size:
+            return
+        # each row's side: a node that does not split keeps every row left, in place
+        col_of, is_eq = np.zeros(k, dtype=np.intp), np.zeros(k, dtype=bool)
+        col_of[split], is_eq[split] = j, eq_mask[j]
+        bound = np.full(k, n_bins)
+        bound[split] = b
+        bins, bound = pair_bin[col_of[node_of], rows], bound[node_of]
+        left = np.where(is_eq[node_of], bins == bound, bins <= bound)
+        del bins, bound
+        # a stable partition of each node's range, its left rows first
+        lefts = np.concatenate([[0], np.cumsum(left)])
+        n_left_rows = lefts[offset + lengths] - lefts[offset]
+        rank = np.arange(node_of.size) - offset[node_of]
+        left_rank = lefts[:-1] - lefts[offset][node_of]
+        placed = start[node_of] + np.where(
+            left, left_rank, n_left_rows[node_of] + rank - left_rank
+        )
+        sample[placed], weight[placed] = rows, w
+        # the children, right before left on each stack so left pops first
+        parent = nodes[split]
+        i = parent[:, 4].astype(np.intp)
+        child = add_children(split.size) + 2 * np.arange(split.size)
+        node_column[i], node_value[i], node_left[i] = j, value, child
+        middle = start[split] + n_left_rows[split]
+        depth = parent[:, 3] + 1
+        right_nodes = np.column_stack([parent[:, 0], middle, end[split], depth, child + 1,
+                                       parent[:, 5] - n_left, parent[:, 6] - pos_left])
+        left_nodes = np.column_stack([parent[:, 0], start[split], middle, depth, child,
+                                      n_left, pos_left])
+        settle(np.stack([right_nodes, left_nodes], axis=1).reshape(-1, 7))
+
+    settle(np.array(roots, dtype=np.float64).reshape(-1, 7))
+    live = [t for t in range(n_trees) if stacks[t]]
+    while live:
+        # each live tree's next node in preorder, scored in pieces of rows
+        step = np.array([stacks[t].pop() for t in live])
+        # each tree draws in its own preorder
+        sampled = np.array([subset(t) for t in live]) if subsampling else None
+        lengths = step[:, 2] - step[:, 1]
+        ends = np.cumsum(lengths)
+        lo = 0
+        while lo < len(live):
+            cut = ends[lo] - lengths[lo] + _STEP_ROWS
+            hi = max(lo + 1, int(np.searchsorted(ends, cut, side="right")))
+            grow_piece(step[lo:hi], None if sampled is None else sampled[lo:hi])
+            lo = hi
+        live = [t for t in live if stacks[t]]
+    for cells in (node_column, node_left, node_value, node_fraction, node_count):
+        cells.resize(n_nodes, refcheck=False)
     return NodeTable(node_column, node_value, node_left, node_fraction, node_count, eq_mask)
 
 

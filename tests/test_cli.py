@@ -241,6 +241,20 @@ class TestClassifyCommand:
             assert label == want_label
             assert score == f"{want_score:.6f}"
 
+    def test_bare_carriage_return_in_a_domain_stays_one_row(self, synth_csv, model_path, tmp_path):
+        vectors = read_features_csv(synth_csv)
+        vectors[0] = dataclasses.replace(vectors[0], domain="x\revil.example")
+        features_csv = tmp_path / "cr.csv"
+        with open(features_csv, "w", encoding="utf-8", newline="") as fh:
+            features.write_features_csv(fh, vectors)
+        out = tmp_path / "predictions.csv"
+        assert run("classify", "--model", str(model_path),
+                   "--features", str(features_csv), "--out", str(out)) == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            records = list(csv.reader(fh))
+        assert len(records) == len(vectors) + 1
+        assert [r[0] for r in records[1:]] == [fv.domain for fv in vectors]
+
     def test_requires_exactly_one_input(self, model_path, synth_csv, tmp_path, capsys):
         assert run("classify", "--model", str(model_path)) == 1
         corpus = tmp_path / "c.ndjson"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import io
 import logging
 
@@ -431,6 +433,24 @@ class TestFeatureCsv:
         write_features_csv(buffer, vectors)
         back = read_features_csv(io.StringIO(buffer.getvalue()))
         assert back[0].f10 == 'Quote "Heavy", Inc.'
+
+    def test_bare_carriage_return_round_trips_as_one_row(self, tmp_path):
+        ordinary = self._vectors()
+        vectors = [dataclasses.replace(ordinary[0], domain="x\revil.example"), *ordinary]
+        path = tmp_path / "cr.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            assert write_features_csv(fh, vectors) == 3
+        assert [fv.domain for fv in read_features_csv(path)] == [fv.domain for fv in vectors]
+        with open(path, encoding="utf-8", newline="") as fh:
+            records = list(csv.reader(fh))
+        assert len(records) == 4 and records[1][0] == "x\revil.example"
+        # the other rows keep their bytes
+        alone = io.StringIO()
+        write_features_csv(alone, ordinary)
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+        assert "\n".join(lines[:1] + lines[2:]) == alone.getvalue()
+        assert lines[1].startswith('"x\revil.example","')
 
     def test_bad_header_rejected(self):
         with pytest.raises(SerializationFailure):

@@ -39,7 +39,7 @@ from certsift.ml import (
     stratified_fold_indices,
     train,
 )
-from certsift.ml import classifiers, evaluate
+from certsift.ml import classifiers, evaluate, tree
 from certsift.ml.persist import model_to_json, write_model
 from certsift.ml.schema import Encoder, canonical_key
 from certsift.ml.tree import (
@@ -599,12 +599,40 @@ class TestHistogramGrowth:
             )
             assert nested_trees(got) == [want]
 
+    @pytest.mark.parametrize("shape", ["opposite labels", "one repeated row", "every row twice"])
+    def test_matches_reference_on_weight_heavy_bootstraps(self, shape):
+        # bootstraps that make whole-number weights of many rows: a distinct
+        # (row, label) pair grows as one sample row of its multiplicity
+        cases = np.random.default_rng(2029)
+        for _ in range(self.CASES // 4):
+            X, y, tests = random_encoded_matrix(cases)
+            n = X.shape[0]
+            if shape == "opposite labels":  # equal feature rows, both labels
+                X, y = np.concatenate([X, X]), np.concatenate([y, 1.0 - y])
+                boots = [np.arange(2 * n), cases.integers(0, 2 * n, size=2 * n)]
+            elif shape == "one repeated row":  # alone, and outweighing a few others
+                row = int(cases.integers(0, n))
+                boots = [np.full(n, row), np.concatenate([np.full(n, row), cases.integers(0, n, size=3)])]
+            else:
+                boots = [np.repeat(np.arange(n), 2), np.tile(cases.integers(0, n, size=n), 2)]
+            max_depth, min_leaf = int(cases.integers(1, 7)), int(cases.integers(1, 5))
+            n_sample = int(cases.integers(1, X.shape[1] + 1))
+            seeds = cases.integers(0, 2**32, size=len(boots))
+            for subsample in (False, True):
+                rngs = [np.random.default_rng(s) if subsample else None for s in seeds]
+                want = [reference_grow_tree(X[b], y[b], tests, max_depth, min_leaf, rng, n_sample)
+                        for b, rng in zip(boots, rngs)]
+                rngs = [np.random.default_rng(s) for s in seeds] if subsample else None
+                got = grow_trees(X, y, eq_mask(tests), boots, max_depth, min_leaf, rngs, n_sample)
+                assert nested_trees(got) == want
+
     def test_lockstep_equals_one_tree_at_a_time(self, monkeypatch):
-        keyed = []  # the cells (rows x columns) each bincount keys
+        keyed = []  # the rows each weighted (histogram) bincount keys
         bincount = np.bincount
 
         def recording(keys, *args, **kwargs):
-            keyed.append(keys.size)
+            if kwargs.get("weights") is not None:
+                keyed.append(keys.size)
             return bincount(keys, *args, **kwargs)
 
         monkeypatch.setattr(np, "bincount", recording)
@@ -633,14 +661,21 @@ class TestHistogramGrowth:
                 keyed.clear()
                 got = grow_trees(X, y, mask, boots, max_depth, min_leaf, rngs, n_sample)
                 assert nested_trees(got) == want
-                assert max(keyed, default=0) <= 4 * n * d
+                # a histogram keys each sample row of a step once: at most
+                # one row per distinct (row, label) pair of each tree
+                held = sum(len(np.unique(np.column_stack([X[b], y[b]]), axis=0)) for b in boots)
+                assert max(keyed, default=0) <= held
 
-        # a step of exactly 4n rows takes one bincount; one more tree cuts it
+        # the first step keys every tree's distinct pairs once per column, in
+        # one piece, or in pieces of whole nodes when they exceed _STEP_ROWS
         X, y, tests = random_encoded_matrix(np.random.default_rng(7))
         (n, d), mask = X.shape, eq_mask(tests)
         assert d and 0 < y.sum() < n
+        pairs = len(np.unique(np.column_stack([X, y]), axis=0))
         want = reference_grow_tree(X, y, tests, 6, 1)
-        for n_trees, first_steps in ((4, [4 * n * d]), (5, [4 * n * d, n * d])):
+        for n_trees, step_rows, first_steps in ((4, tree._STEP_ROWS, [4 * pairs] * d),
+                                                (5, pairs, [pairs] * (5 * d))):
+            monkeypatch.setattr(tree, "_STEP_ROWS", step_rows)
             keyed.clear()
             got = grow_trees(X, y, mask, [np.arange(n)] * n_trees, 6, 1)
             assert nested_trees(got) == [want] * n_trees
@@ -1101,7 +1136,7 @@ class TestCrossValidate:
 
 
 def reference_fold_scores(dataset: Dataset, kind: str, hp: dict | None, k: int, seed: int):
-    """The per-fold loop tree-kind cross-validation replaced: train on the
+    """The per-fold loop cross-validation replaced: train on the
     other folds, predict_batch the fold.  Returns the canonical rows, the
     folds and each fold's scores."""
     rows = [dataset.rows[i] for i in dataset.canonical_order()]
@@ -1116,9 +1151,9 @@ def reference_fold_scores(dataset: Dataset, kind: str, hp: dict | None, k: int, 
 
 
 class TestCrossValidateGrowsFoldsTogether:
-    """Tree kinds cross-validate over one encoding, every fold's trees grown
-    in shared grow_trees calls; scores must equal the per-fold reference to
-    the bit."""
+    """Every kind cross-validates over one encoding, tree kinds growing every
+    fold's trees in shared grow_trees calls; scores must equal the per-fold
+    reference to the bit."""
 
     @pytest.fixture(scope="class")
     def datasets(self):
@@ -1146,14 +1181,14 @@ class TestCrossValidateGrowsFoldsTogether:
         }
 
     @pytest.mark.parametrize("data", ["synth", "boolean", "mixed"])
-    @pytest.mark.parametrize("kind", [KIND_TREE, KIND_BAGGING, KIND_FOREST])
+    @pytest.mark.parametrize("kind", [KIND_TREE, KIND_BAGGING, KIND_FOREST, KIND_KNN])
     @pytest.mark.parametrize("k,seed", [(3, 5), (4, 17), (7, 9)])
     def test_scores_equal_training_fold_by_fold(self, datasets, data, kind, k, seed):
         dataset = datasets[data]
-        overrides = None if kind == KIND_TREE else {"n_trees": 6}
+        overrides = {"n_trees": 6} if kind in (KIND_BAGGING, KIND_FOREST) else None
         rows, folds, want = reference_fold_scores(dataset, kind, overrides, k, seed)
         hp = resolve_hyperparameters(kind, overrides)
-        got = evaluate._tree_fold_scores(rows, dataset.schema, kind, hp, seed, folds)
+        got = evaluate._fold_scores(rows, dataset.schema, kind, hp, seed, folds)
         assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
         report = cross_validate(dataset, kind, k, overrides, seed)
         for fold, test_positions, scores in zip(report.per_fold, folds, want):
@@ -1162,6 +1197,23 @@ class TestCrossValidateGrowsFoldsTogether:
             assert fold.tp == sum(a == b == "pos" for a, b in zip(labels, predicted))
             assert fold.tn == sum(a == b == "neg" for a, b in zip(labels, predicted))
             assert fold.total == len(test_positions)
+
+    def test_knn_categories_and_ranges_a_fold_never_saw(self):
+        # one row's CA and extreme f14 exist in no other row, so the fold
+        # holding it tests a category and a value outside its training rows
+        rng = random.Random(21)
+        rows = [
+            fv(f"u{i:02d}.example", "pos" if i % 2 else "neg", f1=rng.random() < 0.5,
+               f9=rng.choice(["CA A", "CA B"]), f14=rng.randrange(1, 9), f15=rng.random())
+            for i in range(20)
+        ]
+        rows.append(fv("unique.example", "pos", f9="CA Unique", f14=10**6, f15=1.0))
+        dataset = Dataset(rows)
+        for k, seed, hp in ((3, 5, {"k": 3}), (4, 2, None), (5, 8, {"k": 1})):
+            canonical, folds, want = reference_fold_scores(dataset, KIND_KNN, hp, k, seed)
+            got = evaluate._fold_scores(canonical, dataset.schema, KIND_KNN,
+                                        resolve_hyperparameters(KIND_KNN, hp), seed, folds)
+            assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
 
     @pytest.mark.parametrize("budget", [1, 100, 400])
     def test_small_budget_forces_several_calls_and_the_same_report(
@@ -1295,6 +1347,24 @@ class TestPersistence:
         path = tmp_path / "knn.model.json"
         save_model(model, path)
         assert model_to_json(load_model(path)) == model_to_json(model)
+
+    @pytest.mark.parametrize("kind,payload", [(KIND_FOREST, "nodes"), (KIND_KNN, "instances")])
+    def test_editing_a_document_leaves_the_model_unchanged(self, kind, payload, tmp_path):
+        dataset = self._mixed_dataset()
+        model = train(dataset, kind, {"n_trees": 3} if kind == KIND_FOREST else None)
+        path = tmp_path / "before.json"
+        save_model(model, path)
+        doc = model_to_json(model)
+        doc[payload]["vocabs"]["f9"]["Injected CA"] = 99
+        doc[payload]["vocabs"].pop("f9")
+        doc["hyperparameters"]["edited"] = 1
+        assert "f9" in model.encoder.vocabs and "Injected CA" not in model.encoder.vocabs["f9"]
+        assert "edited" not in model.hyperparameters
+        again = tmp_path / "after.json"
+        save_model(model, again)
+        assert again.read_bytes() == path.read_bytes()
+        loaded = load_model(again)
+        assert [loaded.predict(row) for row in dataset.rows] == [model.predict(row) for row in dataset.rows]
 
     def test_truncated_file(self, tmp_path):
         model = train(f3_dataset(3), KIND_TREE)
