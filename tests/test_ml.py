@@ -764,6 +764,13 @@ class TestEnsembles:
         forest = train(Dataset(rows, schema), KIND_FOREST, {"n_trees": 1}, seed=23)
         assert model_to_json(bagged)["nodes"] == model_to_json(forest)["nodes"]
 
+    # the v2 model file of each ensemble grown in four calls, as the parent
+    # of moving the batch loop into tree.py wrote it
+    SEVERAL_CALLS_DIGESTS = {
+        KIND_BAGGING: "4a58dc13b39abcd5ea1b4d3f68394563df1d6fd0126830d3cbe4e41b4d2d2e14",
+        KIND_FOREST: "1e2d1056fbd84cbbd1d8a42be298bf8c477747fb7d7d27cb19a01a60f2e2ecde",
+    }
+
     def test_trees_grown_in_several_calls_join_into_one_table(self, monkeypatch):
         dataset = TestPersistence()._mixed_dataset()  # 40 rows: 40-row bootstraps
         queries = dataset.rows + [fv("fresh.example", f9="Never Seen CA", f14=200, f15=0.123456)]
@@ -787,6 +794,10 @@ class TestEnsembles:
             assert nested_trees(table) == nested_trees(whole.table)
             assert (joined.predict_batch(queries)[1].tobytes()
                     == whole.predict_batch(queries)[1].tobytes())
+            buf = io.StringIO()
+            write_model(joined, buf)
+            digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+            assert digest == self.SEVERAL_CALLS_DIGESTS[kind]
 
     def test_deterministic_across_row_order(self):
         rng = random.Random(11)
