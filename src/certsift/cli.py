@@ -34,6 +34,7 @@ from .ml import (
     MODEL_KINDS,
     cross_validate,
     load_model,
+    resolve_hyperparameters,
     train,
 )
 from .ml.persist import write_model
@@ -80,7 +81,6 @@ def _note(message: str) -> None:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    domains = _read_domain_list(args.domains)
     resolver = None
     if args.resolve:
         mapping = {}
@@ -90,15 +90,19 @@ def _cmd_probe(args: argparse.Namespace) -> int:
                 raise UsageError(f"--resolve wants DOMAIN=ADDRESS, got {entry!r}")
             mapping[domain.lower()] = address
         resolver = lambda host: mapping.get(host, host)
-    config = ProbeConfig(
-        connect_timeout_ms=args.timeout,
-        handshake_timeout_ms=args.timeout,
-        max_concurrency=args.concurrency,
-        retries=args.retries,
-        http_port=args.http_port,
-        https_port=args.https_port,
-        resolver=resolver,
-    )
+    try:
+        config = ProbeConfig(
+            connect_timeout_ms=args.timeout,
+            handshake_timeout_ms=args.timeout,
+            max_concurrency=args.concurrency,
+            retries=args.retries,
+            http_port=args.http_port,
+            https_port=args.https_port,
+            resolver=resolver,
+        )
+    except ValueError as exc:  # an option out of range
+        raise UsageError(str(exc)) from None
+    domains = _read_domain_list(args.domains)
     if args.out in (None, "-"):
         summary = probe_corpus(
             domains, config, sink=lambda record: sys.stdout.write(record_to_line(record) + "\n")
@@ -137,7 +141,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
-def _hyperparameters(args: argparse.Namespace) -> dict | None:
+def _hyperparameters(args: argparse.Namespace) -> dict:
+    """The hyperparameters of --algo with the override flags given; a flag
+    the kind has no use for, or a value below 1, is a usage error."""
     overrides = {}
     for key, attr in (
         ("n_trees", "trees"),
@@ -148,12 +154,16 @@ def _hyperparameters(args: argparse.Namespace) -> dict | None:
         value = getattr(args, attr, None)
         if value is not None:
             overrides[key] = value
-    return overrides or None
+    try:
+        return resolve_hyperparameters(args.algo, overrides)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    hyperparameters = _hyperparameters(args)
     dataset = Dataset(read_features_csv(args.features))
-    model = train(dataset, args.algo, _hyperparameters(args), seed=args.seed)
+    model = train(dataset, args.algo, hyperparameters, seed=args.seed)
     with _atomic_output(args.model_out) as out:
         write_model(model, out)
     _note(
@@ -164,9 +174,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    hyperparameters = _hyperparameters(args)
     dataset = Dataset(read_features_csv(args.features))
     report = cross_validate(
-        dataset, args.algo, k=args.cv, hyperparameters=_hyperparameters(args), seed=args.seed
+        dataset, args.algo, k=args.cv, hyperparameters=hyperparameters, seed=args.seed
     )
     with _atomic_output(args.out) as out:
         out.write(report.to_json())
@@ -176,9 +187,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
     if bool(args.features) == bool(args.corpus):
         raise UsageError("exactly one of --features or --corpus is required")
+    model = load_model(args.model)
     if args.features:
         vectors = read_features_csv(args.features)
     else:

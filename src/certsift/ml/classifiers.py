@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from itertools import compress
+from itertools import compress, cycle
 
 import numpy as np
 
@@ -251,18 +251,6 @@ def _canonical_rows(dataset: Dataset) -> list[FeatureVector]:
     return [dataset.rows[i] for i in dataset.canonical_order()]
 
 
-# Bootstrap rows one grow_trees call of _grow_trees holds at most: the
-# bootstrap index arrays of the trees in flight grow with it, though growth
-# itself holds only their distinct (row, label) pairs.  All five cv-forest
-# benchmark folds (5 x 25 trees x 320 rows, 40,000 rows) fit in one call.
-# A 10-fold cross-validation of a 100-tree forest on 10,000 boolean-only rows
-# (acceptance test_06, 2-CPU Xeon VM) peaked at 75 MiB RSS in 3.1-3.3 s with
-# this budget; 2^17 rows gave 65 MiB in 14.0 s (72 calls, each binning the
-# rows again), 2^21 83 MiB in 3.0 s, 2^22 106 MiB in 2.4 s, and no budget
-# 149 MiB in 2.4 s.
-_GROW_ROWS = 2**20
-
-
 def _grow_trees(
     X: np.ndarray,
     y: np.ndarray,
@@ -271,49 +259,27 @@ def _grow_trees(
     hp: dict,
     seed: int,
     row_sets: Sequence[np.ndarray],
-) -> Iterator[tuple[NodeTable, list[int]]]:
+) -> Iterator[NodeTable]:
     """The trees train grows for a tree kind on each row set alone (ascending
-    positions of rows of X, which is in canonical order), grown together in
-    grow_trees calls of at most _GROW_ROWS bootstrap rows.  Yields each
-    call's table and the row set each of its roots belongs to.  Trees come
-    in ensemble order, each for every row set in turn, so one call holds
-    the same tree of several row sets, whose rngs start alike; a row set's
-    trees are in order, and an ensemble's may span calls.
+    positions of rows of X, which is in canonical order), in grow_trees's
+    batches.  Trees come in ensemble order, each for every row set in turn,
+    so tree t grows on row set t % len(row_sets), and a batch holds the same
+    tree of several row sets, whose rngs start alike.
 
     Each row set's trees are the ones its rows alone would give (see the
     tree module): its rows, in its own canonical order, are those rows of X
     in ascending position, and its bootstraps are those positions at the
     draws train makes, from rngs spawned from seed as train spawns them.
     """
-    d = X.shape[1]
-    forest = kind == KIND_FOREST
-    n_sample = math.ceil(math.sqrt(d)) if forest else None
-
-    def trees() -> Iterator[tuple[int, np.ndarray, np.random.Generator | None]]:
-        if kind == KIND_TREE:
-            yield from ((s, positions, None) for s, positions in enumerate(row_sets))
-            return
-        for child in np.random.SeedSequence(seed).spawn(hp["n_trees"]):
-            for s, positions in enumerate(row_sets):
-                rng = np.random.default_rng(child)
-                # each tree's rng draws its bootstrap first, then its feature subsets
-                yield s, positions[rng.integers(0, positions.size, size=positions.size)], rng
-
-    def grow(batch: list[tuple]) -> tuple[NodeTable, list[int]]:
-        owners, boots, rngs = zip(*batch)
-        table = grow_trees(X, y, eq_mask, boots, hp["max_depth"], hp["min_leaf"],
-                           rngs if forest else None, n_sample)
-        return table, list(owners)
-
-    batch: list[tuple] = []
-    held = 0
-    for tree in trees():
-        if batch and held + tree[1].size > _GROW_ROWS:
-            yield grow(batch)
-            batch, held = [], 0
-        batch.append(tree)
-        held += tree[1].size
-    yield grow(batch)
+    if kind == KIND_TREE:
+        return grow_trees(X, y, eq_mask, row_sets, hp["max_depth"], hp["min_leaf"])
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(seed).spawn(hp["n_trees"]) for _ in row_sets]
+    # each tree's rng draws its bootstrap first, then its feature subsets
+    boots = (positions[rng.integers(0, positions.size, size=positions.size)]
+             for rng, positions in zip(rngs, cycle(row_sets)))
+    n_sample = math.ceil(math.sqrt(X.shape[1])) if kind == KIND_FOREST else None
+    return grow_trees(X, y, eq_mask, boots, hp["max_depth"], hp["min_leaf"], rngs, n_sample)
 
 
 def train(
@@ -337,8 +303,7 @@ def train(
 
     if kind in TREE_KINDS:
         grown = _grow_trees(X, y, encoder.eq_mask, kind, hp, seed, [np.arange(len(rows))])
-        table = NodeTable.join([table for table, _ in grown])
-        return TREE_CLASSES[kind](table, encoder, hp, seed)
+        return TREE_CLASSES[kind](NodeTable.join(list(grown)), encoder, hp, seed)
     return _fit_knn(encoder, hp, seed, X, y)
 
 

@@ -198,9 +198,10 @@ def cross_validate(
     aggregates the per-fold confusion matrices.
 
     The rows are encoded once, over all of them.  The tree kinds grow every
-    fold's trees together (classifiers._grow_trees), then walk each fold's
-    test rows, in the same encoding, down its own trees; k-NN fits each fold
-    on its training rows of the one matrix and scores its test rows there.
+    fold's trees together (tree.grow_trees, in batches), and each batch, as
+    it is grown, walks each fold's test rows, in the same encoding, down that
+    fold's trees; k-NN fits each fold on its training rows of the one matrix
+    and scores its test rows there.
     Predictions are those of train(...).predict_batch on each fold, to the
     bit:
     - A fold's rows in canonical order are already in its own canonical
@@ -280,10 +281,11 @@ def _fold_scores(
         return scores
     # a single tree scores its leaf fraction, an ensemble its members' votes
     sums = [np.zeros(test.size) for test in tests]
-    for table, owners in _grow_trees(X, y, encoder.eq_mask, kind, hp, seed, row_sets):
-        for f in sorted(set(owners)):
-            roots = [t for t, owner in enumerate(owners) if owner == f]
-            for fractions in table.walk_encoded(X[tests[f]], roots):
+    grown = 0  # the trees of the batches before
+    for table in _grow_trees(X, y, encoder.eq_mask, kind, hp, seed, row_sets):
+        for f, test in enumerate(tests):  # batch root r grows on row set (grown + r) % k
+            roots = range((f - grown) % len(tests), table.n_trees, len(tests))
+            for fractions in table.walk_encoded(X[test], roots):
                 sums[f] += fractions if kind == KIND_TREE else fractions >= 0.5
-    n_trees = 1 if kind == KIND_TREE else hp["n_trees"]
-    return [total / n_trees for total in sums]
+        grown += table.n_trees
+    return [total / (grown // len(tests)) for total in sums]  # over each fold's trees

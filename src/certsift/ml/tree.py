@@ -5,26 +5,27 @@ equality against one observed value; numeric columns split on thresholds
 halfway between consecutive distinct observed values.
 
 Split search is an exact histogram search (after LightGBM, Ke et al.
-2017).  Each column of X is binned once per grow_trees call, one bin per
-distinct value, all columns sharing one id space (column by column, values
-ascending).  The rows of X are mapped, once per call, to their distinct
-(row, label) pairs, and a tree grows on the pairs its bootstrap draws, each
-weighted by how many times it is drawn: a bootstrap as a multiplicity per
-row (Breiman, Bagging Predictors, 1996).  The weight and positive weight of
-each (node, bin) pair come from one weighted bincount per column; an
-equality candidate sends its bin left, a threshold candidate its column's
-bins up to its own, and one vectorised expression scores them all.
+2017).  Each column of X is binned once per grow_trees call (one per train
+or cross-validation), one bin per distinct value, all columns sharing one
+id space (column by column, values ascending).  The rows of X are mapped,
+once per call, to their distinct (row, label) pairs, and a tree grows on
+the pairs its bootstrap draws, each weighted by how many times it is drawn:
+a bootstrap as a multiplicity per row (Breiman, Bagging Predictors, 1996),
+collapsed as it is drawn.  The weight and positive weight of each (node,
+bin) pair come from one weighted bincount per column; an equality candidate
+sends its bin left, a threshold candidate its column's bins up to its own,
+and one vectorised expression scores them all.
 Weights are whole numbers in float64, and so is every sum of them (below
 2^53), so each count, positive count, Gini term and leaf fraction is, to the
 bit, the one the bootstrap's repeated rows give; a node's count is its
 weight.
 
-Every tree's pairs and weights share one sample array (scikit-learn's
-splitter, sklearn/tree/_splitter.pyx, partitions one samples array the same
-way): a tree holds a range of it, a node is a range of its tree's, and a
-split reorders its node's range in place, left rows first, by a stable
-linear partition.  A node waiting on a stack is a few numbers, not an array
-of rows.
+The pairs and weights of a batch's trees (below) share one sample array
+(scikit-learn's splitter, sklearn/tree/_splitter.pyx, partitions one
+samples array the same way): a tree holds a range of it, a node is a range
+of its tree's, and a split reorders its node's range in place, left rows
+first, by a stable linear partition.  A node waiting on a stack is a few
+numbers, not an array of rows.
 
 Ties are broken deterministically: the first strictly-best candidate wins,
 scanning columns in ascending order and candidate values in ascending
@@ -39,42 +40,43 @@ add bins that are empty in every node of it.  So a tree grown on a subset
 of X's rows equals the tree grown on a matrix of that subset alone, with
 the same numeric values and category codes in the same order.
 
-The trees of an ensemble grow in lockstep.  Each keeps its own depth-first
-stack and rng; each step takes from every tree the next node in preorder
-that needs a split search, draws that node's column subset from the tree's
-own rng, and scores all the step's nodes together.  A tree's nodes are
-searched in the preorder of growing it alone, and its rng is drawn only at
-its own nodes, so each rng stream, and with it each tree, is unchanged:
-lockstep forests are byte-identical to forests grown one tree at a time.
-A step gathers its nodes' rows with one index, and scores and partitions
-them in pieces of whole nodes of at most _STEP_ROWS rows, which bounds the
-memory a step takes.  Training the 1,020-row, 100-tree seed-7 benchmark
-forest (2-CPU Xeon VM) peaked at 5.1 MiB of traced memory in 0.45 s with
-2^13 rows; 2^11 gave 4.5 MiB in 0.61 s, 2^14 5.2 MiB in 0.41 s, and no
-cut 10.8 MiB in 0.48 s.
+The trees grow in lockstep batches of at most _GROW_ROWS bootstrap rows,
+each with its own sample array and NodeTable.  Each tree keeps its own
+depth-first stack and rng; each step takes from every tree of the batch
+the next node in preorder that needs a split search, draws that node's
+column subset from the tree's own rng, and scores all the step's nodes
+together.  A tree's nodes are searched in the preorder of growing it
+alone, and its rng is drawn only at its own nodes, so each rng stream, and
+with it each tree, is unchanged: lockstep forests are byte-identical to
+forests grown one tree at a time.  A step gathers its nodes' rows with one
+index, and scores and partitions them in pieces of whole nodes of at most
+_STEP_ROWS rows, which bounds the memory a step takes.  Training the
+1,020-row, 100-tree seed-7 benchmark forest (2-CPU Xeon VM) peaked at 5.1
+MiB of traced memory in 0.45 s with 2^13 rows; 2^11 gave 4.5 MiB in 0.61
+s, 2^14 5.2 MiB in 0.41 s, and no cut 10.8 MiB in 0.48 s.
 
 Every draw is choice(d, n_sample_features, replace=False), so a tree's
-k-th draw depends only on its rng's starting state.  Trees whose rngs
-start in equal states (the same tree of several cross-validation folds
+k-th draw depends only on its rng's starting state.  Trees of a batch whose
+rngs start in equal states (the same tree of several cross-validation folds
 with equal training sizes) therefore draw once and replay: exact, and
 never the case for the distinct rngs of one ensemble.
 
-Growth writes nodes straight into one flat NodeTable (numpy arrays grown
-in place, trimmed once done), in the encoding of X.  A trained model
-keeps that table with its training Encoder, and a version-2 model file
-stores the table's arrays and the Encoder's vocabularies as they are, so
-training, the file and prediction share one representation; walk_encoded
-scores rows in that encoding without decoding anything.  Only
-NodeTable.from_dicts, the reader of version-1 files, meets nested trees.
-Growth, the table and that reader all keep explicit stacks or queues, so
-no tree depth recurses.
+Growth writes nodes straight into one flat NodeTable per batch (numpy
+arrays grown in place, trimmed once done), in the encoding of X.  A
+trained model keeps its batches' tables, joined, with its training
+Encoder, and a version-2 model file stores the table's arrays and the
+Encoder's vocabularies as they are, so training, the file and prediction
+share one representation; walk_encoded scores rows in that encoding
+without decoding anything.  Only NodeTable.from_dicts, the reader of
+version-1 files, meets nested trees.  Growth, the table and that reader
+all keep explicit stacks or queues, so no tree depth recurses.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
 
 import numpy as np
 
@@ -94,6 +96,15 @@ _SPLIT_FORM = {KIND_BOOLEAN: (TEST_EQ, (bool,)), KIND_CATEGORICAL: (TEST_EQ, (st
 # rows (or one node, if it holds more), which bounds the step's temporaries.
 _STEP_ROWS = 2**13
 
+# Bootstrap rows one batch of grow_trees holds at most (or one tree): a
+# batch's memory grows with it, and its count of lockstep steps shrinks.
+# 10-fold 100-tree forest cross-validation, timed alone (2-CPU Xeon VM), on
+# test_06's 10,000 boolean-only rows: 64 MiB RSS in 2.6-3.4 s; 2^17 rows 61
+# MiB in 9.4-11.0 s, 2^19 64 MiB in 3.5-4.8 s, 2^21 67 MiB in 2.5-2.9 s, no
+# budget 81 MiB in 2.1-2.3 s.  On 4,000 full-feature rows: 92 MiB in 10.2 s;
+# 2^19 76 MiB in 10.5 s, 2^21 110 MiB in 8.8 s, no budget 148 MiB in 9.2 s.
+_GROW_ROWS = 2**20
+
 
 def grow_tree(
     X: np.ndarray,
@@ -106,35 +117,38 @@ def grow_tree(
 ) -> NodeTable:
     """Grow one tree on every row of X: grow_trees with a single bootstrap."""
     rngs = None if rng is None else [rng]
-    return grow_trees(
+    return next(grow_trees(
         X, y, eq_mask, [np.arange(X.shape[0])], max_depth, min_leaf, rngs, n_sample_features
-    )
+    ))
 
 
 def grow_trees(
     X: np.ndarray,
     y: np.ndarray,
     eq_mask: np.ndarray,
-    boots: Sequence[np.ndarray],
+    boots: Iterable[np.ndarray],
     max_depth: int,
     min_leaf: int,
-    rngs: Sequence[np.random.Generator] | None = None,
+    rngs: Iterable[np.random.Generator] | None = None,
     n_sample_features: int | None = None,
-) -> NodeTable:
+) -> Iterator[NodeTable]:
     """Grow one tree per bootstrap on encoded data and 0/1 labels (min_leaf
-    >= 1); returns one NodeTable of them all, whose values are X's codes and
-    whose node t is the root of the tree grown on boots[t].  A bootstrap is
-    an array of row indices into X, repeats allowed.  eq_mask marks the
+    >= 1), in batches of at most _GROW_ROWS bootstrap rows grown in lockstep;
+    yields each batch's NodeTable, whose values are X's codes and whose node
+    t is the root of the batch's t-th tree, batches and trees in the order of
+    boots.  A bootstrap is an array of row indices into X, repeats allowed.
+    boots is read once, each bootstrap collapsed to weights as it is drawn,
+    so a generator of bootstraps has one alive at a time.  eq_mask marks the
     equality-tested columns (Encoder.eq_mask); the others are split on
     thresholds.
 
-    When rngs (one per tree, each used by that tree alone) and
-    n_sample_features are set, each split first searches a random subset of
-    that many columns and falls back to the remaining columns only if the
-    subset offers no impurity reduction, so a usable split is never passed
-    over just because the draw missed it.  Trees whose rngs are in equal
-    states share their draws (below); an rng that only replays is not
-    advanced.
+    When rngs (one per tree, read in step with boots, each used by that tree
+    alone) and n_sample_features are set, each split first searches a random
+    subset of that many columns and falls back to the remaining columns only
+    if the subset offers no impurity reduction, so a usable split is never
+    passed over just because the draw missed it.  Trees of one batch whose
+    rngs are in equal states share their draws (below); an rng that only
+    replays is not advanced.
     """
     n, d = X.shape
     subsampling = rngs is not None and n_sample_features is not None and n_sample_features < d
@@ -232,147 +246,164 @@ def grow_trees(
         value = np.where(eq_mask[j] | ~(mid < high), low, mid)
         return split, j, b, value, n_left[won], pos_left[won]
 
-    n_trees = len(boots)
-    if subsampling:
-        # choice's output depends only on the rng's state and its arguments,
-        # which are the same at every node, so trees whose rngs start in
-        # equal states draw equal subsets in equal order: such a group draws
-        # each subset once, from its first tree's rng, and the others replay it
-        leader: dict[str, int] = {}
-        lead = [leader.setdefault(repr(rng.bit_generator.state), t) for t, rng in enumerate(rngs)]
-        replay = {t: [] for t, members in Counter(lead).items() if members > 1}
-        drawn = [0] * n_trees  # subsets each replaying tree has used
+    def grow(trees: list[tuple]) -> NodeTable:
+        """Grow a batch of trees (each its pairs, their weights, its rows and
+        positive rows, and its rng) into one NodeTable, emptying trees."""
+        n_trees = len(trees)
+        rngs = [rng for *_, rng in trees]
+        if subsampling:
+            # choice's output depends only on the rng's state and its arguments,
+            # which are the same at every node, so trees whose rngs start in
+            # equal states draw equal subsets in equal order: such a group draws
+            # each subset once, from its first tree's rng, and the others replay it
+            leader: dict[str, int] = {}
+            lead = [leader.setdefault(repr(rng.bit_generator.state), t)
+                    for t, rng in enumerate(rngs)]
+            replay = {t: [] for t, members in Counter(lead).items() if members > 1}
+            drawn = [0] * n_trees  # subsets each replaying tree has used
 
-        def draw(rng: np.random.Generator) -> np.ndarray:
-            mask = np.zeros(d, dtype=bool)
-            mask[rng.choice(d, size=n_sample_features, replace=False)] = True
-            return mask
+            def draw(rng: np.random.Generator) -> np.ndarray:
+                mask = np.zeros(d, dtype=bool)
+                mask[rng.choice(d, size=n_sample_features, replace=False)] = True
+                return mask
 
-        def subset(t: int) -> np.ndarray:
-            """Tree t's column subset for its next node searched, as a mask."""
-            if (shared := replay.get(lead[t])) is None:
-                return draw(rngs[t])
-            if drawn[t] == len(shared):
-                shared.append(draw(rngs[lead[t]]))
-            drawn[t] += 1
-            return shared[drawn[t] - 1]
+            def subset(t: int) -> np.ndarray:
+                """Tree t's column subset for its next node searched, as a mask."""
+                if (shared := replay.get(lead[t])) is None:
+                    return draw(rngs[t])
+                if drawn[t] == len(shared):
+                    shared.append(draw(rngs[lead[t]]))
+                drawn[t] += 1
+                return shared[drawn[t] - 1]
 
-    # The sample array: each tree's range holds the pairs its bootstrap
-    # draws, ascending, and weight their multiplicities.  A node is a range
-    # of its tree's, and a split reorders the range in place, left rows first.
-    samples, weights = [np.empty(0, dtype=np.intp)], [np.empty(0)]
-    roots, start = [], 0  # one row per tree, as the stacks hold nodes below
-    for t, boot in enumerate(boots):
+        # The sample array: each tree's range holds the pairs its bootstrap
+        # draws, ascending, and weight their multiplicities.  A node is a range
+        # of its tree's, and a split reorders the range in place, left rows first.
+        roots, start = [], 0  # one row per tree, as the stacks hold nodes below
+        for t, (held, _, size, positive, _) in enumerate(trees):
+            roots.append((t, start, start + held.size, 0, t, float(size), positive))
+            start += held.size
+        sample = np.concatenate([held for held, *_ in trees])
+        weight = np.concatenate([w for _, w, *_ in trees])
+        trees.clear()  # the per-tree arrays, now in the sample array
+
+        # The node table, grown in place: node t is tree t's root, and a split's
+        # two children are numbered together, left first, when it splits.
+        node_column, node_left = np.full(n_trees, -1), np.full(n_trees, -1)
+        node_value, node_fraction, node_count = (np.zeros(n_trees) for _ in range(3))
+        n_nodes = n_trees
+
+        def add_children(n_splits: int) -> int:
+            """Number the children of n_splits splits; returns the first."""
+            nonlocal n_nodes
+            first_child, n_nodes = n_nodes, n_nodes + 2 * n_splits
+            if n_nodes > node_column.size:  # grow by at least a quarter; new cells are 0
+                size, old = max(n_nodes, node_column.size * 5 // 4), node_column.size
+                for cells in (node_column, node_left, node_value, node_fraction, node_count):
+                    cells.resize(size, refcheck=False)
+                node_column[old:] = node_left[old:] = -1
+            return first_child
+
+        def make_leaves(nodes: np.ndarray) -> None:
+            i = nodes[:, 4].astype(np.intp)
+            node_fraction[i], node_count[i] = nodes[:, 6] / nodes[:, 5], nodes[:, 5]
+
+        # each tree's nodes still to search, in preorder, as rows of (tree,
+        # start, end, depth, node, weight, positive weight)
+        stacks: list[list] = [[] for _ in range(n_trees)]
+
+        def settle(nodes: np.ndarray) -> None:
+            """Push each node row that needs a split search onto its tree's
+            stack, in order, and make the others leaves."""
+            depth, count, positive = nodes[:, 3], nodes[:, 5], nodes[:, 6]
+            leaf = ((positive == 0) | (positive == count) | (depth >= max_depth)
+                    | (count < 2 * min_leaf))
+            make_leaves(nodes[leaf])
+            for node in nodes[~leaf].tolist():
+                stacks[int(node[0])].append(node)
+
+        def grow_piece(nodes: np.ndarray, sampled: np.ndarray | None) -> None:
+            """Search one piece of a step's nodes, and split those a split suits."""
+            k = len(nodes)
+            start, end = nodes[:, 1].astype(np.intp), nodes[:, 2].astype(np.intp)
+            lengths = end - start
+            offset = np.cumsum(lengths) - lengths  # each node's first row in the piece
+            node_of = np.repeat(np.arange(k), lengths)
+            at = np.arange(node_of.size) + np.repeat(start - offset, lengths)
+            rows, w = sample[at], weight[at]
+            del at
+            split, j, b, value, n_left, pos_left = search(
+                node_of, rows, w, nodes[:, 5], nodes[:, 6], sampled
+            )
+            searched = np.ones(k, dtype=bool)
+            searched[split] = False  # the nodes no split suits stay leaves
+            make_leaves(nodes[searched])
+            if not split.size:
+                return
+            # each row's side: a node that does not split keeps every row left, in place
+            col_of, is_eq = np.zeros(k, dtype=np.intp), np.zeros(k, dtype=bool)
+            col_of[split], is_eq[split] = j, eq_mask[j]
+            bound = np.full(k, n_bins)
+            bound[split] = b
+            bins, bound = pair_bin[col_of[node_of], rows], bound[node_of]
+            left = np.where(is_eq[node_of], bins == bound, bins <= bound)
+            del bins, bound
+            # a stable partition of each node's range, its left rows first
+            lefts = np.concatenate([[0], np.cumsum(left)])
+            n_left_rows = lefts[offset + lengths] - lefts[offset]
+            rank = np.arange(node_of.size) - offset[node_of]
+            left_rank = lefts[:-1] - lefts[offset][node_of]
+            placed = start[node_of] + np.where(
+                left, left_rank, n_left_rows[node_of] + rank - left_rank
+            )
+            sample[placed], weight[placed] = rows, w
+            # the children, right before left on each stack so left pops first
+            parent = nodes[split]
+            i = parent[:, 4].astype(np.intp)
+            child = add_children(split.size) + 2 * np.arange(split.size)
+            node_column[i], node_value[i], node_left[i] = j, value, child
+            middle = start[split] + n_left_rows[split]
+            depth = parent[:, 3] + 1
+            right_nodes = np.column_stack([parent[:, 0], middle, end[split], depth, child + 1,
+                                           parent[:, 5] - n_left, parent[:, 6] - pos_left])
+            left_nodes = np.column_stack([parent[:, 0], start[split], middle, depth, child,
+                                          n_left, pos_left])
+            settle(np.stack([right_nodes, left_nodes], axis=1).reshape(-1, 7))
+
+        settle(np.array(roots, dtype=np.float64).reshape(-1, 7))
+        live = [t for t in range(n_trees) if stacks[t]]
+        while live:
+            # each live tree's next node in preorder, scored in pieces of rows
+            step = np.array([stacks[t].pop() for t in live])
+            # each tree draws in its own preorder
+            sampled = np.array([subset(t) for t in live]) if subsampling else None
+            lengths = step[:, 2] - step[:, 1]
+            ends = np.cumsum(lengths)
+            lo = 0
+            while lo < len(live):
+                cut = ends[lo] - lengths[lo] + _STEP_ROWS
+                hi = max(lo + 1, int(np.searchsorted(ends, cut, side="right")))
+                grow_piece(step[lo:hi], None if sampled is None else sampled[lo:hi])
+                lo = hi
+            live = [t for t in live if stacks[t]]
+        for cells in (node_column, node_left, node_value, node_fraction, node_count):
+            cells.resize(n_nodes, refcheck=False)
+        return NodeTable(node_column, node_value, node_left, node_fraction, node_count, eq_mask)
+
+    rngs = repeat(None) if rngs is None else iter(rngs)  # read in step with boots
+    batch, batch_rows = [], 0
+    for boot in boots:
         drawn_pairs = np.bincount(pair_of[np.asarray(boot, dtype=np.intp)], minlength=rep.size)
-        held = np.flatnonzero(drawn_pairs)
-        samples.append(held)
-        weights.append(drawn_pairs[held].astype(np.float64))
-        positive = float(drawn_pairs[held] @ pair_positive[held])
-        roots.append((t, start, start + held.size, 0, t, float(len(boot)), positive))
-        start += held.size
-    sample, weight = np.concatenate(samples), np.concatenate(weights)
-    del samples, weights
-
-    # The node table, grown in place: node t is tree t's root, and a split's
-    # two children are numbered together, left first, when it splits.
-    node_column, node_left = np.full(n_trees, -1), np.full(n_trees, -1)
-    node_value, node_fraction, node_count = np.zeros(n_trees), np.zeros(n_trees), np.zeros(n_trees)
-    n_nodes = n_trees
-
-    def add_children(n_splits: int) -> int:
-        """Number the children of n_splits splits; returns the first."""
-        nonlocal n_nodes
-        first_child, n_nodes = n_nodes, n_nodes + 2 * n_splits
-        if n_nodes > node_column.size:  # grow by at least a quarter; new cells are 0
-            size, old = max(n_nodes, node_column.size * 5 // 4), node_column.size
-            for cells in (node_column, node_left, node_value, node_fraction, node_count):
-                cells.resize(size, refcheck=False)
-            node_column[old:] = node_left[old:] = -1
-        return first_child
-
-    def make_leaves(nodes: np.ndarray) -> None:
-        i = nodes[:, 4].astype(np.intp)
-        node_fraction[i], node_count[i] = nodes[:, 6] / nodes[:, 5], nodes[:, 5]
-
-    # each tree's nodes still to search, in preorder, as rows of (tree,
-    # start, end, depth, node, weight, positive weight)
-    stacks: list[list] = [[] for _ in range(n_trees)]
-
-    def settle(nodes: np.ndarray) -> None:
-        """Push each node row that needs a split search onto its tree's
-        stack, in order, and make the others leaves."""
-        depth, count, positive = nodes[:, 3], nodes[:, 5], nodes[:, 6]
-        leaf = (positive == 0) | (positive == count) | (depth >= max_depth) | (count < 2 * min_leaf)
-        make_leaves(nodes[leaf])
-        for node in nodes[~leaf].tolist():
-            stacks[int(node[0])].append(node)
-
-    def grow_piece(nodes: np.ndarray, sampled: np.ndarray | None) -> None:
-        """Search one piece of a step's nodes, and split those a split suits."""
-        k = len(nodes)
-        start, end = nodes[:, 1].astype(np.intp), nodes[:, 2].astype(np.intp)
-        lengths = end - start
-        offset = np.cumsum(lengths) - lengths  # each node's first row in the piece
-        node_of = np.repeat(np.arange(k), lengths)
-        at = np.arange(node_of.size) + np.repeat(start - offset, lengths)
-        rows, w = sample[at], weight[at]
-        del at
-        split, j, b, value, n_left, pos_left = search(node_of, rows, w, nodes[:, 5], nodes[:, 6],
-                                                      sampled)
-        searched = np.ones(k, dtype=bool)
-        searched[split] = False  # the nodes no split suits stay leaves
-        make_leaves(nodes[searched])
-        if not split.size:
-            return
-        # each row's side: a node that does not split keeps every row left, in place
-        col_of, is_eq = np.zeros(k, dtype=np.intp), np.zeros(k, dtype=bool)
-        col_of[split], is_eq[split] = j, eq_mask[j]
-        bound = np.full(k, n_bins)
-        bound[split] = b
-        bins, bound = pair_bin[col_of[node_of], rows], bound[node_of]
-        left = np.where(is_eq[node_of], bins == bound, bins <= bound)
-        del bins, bound
-        # a stable partition of each node's range, its left rows first
-        lefts = np.concatenate([[0], np.cumsum(left)])
-        n_left_rows = lefts[offset + lengths] - lefts[offset]
-        rank = np.arange(node_of.size) - offset[node_of]
-        left_rank = lefts[:-1] - lefts[offset][node_of]
-        placed = start[node_of] + np.where(
-            left, left_rank, n_left_rows[node_of] + rank - left_rank
-        )
-        sample[placed], weight[placed] = rows, w
-        # the children, right before left on each stack so left pops first
-        parent = nodes[split]
-        i = parent[:, 4].astype(np.intp)
-        child = add_children(split.size) + 2 * np.arange(split.size)
-        node_column[i], node_value[i], node_left[i] = j, value, child
-        middle = start[split] + n_left_rows[split]
-        depth = parent[:, 3] + 1
-        right_nodes = np.column_stack([parent[:, 0], middle, end[split], depth, child + 1,
-                                       parent[:, 5] - n_left, parent[:, 6] - pos_left])
-        left_nodes = np.column_stack([parent[:, 0], start[split], middle, depth, child,
-                                      n_left, pos_left])
-        settle(np.stack([right_nodes, left_nodes], axis=1).reshape(-1, 7))
-
-    settle(np.array(roots, dtype=np.float64).reshape(-1, 7))
-    live = [t for t in range(n_trees) if stacks[t]]
-    while live:
-        # each live tree's next node in preorder, scored in pieces of rows
-        step = np.array([stacks[t].pop() for t in live])
-        # each tree draws in its own preorder
-        sampled = np.array([subset(t) for t in live]) if subsampling else None
-        lengths = step[:, 2] - step[:, 1]
-        ends = np.cumsum(lengths)
-        lo = 0
-        while lo < len(live):
-            cut = ends[lo] - lengths[lo] + _STEP_ROWS
-            hi = max(lo + 1, int(np.searchsorted(ends, cut, side="right")))
-            grow_piece(step[lo:hi], None if sampled is None else sampled[lo:hi])
-            lo = hi
-        live = [t for t in live if stacks[t]]
-    for cells in (node_column, node_left, node_value, node_fraction, node_count):
-        cells.resize(n_nodes, refcheck=False)
-    return NodeTable(node_column, node_value, node_left, node_fraction, node_count, eq_mask)
+        held, size = np.flatnonzero(drawn_pairs), len(boot)
+        del boot  # so that a generator of bootstraps has one alive at a time
+        if batch and batch_rows + size > _GROW_ROWS:
+            yield grow(batch)  # which empties batch
+            batch_rows = 0
+        batch.append((held, drawn_pairs[held].astype(np.float64), size,
+                      float(drawn_pairs[held] @ pair_positive[held]), next(rngs)))
+        batch_rows += size
+    if batch:
+        yield grow(batch)
 
 
 class NodeTable:

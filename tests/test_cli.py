@@ -202,6 +202,16 @@ class TestTrainAndEval:
         assert code == 3
         assert "DegenerateDataset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("train", "--algo", "bagging", "--trees", "0"),
+        ("eval", "--algo", "forest", "--trees", "0"),
+        ("eval", "--algo", "forest", "--k", "3"),
+    ])
+    def test_out_of_range_hyperparameter_exit_1(self, argv, synth_csv, capsys):
+        assert run(*argv, "--features", str(synth_csv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
+
     def test_missing_features_file_exit_2(self, tmp_path, capsys):
         code = run("train", "--features", str(tmp_path / "nope.csv"), "--algo", "tree")
         assert code == 2
@@ -356,6 +366,12 @@ class TestClassifyCommand:
         assert got[0] == ["domain", "label", "score"]
         assert [row[0] for row in got[1:]] == [fv.domain for fv in rows]
         assert all(len(row) == 3 for row in got)
+
+    def test_inputs_checked_before_the_model_is_read(self, tmp_path, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_text("{\"format_version\": 1, \"kind\": \"tree\"")
+        assert run("classify", "--model", str(broken)) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
 
     def test_corrupt_model_exit_3(self, synth_csv, tmp_path, capsys):
         broken = tmp_path / "broken.json"
@@ -723,6 +739,16 @@ class TestProbeCommand:
         code = run("probe", "--domains", str(domains_file), "--resolve", "nonsense")
         assert code == 1
         assert "usage error" in capsys.readouterr().err
+
+    def test_zero_concurrency_exit_1(self, tmp_path, capsys):
+        domains_file = tmp_path / "domains.txt"
+        domains_file.write_text("a.test\n")
+        out = tmp_path / "corpus.ndjson"
+        code = run("probe", "--domains", str(domains_file), "--concurrency", "0",
+                   "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
 
 
 class TestExitCodesAndPlumbing:

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -623,7 +624,7 @@ class TestHistogramGrowth:
                 want = [reference_grow_tree(X[b], y[b], tests, max_depth, min_leaf, rng, n_sample)
                         for b, rng in zip(boots, rngs)]
                 rngs = [np.random.default_rng(s) for s in seeds] if subsample else None
-                got = grow_trees(X, y, eq_mask(tests), boots, max_depth, min_leaf, rngs, n_sample)
+                (got,) = grow_trees(X, y, eq_mask(tests), boots, max_depth, min_leaf, rngs, n_sample)
                 assert nested_trees(got) == want
 
     def test_lockstep_equals_one_tree_at_a_time(self, monkeypatch):
@@ -659,7 +660,7 @@ class TestHistogramGrowth:
                 ]
                 rngs = [np.random.default_rng(s) for s in seeds] if subsample else None
                 keyed.clear()
-                got = grow_trees(X, y, mask, boots, max_depth, min_leaf, rngs, n_sample)
+                (got,) = grow_trees(X, y, mask, boots, max_depth, min_leaf, rngs, n_sample)
                 assert nested_trees(got) == want
                 # a histogram keys each sample row of a step once: at most
                 # one row per distinct (row, label) pair of each tree
@@ -677,7 +678,7 @@ class TestHistogramGrowth:
                                                 (5, pairs, [pairs] * (5 * d))):
             monkeypatch.setattr(tree, "_STEP_ROWS", step_rows)
             keyed.clear()
-            got = grow_trees(X, y, mask, [np.arange(n)] * n_trees, 6, 1)
+            (got,) = grow_trees(X, y, mask, [np.arange(n)] * n_trees, 6, 1)
             assert nested_trees(got) == [want] * n_trees
             assert keyed[: len(first_steps)] == first_steps
 
@@ -777,15 +778,16 @@ class TestEnsembles:
         grow = classifiers.grow_trees
         for kind in (KIND_BAGGING, KIND_FOREST):
             whole = train(dataset, kind, {"n_trees": 7})
-            calls = []
+            calls = []  # the trees of each batch grown
 
-            def counted(X, y, eq_mask, boots, *args):
-                calls.append(len(boots))
-                return grow(X, y, eq_mask, boots, *args)
+            def counted(*args):
+                for table in grow(*args):
+                    calls.append(table.n_trees)
+                    yield table
 
             with monkeypatch.context() as patch:
                 patch.setattr(classifiers, "grow_trees", counted)
-                patch.setattr(classifiers, "_GROW_ROWS", 100)  # two bootstraps a call
+                patch.setattr(tree, "_GROW_ROWS", 100)  # two bootstraps a batch
                 joined = train(dataset, kind, {"n_trees": 7})
             assert calls == [2, 2, 2, 1]
             table = joined.table
@@ -798,6 +800,34 @@ class TestEnsembles:
             write_model(joined, buf)
             digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
             assert digest == self.SEVERAL_CALLS_DIGESTS[kind]
+
+    def test_bins_and_pairs_rows_once_however_many_batches(self, monkeypatch):
+        dataset = TestPersistence()._mixed_dataset()  # 40 rows, 13 included columns
+        unique = np.unique
+        pairings, binnings = [], []  # np.unique over rows, and over one column
+
+        def counted(values, *args, **kwargs):
+            (pairings if kwargs.get("axis") == 0 else binnings).append(values.shape)
+            return unique(values, *args, **kwargs)
+
+        batches = []
+        grow = classifiers.grow_trees
+
+        def batched(*args):
+            for table in grow(*args):
+                batches.append(table.n_trees)
+                yield table
+
+        monkeypatch.setattr(np, "unique", counted)
+        monkeypatch.setattr(classifiers, "grow_trees", batched)
+        monkeypatch.setattr(tree, "_GROW_ROWS", 100)
+        for run in (lambda: train(dataset, KIND_FOREST, {"n_trees": 7}),
+                    lambda: cross_validate(dataset, KIND_BAGGING, 4, {"n_trees": 3})):
+            pairings.clear(), binnings.clear(), batches.clear()
+            run()
+            assert len(batches) > 2
+            assert pairings == [(40, 14)]  # 13 columns and the label
+            assert binnings == [(40,)] * 13
 
     def test_deterministic_across_row_order(self):
         rng = random.Random(11)
@@ -1232,24 +1262,57 @@ class TestCrossValidateGrowsFoldsTogether:
     ):
         # 30 to 40 training rows per fold: a budget of 1 grows each tree
         # alone, 100 three trees at once, and 400 up to ten, each tree of all
-        # three folds together, so every ensemble spans several calls
+        # three folds together, so every ensemble spans several batches
         dataset = datasets["boolean"] if budget == 400 else datasets["synth"]
         want = {kind: cross_validate(dataset, kind, 3, {"n_trees": 5}) for kind in
                 (KIND_BAGGING, KIND_FOREST)}
-        calls = []
+        calls = []  # the bootstrap rows of each batch grown
         grow = classifiers.grow_trees
 
         def counted(X, y, eq_mask, boots, *args):
-            calls.append(sum(len(boot) for boot in boots))
-            return grow(X, y, eq_mask, boots, *args)
+            sizes = []  # each bootstrap's rows, as grow_trees draws it
+
+            def drawn():
+                for boot in boots:
+                    sizes.append(len(boot))
+                    yield boot
+
+            done = 0  # the trees of the batches already grown
+            for table in grow(X, y, eq_mask, drawn(), *args):
+                calls.append(sum(sizes[done:done + table.n_trees]))
+                done += table.n_trees
+                yield table
 
         monkeypatch.setattr(classifiers, "grow_trees", counted)
-        monkeypatch.setattr(classifiers, "_GROW_ROWS", budget)
+        monkeypatch.setattr(tree, "_GROW_ROWS", budget)
         for kind, report in want.items():
             calls.clear()
             assert cross_validate(dataset, kind, 3, {"n_trees": 5}) == report
             assert len(calls) > 1
             assert budget == 1 or max(calls) <= budget
+
+    def test_one_bootstrap_alive_at_a_time(self, datasets, monkeypatch):
+        alive, peers = set(), []  # bootstraps not yet freed; how many as each is drawn
+        grow = classifiers.grow_trees
+
+        def watched(X, y, eq_mask, boots, *args):
+            def drawn():
+                for t, boot in enumerate(boots):
+                    peers.append(len(alive))
+                    alive.add(t)
+                    weakref.finalize(boot, alive.discard, t)
+                    yield boot
+
+            yield from grow(X, y, eq_mask, drawn(), *args)
+
+        monkeypatch.setattr(classifiers, "grow_trees", watched)
+        for budget in (tree._GROW_ROWS, 100):
+            monkeypatch.setattr(tree, "_GROW_ROWS", budget)
+            for kind in (KIND_BAGGING, KIND_FOREST):
+                peers.clear()
+                cross_validate(datasets["synth"], kind, 3, {"n_trees": 5})
+                train(datasets["synth"], kind, {"n_trees": 5})
+                assert peers == [0] * 20
 
     def test_equal_rng_states_share_draws_exactly(self):
         cases = np.random.default_rng(2027)
@@ -1270,7 +1333,7 @@ class TestCrossValidateGrowsFoldsTogether:
                 for b, child in zip(boots, children)
             ]
             untouched = [rng.bit_generator.state for rng in rngs]
-            got = grow_trees(X, y, eq_mask(tests), boots, max_depth, min_leaf, rngs, n_sample)
+            (got,) = grow_trees(X, y, eq_mask(tests), boots, max_depth, min_leaf, rngs, n_sample)
             assert nested_trees(got) == want
             # the second spawn only replayed the first's draws
             assert [rng.bit_generator.state for rng in rngs[3:]] == untouched[3:]
@@ -1330,8 +1393,8 @@ class TestPersistence:
             encoder = Encoder(schema, vocabs={name: {f"v{code}": code for code in range(8)}
                                               for name, test in zip(names, tests) if test == TEST_EQ})
             boots = [cases.integers(0, n, size=n) for _ in range(int(cases.integers(1, 4)))]
-            table = grow_trees(X, y, encoder.eq_mask, boots, int(cases.integers(1, 7)),
-                               int(cases.integers(1, 5)))
+            (table,) = grow_trees(X, y, encoder.eq_mask, boots, int(cases.integers(1, 7)),
+                                  int(cases.integers(1, 5)))
             cls = DecisionTreeModel if len(boots) == 1 else RandomForestModel
             save_model(cls(table, encoder, {}, 0), path)
             loaded = load_model(path).table
