@@ -765,8 +765,8 @@ class TestEnsembles:
         forest = train(Dataset(rows, schema), KIND_FOREST, {"n_trees": 1}, seed=23)
         assert model_to_json(bagged)["nodes"] == model_to_json(forest)["nodes"]
 
-    # the v2 model file of each ensemble grown in four calls, as the parent
-    # of moving the batch loop into tree.py wrote it
+    # the v2 model file of each ensemble grown in four batches, recorded
+    # while the batch loop still lived in classifiers
     SEVERAL_CALLS_DIGESTS = {
         KIND_BAGGING: "4a58dc13b39abcd5ea1b4d3f68394563df1d6fd0126830d3cbe4e41b4d2d2e14",
         KIND_FOREST: "1e2d1056fbd84cbbd1d8a42be298bf8c477747fb7d7d27cb19a01a60f2e2ecde",
