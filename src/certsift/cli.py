@@ -175,6 +175,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     hyperparameters = _hyperparameters(args)
+    if args.cv < 2:
+        raise UsageError(f"--cv must be at least 2, got {args.cv}")
     dataset = Dataset(read_features_csv(args.features))
     report = cross_validate(
         dataset, args.algo, k=args.cv, hyperparameters=hyperparameters, seed=args.seed
@@ -231,6 +233,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise UsageError(f"--n must be positive, got {args.n}")
     positive = load_spec(args.pos_spec)
     negative = load_spec(args.neg_spec)
     if positive.label != "pos":

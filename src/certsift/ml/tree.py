@@ -13,8 +13,12 @@ the pairs its bootstrap draws, each weighted by how many times it is drawn:
 a bootstrap as a multiplicity per row (Breiman, Bagging Predictors, 1996),
 collapsed as it is drawn.  The weight and positive weight of each (node,
 bin) pair come from one weighted bincount per column; an equality candidate
-sends its bin left, a threshold candidate its column's bins up to its own,
-and one vectorised expression scores them all.
+sends its bin left, a threshold candidate its column's bins up to its own
+(a run of the node's column, found by a linear scan), and one vectorised
+expression scores them.  With column subsets, a node's entries in its
+sampled columns are scored first, and its others only if those offer no
+split: in the seed-7 cv-forest benchmark 31% of the non-empty entries lie
+in sampled columns, and 535 of 7,762 searched nodes fall back.
 Weights are whole numbers in float64, and so is every sum of them (below
 2^53), so each count, positive count, Gini term and leaf fraction is, to the
 bit, the one the bootstrap's repeated rows give; a node's count is its
@@ -42,24 +46,29 @@ the same numeric values and category codes in the same order.
 
 The trees grow in lockstep batches of at most _GROW_ROWS bootstrap rows,
 each with its own sample array and NodeTable.  Each tree keeps its own
-depth-first stack and rng; each step takes from every tree of the batch
-the next node in preorder that needs a split search, draws that node's
-column subset from the tree's own rng, and scores all the step's nodes
-together.  A tree's nodes are searched in the preorder of growing it
-alone, and its rng is drawn only at its own nodes, so each rng stream, and
-with it each tree, is unchanged: lockstep forests are byte-identical to
-forests grown one tree at a time.  A step gathers its nodes' rows with one
-index, and scores and partitions them in pieces of whole nodes of at most
-_STEP_ROWS rows, which bounds the memory a step takes.  Training the
-1,020-row, 100-tree seed-7 benchmark forest (2-CPU Xeon VM) peaked at 5.1
-MiB of traced memory in 0.45 s with 2^13 rows; 2^11 gave 4.5 MiB in 0.61
-s, 2^14 5.2 MiB in 0.41 s, and no cut 10.8 MiB in 0.48 s.
+depth-first stack, a row of one stack array with a height per tree, so a
+step pops and pushes with array operations; each step takes from every
+tree of the batch the next node in preorder that needs a split search,
+takes that node's column subset from the tree's own draws, and scores all
+the step's nodes together.  A tree's nodes are searched in the preorder of
+growing it alone, and its k-th searched node gets its k-th subset, so each
+tree is unchanged: lockstep forests are byte-identical to forests grown one
+tree at a time.  A step gathers its nodes' rows with one index, and scores
+and partitions them in pieces of whole nodes of at most _STEP_ROWS rows,
+which bounds the memory a step takes.  Training the 1,020-row, 100-tree
+seed-7 benchmark forest (2-CPU Xeon VM) peaked at 4.8 MiB of traced memory
+in 0.32 s with 2^13 rows; 2^11 gave 4.2 MiB in 0.43 s, 2^14 4.8 MiB in
+0.31 s, and no cut 7.7 MiB in 0.34 s.
 
-Every draw is choice(d, n_sample_features, replace=False), so a tree's
-k-th draw depends only on its rng's starting state.  Trees of a batch whose
-rngs start in equal states (the same tree of several cross-validation folds
-with equal training sizes) therefore draw once and replay: exact, and
-never the case for the distinct rngs of one ensemble.
+A tree's k-th column subset is the k-th choice(d, n_sample_features,
+replace=False) of its rng, so it depends only on the rng's starting state.
+_ColumnDraws makes those subsets in bulk from the rng's raw stream, exactly
+as choice draws them, as masks indexed by draw: no call per node.  Trees of
+a batch whose rngs start in equal states (the same tree of several
+cross-validation folds with equal training sizes) form one group, which
+draws from its first tree's rng alone, and every tree reads the group's
+masks at its own draw count: exact, and never the case for the distinct
+rngs of one ensemble.
 
 Growth writes nodes straight into one flat NodeTable per batch (numpy
 arrays grown in place, trimmed once done), in the encoding of X.  A
@@ -67,14 +76,14 @@ trained model keeps its batches' tables, joined, with its training
 Encoder, and a version-2 model file stores the table's arrays and the
 Encoder's vocabularies as they are, so training, the file and prediction
 share one representation; walk_encoded scores rows in that encoding
-without decoding anything.  Only NodeTable.from_dicts, the reader of
+without decoding anything, several roots a pass (at most _WALK_CELLS
+(root, row) cells).  Only NodeTable.from_dicts, the reader of
 version-1 files, meets nested trees.  Growth, the table and that reader
 all keep explicit stacks or queues, so no tree depth recurses.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 
@@ -99,11 +108,18 @@ _STEP_ROWS = 2**13
 # Bootstrap rows one batch of grow_trees holds at most (or one tree): a
 # batch's memory grows with it, and its count of lockstep steps shrinks.
 # 10-fold 100-tree forest cross-validation, timed alone (2-CPU Xeon VM), on
-# test_06's 10,000 boolean-only rows: 64 MiB RSS in 2.6-3.4 s; 2^17 rows 61
-# MiB in 9.4-11.0 s, 2^19 64 MiB in 3.5-4.8 s, 2^21 67 MiB in 2.5-2.9 s, no
-# budget 81 MiB in 2.1-2.3 s.  On 4,000 full-feature rows: 92 MiB in 10.2 s;
-# 2^19 76 MiB in 10.5 s, 2^21 110 MiB in 8.8 s, no budget 148 MiB in 9.2 s.
+# test_06's 10,000 boolean-only rows: 65 MiB RSS in 2.4-2.7 s; 2^17 rows 61
+# MiB in 9.3-10.0 s, 2^19 63 MiB in 3.4-4.3 s, 2^21 67 MiB in 2.0 s, no
+# budget 79 MiB in 1.4-1.6 s.  On 4,000 full-feature rows: 91 MiB in 7.1 s;
+# 2^19 75 MiB in 8.2 s, 2^21 103 MiB in 7.2 s, no budget 133 MiB in 6.8 s.
 _GROW_ROWS = 2**20
+
+# (root, row) cells one pass of NodeTable.walk_encoded steps together.
+# Classify's 100-tree seed-7 benchmark forest over its 836 rows, timed alone
+# (2-CPU Xeon VM): 36 ms at a 0.7 MiB traced peak (9 roots a pass); 2^11
+# cells 46 ms at 0.2 MiB, 2^15 35 ms at 2.7 MiB, no budget 37 ms at 5.9
+# MiB, and one root a pass 52 ms.
+_WALK_CELLS = 2**13
 
 
 def grow_tree(
@@ -146,9 +162,10 @@ def grow_trees(
     alone) and n_sample_features are set, each split first searches a random
     subset of that many columns and falls back to the remaining columns only
     if the subset offers no impurity reduction, so a usable split is never
-    passed over just because the draw missed it.  Trees of one batch whose
-    rngs are in equal states share their draws (below); an rng that only
-    replays is not advanced.
+    passed over just because the draw missed it.  The rngs are Generators
+    over PCG64, as default_rng makes.  Trees of one batch whose rngs are in
+    equal states share their draws (below): an rng that only replays is not
+    advanced, and one that draws ends past its last subset.
     """
     n, d = X.shape
     subsampling = rngs is not None and n_sample_features is not None and n_sample_features < d
@@ -176,8 +193,11 @@ def grow_trees(
                positives: np.ndarray, sampled: np.ndarray | None) -> tuple[np.ndarray, ...]:
         """The best split of each node of a piece, from one weighted bincount
         per column keyed by (node, label, bin) over its rows (pairs, with
-        weights w, of node row_node): the splitting nodes and their column,
-        bin, value, and the weight and positive weight they send left."""
+        weights w, of node row_node): the splitting nodes, ascending, and
+        their column, bin, value, and the weight and positive weight they
+        send left.  With column subsets (sampled, a mask per node), a node's
+        sampled columns are scored first, and its others only if they offer
+        no split."""
         k = counts.size
         hist = np.empty((k, 2, n_bins))
         for j in range(d):
@@ -190,9 +210,28 @@ def grow_trees(
         pos_in = hist[node_of, 1, bin_of]
         n_in = hist[node_of, 0, bin_of] + pos_in
         del hist
+        if sampled is None:
+            return best(counts, positives, node_of, bin_of, n_in, pos_in)
+        entries = (node_of, bin_of, n_in, pos_in)
+        in_sample = sampled[node_of, bin_col[bin_of]]
+        found = best(counts, positives, *(cells[in_sample] for cells in entries))
+        rest = np.ones(k, dtype=bool)  # the nodes to search again, in their other columns
+        rest[found[0]] = False
+        if not rest.any():
+            return found
+        other = ~in_sample & rest[node_of]
+        fallback = best(counts, positives, *(cells[other] for cells in entries))
+        order = np.argsort(np.concatenate([found[0], fallback[0]]), kind="stable")
+        return tuple(np.concatenate(pair)[order] for pair in zip(found, fallback))
+
+    def best(counts: np.ndarray, positives: np.ndarray, node_of: np.ndarray, bin_of: np.ndarray,
+             n_in: np.ndarray, pos_in: np.ndarray) -> tuple[np.ndarray, ...]:
+        """search's result over some non-empty (node, bin) entries of a
+        piece, in scan order, each with its weight and positive weight; a
+        node's column is among them whole or not at all."""
         col = bin_col[bin_of]
         # left side of an entry: itself (eq) or its run of the node's column so far (le)
-        run_first = np.searchsorted(node_of * d + col, node_of * d + col)  # each run's first entry
+        run_first = _run_first(node_of * d + col)
         eq = eq_mask[col]
         seen = np.concatenate([[0.0], np.cumsum(n_in)])
         n_left = np.where(eq, n_in, seen[1:] - seen[run_first])
@@ -206,7 +245,7 @@ def grow_trees(
         if not cand.size:
             return (np.empty(0, dtype=np.intp),) * 6
         n_left, n_right, pos_left = n_left[cand], n_right[cand], pos_left[cand]
-        count, positive, node_of = count[cand], positive[cand], node_of[cand]
+        count, positive, owner = count[cand], positive[cand], node_of[cand]
         impurity = 2.0 * (positive / count) * (1.0 - positive / count)
         frac_left = pos_left / n_left
         frac_right = (positive - pos_left) / n_right
@@ -215,23 +254,11 @@ def grow_trees(
             - (n_left / count) * 2.0 * frac_left * (1.0 - frac_left)
             - (n_right / count) * 2.0 * frac_right * (1.0 - frac_right)
         )
-        if sampled is not None:
-            in_block = sampled[node_of, col[cand]]
-            blocks = [np.where(in_block, gain, -np.inf), np.where(in_block, -np.inf, gain)]
-        else:
-            blocks = [gain]
-        starts = np.flatnonzero(np.diff(node_of, prepend=-1))  # each node's candidates
-        owner = node_of[starts]
-        won = np.full(counts.size, -1)  # each node's winning candidate
-        for block in blocks:
-            top = np.maximum.reduceat(block, starts)
-            # the first candidate reaching its node's best gain
-            hits = np.flatnonzero(block == np.repeat(top, np.diff(starts, append=cand.size)))
-            firsts = hits[np.diff(node_of[hits], prepend=-1) != 0]
-            take = (won[owner] < 0) & (top > _MIN_GAIN)
-            won[owner[take]] = firsts[take]
-        split = np.flatnonzero(won >= 0)
-        won = won[split]
+        starts = _starts(owner)  # each node's first candidate
+        top = np.maximum.reduceat(gain, np.flatnonzero(starts))
+        # the first candidate reaching its node's best gain, where that gains
+        hits = np.flatnonzero(gain == top[np.cumsum(starts) - 1])
+        won = hits[_starts(owner[hits])][top > _MIN_GAIN]
         entry = cand[won]
         j, b = col[entry], bin_of[entry]
         # an eq split tests its bin's value; a threshold lies halfway to the
@@ -244,37 +271,23 @@ def grow_trees(
         with np.errstate(invalid="ignore"):
             mid = low / 2.0 + high / 2.0
         value = np.where(eq_mask[j] | ~(mid < high), low, mid)
-        return split, j, b, value, n_left[won], pos_left[won]
+        return owner[won], j, b, value, n_left[won], pos_left[won]
 
     def grow(trees: list[tuple]) -> NodeTable:
         """Grow a batch of trees (each its pairs, their weights, its rows and
         positive rows, and its rng) into one NodeTable, emptying trees."""
         n_trees = len(trees)
-        rngs = [rng for *_, rng in trees]
         if subsampling:
             # choice's output depends only on the rng's state and its arguments,
             # which are the same at every node, so trees whose rngs start in
             # equal states draw equal subsets in equal order: such a group draws
-            # each subset once, from its first tree's rng, and the others replay it
-            leader: dict[str, int] = {}
-            lead = [leader.setdefault(repr(rng.bit_generator.state), t)
-                    for t, rng in enumerate(rngs)]
-            replay = {t: [] for t, members in Counter(lead).items() if members > 1}
-            drawn = [0] * n_trees  # subsets each replaying tree has used
-
-            def draw(rng: np.random.Generator) -> np.ndarray:
-                mask = np.zeros(d, dtype=bool)
-                mask[rng.choice(d, size=n_sample_features, replace=False)] = True
-                return mask
-
-            def subset(t: int) -> np.ndarray:
-                """Tree t's column subset for its next node searched, as a mask."""
-                if (shared := replay.get(lead[t])) is None:
-                    return draw(rngs[t])
-                if drawn[t] == len(shared):
-                    shared.append(draw(rngs[lead[t]]))
-                drawn[t] += 1
-                return shared[drawn[t] - 1]
+            # its subsets once, from its first tree's rng, and the others replay
+            # them.  Tree t's k-th subset is draws.masks[group[t], k].
+            heads: dict[str, tuple[int, np.random.Generator]] = {}  # group, first rng
+            group = np.array([heads.setdefault(repr(rng.bit_generator.state), (len(heads), rng))[0]
+                              for *_, rng in trees], dtype=np.intp)
+            draws = _ColumnDraws([rng for _, rng in heads.values()], d, n_sample_features)
+            drawn = np.zeros(n_trees, dtype=np.intp)  # subsets each tree has used
 
         # The sample array: each tree's range holds the pairs its bootstrap
         # draws, ascending, and weight their multiplicities.  A node is a range
@@ -308,19 +321,30 @@ def grow_trees(
             i = nodes[:, 4].astype(np.intp)
             node_fraction[i], node_count[i] = nodes[:, 6] / nodes[:, 5], nodes[:, 5]
 
-        # each tree's nodes still to search, in preorder, as rows of (tree,
-        # start, end, depth, node, weight, positive weight)
-        stacks: list[list] = [[] for _ in range(n_trees)]
+        # each tree's depth-first stack of nodes still to search, its top at
+        # stack[t, height[t] - 1], as rows of (tree, start, end, depth, node,
+        # weight, positive weight)
+        stack = np.empty((n_trees, 16, 7))
+        height = np.zeros(n_trees, dtype=np.intp)
 
         def settle(nodes: np.ndarray) -> None:
             """Push each node row that needs a split search onto its tree's
-            stack, in order, and make the others leaves."""
+            stack, in order (each tree's rows together), and make the others
+            leaves."""
+            nonlocal stack
             depth, count, positive = nodes[:, 3], nodes[:, 5], nodes[:, 6]
             leaf = ((positive == 0) | (positive == count) | (depth >= max_depth)
                     | (count < 2 * min_leaf))
             make_leaves(nodes[leaf])
-            for node in nodes[~leaf].tolist():
-                stacks[int(node[0])].append(node)
+            nodes = nodes[~leaf]
+            if not nodes.size:
+                return
+            t = nodes[:, 0].astype(np.intp)
+            at = height[t] + np.arange(t.size) - _run_first(t)
+            if at.max() >= stack.shape[1]:
+                stack = np.concatenate([stack, np.empty_like(stack)], axis=1)
+            stack[t, at] = nodes
+            height[:] += np.bincount(t, minlength=n_trees)
 
         def grow_piece(nodes: np.ndarray, sampled: np.ndarray | None) -> None:
             """Search one piece of a step's nodes, and split those a split suits."""
@@ -371,21 +395,26 @@ def grow_trees(
             settle(np.stack([right_nodes, left_nodes], axis=1).reshape(-1, 7))
 
         settle(np.array(roots, dtype=np.float64).reshape(-1, 7))
-        live = [t for t in range(n_trees) if stacks[t]]
-        while live:
+        while (live := np.flatnonzero(height)).size:
             # each live tree's next node in preorder, scored in pieces of rows
-            step = np.array([stacks[t].pop() for t in live])
-            # each tree draws in its own preorder
-            sampled = np.array([subset(t) for t in live]) if subsampling else None
+            height[live] -= 1
+            step = stack[live, height[live]]
+            sampled = None
+            if subsampling:  # each tree draws in its own preorder
+                if drawn[live].max() == draws.masks.shape[1]:  # for the groups still growing
+                    growing = np.zeros(draws.masks.shape[0], dtype=bool)
+                    growing[group[live]] = True
+                    draws.extend(max(draws.masks.shape[1], 16), np.flatnonzero(growing))
+                sampled = draws.masks[group[live], drawn[live]]
+                drawn[live] += 1
             lengths = step[:, 2] - step[:, 1]
             ends = np.cumsum(lengths)
             lo = 0
-            while lo < len(live):
+            while lo < live.size:
                 cut = ends[lo] - lengths[lo] + _STEP_ROWS
                 hi = max(lo + 1, int(np.searchsorted(ends, cut, side="right")))
                 grow_piece(step[lo:hi], None if sampled is None else sampled[lo:hi])
                 lo = hi
-            live = [t for t in live if stacks[t]]
         for cells in (node_column, node_left, node_value, node_fraction, node_count):
             cells.resize(n_nodes, refcheck=False)
         return NodeTable(node_column, node_value, node_left, node_fraction, node_count, eq_mask)
@@ -404,6 +433,91 @@ def grow_trees(
         batch_rows += size
     if batch:
         yield grow(batch)
+
+
+def _starts(keys: np.ndarray) -> np.ndarray:
+    """Marks the first of each run of equal keys."""
+    starts = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return starts
+
+
+def _run_first(keys: np.ndarray) -> np.ndarray:
+    """The index of the first of each key's run of equal keys."""
+    return np.maximum.accumulate(np.where(_starts(keys), np.arange(keys.size), 0))
+
+
+class _ColumnDraws:
+    """The column subsets each of several Generators over PCG64 (as
+    default_rng makes) draws as Generator.choice(d, m, replace=False), one
+    call per subset, made in bulk from its raw stream: masks[g, k] marks the
+    columns of rng g's k-th subset (1 <= m < d <= 10,000).
+
+    For such d, numpy's choice is Floyd's algorithm: for j = d - m, ...,
+    d - 1 it draws v in [0, j] and picks v, or j if v is already picked;
+    then it shuffles the m picks with m - 1 more draws, in [0, i] for i =
+    m - 1, ..., 1, which only consume the stream.  Each draw in [0, r) is
+    Lemire's bounded integer (Fast Random Integer Generation in an
+    Interval, 2019) on 32 bits: x * r >> 32 for the next uint32 x, redrawn
+    while x * r mod 2^32 < 2^32 mod r.  The uint32s are a buffered half
+    first, if the state holds one, then each raw 64-bit value's low half and
+    high half.  A redraw is rare but reproduced exactly.
+
+    Drawing advances each rng past its last subset drawn by a block of raw
+    values; the rngs are not meant for further use.
+    """
+
+    _LOW = np.uint64(0xFFFFFFFF)
+
+    def __init__(self, rngs: Sequence[np.random.Generator], d: int, m: int):
+        self.d, self.m = d, m
+        self.bit_generators = [rng.bit_generator for rng in rngs]
+        states = (bits.state for bits in self.bit_generators)
+        # each rng's uint32 values drawn but not yet used
+        self.unused = [np.array([state["uinteger"]] * state["has_uint32"], dtype=np.uint64)
+                       for state in states]
+        # the bounds of one subset's draws: Floyd's, then the shuffle's
+        self.bounds = np.concatenate([np.arange(d - m + 1, d + 1), np.arange(m, 1, -1)])
+        self.masks = np.zeros((len(rngs), 0, d), dtype=bool)
+
+    def extend(self, count: int, which: np.ndarray) -> None:
+        """Draw count more subsets from each rng listed in which; the other
+        rngs' masks of those draws stay empty."""
+        bounds = np.tile(self.bounds, count).astype(np.uint64)
+        floor = 2**32 % bounds  # Lemire's rejection bound
+        picks = np.empty((which.size, count, self.m), dtype=np.intp)
+        for i, g in enumerate(which):  # Floyd's draws; the shuffle's only consume
+            picks[i] = self._bounded(g, bounds, floor).reshape(count, -1)[:, :self.m]
+        picks = picks.reshape(-1, self.m)
+        masks = np.zeros((picks.shape[0], self.d), dtype=bool)
+        subset = np.arange(picks.shape[0])
+        for i, j in enumerate(range(self.d - self.m, self.d)):  # Floyd's steps, every subset at once
+            v = picks[:, i]
+            masks[subset, np.where(masks[subset, v], j, v)] = True
+        drawn = self.masks.shape[1]
+        grown = np.zeros((len(self.unused), drawn + count, self.d), dtype=bool)
+        grown[:, :drawn] = self.masks
+        grown[which, drawn:] = masks.reshape(which.size, count, self.d)
+        self.masks = grown
+
+    def _bounded(self, g: int, bounds: np.ndarray, floor: np.ndarray) -> np.ndarray:
+        """rng g's next draws in [0, bounds), each bound in turn."""
+        out = np.empty(bounds.size, dtype=np.uint64)
+        unused, done = self.unused[g], 0
+        while done < bounds.size:
+            need = bounds.size - done
+            if unused.size < need:
+                raw = self.bit_generators[g].random_raw((need - unused.size + 1) // 2)
+                halves = np.column_stack([raw & self._LOW, raw >> 32]).ravel()
+                unused = np.concatenate([unused, halves])
+            scaled = unused[:need] * bounds[done:]
+            redrawn = np.flatnonzero((scaled & self._LOW) < floor[done:])
+            kept = redrawn[0] if redrawn.size else need
+            out[done:done + kept] = scaled[:kept] >> 32
+            done += kept
+            unused = unused[kept + (kept < need):]  # a redrawn value is dropped
+        self.unused[g] = unused
+        return out
 
 
 class NodeTable:
@@ -500,14 +614,20 @@ class NodeTable:
 
     def walk_encoded(self, X: np.ndarray, roots: Iterable[int]) -> Iterator[np.ndarray]:
         """Per root in turn, the positive fraction of the leaf each row of X
-        lands in; X is encoded as the table's values are."""
-        for root in roots:
-            node, live = np.full(len(X), root, dtype=np.intp), np.arange(len(X))
-            # step the rows still at a split one level down, until none is
+        lands in; X is encoded as the table's values are.  Roots are walked
+        together in groups of at most _WALK_CELLS (root, row) cells."""
+        roots = np.fromiter(roots, dtype=np.intp)
+        n = len(X)
+        per = max(1, _WALK_CELLS // max(n, 1))
+        for lo in range(0, roots.size, per):
+            group = roots[lo:lo + per]
+            node, row = np.repeat(group, n), np.tile(np.arange(n), group.size)
+            live = np.arange(node.size)
+            # step the cells still at a split one level down, until none is
             while (live := live[self.column[node[live]] >= 0]).size:
                 at = node[live]
                 col, value = self.column[at], self.value[at]
-                x = X[live, col]
+                x = X[row[live], col]
                 go_left = np.where(self.eq_mask[col], x == value, x <= value)
                 node[live] = self.left[at] + ~go_left  # a right child follows its left
-            yield self.fraction[node]
+            yield from self.fraction[node].reshape(group.size, n)

@@ -212,6 +212,17 @@ class TestTrainAndEval:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--algo", "forest", "--cv", "1", "--features", "{missing}"),
+        ("eval", "--algo", "tree", "--cv", "0", "--features", "{missing}"),
+        ("synth", "--pos-spec", "{missing}", "--neg-spec", "{missing}", "--n", "0"),
+    ])
+    def test_out_of_range_count_exit_1_before_any_file_is_read(self, argv, tmp_path, capsys):
+        missing = str(tmp_path / "missing")  # read first, it would exit 2
+        assert run(*(arg.format(missing=missing) for arg in argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
+
     def test_missing_features_file_exit_2(self, tmp_path, capsys):
         code = run("train", "--features", str(tmp_path / "nope.csv"), "--algo", "tree")
         assert code == 2

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import random
 import weakref
 
@@ -293,6 +294,19 @@ def nested_trees(table: NodeTable) -> list[dict]:
     roots = [tree(t) for t in range(table.n_trees)]
     assert sorted(seen) == list(range(table.column.size))
     return roots
+
+
+def reference_walk(table: NodeTable, X: np.ndarray, root: int) -> np.ndarray:
+    """The leaf fraction each row of X reaches from root, one row and one
+    node at a time."""
+    fractions = []
+    for x in X:
+        i = root
+        while (j := int(table.column[i])) >= 0:
+            goes_left = x[j] == table.value[i] if table.eq_mask[j] else x[j] <= table.value[i]
+            i = int(table.left[i]) + (not goes_left)
+        fractions.append(table.fraction[i])
+    return np.array(fractions, dtype=np.float64)
 
 
 def random_encoded_matrix(rng: np.random.Generator):
@@ -627,6 +641,59 @@ class TestHistogramGrowth:
                 (got,) = grow_trees(X, y, eq_mask(tests), boots, max_depth, min_leaf, rngs, n_sample)
                 assert nested_trees(got) == want
 
+    @pytest.mark.parametrize("d", [*range(2, 17), 40])
+    def test_bulk_column_draws_equal_numpy_choice(self, d):
+        # a forest's column subsets are drawn in bulk from each rng's raw
+        # stream, and must be choice(d, m, replace=False)'s, draw for draw
+        assert 2**32 % (13 - 4 + 1) == 6  # so a first uint32 of 0 is redrawn at d=13, m=4
+        for m in sorted({1, math.ceil(math.sqrt(d)), d - 1}):
+            rngs = [np.random.default_rng(seed) for seed in (11, 12, 13)]
+            rngs[1].integers(0, 320, size=319)  # a bootstrap, as forests draw first
+            assert rngs[1].bit_generator.state["has_uint32"] == 1  # a buffered half
+            state = rngs[2].bit_generator.state
+            state.update(has_uint32=1, uinteger=0)  # redrawn where 2^32 mod bound > 0
+            rngs[2].bit_generator.state = state
+            twins = [np.random.default_rng() for _ in rngs]
+            for twin, rng in zip(twins, rngs):
+                twin.bit_generator.state = rng.bit_generator.state
+            draws = tree._ColumnDraws(rngs, d, m)
+            for block in (1, 5, 2, 9):  # drawn in uneven blocks
+                draws.extend(block, np.arange(len(rngs)))
+            want = np.zeros((len(twins), 17, d), dtype=bool)
+            for g, twin in enumerate(twins):
+                for k in range(17):
+                    want[g, k, twin.choice(d, m, replace=False)] = True
+            assert np.array_equal(draws.masks, want), (d, m)
+
+    def test_matches_reference_when_most_sampled_columns_offer_no_split(self, monkeypatch):
+        # one sampled column, most of them constant: most nodes find no split
+        # in their subset and fall back to the other columns
+        scanned = []  # the columns of each reference scan
+        scan = reference_scan_columns
+
+        def counted(X, y, tests, cols, min_leaf):
+            scanned.append(len(cols))
+            return scan(X, y, tests, cols, min_leaf)
+
+        monkeypatch.setitem(globals(), "reference_scan_columns", counted)
+        cases = np.random.default_rng(2031)
+        for _ in range(self.CASES // 8):
+            X, y, tests = random_encoded_matrix(cases)
+            n, pad = X.shape[0], int(cases.integers(6, 11))
+            order = cases.permutation(X.shape[1] + pad)
+            X = np.column_stack([X, np.ones((n, pad))])[:, order]
+            tests = [(tests + [TEST_EQ, TEST_LE] * pad)[i] for i in order]
+            max_depth, min_leaf = int(cases.integers(1, 7)), int(cases.integers(1, 4))
+            boots = [cases.integers(0, n, size=n) for _ in range(4)]
+            seeds = cases.integers(0, 2**32, size=len(boots))
+            want = [reference_grow_tree(X[b], y[b], tests, max_depth, min_leaf,
+                                        np.random.default_rng(s), 1) for b, s in zip(boots, seeds)]
+            rngs = [np.random.default_rng(s) for s in seeds]
+            (got,) = grow_trees(X, y, eq_mask(tests), boots, max_depth, min_leaf, rngs, 1)
+            assert nested_trees(got) == want
+        searched, fell_back = scanned.count(1), len(scanned) - scanned.count(1)
+        assert fell_back > searched / 2 > 0
+
     def test_lockstep_equals_one_tree_at_a_time(self, monkeypatch):
         keyed = []  # the rows each weighted (histogram) bincount keys
         bincount = np.bincount
@@ -828,6 +895,23 @@ class TestEnsembles:
             assert len(batches) > 2
             assert pairings == [(40, 14)]  # 13 columns and the label
             assert binnings == [(40,)] * 13
+
+    def test_walk_budget_groups_roots_and_keeps_every_fraction(self, monkeypatch):
+        cases = np.random.default_rng(2032)
+        for _ in range(20):
+            X, y, tests = random_encoded_matrix(cases)
+            n = X.shape[0]
+            boots = [cases.integers(0, n, size=n) for _ in range(7)]
+            (table,) = grow_trees(X, y, eq_mask(tests), boots, 6, 1)
+            queries = np.vstack([X, X + 0.5])  # training values, and values between
+            roots = [6, 0, 3, 3, 5, 1]
+            want = [reference_walk(table, queries, root).tobytes() for root in roots]
+            # one root a pass, four then two, and all six
+            for cells in (1, 4 * len(queries) + 1, tree._WALK_CELLS):
+                monkeypatch.setattr(tree, "_WALK_CELLS", cells)
+                walked = table.walk_encoded(queries, iter(roots))
+                assert [fractions.tobytes() for fractions in walked] == want
+                assert [f.size for f in table.walk_encoded(queries[:0], roots)] == [0] * 6
 
     def test_deterministic_across_row_order(self):
         rng = random.Random(11)
