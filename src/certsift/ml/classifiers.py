@@ -11,7 +11,7 @@ file order never matters.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import compress, cycle
 
 import numpy as np
@@ -58,10 +58,9 @@ def resolve_hyperparameters(kind: str, overrides: dict | None) -> dict[str, int]
 
 
 class _Model:
-    """State every model kind carries, and prediction of a single vector.
-
-    Subclasses implement predict_batch; predict is a batch of one, so the
-    two can never disagree.
+    """State every model kind carries, and its one prediction path: rows are
+    encoded into the model's space (encode), then scored (score_encoded).
+    predict is a batch of one, so the two can never disagree.
     """
 
     kind: str
@@ -71,44 +70,51 @@ class _Model:
         self.hyperparameters = dict(hyperparameters)
         self.seed = seed
 
+    def predict_batch(self, rows: Sequence[FeatureVector]) -> tuple[list[str], np.ndarray]:
+        scores = self.score_encoded(self.encode(rows))
+        return [_label(s) for s in scores], scores
+
     def predict(self, fv: FeatureVector) -> tuple[str, float]:
         labels, scores = self.predict_batch([fv])
         return labels[0], float(scores[0])
 
 
+def tree_votes(table: NodeTable, X: np.ndarray, roots: Iterable[int], kind: str) -> np.ndarray:
+    """Per row of X (encoded as the table's values are), the sum over roots
+    of its leaf's positive fraction (kind tree) or of its vote (an
+    ensemble's: 1 where that fraction is >= 0.5).  Votes are 0/1, so their
+    sum is exact in any order."""
+    total = np.zeros(len(X))
+    for fractions in table.walk_encoded(X, roots):
+        total += fractions if kind == KIND_TREE else fractions >= 0.5
+    return total
+
+
 class _TreeModel(_Model):
     """A tree kind's trees as one NodeTable, with the Encoder whose codes its
-    values are: the training Encoder, or the one a model file stores."""
+    values are: the training Encoder, or the one a model file stores.  The
+    score is a single tree's leaf fraction, or the fraction of an ensemble's
+    trees that vote positive (each its leaf majority)."""
 
     def __init__(self, table: NodeTable, encoder: Encoder, hyperparameters: dict, seed: int):
         super().__init__(encoder.schema, hyperparameters, seed)
         self.table = table
         self.encoder = encoder
 
+    def encode(self, rows: Sequence[FeatureVector]) -> np.ndarray:
+        return self.encoder.encode_rows(rows)
+
+    def score_encoded(self, X: np.ndarray) -> np.ndarray:
+        n_trees = self.table.n_trees
+        return tree_votes(self.table, X, range(n_trees), self.kind) / n_trees
+
 
 class DecisionTreeModel(_TreeModel):
     kind = KIND_TREE
 
-    def predict_batch(self, rows: Sequence[FeatureVector]) -> tuple[list[str], np.ndarray]:
-        (scores,) = self.table.walk_encoded(self.encoder.encode_rows(rows), [0])
-        return [_label(s) for s in scores], scores
-
 
 class TreeEnsembleModel(_TreeModel):
-    """Shared behavior of bagged trees and random forests.
-
-    Every member tree casts one vote (its leaf majority); the ensemble
-    score is the fraction of positive votes and the label follows the
-    majority.
-    """
-
-    def predict_batch(self, rows: Sequence[FeatureVector]) -> tuple[list[str], np.ndarray]:
-        votes = np.zeros(len(rows), dtype=np.float64)
-        X = self.encoder.encode_rows(rows)
-        for fractions in self.table.walk_encoded(X, range(self.table.n_trees)):
-            votes += fractions >= 0.5
-        scores = votes / self.table.n_trees
-        return [_label(s) for s in scores], scores
+    """Shared behavior of bagged trees and random forests."""
 
 
 class BaggedTreesModel(TreeEnsembleModel):
@@ -138,7 +144,7 @@ def _min_max(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 # Distance cells (query rows x training rows x columns) that one pass of
-# predict_batch scores: 19 query rows against the 1,020 x 13 seed-7
+# score_encoded scores: 19 query rows against the 1,020 x 13 seed-7
 # benchmark matrix.  Timed alone on its 836 queries (2-CPU Xeon VM), chunks
 # of 4 to 64 rows took 65-70 ms, 1 row 95 ms and 256 rows 92 ms, against
 # 134 ms for a scan row by row; the tracemalloc peak grows with the chunk,
@@ -158,7 +164,7 @@ class NearestNeighborModel(_Model):
     the edges, and a constant training column contributes 0).  Equidistant
     neighbors at the cut resolve by training row order, which is canonical.
 
-    predict_batch scores query rows in chunks of about _CHUNK_CELLS
+    score_encoded scores query rows in chunks of about _CHUNK_CELLS
     distance cells: one broadcast distance block per chunk, np.partition
     for each row's k-th smallest distance, then every training row strictly
     below it plus the lowest-indexed rows equal to it, up to k, and the sum
@@ -215,10 +221,6 @@ class NearestNeighborModel(_Model):
     def distance(self, a: FeatureVector, b: FeatureVector) -> float:
         """Distance between two vectors under this model's fitted scaling."""
         return float(self._distances(*self.encode([a, b])))
-
-    def predict_batch(self, rows: Sequence[FeatureVector]) -> tuple[list[str], np.ndarray]:
-        scores = self.score_encoded(self.encode(rows))
-        return [_label(s) for s in scores], scores
 
     def score_encoded(self, X: np.ndarray) -> np.ndarray:
         """The score of each row of X, encoded and scaled as encode does."""

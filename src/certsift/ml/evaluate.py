@@ -20,13 +20,13 @@ from ..errors import TooFewRows
 from ..features import LABEL_NEGATIVE, LABEL_POSITIVE, FeatureVector
 from .classifiers import (
     DEFAULT_SEED,
-    KIND_TREE,
     TREE_KINDS,
     _fit_knn,
     _grow_trees,
     _label,
     resolve_hyperparameters,
     train,  # noqa: F401 (perfbench/tracing.py wraps evaluate.train)
+    tree_votes,
 )
 from .schema import Dataset, Encoder, FeatureSchema, encode_labels
 
@@ -279,13 +279,11 @@ def _fold_scores(
             model = _fit_knn(encoder, hp, seed, X[kept], y[kept])
             scores.append(model.score_encoded(model.scale(X[test])))
         return scores
-    # a single tree scores its leaf fraction, an ensemble its members' votes
     sums = [np.zeros(test.size) for test in tests]
     grown = 0  # the trees of the batches before
     for table in _grow_trees(X, y, encoder.eq_mask, kind, hp, seed, row_sets):
         for f, test in enumerate(tests):  # batch root r grows on row set (grown + r) % k
             roots = range((f - grown) % len(tests), table.n_trees, len(tests))
-            for fractions in table.walk_encoded(X[test], roots):
-                sums[f] += fractions if kind == KIND_TREE else fractions >= 0.5
+            sums[f] += tree_votes(table, X[test], roots, kind)
         grown += table.n_trees
     return [total / (grown // len(tests)) for total in sums]  # over each fold's trees

@@ -12,7 +12,8 @@ labels.  A file is one compact json.dumps of the document and a newline.
 Loading validates all of it: a file that is not UTF-8 JSON or fails
 structural checks raises CorruptModel; a version this code does not speak
 raises VersionMismatch.  Version-1 files, whose trees are nested dicts,
-are read through NodeTable.from_dicts but never written.
+are read (never written) by turning their trees into a version-2 payload,
+which then passes the one check every version-2 payload passes.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ FORMAT_VERSION = 2
 
 # a version-2 tree payload's arrays, one cell per node
 _NODE_ARRAYS = ("column", "value", "left", "fraction", "count")
+
+# a version-1 split's test, and the types of its value, by column kind
+TEST_EQ = "eq"
+TEST_LE = "le"
+_SPLIT_FORM = {KIND_BOOLEAN: (TEST_EQ, (bool,)), KIND_CATEGORICAL: (TEST_EQ, (str,))}
 
 
 def _schema_to_json(schema: FeatureSchema) -> dict:
@@ -94,7 +100,7 @@ def model_to_json(model: TrainedModel) -> dict:
             "value": table.value.tolist(),
             "left": table.left.tolist(),
             "fraction": table.fraction.tolist(),
-            "count": table.count.astype(np.int64).tolist(),
+            "count": table.count.tolist(),
         }
     return doc
 
@@ -131,13 +137,13 @@ def model_from_json(doc: dict) -> TrainedModel:
     schema = _schema_from_json(doc.get("schema") or {})
 
     if kind in TREE_CLASSES:
-        if version == FORMAT_VERSION:
-            table, encoder = _nodes_from_json(doc.get("nodes"), kind, schema)
-        else:
+        payload = doc.get("nodes")
+        if version == 1:
             roots = [doc.get("tree")] if kind == KIND_TREE else doc.get("trees")
             if not isinstance(roots, list) or not roots:
                 raise CorruptModel("ensemble model holds no trees")
-            table, encoder = NodeTable.from_dicts(roots, schema)
+            payload = _v1_payload(roots, schema)
+        table, encoder = _nodes_from_json(payload, kind, schema)
         return TREE_CLASSES[kind](table, encoder, hyperparameters, seed)
 
     instances = doc.get("instances")
@@ -166,12 +172,53 @@ def model_from_json(doc: dict) -> TrainedModel:
 
 
 def _vocabs_from_json(vocabs: dict) -> dict[str, dict[str, int]]:
-    """Stored categorical vocabularies; raises what a malformed one raises
-    (KeyError, TypeError, ValueError or AttributeError)."""
-    return {
-        str(name): {str(v): int(code) for v, code in vocab.items()}
-        for name, vocab in vocabs.items()
-    }
+    """Stored categorical vocabularies, each coding its values as the JSON
+    integers 0..n-1; raises ValueError on other codes, and what a malformed
+    one raises (KeyError, TypeError, ValueError or AttributeError)."""
+    for name, vocab in vocabs.items():
+        codes = list(vocab.values())
+        if any(type(code) is not int for code in codes) or sorted(codes) != list(range(len(codes))):
+            raise ValueError(f"vocabulary {name!r} does not code its values 0..n-1")
+    return {str(name): {str(v): code for v, code in vocab.items()}
+            for name, vocab in vocabs.items()}
+
+
+def _v1_payload(roots: list, schema: FeatureSchema) -> dict:
+    """A version-1 file's nested trees as a version-2 tree payload: the node
+    arrays, laid out breadth first, and vocabularies of the values its splits
+    test (a category no split tests encodes as -1, so it matches nothing and
+    goes right).  Only the nesting is checked here (node types, included
+    features, each split's test and value type, both children, whole leaf
+    counts); _nodes_from_json checks the arrays."""
+    columns = schema.included()
+    where = {col.name: j for j, col in enumerate(columns)}
+    vocabs = {col.name: {} for col in columns if col.kind == KIND_CATEGORICAL}
+    cells = []  # column, value, left, fraction and count of each node in turn
+    nodes = list(roots)
+    for i, node in enumerate(nodes):  # children are queued as parents are read
+        kind = node.get("node") if isinstance(node, dict) else type(node).__name__
+        if kind == "leaf":
+            share, count = node.get("positive_fraction"), node.get("count")
+            if not isinstance(count, int):
+                raise CorruptModel(f"node {i}: leaf count {count!r} is not a whole number")
+            cells.append((-1, 0.0, -1, share, count))
+            continue
+        if kind != "split":
+            raise CorruptModel(f"node {i}: {kind!r} is not a node type")
+        name, test, value = node.get("feature"), node.get("test"), node.get("value")
+        j = where.get(name) if isinstance(name, str) else None
+        if j is None:
+            raise CorruptModel(f"node {i}: {name!r} is not a feature the model reads")
+        want_test, types = _SPLIT_FORM.get(columns[j].kind, (TEST_LE, (int, float)))
+        if test != want_test or type(value) not in types:
+            raise CorruptModel(f"node {i}: {test!r} test of {name} against {value!r}")
+        if "left" not in node or "right" not in node:
+            raise CorruptModel(f"node {i}: missing child")
+        if name in vocabs:
+            value = vocabs[name].setdefault(value, len(vocabs[name]))
+        cells.append((j, value, len(nodes), 0.0, 0))
+        nodes += (node["left"], node["right"])
+    return {"vocabs": vocabs, **{name: list(cell) for name, cell in zip(_NODE_ARRAYS, zip(*cells))}}
 
 
 def _code_counts(encoder: Encoder) -> np.ndarray:
@@ -188,12 +235,13 @@ def _are_codes(values: np.ndarray, counts) -> np.ndarray:
 
 def _nodes_from_json(payload, kind: str, schema: FeatureSchema) -> tuple[NodeTable, Encoder]:
     """The table and Encoder of a version-2 tree payload, checked array-wide
-    against what growth always writes and walking relies on: each split
-    tests an included column against a value of its kind (0/1, a code inside
-    the vocabulary, a threshold that is not NaN) and has both children after
-    it inside the table; nodes 0..n_trees-1 are the roots and every other
-    node is the child of exactly one split; a tree model holds one tree; a
-    leaf holds a fraction in [0, 1] and a whole count >= 1."""
+    against what growth always writes and walking relies on: vocabularies
+    code their values 0..n-1; each split tests an included column against a
+    value of its kind (0/1, a code inside the vocabulary, a threshold that
+    is not NaN) and has both children after it inside the table; nodes
+    0..n_trees-1 are the roots and every other node is the child of exactly
+    one split; a tree model holds one tree; a leaf holds a fraction in [0, 1]
+    and a whole count in [1, 2^53], a split the count 0."""
     try:
         encoder = Encoder(schema, vocabs=_vocabs_from_json(payload["vocabs"]))
         arrays = [np.array(payload[name]) for name in _NODE_ARRAYS]
@@ -221,8 +269,10 @@ def _nodes_from_json(payload, kind: str, schema: FeatureSchema) -> tuple[NodeTab
         raise CorruptModel(f"a tree model holds {n_trees} trees")
     leaf = column < 0
     share, rows = fraction[leaf], count[leaf]
-    if not ((share >= 0.0) & (share <= 1.0) & (rows >= 1) & (rows == np.floor(rows))).all():
+    if not ((share >= 0.0) & (share <= 1.0) & _are_codes(rows - 1, 2**53)).all():
         raise CorruptModel("a leaf's fraction or count is out of range")
+    if count[~leaf].any():
+        raise CorruptModel("a split holds a count")
     left = np.where(leaf, -1.0, left)  # a leaf's left is never read
     return NodeTable(column, value, left, fraction, count, encoder.eq_mask), encoder
 

@@ -77,9 +77,8 @@ Encoder, and a version-2 model file stores the table's arrays and the
 Encoder's vocabularies as they are, so training, the file and prediction
 share one representation; walk_encoded scores rows in that encoding
 without decoding anything, several roots a pass (at most _WALK_CELLS
-(root, row) cells).  Only NodeTable.from_dicts, the reader of
-version-1 files, meets nested trees.  Growth, the table and that reader
-all keep explicit stacks or queues, so no tree depth recurses.
+(root, row) cells).  Growth and the table keep explicit stacks, so no
+tree depth recurses.
 """
 
 from __future__ import annotations
@@ -89,16 +88,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ..errors import CorruptModel
-from .schema import KIND_BOOLEAN, KIND_CATEGORICAL, Encoder, FeatureSchema
-
-TEST_EQ = "eq"
-TEST_LE = "le"
-
 _MIN_GAIN = 1e-12
-
-# the test and the value types of a split, by column kind (else numeric)
-_SPLIT_FORM = {KIND_BOOLEAN: (TEST_EQ, (bool,)), KIND_CATEGORICAL: (TEST_EQ, (str,))}
 
 # Rows of the sample array that one piece of a lockstep step gathers: a
 # step is scored and partitioned in node-aligned pieces of at most this many
@@ -528,9 +518,8 @@ class NodeTable:
     and count hold its positive fraction and training rows (0 at a split).
 
     Values are codes of the encoding the table was built over: the training
-    Encoder's for a table grow_trees returns (and a model file of version 2
-    stores), a vocabulary of the tested values for one from_dicts reads from
-    a version-1 file.  Walking never touches a dict.
+    Encoder's for a table grow_trees returns, the stored vocabularies' for
+    one a model file holds.  Walking never touches a dict.
     """
 
     def __init__(self, column, value, left, fraction, count, eq_mask: np.ndarray):
@@ -538,7 +527,7 @@ class NodeTable:
         self.value = np.asarray(value, dtype=np.float64)
         self.left = np.asarray(left, dtype=np.intp)
         self.fraction = np.asarray(fraction, dtype=np.float64)
-        self.count = np.asarray(count, dtype=np.float64)
+        self.count = np.asarray(count, dtype=np.int64)
         self.eq_mask = eq_mask
         # every node but a root is one of a split's two children
         self.n_trees = self.column.size - 2 * int(np.count_nonzero(self.column >= 0))
@@ -562,55 +551,6 @@ class NodeTable:
         column = column[order]
         left = np.where(column >= 0, place[left[order]], -1)
         return cls(column, value[order], left, fraction[order], count[order], tables[0].eq_mask)
-
-    @classmethod
-    def from_dicts(cls, roots: Sequence, schema: FeatureSchema) -> tuple[NodeTable, Encoder]:
-        """The reader of a version-1 model file's nested trees: their table,
-        laid out breadth first, and the Encoder of query rows whose codes its
-        values are.  A category no split tests encodes as -1, so it matches
-        nothing and goes right.
-
-        Building the table checks a loaded tree: it raises CorruptModel on
-        any node prediction could not walk.
-        """
-        columns = schema.included()
-        where = {col.name: j for j, col in enumerate(columns)}
-        vocabs = {col.name: {} for col in columns if col.kind == KIND_CATEGORICAL}
-        table = []  # column, value, fraction and count of each node in turn
-        nodes = list(roots)
-        for i, node in enumerate(nodes):  # children are queued as parents are read
-            kind = node.get("node") if isinstance(node, dict) else type(node).__name__
-            if kind == "leaf":
-                share, count = node.get("positive_fraction"), node.get("count")
-                if not (isinstance(share, (int, float)) and 0.0 <= share <= 1.0
-                        and isinstance(count, int) and count >= 1):
-                    raise CorruptModel(f"node {i}: bad leaf {share!r} of {count!r} rows")
-                table += (-1, 0.0, share, count)
-                continue
-            if kind != "split":
-                raise CorruptModel(f"node {i}: {kind!r} is not a node type")
-            name, test, value = node.get("feature"), node.get("test"), node.get("value")
-            j = where.get(name) if isinstance(name, str) else None
-            if j is None:
-                raise CorruptModel(f"node {i}: {name!r} is not a feature the model reads")
-            want_test, types = _SPLIT_FORM.get(columns[j].kind, (TEST_LE, (int, float)))
-            if test != want_test or type(value) not in types:
-                raise CorruptModel(f"node {i}: {test!r} test of {name} against {value!r}")
-            if "left" not in node or "right" not in node:
-                raise CorruptModel(f"node {i}: missing child")
-            if name in vocabs:
-                value = vocabs[name].setdefault(value, len(vocabs[name]))
-            table += (j, value, 0.0, 0)
-            nodes += (node["left"], node["right"])
-        encoder = Encoder(schema, vocabs=vocabs)
-        try:
-            column, value, fraction, count = np.array(table, dtype=np.float64).reshape(-1, 4).T
-        except OverflowError:
-            raise CorruptModel("a split threshold or leaf count is out of float range") from None
-        # children were queued in order, two per split, after the roots
-        left = np.full(column.size, -1, dtype=np.intp)
-        left[column >= 0] = np.arange(len(roots), column.size, 2)
-        return cls(column, value, left, fraction, count, encoder.eq_mask), encoder
 
     def walk_encoded(self, X: np.ndarray, roots: Iterable[int]) -> Iterator[np.ndarray]:
         """Per root in turn, the positive fraction of the leaf each row of X

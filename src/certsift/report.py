@@ -8,13 +8,12 @@ for plotting.
 
 from __future__ import annotations
 
-import csv
 import io
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import EmptyInput
-from .features import BOOLEAN_FEATURES, NUMERIC_FEATURES, FeatureVector
+from .features import BOOLEAN_FEATURES, NUMERIC_FEATURES, FeatureVector, csv_row_writer
 
 
 @dataclass(frozen=True)
@@ -33,9 +32,9 @@ class BooleanFeatureTable:
         raise KeyError(f"no cell for {feature}/{corpus}")
 
     def write_csv(self, out: io.TextIOBase) -> None:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(self.header)
-        writer.writerows(self.rows)
+        writerow = csv_row_writer(out)
+        for row in (self.header, *self.rows):
+            writerow(row)
 
 
 def boolean_feature_table(
@@ -92,7 +91,7 @@ def feature_cdf(rows: Sequence[FeatureVector], feature: str) -> list[tuple[float
 
 
 def write_cdf_csv(out: io.TextIOBase, series: Sequence[tuple[float, float]]) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("value", "cum_frac"))
+    writerow = csv_row_writer(out)
+    writerow(("value", "cum_frac"))
     for value, fraction in series:
-        writer.writerow((f"{value:g}", f"{fraction:.6f}"))
+        writerow((f"{value:g}", f"{fraction:.6f}"))

@@ -42,12 +42,10 @@ from certsift.ml import (
     train,
 )
 from certsift.ml import classifiers, evaluate, tree
-from certsift.ml.persist import model_to_json, write_model
+from certsift.ml.persist import TEST_EQ, TEST_LE, model_to_json, write_model
 from certsift.ml.schema import Encoder, canonical_key
 from certsift.ml.tree import (
     _MIN_GAIN,
-    TEST_EQ,
-    TEST_LE,
     NodeTable,
     grow_tree,
     grow_trees,
@@ -1561,6 +1559,7 @@ class TestPersistence:
             (1, lambda doc: doc["tree"].__setitem__("value", 1)),
             (1, lambda doc: doc["tree"].update(feature="f14", test="le", value="5")),
             (1, lambda doc: doc["tree"].update(feature="f14", test="le", value=10**400)),
+            (1, lambda doc: doc["tree"].update(feature="f15", test="le", value=float("nan"))),
             # version 2: nodes 0 (the f3 split, column 2), 1 and 2 (leaves);
             # the arrays decode as equal-length lists of numbers
             (2, lambda doc: doc["nodes"].pop("count")),
@@ -1605,6 +1604,14 @@ class TestPersistence:
             (2, node_cells(1, fraction=float("nan"))),
             (2, node_cells(1, count=0)),
             (2, node_cells(1, count=1.5)),
+            # vocabulary codes are the JSON integers 0..n-1
+            (2, lambda doc: doc["nodes"]["vocabs"].__setitem__("f9", {"CA A": 0, "CA B": 0})),
+            (2, lambda doc: doc["nodes"]["vocabs"].__setitem__("f9", {"CA A": 1.7, "CA B": 0.2})),
+            (2, lambda doc: doc["nodes"]["vocabs"].__setitem__("f9", {"CA A": 5, "CA B": -3})),
+            # counts fit the int64 the table stores: at most 2^53 at a leaf,
+            # 0 at a split
+            (2, node_cells(1, count=10**19)),
+            (2, node_cells(0, count=3)),
         ],
     )
     def test_corrupt_documents(self, version, mutate, tmp_path):
@@ -1662,6 +1669,9 @@ class TestPersistence:
             lambda inst, hp: inst["matrix"][0].__setitem__(12, 1.5),
             lambda inst, hp: inst["matrix"][0].__setitem__(12, -0.25),
             lambda inst, hp: inst["ranges"]["f14"].__setitem__(0, float("-inf")),
+            lambda inst, hp: inst["vocabs"].__setitem__("f9", {"CA A": 0, "CA B": 0}),
+            lambda inst, hp: inst["vocabs"].__setitem__("f9", {"CA A": 1.7, "CA B": 0.2}),
+            lambda inst, hp: inst["vocabs"].__setitem__("f9", {"CA A": 5, "CA B": -3}),
         ],
     )
     def test_corrupt_knn_documents(self, mutate, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 
 import pytest
@@ -85,6 +86,15 @@ class TestBooleanFeatureTable:
         assert lines[0] == "feature,c (2)"
         assert lines[6] == "F6,50.0%"
         assert len(lines) == 9
+
+    def test_csv_round_trips_a_carriage_return_in_a_corpus_name(self):
+        # before Python 3.13, csv.reader ends a record at an unquoted "\r"
+        table = boolean_feature_table([("odd\rname", [fv("a.example", f6=True)]),
+                                       ("c", [fv("b.example")])])
+        buffer = io.StringIO()
+        table.write_csv(buffer)
+        rows = list(csv.reader(io.StringIO(buffer.getvalue(), newline="")))
+        assert [tuple(row) for row in rows] == [table.header, *table.rows]
 
 
 class TestCdfSeries:
