@@ -22,6 +22,7 @@ from .errors import CertsiftError, StorageFull, UsageError
 from .features import (
     BogusValueList,
     DEFAULT_SHINGLE_SIZE,
+    NUMERIC_FEATURES,
     csv_row_writer,
     extract_corpus,
     read_features_csv,
@@ -327,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NAME=PATH|PATH",
                    help="table mode: NAME=PATH per corpus (repeatable); "
                    "cdf mode: one feature CSV path")
-    p.add_argument("--column", choices=("f13", "f14", "f15"),
+    p.add_argument("--column", choices=NUMERIC_FEATURES,
                    help="numeric feature for cdf mode")
     p.add_argument("--out", help="CSV output (default: stdout)")
     p.set_defaults(handler=_cmd_report)

@@ -63,6 +63,14 @@ def record_to_json(record: DomainRecord) -> dict:
     return doc
 
 
+def _typed(doc: dict, key: str, kind: type):
+    """doc[key], which must be exactly of the given type."""
+    value = doc[key]
+    if type(value) is not kind:
+        raise SerializationFailure(f"record field {key} is not a {kind.__name__}: {value!r}")
+    return value
+
+
 def record_from_json(doc: dict) -> DomainRecord:
     try:
         cert_der = None
@@ -74,10 +82,10 @@ def record_from_json(doc: dict) -> DomainRecord:
                 base64.b64decode(b, validate=True) for b in doc["chain_der_b64"]
             )
         return DomainRecord(
-            domain=doc["domain"],
-            http_ok=bool(doc["http_ok"]),
-            https_ok=bool(doc["https_ok"]),
-            harvest_time=parse_timestamp(doc["harvest_time"]),
+            domain=_typed(doc, "domain", str),
+            http_ok=_typed(doc, "http_ok", bool),
+            https_ok=_typed(doc, "https_ok", bool),
+            harvest_time=parse_timestamp(_typed(doc, "harvest_time", str)),
             cert_der=cert_der,
             presented_chain_der=chain,
             tls_error=doc.get("tls_error"),
@@ -155,24 +163,16 @@ def load_corpus_stream(fh: io.BufferedIOBase, name: str = "<stream>") -> Iterabl
     parses and silently dropped otherwise.  A malformed line anywhere else
     raises CorruptRecord: that is damage, not a torn append.
     """
-    data = fh.read()
-    if not data:
-        return
-    lines = data.split(b"\n")
-    torn = lines[-1] != b""  # no trailing newline on the last line
-    if not torn:
-        lines = lines[:-1]
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(fh, start=1):
         if not raw.strip():
             continue
-        is_final = lineno == len(lines)
         try:
             doc = json.loads(raw.decode("utf-8"))
             if not isinstance(doc, dict):
                 raise SerializationFailure("line is not a JSON object")
             yield record_from_json(doc)
         except (UnicodeDecodeError, json.JSONDecodeError, SerializationFailure) as exc:
-            if torn and is_final:
+            if not raw.endswith(b"\n"):  # only the final line can lack it
                 log.warning("%s: dropping torn final line %d", name, lineno)
                 return
             raise CorruptRecord(f"{name}: line {lineno} does not parse: {exc}") from exc

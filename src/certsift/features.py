@@ -18,6 +18,7 @@ import logging
 import os
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .certs import (
     OID_MD5_RSA,
@@ -57,10 +58,23 @@ DEFAULT_BOGUS_VALUES = (
     "test",
 )
 
-FEATURE_NAMES = tuple(f"f{i}" for i in range(1, 16))
-BOOLEAN_FEATURES = ("f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8")
-CATEGORICAL_FEATURES = ("f9", "f10", "f11", "f12")
-NUMERIC_FEATURES = ("f13", "f14", "f15")
+KIND_BOOLEAN = "boolean"
+KIND_CATEGORICAL = "categorical"
+KIND_INTEGER = "integer"
+KIND_REAL = "real"
+
+# Every feature's kind, in column order: the one statement of the layout,
+# from which the name tuples, CSV codec, default schema and synth derive.
+FEATURE_KINDS = {
+    **{f"f{i}": KIND_BOOLEAN for i in range(1, 9)},
+    **{f"f{i}": KIND_CATEGORICAL for i in range(9, 13)},
+    "f13": KIND_INTEGER, "f14": KIND_INTEGER, "f15": KIND_REAL,
+}
+FEATURE_NAMES = tuple(FEATURE_KINDS)
+BOOLEAN_FEATURES = tuple(n for n, k in FEATURE_KINDS.items() if k == KIND_BOOLEAN)
+CATEGORICAL_FEATURES = tuple(n for n, k in FEATURE_KINDS.items() if k == KIND_CATEGORICAL)
+NUMERIC_FEATURES = tuple(n for n, k in FEATURE_KINDS.items() if k in (KIND_INTEGER, KIND_REAL))
+F15_RANGE = (0.0, 1.0)  # f15 is a Jaccard similarity
 
 
 @dataclass(frozen=True)
@@ -94,7 +108,7 @@ class BogusValueList:
 
 @dataclass(frozen=True, slots=True)
 class FeatureVector:
-    """One domain's features, optionally labeled pos (fraud) or neg."""
+    """One domain's features, in FEATURE_KINDS order, optionally labeled pos (fraud) or neg."""
 
     domain: str
     f1: bool  # signed with md5WithRSAEncryption
@@ -117,7 +131,7 @@ class FeatureVector:
     def __post_init__(self) -> None:
         if self.label not in (None, LABEL_POSITIVE, LABEL_NEGATIVE):
             raise ValueError(f"label must be pos/neg/None, not {self.label!r}")
-        if not (0.0 <= self.f15 <= 1.0):
+        if not (F15_RANGE[0] <= self.f15 <= F15_RANGE[1]):
             raise ValueError(f"f15 out of range: {self.f15}")
 
     def value(self, name: str):
@@ -312,14 +326,19 @@ def extract_corpus(
 CSV_HEADER = ("domain",) + FEATURE_NAMES + ("label",)
 
 
-def _format_value(name: str, value) -> str:
-    if name in BOOLEAN_FEATURES:
-        return "1" if value else "0"
-    if name in CATEGORICAL_FEATURES:
-        return str(value)
-    if name == "f15":
-        return f"{value:.6f}"
-    return str(int(value))
+def _parse_bool(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"must be 0 or 1, not {text!r}")
+    return text == "1"
+
+
+# each kind's (format, parse) pair; a parse raises ValueError on a bad cell
+_CODECS = {
+    KIND_BOOLEAN: (lambda value: "1" if value else "0", _parse_bool),
+    KIND_CATEGORICAL: (str, str),
+    KIND_INTEGER: (lambda value: str(int(value)), int),
+    KIND_REAL: ("{:.6f}".format, float),
+}
 
 
 def csv_row_writer(out: io.TextIOBase) -> Callable[[Sequence[str]], None]:
@@ -346,22 +365,14 @@ def write_features_csv(out: io.TextIOBase, vectors: Iterable[FeatureVector]) -> 
     """
     writerow = csv_row_writer(out)
     writerow(CSV_HEADER)
+    features = attrgetter(*FEATURE_NAMES)
+    formats = [_CODECS[kind][0] for kind in FEATURE_KINDS.values()]
     count = 0
     for fv in vectors:
-        row = [fv.domain]
-        row.extend(_format_value(name, fv.value(name)) for name in FEATURE_NAMES)
-        row.append(fv.label or "")
-        writerow(row)
+        cells = [fmt(value) for fmt, value in zip(formats, features(fv))]
+        writerow([fv.domain, *cells, fv.label or ""])
         count += 1
     return count
-
-
-def _parse_bool(text: str, column: str) -> bool:
-    if text == "1":
-        return True
-    if text == "0":
-        return False
-    raise SerializationFailure(f"column {column} must be 0 or 1, not {text!r}")
 
 
 def read_features_csv(source: io.TextIOBase | str | os.PathLike) -> list[FeatureVector]:
@@ -381,6 +392,7 @@ def read_features_csv(source: io.TextIOBase | str | os.PathLike) -> list[Feature
         raise SerializationFailure(
             f"unexpected feature CSV header: {header!r}"
         )
+    parsers = [_CODECS[kind][1] for kind in FEATURE_KINDS.values()]
     vectors = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
@@ -389,24 +401,15 @@ def read_features_csv(source: io.TextIOBase | str | os.PathLike) -> list[Feature
             raise SerializationFailure(
                 f"line {lineno}: expected {len(CSV_HEADER)} columns, got {len(row)}"
             )
+        label = row[-1] or None
+        if label not in (None, LABEL_POSITIVE, LABEL_NEGATIVE):
+            raise SerializationFailure(f"line {lineno}: bad label {row[-1]!r}")
+        values = []
         try:
-            values = dict(zip(CSV_HEADER, row))
-            label = values["label"] or None
-            if label not in (None, LABEL_POSITIVE, LABEL_NEGATIVE):
-                raise SerializationFailure(
-                    f"line {lineno}: bad label {values['label']!r}"
-                )
-            vectors.append(
-                FeatureVector(
-                    domain=values["domain"],
-                    **{name: _parse_bool(values[name], name) for name in BOOLEAN_FEATURES},
-                    **{name: values[name] for name in CATEGORICAL_FEATURES},
-                    f13=int(values["f13"]),
-                    f14=int(values["f14"]),
-                    f15=float(values["f15"]),
-                    label=label,
-                )
-            )
-        except (ValueError, KeyError) as exc:
-            raise SerializationFailure(f"line {lineno} does not parse: {exc}") from exc
+            for name, parse, cell in zip(FEATURE_NAMES, parsers, row[1:]):
+                values.append(parse(cell))
+            # after the loop name is f15, the column of FeatureVector's one check left
+            vectors.append(FeatureVector(row[0], *values, label))
+        except ValueError as exc:
+            raise SerializationFailure(f"line {lineno}, column {name}: {exc}") from exc
     return vectors

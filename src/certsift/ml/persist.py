@@ -26,6 +26,7 @@ from typing import TextIO
 import numpy as np
 
 from ..errors import CorruptModel, VersionMismatch
+from ..features import FEATURE_KINDS, KIND_BOOLEAN, KIND_CATEGORICAL
 from .classifiers import (
     KIND_TREE,
     MODEL_KINDS,
@@ -33,7 +34,7 @@ from .classifiers import (
     NearestNeighborModel,
     TrainedModel,
 )
-from .schema import Encoder, FeatureColumn, FeatureSchema, KIND_BOOLEAN, KIND_CATEGORICAL, KIND_INTEGER, KIND_REAL
+from .schema import Encoder, FeatureColumn, FeatureSchema
 from .tree import NodeTable
 
 FORMAT_VERSION = 2
@@ -65,9 +66,8 @@ def _schema_from_json(doc: dict) -> FeatureSchema:
         )
     except (KeyError, TypeError) as exc:
         raise CorruptModel(f"schema does not decode: {exc}") from exc
-    valid_kinds = {KIND_BOOLEAN, KIND_CATEGORICAL, KIND_INTEGER, KIND_REAL}
     for col in columns:
-        if col.kind not in valid_kinds:
+        if col.kind not in FEATURE_KINDS.values():
             raise CorruptModel(f"unknown column kind {col.kind!r}")
     schema = FeatureSchema(columns)
     if schema.fingerprint() != doc.get("fingerprint"):
@@ -280,16 +280,18 @@ def _nodes_from_json(payload, kind: str, schema: FeatureSchema) -> tuple[NodeTab
 def _check_knn(model: NearestNeighborModel) -> None:
     """Reject what training never writes and exact chunked prediction
     relies on (classifiers.NearestNeighborModel): k a whole number >= 1,
-    0/1 labels, finite numeric ranges, and matrix cells that are codes of
-    their column's kind (0/1 booleans, categories below the vocabulary's
-    size) or scaled numerics in [0, 1].  NaN and infinities fail every kind."""
+    0/1 labels, finite numeric ranges with lo <= hi, and matrix cells that
+    are codes of their column's kind (0/1 booleans, categories below the
+    vocabulary's size) or scaled numerics in [0, 1].  NaN and infinities
+    fail every kind."""
     k = model.hyperparameters.get("k")
     if type(k) is not int or k < 1:
         raise CorruptModel(f"nearest-neighbor k {k!r} is not a whole number >= 1")
     if not np.isin(model.labels, (0.0, 1.0)).all():
         raise CorruptModel("nearest-neighbor labels are not all 0 or 1")
-    if not np.isfinite(list(model.ranges.values())).all():
-        raise CorruptModel("nearest-neighbor numeric ranges are not all finite")
+    ranges = np.array(list(model.ranges.values()), dtype=np.float64).reshape(-1, 2)
+    if not (np.isfinite(ranges).all() and (ranges[:, 0] <= ranges[:, 1]).all()):
+        raise CorruptModel("nearest-neighbor numeric ranges are not all finite with lo <= hi")
     X = model.matrix
     fits = np.where(model.encoder.eq_mask, _are_codes(X, _code_counts(model.encoder)),
                     (X >= 0.0) & (X <= 1.0))

@@ -17,22 +17,14 @@ import numpy as np
 
 from ..errors import DegenerateDataset
 from ..features import (
-    BOOLEAN_FEATURES,
-    CATEGORICAL_FEATURES,
+    FEATURE_KINDS,
     FEATURE_NAMES,
+    KIND_BOOLEAN,
+    KIND_CATEGORICAL,
     LABEL_NEGATIVE,
     LABEL_POSITIVE,
     FeatureVector,
 )
-
-KIND_BOOLEAN = "boolean"
-KIND_CATEGORICAL = "categorical"
-KIND_INTEGER = "integer"
-KIND_REAL = "real"
-
-_KIND_BY_NAME = {name: KIND_BOOLEAN for name in BOOLEAN_FEATURES}
-_KIND_BY_NAME.update({name: KIND_CATEGORICAL for name in CATEGORICAL_FEATURES})
-_KIND_BY_NAME.update({"f13": KIND_INTEGER, "f14": KIND_INTEGER, "f15": KIND_REAL})
 
 _DEFAULT_EXCLUDED = frozenset({"f5", "f13"})
 
@@ -61,8 +53,8 @@ class FeatureSchema:
 def default_schema() -> FeatureSchema:
     return FeatureSchema(
         tuple(
-            FeatureColumn(name, _KIND_BY_NAME[name], name not in _DEFAULT_EXCLUDED)
-            for name in FEATURE_NAMES
+            FeatureColumn(name, kind, name not in _DEFAULT_EXCLUDED)
+            for name, kind in FEATURE_KINDS.items()
         )
     )
 

@@ -28,6 +28,11 @@ from .errors import EmptyClass, SpecIncomplete, SubsetTooLarge
 from .features import (
     BOOLEAN_FEATURES,
     CATEGORICAL_FEATURES,
+    F15_RANGE,
+    FEATURE_KINDS,
+    KIND_BOOLEAN,
+    KIND_CATEGORICAL,
+    KIND_INTEGER,
     LABEL_NEGATIVE,
     LABEL_POSITIVE,
     NUMERIC_FEATURES,
@@ -58,6 +63,13 @@ def _check_distribution(name: str, pairs: Sequence[tuple], what: str) -> None:
         raise SpecIncomplete(f"{what} {name}: probabilities sum to {total}, not 1")
 
 
+def _holds(name: str, value: float) -> bool:
+    """Whether a numeric feature can hold value: whole and finite, or in F15_RANGE."""
+    if FEATURE_KINDS[name] == KIND_INTEGER:
+        return float(value).is_integer()
+    return F15_RANGE[0] <= value <= F15_RANGE[1]
+
+
 @dataclass(frozen=True)
 class MarginalSpec:
     """Per-feature marginal distributions for one class label."""
@@ -83,24 +95,22 @@ class MarginalSpec:
             if name not in NUMERIC_FEATURES:
                 raise SpecIncomplete(f"{name} is not a numeric feature")
             _check_distribution(name, pairs, "numeric")
+            for value, _ in pairs:
+                if not _holds(name, value):
+                    raise SpecIncomplete(f"numeric {name}: {value!r} is not a value {name} can hold")
 
     def require_complete(self) -> None:
         """Check every one of the fifteen features has a distribution."""
-        missing = [
-            name
-            for group, names in (
-                (self.booleans, BOOLEAN_FEATURES),
-                (self.categoricals, CATEGORICAL_FEATURES),
-                (self.numerics, NUMERIC_FEATURES),
-            )
-            for name in names
-            if name not in group
-        ]
+        given = self.booleans.keys() | self.categoricals.keys() | self.numerics.keys()
+        missing = [name for name in FEATURE_KINDS if name not in given]
         if missing:
             raise SpecIncomplete(f"spec lacks distributions for {', '.join(missing)}")
 
 
 def spec_from_json(doc: dict) -> MarginalSpec:
+    sections = ("booleans", "categoricals", "numerics")
+    if not isinstance(doc, dict) or any(not isinstance(doc.get(k, {}), dict) for k in sections):
+        raise SpecIncomplete(f"a spec and each of its {', '.join(sections)} must be JSON objects")
     try:
         return MarginalSpec(
             label=doc["label"],
@@ -173,38 +183,20 @@ def sample_class(
         raise EmptyClass(f"cannot sample {n} rows")
     spec.require_complete()
     prefix = domain_prefix if domain_prefix is not None else spec.label
-    columns: dict[str, list] = {}
-    for name in BOOLEAN_FEATURES:
-        columns[name] = (rng.random(n) < spec.booleans[name]).tolist()
-    for name in CATEGORICAL_FEATURES:
-        columns[name] = _sample_distribution(rng, spec.categoricals[name], n)
-    for name in NUMERIC_FEATURES:
-        columns[name] = _sample_distribution(rng, spec.numerics[name], n)
-    rows = []
-    for i in range(n):
-        values = {name: columns[name][i] for name in columns}
-        rows.append(
-            FeatureVector(
-                domain=f"{prefix}-{i:06d}.example",
-                f1=values["f1"],
-                f2=values["f2"],
-                f3=values["f3"],
-                f4=values["f4"],
-                f5=values["f5"],
-                f6=values["f6"],
-                f7=values["f7"],
-                f8=values["f8"],
-                f9=values["f9"],
-                f10=values["f10"],
-                f11=values["f11"],
-                f12=values["f12"],
-                f13=int(values["f13"]),
-                f14=int(values["f14"]),
-                f15=float(values["f15"]),
-                label=spec.label,
-            )
-        )
-    return rows
+    columns = []
+    for name, kind in FEATURE_KINDS.items():
+        if kind == KIND_BOOLEAN:
+            column = (rng.random(n) < spec.booleans[name]).tolist()
+        elif kind == KIND_CATEGORICAL:
+            column = _sample_distribution(rng, spec.categoricals[name], n)
+        else:
+            cast = int if kind == KIND_INTEGER else float
+            column = [cast(v) for v in _sample_distribution(rng, spec.numerics[name], n)]
+        columns.append(column)
+    return [
+        FeatureVector(f"{prefix}-{i:06d}.example", *values, spec.label)
+        for i, values in enumerate(zip(*columns))
+    ]
 
 
 def sample_corpus(
@@ -251,6 +243,28 @@ def fit_marginals(rows: Iterable[FeatureVector], label: str) -> MarginalSpec:
     )
 
 
+def _boolean_marginals(
+    positive: MarginalSpec, negative: MarginalSpec, features: Sequence[str]
+) -> tuple[list[float], list[float]]:
+    """Each spec's probability for each of the given boolean features."""
+    for name in features:
+        if name not in BOOLEAN_FEATURES:
+            raise SpecIncomplete(f"{name} is not a boolean feature")
+        if name not in positive.booleans or name not in negative.booleans:
+            raise SpecIncomplete(f"both specs must give a probability for {name}")
+    return [positive.booleans[n] for n in features], [negative.booleans[n] for n in features]
+
+
+def _likelihoods(bits: Iterable, p_pos: list[float], p_neg: list[float]) -> tuple[float, float]:
+    """Each class's likelihood of these feature values, multiplied in feature order."""
+    like_pos = 1.0
+    like_neg = 1.0
+    for bit, pp, pn in zip(bits, p_pos, p_neg):
+        like_pos *= pp if bit else 1.0 - pp
+        like_neg *= pn if bit else 1.0 - pn
+    return like_pos, like_neg
+
+
 def bayes_optimal_accuracy(
     positive: MarginalSpec,
     negative: MarginalSpec,
@@ -274,21 +288,11 @@ def bayes_optimal_accuracy(
             f"{len(features)} features would enumerate 2^{len(features)} points "
             f"(limit {MAX_ENUM_FEATURES})"
         )
-    for name in features:
-        if name not in BOOLEAN_FEATURES:
-            raise SpecIncomplete(f"{name} is not a boolean feature")
-        if name not in positive.booleans or name not in negative.booleans:
-            raise SpecIncomplete(f"both specs must give a probability for {name}")
-    p_pos = [positive.booleans[name] for name in features]
-    p_neg = [negative.booleans[name] for name in features]
-    terms = []
-    for assignment in itertools.product((False, True), repeat=len(features)):
-        like_pos = 1.0
-        like_neg = 1.0
-        for bit, pp, pn in zip(assignment, p_pos, p_neg):
-            like_pos *= pp if bit else 1.0 - pp
-            like_neg *= pn if bit else 1.0 - pn
-        terms.append(max(like_pos, like_neg))
+    p_pos, p_neg = _boolean_marginals(positive, negative, features)
+    terms = [
+        max(_likelihoods(assignment, p_pos, p_neg))
+        for assignment in itertools.product((False, True), repeat=len(features))
+    ]
     return math.fsum(terms) / 2.0
 
 
@@ -303,21 +307,10 @@ def bayes_rule(
     pos, matching the max() in the accuracy enumeration.
     """
     features = list(features)
-    for name in features:
-        if name not in BOOLEAN_FEATURES:
-            raise SpecIncomplete(f"{name} is not a boolean feature")
-        if name not in positive.booleans or name not in negative.booleans:
-            raise SpecIncomplete(f"both specs must give a probability for {name}")
+    p_pos, p_neg = _boolean_marginals(positive, negative, features)
 
     def classify(fv: FeatureVector) -> str:
-        like_pos = 1.0
-        like_neg = 1.0
-        for name in features:
-            bit = bool(fv.value(name))
-            pp = positive.booleans[name]
-            pn = negative.booleans[name]
-            like_pos *= pp if bit else 1.0 - pp
-            like_neg *= pn if bit else 1.0 - pn
+        like_pos, like_neg = _likelihoods(map(fv.value, features), p_pos, p_neg)
         return LABEL_POSITIVE if like_pos >= like_neg else LABEL_NEGATIVE
 
     return classify

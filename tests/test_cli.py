@@ -28,6 +28,7 @@ from certsift import (
 from certsift import corpus as corpus_module, features
 from certsift.cli import _atomic_output, main
 from certsift.ml import default_schema, load_model
+from certsift.synth import load_spec, spec_to_json
 
 from conftest import (
     DOMAIN_BOTH,
@@ -105,6 +106,25 @@ class TestSynthCommand:
         ) == 0
         rows = read_features_csv(out)
         assert all(fv.f1 for fv in rows if fv.label == "pos")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["numerics"].__setitem__("f15", [[2.0, 1.0]]),
+            lambda doc: doc["numerics"].__setitem__("f13", [[float("nan"), 1.0]]),
+            lambda doc: doc["numerics"].__setitem__("f13", [[365.7, 1.0]]),
+            lambda doc: doc.__setitem__("booleans", []),
+        ],
+        ids=["f15-2.0", "f13-nan", "f13-365.7", "booleans-list"],
+    )
+    def test_spec_it_cannot_sample_exit_3(self, edit, tmp_path, capsys):
+        doc = spec_to_json(load_spec("phishing"))
+        edit(doc)
+        spec_path = tmp_path / "pos.json"
+        spec_path.write_text(json.dumps(doc), encoding="utf-8")  # NaN as a bare literal
+        code = run("synth", "--pos-spec", str(spec_path), "--neg-spec", "alexa", "--n", "3")
+        assert code == 3
+        assert "SpecIncomplete" in capsys.readouterr().err
 
 
 class TestTrainAndEval:
@@ -570,6 +590,21 @@ class TestExtractCommand:
         code = run("extract", "--corpus", str(corpus), "--index-corpus", str(other))
         assert code == 3
         assert "IndexMismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value", [("harvest_time", T0), ("http_ok", "false"), ("domain", 7)]
+    )
+    def test_mistyped_record_field_exit_3(self, field, value, tmp_path, capsys):
+        corpus = tmp_path / "corpus.ndjson"
+        _write_fixture_corpus(corpus, shared=False)
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        doc = json.loads(lines[0])
+        doc[field] = value
+        lines[0] = json.dumps(doc)
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run("extract", "--corpus", str(corpus))
+        assert code == 3
+        assert "CorruptRecord" in capsys.readouterr().err
 
     def test_extract_deterministic(self, tmp_path):
         corpus = tmp_path / "corpus.ndjson"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import io
 import json
 import os
 
@@ -14,6 +15,7 @@ from certsift.corpus import (
     CorpusWriter,
     format_timestamp,
     latest_records,
+    load_corpus_stream,
     parse_timestamp,
     record_from_json,
     record_to_json,
@@ -75,6 +77,17 @@ class TestRecordSerialization:
         with pytest.raises(SerializationFailure):
             record_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("harvest_time", T0), ("http_ok", "false"), ("https_ok", 1), ("domain", 7),
+         ("domain", None)],
+    )
+    def test_mistyped_field_rejected(self, field, value):
+        doc = record_to_json(_record())
+        doc[field] = value
+        with pytest.raises(SerializationFailure):
+            record_from_json(doc)
+
 
 class TestCorpusFile:
     def test_write_and_load(self, tmp_path):
@@ -128,6 +141,17 @@ class TestCorpusFile:
         with open(path, "wb") as fh:
             fh.write((record_to_line(_record()) + "\n\n").encode())
         assert len(load_corpus(path)) == 1
+
+    def test_stream_is_read_line_by_line(self):
+        class LinesOnly(io.BytesIO):
+            def read(self, *args):
+                raise AssertionError("the whole stream was read at once")
+
+        lines = [record_to_line(_record(domain=d)) for d in ("one.test", "two.test")]
+        whole = LinesOnly(("\n".join(lines) + "\n").encode())
+        assert [r.domain for r in load_corpus_stream(whole)] == ["one.test", "two.test"]
+        torn = LinesOnly((lines[0] + "\n" + lines[1][:20]).encode())
+        assert [r.domain for r in load_corpus_stream(torn)] == ["one.test"]
 
 
 class TestCorpusWriterClose:

@@ -26,7 +26,16 @@ from certsift import (
     write_features_csv,
 )
 from certsift.errors import IndexMismatch, SerializationFailure
-from certsift.features import MISSING, is_bogus_subject
+from certsift.features import (
+    BOOLEAN_FEATURES,
+    CATEGORICAL_FEATURES,
+    CSV_HEADER,
+    FEATURE_KINDS,
+    FEATURE_NAMES,
+    MISSING,
+    NUMERIC_FEATURES,
+    is_bogus_subject,
+)
 
 
 class TestNormalizeHostname:
@@ -397,6 +406,16 @@ class TestExtractCorpus:
         assert without_chain[0].f5  # intermediate missing, path cannot build
 
 
+class TestFeatureLayout:
+    def test_kind_table_gives_the_name_tuples_and_the_vector_fields(self):
+        assert FEATURE_NAMES == tuple(f"f{i}" for i in range(1, 16)) == tuple(FEATURE_KINDS)
+        assert BOOLEAN_FEATURES == ("f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8")
+        assert CATEGORICAL_FEATURES == ("f9", "f10", "f11", "f12")
+        assert NUMERIC_FEATURES == ("f13", "f14", "f15")
+        fields = tuple(field.name for field in dataclasses.fields(FeatureVector))
+        assert fields == ("domain",) + FEATURE_NAMES + ("label",)
+
+
 class TestFeatureCsv:
     def _vectors(self):
         der, _ = make_cert(name("csv.example", o='Quote "Heavy", Inc.', c="US"))
@@ -463,6 +482,16 @@ class TestFeatureCsv:
         broken = buffer.getvalue().replace("csv.example,0", "csv.example,2", 1)
         with pytest.raises(SerializationFailure):
             read_features_csv(io.StringIO(broken))
+
+    @pytest.mark.parametrize(
+        "column,cell", [("f1", "2"), ("f13", "365.7"), ("f14", ""), ("f15", "1.5"), ("f15", "nan")]
+    )
+    def test_bad_cell_error_names_line_and_column(self, column, cell):
+        good = "x,0,0,0,0,0,0,0,0,a,b,c,d,1,1,0.000000,pos"
+        row = dict(zip(CSV_HEADER, good.split(",")), **{column: cell})
+        text = "\n".join([",".join(CSV_HEADER), good, ",".join(row.values())]) + "\n"
+        with pytest.raises(SerializationFailure, match=f"line 3, column {column}:"):
+            read_features_csv(io.StringIO(text))
 
     def test_bad_label_rejected(self):
         text = (

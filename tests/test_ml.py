@@ -1672,6 +1672,7 @@ class TestPersistence:
             lambda inst, hp: inst["vocabs"].__setitem__("f9", {"CA A": 0, "CA B": 0}),
             lambda inst, hp: inst["vocabs"].__setitem__("f9", {"CA A": 1.7, "CA B": 0.2}),
             lambda inst, hp: inst["vocabs"].__setitem__("f9", {"CA A": 5, "CA B": -3}),
+            lambda inst, hp: inst["ranges"]["f15"].reverse(),
         ],
     )
     def test_corrupt_knn_documents(self, mutate, tmp_path):

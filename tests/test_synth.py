@@ -82,6 +82,27 @@ class TestSpecValidation:
         with pytest.raises(SpecIncomplete):
             spec_from_json({"booleans": {"f1": 0.5}})  # missing label
 
+    @pytest.mark.parametrize("section", ["booleans", "categoricals", "numerics"])
+    def test_sections_must_be_json_objects(self, section):
+        with pytest.raises(SpecIncomplete):
+            spec_from_json({"label": "pos", section: []})
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("f15", 2.0), ("f15", -0.5), ("f15", float("nan")), ("f13", float("nan")),
+         ("f13", 365.7), ("f14", float("inf")), ("f14", 0.5)],
+    )
+    def test_numeric_support_must_be_a_value_of_its_feature(self, name, value):
+        doc = spec_to_json(tiny_spec("pos"))
+        doc["numerics"][name] = [[value, 1.0]]
+        with pytest.raises(SpecIncomplete):
+            spec_from_json(doc)
+        with pytest.raises(SpecIncomplete):
+            MarginalSpec("pos", {}, {}, {name: ((value, 1.0),)})
+
+    def test_numeric_support_edges_accepted(self):
+        MarginalSpec("pos", {}, {}, {"f13": ((-3.0, 0.5), (1e6, 0.5)), "f15": ((0.0, 0.5), (1.0, 0.5))})
+
 
 class TestShippedSpecs:
     @pytest.mark.parametrize("name", SHIPPED_SPEC_NAMES)
