@@ -332,11 +332,20 @@ def _parse_bool(text: str) -> bool:
     return text == "1"
 
 
+def _parse_int(text: str) -> int:
+    """A whole number spelled as str(int) spells it: int() alone also takes
+    signs, spaces, underscores, leading zeros and non-ASCII digits."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"must be a whole number as written, not {text!r}")
+    return value
+
+
 # each kind's (format, parse) pair; a parse raises ValueError on a bad cell
 _CODECS = {
     KIND_BOOLEAN: (lambda value: "1" if value else "0", _parse_bool),
     KIND_CATEGORICAL: (str, str),
-    KIND_INTEGER: (lambda value: str(int(value)), int),
+    KIND_INTEGER: (lambda value: str(int(value)), _parse_int),
     KIND_REAL: ("{:.6f}".format, float),
 }
 

@@ -143,13 +143,20 @@ def _min_max(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         return np.where(hi == lo, 0.0, np.clip(offset / span, 0.0, 1.0))
 
 
-# Distance cells (query rows x training rows x columns) that one pass of
-# score_encoded scores: 19 query rows against the 1,020 x 13 seed-7
-# benchmark matrix.  Timed alone on its 836 queries (2-CPU Xeon VM), chunks
-# of 4 to 64 rows took 65-70 ms, 1 row 95 ms and 256 rows 92 ms, against
-# 134 ms for a scan row by row; the tracemalloc peak grows with the chunk,
-# 2.7 MiB at 19 rows and 8.8 MiB at 64.
-_CHUNK_CELLS = 2**18
+# (query row, training row) pairs that one pass of score_encoded filters:
+# 32 query rows against the 1,020-row seed-7 benchmark matrix.  Timed alone
+# on its 836 queries (2-CPU VM, median of 25), 2^14 to 2^17 pairs took
+# 12-16 ms, 2^12 32 ms and 2^18 25 ms, against 61-88 ms for the distance
+# scan this replaced; the tracemalloc peak doubles with the budget, 0.89 MiB
+# at 2^15.  Where every row ties at the cut, the refine step holds about 75
+# bytes a pair, so 2^16 would peak above that scan's 2.6 MiB.
+_CHUNK_CELLS = 2**15
+
+# How far above a query's k-th smallest S a training row's S may lie and
+# still be refined: more than twice the rounding between S and d times the
+# distance (under 1e-12, see the class).  A larger slack is exact too, but
+# refines more pairs.
+_SLACK = 1e-9
 
 
 class NearestNeighborModel(_Model):
@@ -164,19 +171,34 @@ class NearestNeighborModel(_Model):
     the edges, and a constant training column contributes 0).  Equidistant
     neighbors at the cut resolve by training row order, which is canonical.
 
-    score_encoded scores query rows in chunks of about _CHUNK_CELLS
-    distance cells: one broadcast distance block per chunk, np.partition
-    for each row's k-th smallest distance, then every training row strictly
-    below it plus the lowest-indexed rows equal to it, up to k, and the sum
-    of their labels over k.  This is exact, not approximate: the kept rows
-    are the first k of a stable argsort of the row's distances (a NaN
-    distance counts as the largest, as it sorts there), and the score is
+    score_encoded filters, then refines (the multi-step search of Korn et
+    al., VLDB 1996, and Seidl and Kriegel, SIGMOD 1998), over chunks of
+    about _CHUNK_CELLS (query, training row) pairs.  The filter sums, one
+    column at a time, each pair's mismatched equality columns and its
+    numeric |a - b|: S, which is d times the pair's distance up to rounding
+    (d columns).  Each query keeps the rows whose S is at most its k-th
+    smallest, S_k, plus _SLACK.  The refine step takes the distances of the
+    kept pairs only, orders each query's pairs by (distance, row), and
+    scores the sum of the first k labels over k.
+
+    This is exact, not approximate: the rows scored are the first k of a
+    stable argsort of the query's distances to every row (a NaN distance,
+    or a NaN S, counts as the largest, as it sorts there), and the score is
     their mean label to the bit, given what the load check (persist.py)
-    holds a stored model to.  Codes are whole numbers, so the per-column
-    cap min(|a - b|, 1) is a != b on equality columns; each distance is
-    reduced along the same contiguous last axis as a row scored alone, so
-    it has the same bits; and labels are 0/1, so their sum is exact in any
-    order.
+    holds a stored model to (cells in [0, 1] or whole-number codes, finite
+    ranges, 0/1 labels).  Codes are whole numbers, so the per-column cap
+    min(|a - b|, 1) is a != b on equality columns, and they compare as the
+    narrow integers the filter reads them as; so S and d * distance sum the
+    same at most 15 terms in [0, 1] in other orders, and differ by some
+    delta < 1e-12.  Let D_k be the query's k-th smallest distance.  The
+    k rows of smallest S have d * distance <= S_k + delta, so d * D_k <= S_k
+    + delta; a row among the argsort's first k has distance <= D_k, so
+    S <= d * D_k + delta <= S_k + 2 delta, and it is kept.  A dropped row has
+    d * distance >= S - delta > S_k + _SLACK - delta > d * D_k, so it never
+    competes at the cut.  If fewer than k distances are finite, S_k is inf
+    and every row is kept.  Each kept distance is reduced along the same
+    contiguous last axis as a row scored alone, so it has the same bits;
+    and labels are 0/1, so their sum is exact in any order.
     """
 
     kind = KIND_KNN
@@ -222,24 +244,58 @@ class NearestNeighborModel(_Model):
         """Distance between two vectors under this model's fitted scaling."""
         return float(self._distances(*self.encode([a, b])))
 
+    def _candidates(self, X: np.ndarray, k: int, codes: np.ndarray, numeric: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """The filter: the (row of X, training row) pairs whose S is at most
+        that row's k-th smallest S plus _SLACK, by row of X, then training
+        row.  S is a pair's mismatched equality columns plus its numeric
+        |a - b|, with NaN as inf; codes and numeric are those columns of the
+        matrix, one a row."""
+        eq = self.encoder.eq_mask
+        shape = (len(X), len(self.matrix))
+        count = np.zeros(shape, np.uint8)  # at most 15 columns
+        miss = np.empty(shape, bool)
+        for a, b in zip(X[:, eq].T.astype(codes.dtype), codes):
+            count += np.not_equal(a[:, None], b, out=miss).view(np.uint8)
+        sums = count.astype(np.float64)
+        cell = np.empty(shape)
+        for a, b in zip(X[:, ~eq].T, numeric):
+            sums += np.abs(np.subtract(a[:, None], b, out=cell), out=cell)
+        sums[np.isnan(sums)] = np.inf
+        cut = np.partition(sums, k - 1, axis=1)[:, k - 1, None] + _SLACK
+        return np.divmod(np.flatnonzero(sums <= cut), shape[1])
+
     def score_encoded(self, X: np.ndarray) -> np.ndarray:
         """The score of each row of X, encoded and scaled as encode does."""
-        k = min(self.hyperparameters["k"], self.labels.size)
-        chunk = max(1, _CHUNK_CELLS // self.matrix.size)
-        cells = np.empty((min(chunk, len(X)), *self.matrix.shape))
+        n, d = self.matrix.shape
+        k = min(self.hyperparameters["k"], n)
+        # the equality columns as the narrowest integers that hold every code
+        # and -1, which compare fastest
+        eq = self.encoder.eq_mask
+        sizes = [2, *map(len, self.encoder.vocabs.values())]
+        codes = self.matrix[:, eq].T.astype(np.min_scalar_type(-max(sizes)))
+        numeric = np.ascontiguousarray(self.matrix[:, ~eq].T)
+        chunk = max(1, _CHUNK_CELLS // n)
+        # kept pairs refined a pass: the two arrays gathered for them hold
+        # _CHUNK_CELLS / 4 cells, however many pairs tie at the cut
+        step = max(1, _CHUNK_CELLS // (8 * d))
         scores = np.empty(len(X))
         for start in range(0, len(X), chunk):
-            block = X[start:start + chunk, None, :]
-            dists = self._distances(block, self.matrix, cells[:len(block)])
+            block = X[start:start + chunk]
+            query, row = self._candidates(block, k, codes, numeric)
+            dists = np.empty(query.size)
+            for at in range(0, query.size, step):
+                pairs = block[query[at:at + step]]
+                dists[at:at + step] = self._distances(pairs, self.matrix[row[at:at + step]], pairs)
             # NaN sorts last in an argsort; every number here is at most 1
             dists[np.isnan(dists)] = np.inf
-            kth = np.partition(dists, k - 1, axis=1)[:, k - 1, None]
-            below = dists < kth
-            ties = dists == kth
-            # the lowest-indexed ties, as many as the rows below leave room for
-            room = k - np.count_nonzero(below, axis=1)
-            keep = below | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
-            scores[start:start + chunk] = (keep @ self.labels) / k
+            # by query, then distance, then row: a stable sort of pairs that
+            # come by query, then row
+            order = np.lexsort((dists, query))
+            # every query keeps at least k pairs, in one run; its first k
+            first = np.searchsorted(query, np.arange(len(block)))
+            nearest = order[first[:, None] + np.arange(k)]
+            scores[start:start + chunk] = self.labels[row[nearest]].sum(axis=1) / k
         return scores
 
 

@@ -278,7 +278,7 @@ def _nodes_from_json(payload, kind: str, schema: FeatureSchema) -> tuple[NodeTab
 
 
 def _check_knn(model: NearestNeighborModel) -> None:
-    """Reject what training never writes and exact chunked prediction
+    """Reject what training never writes and exact filter-and-refine prediction
     relies on (classifiers.NearestNeighborModel): k a whole number >= 1,
     0/1 labels, finite numeric ranges with lo <= hi, and matrix cells that
     are codes of their column's kind (0/1 booleans, categories below the

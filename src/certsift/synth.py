@@ -107,6 +107,14 @@ class MarginalSpec:
             raise SpecIncomplete(f"spec lacks distributions for {', '.join(missing)}")
 
 
+def _pairs(name: str, entry) -> list:
+    """A distribution entry of a spec document: a list of [value,
+    probability] lists, or SpecIncomplete."""
+    if not isinstance(entry, list) or any(not isinstance(p, list) or len(p) != 2 for p in entry):
+        raise SpecIncomplete(f"{name} must be a list of [value, probability] lists")
+    return entry
+
+
 def spec_from_json(doc: dict) -> MarginalSpec:
     sections = ("booleans", "categoricals", "numerics")
     if not isinstance(doc, dict) or any(not isinstance(doc.get(k, {}), dict) for k in sections):
@@ -116,11 +124,11 @@ def spec_from_json(doc: dict) -> MarginalSpec:
             label=doc["label"],
             booleans={str(k): float(v) for k, v in doc.get("booleans", {}).items()},
             categoricals={
-                str(k): tuple((str(v), float(p)) for v, p in pairs)
+                str(k): tuple((str(v), float(p)) for v, p in _pairs(k, pairs))
                 for k, pairs in doc.get("categoricals", {}).items()
             },
             numerics={
-                str(k): tuple((float(v), float(p)) for v, p in pairs)
+                str(k): tuple((float(v), float(p)) for v, p in _pairs(k, pairs))
                 for k, pairs in doc.get("numerics", {}).items()
             },
         )

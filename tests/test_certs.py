@@ -398,6 +398,6 @@ class TestTrustStore:
 
     def test_empty_bundle_rejected(self, tmp_path):
         empty = tmp_path / "nothing.pem"
-        empty.write_text("no anchors here\n")
+        empty.write_text("no anchors here\n", encoding="utf-8")
         with pytest.raises(MalformedInput):
             load_trust_store(str(empty))

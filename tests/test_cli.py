@@ -98,7 +98,7 @@ class TestSynthCommand:
             "numerics": {"f13": [[10.0, 1.0]], "f14": [[3.0, 1.0]], "f15": [[0.5, 1.0]]},
         }
         doc["booleans"]["f5"] = 1.0
-        spec_path.write_text(json.dumps(doc))
+        spec_path.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "c.csv"
         assert run(
             "synth", "--pos-spec", str(spec_path), "--neg-spec", "alexa",
@@ -114,8 +114,9 @@ class TestSynthCommand:
             lambda doc: doc["numerics"].__setitem__("f13", [[float("nan"), 1.0]]),
             lambda doc: doc["numerics"].__setitem__("f13", [[365.7, 1.0]]),
             lambda doc: doc.__setitem__("booleans", []),
+            lambda doc: doc["categoricals"].__setitem__("f11", {"U1": 0.3}),
         ],
-        ids=["f15-2.0", "f13-nan", "f13-365.7", "booleans-list"],
+        ids=["f15-2.0", "f13-nan", "f13-365.7", "booleans-list", "f11-mapping"],
     )
     def test_spec_it_cannot_sample_exit_3(self, edit, tmp_path, capsys):
         doc = spec_to_json(load_spec("phishing"))
@@ -135,7 +136,7 @@ class TestTrainAndEval:
             "--trees", "10", "--model-out", str(model_path),
         ) == 0
         assert "seed 17" in capsys.readouterr().err
-        doc = json.loads(model_path.read_text())
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
         assert doc["format_version"] == 2
         assert doc["kind"] == "forest"
         assert doc["hyperparameters"]["n_trees"] == 10
@@ -157,7 +158,7 @@ class TestTrainAndEval:
         ) == 0
         err = capsys.readouterr().err
         assert "pos_recall" in err  # table goes to the error stream
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["classifier"] == "tree"
         assert doc["folds"] == 5
         assert doc["seed"] == 17
@@ -214,10 +215,10 @@ class TestTrainAndEval:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_EVAL[(kind, folds)]
 
     def test_unlabeled_rows_exit_3(self, synth_csv, tmp_path, capsys):
-        text = synth_csv.read_text().splitlines()
+        text = synth_csv.read_text(encoding="utf-8").splitlines()
         stripped = [text[0]] + [line.rsplit(",", 1)[0] + "," for line in text[1:]]
         unlabeled = tmp_path / "unlabeled.csv"
-        unlabeled.write_text("\n".join(stripped) + "\n")
+        unlabeled.write_text("\n".join(stripped) + "\n", encoding="utf-8")
         code = run("train", "--features", str(unlabeled), "--algo", "tree")
         assert code == 3
         assert "DegenerateDataset" in capsys.readouterr().err
@@ -250,7 +251,7 @@ class TestTrainAndEval:
 
     def test_malformed_csv_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        bad.write_text("domain,oops\nx,1\n")
+        bad.write_text("domain,oops\nx,1\n", encoding="utf-8")
         assert run("train", "--features", str(bad), "--algo", "tree") == 3
         assert "error" in capsys.readouterr().err
 
@@ -271,7 +272,7 @@ class TestClassifyCommand:
             "classify", "--model", str(model_path),
             "--features", str(synth_csv), "--out", str(out),
         ) == 0
-        lines = out.read_text().splitlines()
+        lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "domain,label,score"
         assert len(lines) == 81
         model = load_model(model_path)
@@ -299,7 +300,7 @@ class TestClassifyCommand:
     def test_requires_exactly_one_input(self, model_path, synth_csv, tmp_path, capsys):
         assert run("classify", "--model", str(model_path)) == 1
         corpus = tmp_path / "c.ndjson"
-        corpus.write_text("")
+        corpus.write_text("", encoding="utf-8")
         assert run(
             "classify", "--model", str(model_path),
             "--features", str(synth_csv), "--corpus", str(corpus),
@@ -354,7 +355,7 @@ class TestClassifyCommand:
         if kind in ("bagging", "forest"):
             argv += ["--trees", "15"]
         assert main(argv) == 0
-        assert json.loads(model.read_text())["format_version"] == 2
+        assert json.loads(model.read_text(encoding="utf-8"))["format_version"] == 2
         out = tmp_path / "classify.csv"
         assert run(
             "classify", "--model", str(model), "--features", str(query_csv), "--out", str(out),
@@ -379,7 +380,7 @@ class TestClassifyCommand:
         model = load_model(model_path)
         assert model.table.column.size > 2000
         _, scores = model.predict_batch(read_features_csv(csv_path))
-        lines = out.read_text().splitlines()[1:]
+        lines = out.read_text(encoding="utf-8").splitlines()[1:]
         assert [line.rsplit(",", 1)[1] for line in lines] == [f"{s:.6f}" for s in scores]
 
     def test_domains_holding_delimiters_stay_one_row(self, synth_csv, model_path, tmp_path):
@@ -400,20 +401,20 @@ class TestClassifyCommand:
 
     def test_inputs_checked_before_the_model_is_read(self, tmp_path, capsys):
         broken = tmp_path / "broken.json"
-        broken.write_text("{\"format_version\": 1, \"kind\": \"tree\"")
+        broken.write_text("{\"format_version\": 1, \"kind\": \"tree\"", encoding="utf-8")
         assert run("classify", "--model", str(broken)) == 1
         assert capsys.readouterr().err.startswith("usage error:")
 
     def test_corrupt_model_exit_3(self, synth_csv, tmp_path, capsys):
         broken = tmp_path / "broken.json"
-        broken.write_text("{\"format_version\": 1, \"kind\": \"tree\"")
+        broken.write_text("{\"format_version\": 1, \"kind\": \"tree\"", encoding="utf-8")
         code = run("classify", "--model", str(broken), "--features", str(synth_csv))
         assert code == 3
         assert "CorruptModel" in capsys.readouterr().err
 
     def test_deeply_nested_model_exit_3(self, model_path, synth_csv, tmp_path, capsys):
         # a well-formed version-1 tree model whose tree nests 3,000 splits deep
-        doc = json.loads(model_path.read_text())
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
         assert doc["schema"]["fingerprint"] == default_schema().fingerprint()
         leaf = '{"node": "leaf", "positive_fraction": 1.0, "count": 1}'
         split = '{"node": "split", "feature": "f1", "test": "eq", "value": true, "left": '
@@ -422,7 +423,7 @@ class TestClassifyCommand:
         deep = tmp_path / "deep.json"
         deep.write_text(json.dumps(doc).replace(
             '"TREE"', split * 3000 + leaf + (', "right": ' + leaf + "}") * 3000
-        ))
+        ), encoding="utf-8")
         code = run("classify", "--model", str(deep), "--features", str(synth_csv))
         assert code == 3
         assert "CorruptModel" in capsys.readouterr().err
@@ -445,9 +446,9 @@ class TestClassifyCommand:
         path = tmp_path / "knn.json"
         argv = ["train", "--features", str(synth_csv), "--algo", "knn", "--model-out", str(path)]
         assert run(*argv) == 0
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
         doc["hyperparameters"]["k"] = k
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "predictions.csv"
         code = run("classify", "--model", str(path), "--features", str(synth_csv), "--out", str(out))
         assert code == 3
@@ -455,11 +456,11 @@ class TestClassifyCommand:
         assert not out.exists()
 
     def test_unknown_feature_model_exit_3(self, model_path, synth_csv, tmp_path, capsys):
-        doc = json.loads(model_path.read_text())
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
         assert doc["nodes"]["column"][0] >= 0  # the root is a split
         doc["nodes"]["column"][0] = 99
         bad = tmp_path / "f99.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(json.dumps(doc), encoding="utf-8")
         code = run("classify", "--model", str(bad), "--features", str(synth_csv))
         assert code == 3
         assert "CorruptModel" in capsys.readouterr().err
@@ -479,7 +480,7 @@ class TestReportCommand:
             "--features", f"first={a}", "--features", f"second={b}",
             "--out", str(out),
         ) == 0
-        lines = out.read_text().splitlines()
+        lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "feature,first (60),second (40)"
         assert len(lines) == 9
         assert all(line.count(",") == 2 for line in lines)
@@ -493,7 +494,7 @@ class TestReportCommand:
             "report", "--mode", "cdf", "--features", str(synth_csv),
             "--column", "f15", "--out", str(out),
         ) == 0
-        lines = out.read_text().splitlines()
+        lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "value,cum_frac"
         assert lines[-1].endswith("1.000000")
 
@@ -723,7 +724,8 @@ class TestProbeCommand:
         domains_file.write_text(
             "# harvest targets\n"
             + "\n".join([DOMAIN_BOTH, DOMAIN_TLS_ONLY, DOMAIN_HTTP_ONLY, DOMAIN_DEAD])
-            + "\n"
+            + "\n",
+            encoding="utf-8",
         )
         out = tmp_path / "corpus.ndjson"
         assert main(self._probe_argv(farm, domains_file, out)) == 0
@@ -741,14 +743,14 @@ class TestProbeCommand:
         assert records[DOMAIN_DEAD].category == "neither"
 
         # wire format carries base64 of the exact harvested DER
-        for line in out.read_text().splitlines():
+        for line in out.read_text(encoding="utf-8").splitlines():
             doc = json.loads(line)
             if doc["domain"] == DOMAIN_BOTH:
                 assert base64.b64decode(doc["cert_der_b64"]) == farm.leaf_der[DOMAIN_BOTH]
 
     def test_probe_then_extract_with_trust_store(self, farm, tmp_path):
         domains_file = tmp_path / "domains.txt"
-        domains_file.write_text(f"{DOMAIN_BOTH}\n{DOMAIN_TLS_ONLY}\n")
+        domains_file.write_text(f"{DOMAIN_BOTH}\n{DOMAIN_TLS_ONLY}\n", encoding="utf-8")
         corpus = tmp_path / "corpus.ndjson"
         assert main(self._probe_argv(farm, domains_file, corpus)) == 0
         anchors = tmp_path / "anchors.pem"
@@ -766,7 +768,7 @@ class TestProbeCommand:
     def test_reprobe_appends_to_corpus(self, farm, tmp_path):
         domains = [DOMAIN_BOTH, DOMAIN_TLS_ONLY, DOMAIN_HTTP_ONLY, DOMAIN_DEAD]
         domains_file = tmp_path / "domains.txt"
-        domains_file.write_text("\n".join(domains) + "\n")
+        domains_file.write_text("\n".join(domains) + "\n", encoding="utf-8")
         corpus = tmp_path / "corpus.ndjson"
         assert main(self._probe_argv(farm, domains_file, corpus)) == 0
         assert main(self._probe_argv(farm, domains_file, corpus)) == 0
@@ -781,14 +783,14 @@ class TestProbeCommand:
 
     def test_bad_resolve_syntax_exit_1(self, tmp_path, capsys):
         domains_file = tmp_path / "domains.txt"
-        domains_file.write_text("a.test\n")
+        domains_file.write_text("a.test\n", encoding="utf-8")
         code = run("probe", "--domains", str(domains_file), "--resolve", "nonsense")
         assert code == 1
         assert "usage error" in capsys.readouterr().err
 
     def test_zero_concurrency_exit_1(self, tmp_path, capsys):
         domains_file = tmp_path / "domains.txt"
-        domains_file.write_text("a.test\n")
+        domains_file.write_text("a.test\n", encoding="utf-8")
         out = tmp_path / "corpus.ndjson"
         code = run("probe", "--domains", str(domains_file), "--concurrency", "0",
                    "--out", str(out))
@@ -832,15 +834,15 @@ class TestExitCodesAndPlumbing:
         target = tmp_path / "out.txt"
         with _atomic_output(str(target)) as out:
             out.write("complete\n")
-        assert target.read_text() == "complete\n"
+        assert target.read_text(encoding="utf-8") == "complete\n"
         assert list(tmp_path.iterdir()) == [target]
 
     def test_atomic_output_replaces_existing(self, tmp_path):
         target = tmp_path / "out.txt"
-        target.write_text("old")
+        target.write_text("old", encoding="utf-8")
         with _atomic_output(str(target)) as out:
             out.write("new")
-        assert target.read_text() == "new"
+        assert target.read_text(encoding="utf-8") == "new"
 
     def test_console_script_installed(self, tmp_path):
         exe = shutil.which("certsift")

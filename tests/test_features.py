@@ -129,7 +129,7 @@ class TestBogusValues:
 
     def test_custom_list_from_file(self, tmp_path):
         listing = tmp_path / "bogus.txt"
-        listing.write_text("Weird Placeholder\n\n  another one  \n")
+        listing.write_text("Weird Placeholder\n\n  another one  \n", encoding="utf-8")
         bogus = BogusValueList.from_file(listing)
         assert bogus.matches("weird placeholder")
         assert bogus.matches("ANOTHER ONE")
@@ -484,7 +484,11 @@ class TestFeatureCsv:
             read_features_csv(io.StringIO(broken))
 
     @pytest.mark.parametrize(
-        "column,cell", [("f1", "2"), ("f13", "365.7"), ("f14", ""), ("f15", "1.5"), ("f15", "nan")]
+        "column,cell",
+        [("f1", "2"), ("f13", "365.7"), ("f14", ""), ("f15", "1.5"), ("f15", "nan"),
+         # int() reads these, but write_features_csv never writes them
+         ("f13", "1_000"), ("f14", " +7 "), ("f13", "+7"), ("f14", "007"), ("f13", "-0"),
+         ("f14", "\u0661\u0662")],
     )
     def test_bad_cell_error_names_line_and_column(self, column, cell):
         good = "x,0,0,0,0,0,0,0,0,a,b,c,d,1,1,0.000000,pos"
@@ -492,6 +496,15 @@ class TestFeatureCsv:
         text = "\n".join([",".join(CSV_HEADER), good, ",".join(row.values())]) + "\n"
         with pytest.raises(SerializationFailure, match=f"line 3, column {column}:"):
             read_features_csv(io.StringIO(text))
+
+    def test_integer_cells_as_written_accepted(self):
+        good = "x,0,0,0,0,0,0,0,0,a,b,c,d,{},{},0.000000,pos"
+        text = "\n".join([",".join(CSV_HEADER), good.format(-365, 0), good.format(0, 10**20)]) + "\n"
+        rows = read_features_csv(io.StringIO(text))
+        assert [(fv.f13, fv.f14) for fv in rows] == [(-365, 0), (0, 10**20)]
+        buffer = io.StringIO()
+        write_features_csv(buffer, rows)
+        assert buffer.getvalue() == text
 
     def test_bad_label_rejected(self):
         text = (

@@ -1061,21 +1061,25 @@ class TestNearestNeighbor:
             assert (label, float(score)) == reference_predict(model, query, dataset)
 
     @staticmethod
-    def _tied_model(rng: np.random.Generator, n: int, k: int, ranges=None) -> NearestNeighborModel:
+    def _model(matrix: np.ndarray, labels, k: int, ranges=None) -> NearestNeighborModel:
+        """A model on a matrix in the default schema's 13 encoded and scaled
+        columns, categories a, b and c coded 0, 1 and 2."""
+        encoder = Encoder(default_schema(), vocabs={f"f{i}": {"a": 0, "b": 1, "c": 2} for i in (9, 10, 11, 12)})
+        ranges = ranges or {"f14": (0.0, 3.0), "f15": (0.0, 1.0)}
+        return NearestNeighborModel(encoder.schema, {"k": k}, 0, encoder.vocabs, ranges, matrix,
+                                    np.asarray(labels, dtype=np.float64))
+
+    @classmethod
+    def _tied_model(cls, rng: np.random.Generator, n: int, k: int, ranges=None) -> NearestNeighborModel:
         """A model on a random n-row matrix where most distances tie: codes
         from {-1, 0, 1, 2}, booleans 0/1, scaled numerics from {0, 1/3, 2/3, 1}."""
-        schema = default_schema()
-        encoder = Encoder(schema, vocabs={f"f{i}": {"a": 0, "b": 1, "c": 2} for i in (9, 10, 11, 12)})
-        kinds = [col.kind for col in encoder.columns]
         matrix = np.column_stack([
-            rng.integers(0, 2, n) if kind == "boolean"
-            else rng.integers(-1, 3, n) if kind == "categorical"
+            rng.integers(0, 2, n) if col.kind == "boolean"
+            else rng.integers(-1, 3, n) if col.kind == "categorical"
             else rng.integers(0, 4, n) / 3
-            for kind in kinds
+            for col in default_schema().included()
         ]).astype(np.float64)
-        labels = rng.integers(0, 2, n).astype(np.float64)
-        ranges = ranges or {"f14": (0.0, 3.0), "f15": (0.0, 1.0)}
-        return NearestNeighborModel(schema, {"k": k}, 0, encoder.vocabs, ranges, matrix, labels)
+        return cls._model(matrix, rng.integers(0, 2, n), k, ranges)
 
     @staticmethod
     def _tied_queries(rng: np.random.Generator, m: int) -> list[FeatureVector]:
@@ -1089,14 +1093,13 @@ class TestNearestNeighbor:
 
     def test_chunked_scores_equal_per_row_reference(self, monkeypatch):
         rng = np.random.default_rng(2027)
-        cells_per_row = 13  # every model here has the default schema's 13 columns
         for case in range(300):
             n = int(rng.integers(1, 40))
             k = int(rng.choice([1, 2, 3, 5, n, n + 3]))  # k = 1, and k >= n
             model = self._tied_model(rng, n, k)
             queries = self._tied_queries(rng, int(rng.integers(0, 30)))  # empty batches too
             # the default budget; one query row per chunk; a few rows, so batches cross chunks
-            budget = (classifiers._CHUNK_CELLS, 1, int(rng.integers(2, 6)) * n * cells_per_row)
+            budget = (classifiers._CHUNK_CELLS, 1, int(rng.integers(2, 6)) * n)
             monkeypatch.setattr(classifiers, "_CHUNK_CELLS", budget[case % 3])
             labels, scores = model.predict_batch(queries)
             want = reference_knn_scores(model, model.encode(queries))
@@ -1115,6 +1118,32 @@ class TestNearestNeighbor:
             _, scores = model.predict_batch(queries)
         assert np.isnan(X[:, [c.name for c in model.encoder.columns].index("f14")]).all()
         assert scores.tolist() == reference_knn_scores(model, X) == [model.labels[:5].mean()] * 4
+
+    def test_near_tie_kept_by_the_slack(self, monkeypatch):
+        # rows 0 and 1 differ from the all-zero query in f15 alone, so S is
+        # their f15 value: row 0's is one ulp above row 1's, yet both divide
+        # by 13 columns to the same distance, so the stable argsort picks row
+        # 0; a filter that kept only S <= S_k would leave row 1 alone
+        x = next(v for v in np.linspace(0.5, 0.9, 1001) if np.nextafter(v, 1.0) / 13 == v / 13)
+        matrix = np.zeros((3, 13))
+        matrix[:, 12] = [np.nextafter(x, 1.0), x, 1.0]
+        model = self._model(matrix, [1, 0, 0], k=1)
+        X = np.zeros((1, 13))
+        assert model.score_encoded(X).tolist() == reference_knn_scores(model, X) == [1.0]
+        monkeypatch.setattr(classifiers, "_SLACK", 0.0)
+        assert model.score_encoded(X).tolist() == [0.0]
+
+    def test_all_ties_under_a_budget_of_one_pair(self, monkeypatch):
+        # every row ties with every query, so the filter keeps every pair and
+        # the refine step takes one pair a pass
+        rng = np.random.default_rng(11)
+        matrix = np.tile(rng.integers(0, 2, 13).astype(np.float64), (40, 1))
+        model = self._model(matrix, rng.integers(0, 2, 40), k=7)
+        X = np.tile(matrix[:1], (5, 1))
+        X[1:, 0] = 1 - X[1:, 0]  # one mismatch more, for every row alike
+        monkeypatch.setattr(classifiers, "_CHUNK_CELLS", 1)
+        want = [model.labels[:7].mean()] * 5
+        assert model.score_encoded(X).tolist() == reference_knn_scores(model, X) == want
 
     def test_stored_matrix_is_reference_scaling_of_training_rows(self):
         for dataset in (self._edge_dataset(), TestPersistence()._mixed_dataset()):
@@ -1526,8 +1555,8 @@ class TestPersistence:
         model = train(f3_dataset(3), KIND_TREE)
         path = tmp_path / "model.json"
         save_model(model, path)
-        text = path.read_text()
-        path.write_text(text[: len(text) // 2])
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
         with pytest.raises(CorruptModel):
             load_model(path)
 
@@ -1536,7 +1565,7 @@ class TestPersistence:
         doc = model_to_json(model)
         doc["format_version"] = 3
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(VersionMismatch):
             load_model(path)
 
@@ -1620,10 +1649,10 @@ class TestPersistence:
         document = model_to_json if version == 2 else v1_document
         doc = document(model)
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         assert document(load_model(path)) == doc  # unmutated, it loads
         mutate(doc)
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(CorruptModel):
             load_model(path)
 
@@ -1632,7 +1661,7 @@ class TestPersistence:
         doc = model_to_json(model)
         doc["instances"]["matrix"] = [row[:-1] for row in doc["instances"]["matrix"]]
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(CorruptModel):
             load_model(path)
 
@@ -1643,7 +1672,7 @@ class TestPersistence:
         doc = model_to_json(model)
         del doc["instances"][section][name]
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(CorruptModel):
             load_model(path)
 
@@ -1682,10 +1711,10 @@ class TestPersistence:
         assert len(model.encoder.vocabs["f9"]) == 2
         path = tmp_path / "model.json"
         doc = model_to_json(model)
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         assert model_to_json(load_model(path)) == doc  # a trained model loads
         mutate(doc["instances"], doc["hyperparameters"])
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(CorruptModel):
             load_model(path)
 
@@ -1721,7 +1750,7 @@ class TestPersistence:
         model = train(f3_dataset(3), KIND_FOREST, {"n_trees": 2})
         path = tmp_path / "model.json"
         save_model(model, path)
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         assert text.count("\n") == 1 and text.endswith("\n")
         doc = json.loads(text)
         assert doc["format_version"] == 2

@@ -100,6 +100,18 @@ class TestSpecValidation:
         with pytest.raises(SpecIncomplete):
             MarginalSpec("pos", {}, {}, {name: ((value, 1.0),)})
 
+    @pytest.mark.parametrize(
+        "section,name,entry",
+        [("categoricals", "f11", {"U1": 0.3}), ("categoricals", "f11", ["U1"]),
+         ("numerics", "f14", ["51"]), ("numerics", "f14", {"51": 1.0})],
+    )
+    def test_entry_must_be_a_list_of_pairs(self, section, name, entry):
+        # each two-character key or string would unpack as a value and a probability
+        doc = spec_to_json(load_spec("phishing"))
+        doc[section][name] = entry
+        with pytest.raises(SpecIncomplete):
+            spec_from_json(doc)
+
     def test_numeric_support_edges_accepted(self):
         MarginalSpec("pos", {}, {}, {"f13": ((-3.0, 0.5), (1e6, 0.5)), "f15": ((0.0, 0.5), (1.0, 0.5))})
 
@@ -119,7 +131,7 @@ class TestShippedSpecs:
 
     def test_load_from_file_path(self, tmp_path):
         path = tmp_path / "custom.json"
-        path.write_text(json.dumps(spec_to_json(tiny_spec("pos"))))
+        path.write_text(json.dumps(spec_to_json(tiny_spec("pos"))), encoding="utf-8")
         assert load_spec(path).label == "pos"
 
     def test_missing_file(self, tmp_path):
