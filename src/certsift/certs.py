@@ -13,6 +13,11 @@ store order, else the first presented certificate in presented order,
 whose subject equals the certificate's issuer name as a multiset of
 (type, trimmed value) pairs.  Lookup goes through each name's precomputed
 key in an IssuerIndex, a dictionary built once per certificate set.
+
+The trust store's IssuerIndex also keeps the verdict of every signature
+link above the leaf (an intermediate under its issuer, or an anchor under
+itself), so a trust store checks each CA link once however many leaves
+share it.  Leaf links are checked on every call.
 """
 
 from __future__ import annotations
@@ -294,6 +299,17 @@ class IssuerIndex:
     certificate in the given order carrying it; by_fingerprint holds every
     certificate by its fingerprint.  Build one per trust store and pass it
     to verify_chain for every leaf checked against that store.
+
+    link_verdicts is verify_chain's memo of CA links checked against this
+    store: (child fingerprint, parent fingerprint) -> whether the parent's
+    key verifies the child's signature, failures included.  It is exact: a
+    link's verdict depends only on the two DER blobs (the child's
+    signature, TBS bytes and algorithm parameters, the parent's key), and
+    a fingerprint is the SHA-256 of the DER.  Only links whose child is
+    not the leaf are kept, so the memo grows with the distinct CA
+    certificates seen, never with leaves; a corpus with a fresh
+    intermediate per domain grows it as fast as it grows the set of
+    parsed certificates.
     """
 
     def __init__(self, certs: Iterable[CertificateSummary]):
@@ -302,6 +318,7 @@ class IssuerIndex:
         for cert in certs:
             self.by_subject.setdefault(cert.subject.key, cert)
             self.by_fingerprint.setdefault(cert.fingerprint, cert)
+        self.link_verdicts: dict[tuple[str, str], bool] = {}
 
     @classmethod
     def of(cls, certs: IssuerIndex | Iterable[CertificateSummary]) -> IssuerIndex:
@@ -309,6 +326,14 @@ class IssuerIndex:
 
     def issuer_of(self, cert: CertificateSummary) -> CertificateSummary | None:
         return self.by_subject.get(cert.issuer.key)
+
+    def link_valid(self, child: CertificateSummary, parent: CertificateSummary) -> bool:
+        """_signature_valid(child, parent), checked once per index."""
+        link = (child.fingerprint, parent.fingerprint)
+        valid = self.link_verdicts.get(link)
+        if valid is None:
+            valid = self.link_verdicts[link] = _signature_valid(child, parent)
+        return valid
 
 
 _MAX_PATH = 16
@@ -338,6 +363,13 @@ def verify_chain(
     per-link signature checks (BadSignature).  A leaf that is itself a
     trust anchor verifies against its own key.  Hostname matching is
     not performed here.
+
+    The leaf's own link is checked on every call.  Every link above it,
+    and an anchor-leaf's self-check, goes through the verdict memo of the
+    anchors' IssuerIndex (see IssuerIndex), so with one index per trust
+    store each CA link is checked once; the memo returns the boolean a
+    fresh check would, so verdicts and details are unchanged.  It grows
+    with the distinct CA certificates seen, never with leaves.
     """
     presented = list(presented_chain)
     fingerprints = [c.fingerprint for c in presented]
@@ -396,13 +428,14 @@ def verify_chain(
             )
 
     if len(path) == 1:
-        if not _signature_valid(path[0], path[0]):
+        if not anchors.link_valid(leaf, leaf):
             return VerificationOutcome(
                 Verdict.BAD_SIGNATURE, "trust anchor self-signature does not verify"
             )
     else:
         for child, parent in zip(path, path[1:]):
-            if not _signature_valid(child, parent):
+            check = _signature_valid if child is leaf else anchors.link_valid
+            if not check(child, parent):
                 return VerificationOutcome(
                     Verdict.BAD_SIGNATURE,
                     f"signature on {child.subject.text()!r} does not verify "

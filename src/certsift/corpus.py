@@ -63,24 +63,26 @@ def record_to_json(record: DomainRecord) -> dict:
     return doc
 
 
-def _typed(doc: dict, key: str, kind: type):
-    """doc[key], which must be exactly of the given type."""
-    value = doc[key]
-    if type(value) is not kind:
+def _typed(doc: dict, key: str, kind: type, optional: bool = False):
+    """doc[key], which must be exactly of the given type; an optional
+    field may also be missing or null, read as None."""
+    value = doc.get(key) if optional else doc[key]
+    if type(value) is not kind and not (optional and value is None):
         raise SerializationFailure(f"record field {key} is not a {kind.__name__}: {value!r}")
     return value
 
 
 def record_from_json(doc: dict) -> DomainRecord:
     try:
-        cert_der = None
-        if "cert_der_b64" in doc and doc["cert_der_b64"] is not None:
-            cert_der = base64.b64decode(doc["cert_der_b64"], validate=True)
-        chain = None
-        if "chain_der_b64" in doc and doc["chain_der_b64"] is not None:
-            chain = tuple(
-                base64.b64decode(b, validate=True) for b in doc["chain_der_b64"]
-            )
+        cert_der = chain = None
+        cert_b64 = _typed(doc, "cert_der_b64", str, optional=True)
+        if cert_b64 is not None:
+            cert_der = base64.b64decode(cert_b64, validate=True)
+        chain_b64 = _typed(doc, "chain_der_b64", list, optional=True)
+        if chain_b64 is not None:
+            if not all(type(b) is str for b in chain_b64):
+                raise SerializationFailure("record field chain_der_b64 is not a list of str")
+            chain = tuple(base64.b64decode(b, validate=True) for b in chain_b64)
         return DomainRecord(
             domain=_typed(doc, "domain", str),
             http_ok=_typed(doc, "http_ok", bool),
@@ -88,7 +90,7 @@ def record_from_json(doc: dict) -> DomainRecord:
             harvest_time=parse_timestamp(_typed(doc, "harvest_time", str)),
             cert_der=cert_der,
             presented_chain_der=chain,
-            tls_error=doc.get("tls_error"),
+            tls_error=_typed(doc, "tls_error", str, optional=True),
         )
     except (KeyError, TypeError, ValueError, binascii.Error) as exc:
         raise SerializationFailure(f"record does not decode: {exc}") from exc

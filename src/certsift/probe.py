@@ -16,8 +16,9 @@ import socket
 import ssl
 import time
 import warnings
+from collections import deque
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
@@ -260,7 +261,9 @@ def probe_corpus(
 ) -> ProbeSummary:
     """Probe many domains with bounded concurrency.
 
-    At most config.max_concurrency probes are in flight at once.  The sink
+    At most config.max_concurrency probes are in flight at once, and
+    domains are read from the iterable at most 4 * max_concurrency ahead
+    of the sink, so memory stays flat however long the list is.  The sink
     is invoked from the calling thread, serially, in input order; every
     input domain yields exactly one record.  Syntactically invalid names
     are not dialed; they come back as unreachable with the reason in
@@ -279,11 +282,19 @@ def probe_corpus(
                 tls_error=f"invalid domain name: {exc}",
             )
 
+    def drain(future: Future[DomainRecord]) -> None:
+        record = future.result()
+        summary.add(record)
+        sink(record)
+
     summary = ProbeSummary()
+    window = 4 * config.max_concurrency
+    pending: deque[Future[DomainRecord]] = deque()
     with ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
-        futures = [pool.submit(one, d) for d in domains]
-        for future in futures:
-            record = future.result()
-            summary.add(record)
-            sink(record)
+        for domain in domains:
+            pending.append(pool.submit(one, domain))
+            if len(pending) == window:
+                drain(pending.popleft())
+        while pending:
+            drain(pending.popleft())
     return summary

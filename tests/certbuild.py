@@ -139,6 +139,12 @@ def make_cert(
     return der, key
 
 
+def tamper_signature(der: bytes) -> bytes:
+    """The certificate with its signature's last byte flipped: it still
+    parses, but no key verifies it."""
+    return der[:-1] + bytes([der[-1] ^ 1])
+
+
 def to_pem(der: bytes) -> bytes:
     return x509.load_der_x509_certificate(der).public_bytes(
         serialization.Encoding.PEM

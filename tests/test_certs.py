@@ -17,16 +17,21 @@ from certbuild import (
     name,
     patch_md5_oid,
     rsa_key,
+    tamper_signature,
     to_pem,
 )
 from certsift import (
     DistinguishedName,
+    DomainRecord,
+    IssuerIndex,
     Verdict,
     dn_equal,
+    extract_corpus,
     load_trust_store,
     parse_certificate,
     verify_chain,
 )
+from certsift import certs as certs_module
 from certsift.errors import MalformedInput
 
 
@@ -370,8 +375,8 @@ class TestVerifyChain:
             key=rsa_key(3),
             **options,
         )
-        if tampered:  # the last byte is the signature's
-            leaf_der = leaf_der[:-1] + bytes([leaf_der[-1] ^ 1])
+        if tampered:
+            leaf_der = tamper_signature(leaf_der)
         outcome = verify_chain(
             parse_certificate(leaf_der), [], [parse_certificate(anchor_der)], T0
         )
@@ -384,6 +389,104 @@ class TestVerifyChain:
         )
         outcome = verify_chain(parse_certificate(leaf_der), [], [], T0)
         assert outcome.verdict is Verdict.UNTRUSTED_ROOT
+
+
+@pytest.fixture
+def checked_links(monkeypatch):
+    """Every (child, parent) fingerprint pair whose signature gets checked."""
+    calls = []
+    real = certs_module._signature_valid
+
+    def counting(child, parent):
+        calls.append((child.fingerprint, parent.fingerprint))
+        return real(child, parent)
+
+    monkeypatch.setattr(certs_module, "_signature_valid", counting)
+    return calls
+
+
+def _intermediate(root, subject="Memo Intermediate", key_slot=3, tampered=False):
+    """An intermediate issued by root: (summary, certificate, key)."""
+    _, root_cert, root_key = root
+    der, key = make_cert(
+        name(subject, o="Test Roots"),
+        issuer_cert=root_cert,
+        issuer_key=root_key,
+        key=rsa_key(key_slot),
+        ca=True,
+        days=1825,
+    )
+    cert = x509.load_der_x509_certificate(der)
+    if tampered:
+        der = tamper_signature(der)
+    return parse_certificate(der), cert, key
+
+
+def _leaves(issuer, count, key_slot=4):
+    _, issuer_cert, issuer_key = issuer
+    return [
+        parse_certificate(
+            make_cert(f"memo{i}.example", issuer_cert=issuer_cert,
+                      issuer_key=issuer_key, key=rsa_key(key_slot))[0]
+        )
+        for i in range(count)
+    ]
+
+
+class TestLinkMemo:
+    """The anchors' IssuerIndex checks each link above the leaf once."""
+
+    def test_leaves_sharing_an_intermediate_check_it_once(self, root, checked_links):
+        inter = _intermediate(root)
+        records = [
+            DomainRecord(
+                domain=f"memo{i}.example", http_ok=True, https_ok=True, harvest_time=T0,
+                cert_der=leaf.der_bytes,
+                presented_chain_der=(leaf.der_bytes, inter[0].der_bytes),
+            )
+            for i, leaf in enumerate(_leaves(inter, 3))
+        ]
+        vectors = extract_corpus(records, [root[0]])
+        assert [v.f5 for v in vectors] == [False] * 3
+        # three leaf links, and the intermediate's link once, not three times
+        assert len(checked_links) == 4
+        assert checked_links.count((inter[0].fingerprint, root[0].fingerprint)) == 1
+
+    def test_bad_intermediate_link_is_checked_once(self, root, checked_links):
+        inter = _intermediate(root, "Tampered Intermediate", tampered=True)
+        anchors = IssuerIndex([root[0]])
+        outcomes = [
+            verify_chain(leaf, [inter[0]], anchors, T0) for leaf in _leaves(inter, 2)
+        ]
+        assert [o.verdict for o in outcomes] == [Verdict.BAD_SIGNATURE] * 2
+        assert outcomes[0].detail == outcomes[1].detail
+        assert "Tampered Intermediate" in outcomes[0].detail
+        assert checked_links.count((inter[0].fingerprint, root[0].fingerprint)) == 1
+
+    def test_one_child_under_twin_parents(self, root):
+        # two presented parents share a subject; only the first signed the child
+        signer = _intermediate(root, "Twin Parent", key_slot=3)
+        other = _intermediate(root, "Twin Parent", key_slot=5)
+        child = _intermediate(signer, "Memo Child", key_slot=6)
+        leaf = _leaves(child, 1)[0]
+        anchors = IssuerIndex([root[0]])
+        first = verify_chain(leaf, [child[0], signer[0]], anchors, T0)
+        second = verify_chain(leaf, [child[0], other[0]], anchors, T0)
+        assert first.verdict is Verdict.VERIFIED
+        assert second.verdict is Verdict.BAD_SIGNATURE
+        assert "Memo Child" in second.detail
+
+    def test_memo_holds_no_leaf_link(self, root):
+        inter = _intermediate(root)
+        leaves = _leaves(inter, 2) + _leaves(root, 1)
+        anchors = IssuerIndex([root[0]])
+        for leaf in leaves:
+            assert verify_chain(leaf, [inter[0]], anchors, T0).ok
+        assert verify_chain(root[0], [], anchors, T0).ok  # an anchor served as leaf
+        assert anchors.link_verdicts == {
+            (inter[0].fingerprint, root[0].fingerprint): True,
+            (root[0].fingerprint, root[0].fingerprint): True,
+        }
 
 
 class TestTrustStore:

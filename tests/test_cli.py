@@ -593,7 +593,9 @@ class TestExtractCommand:
         assert "IndexMismatch" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field,value", [("harvest_time", T0), ("http_ok", "false"), ("domain", 7)]
+        "field,value",
+        [("harvest_time", T0), ("http_ok", "false"), ("domain", 7),
+         ("chain_der_b64", {"QUJD": 1})],
     )
     def test_mistyped_record_field_exit_3(self, field, value, tmp_path, capsys):
         corpus = tmp_path / "corpus.ndjson"

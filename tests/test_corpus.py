@@ -80,7 +80,8 @@ class TestRecordSerialization:
     @pytest.mark.parametrize(
         "field,value",
         [("harvest_time", T0), ("http_ok", "false"), ("https_ok", 1), ("domain", 7),
-         ("domain", None)],
+         ("domain", None), ("tls_error", 5), ("tls_error", ["x"]),
+         ("chain_der_b64", {"QUJD": 1}), ("chain_der_b64", "")],
     )
     def test_mistyped_field_rejected(self, field, value):
         doc = record_to_json(_record())

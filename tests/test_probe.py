@@ -163,6 +163,37 @@ class TestProbeCorpus:
         probe_corpus(farm.domains * 2, farm_config, lambda r: sink_threads.add(threading.get_ident()))
         assert sink_threads == {threading.get_ident()}
 
+    def test_long_list_is_read_a_window_ahead(self, monkeypatch):
+        import certsift.probe as probe_module
+
+        config = ProbeConfig(max_concurrency=3)
+        window = 4 * config.max_concurrency
+        baseline = threading.active_count()
+        state = {"read": 0, "sunk": 0, "lead": 0, "threads": 0}
+
+        def stub(domain, config, now=None):  # opens no sockets
+            state["threads"] = max(state["threads"], threading.active_count())
+            return DomainRecord(domain=domain, http_ok=False, https_ok=False, harvest_time=0)
+
+        def names():
+            for i in range(20_000):
+                state["read"] += 1
+                state["lead"] = max(state["lead"], state["read"] - state["sunk"])
+                yield f"host{i}.test"
+
+        order = []
+
+        def sink(record):
+            state["sunk"] += 1
+            order.append(record.domain)
+
+        monkeypatch.setattr(probe_module, "probe_domain", stub)
+        summary = probe_corpus(names(), config, sink)
+        assert summary.total == 20_000
+        assert order == [f"host{i}.test" for i in range(20_000)]
+        assert 1 <= state["lead"] <= window
+        assert state["threads"] <= baseline + config.max_concurrency
+
 
 class TestDomainRecord:
     def test_cert_requires_https_ok(self):
