@@ -1,7 +1,8 @@
 """Command-line front end for the harvest/extract/train/report pipeline.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 data error (malformed
-certificate, corrupt corpus or model, mismatched index, and the like).
+certificate, corrupt corpus or model, mismatched index, a text input that
+is not UTF-8, and the like).
 File outputs are written to a temporary file and renamed into place, so a
 failing run never leaves a partial output file behind.  The exception is
 the probe corpus, which is appended to record by record, so a re-probe
@@ -39,7 +40,7 @@ from .ml import (
     train,
 )
 from .ml.persist import write_model
-from .probe import ProbeConfig, probe_corpus
+from .probe import ProbeConfig, canonical_domain, probe_corpus
 from .report import boolean_feature_table, feature_cdf, write_cdf_csv
 from .synth import load_spec, sample_corpus
 
@@ -89,7 +90,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
             domain, sep, address = entry.partition("=")
             if not sep or not domain or not address:
                 raise UsageError(f"--resolve wants DOMAIN=ADDRESS, got {entry!r}")
-            mapping[domain.lower()] = address
+            mapping[canonical_domain(domain)] = address
         resolver = lambda host: mapping.get(host, host)
     try:
         config = ProbeConfig(
@@ -366,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except CertsiftError as exc:
+    except (CertsiftError, UnicodeDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

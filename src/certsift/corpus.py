@@ -205,7 +205,9 @@ class CorpusIndex:
 
 
 def latest_records(records: Iterable[DomainRecord]) -> list[DomainRecord]:
-    """Newest record per domain, by harvest_time; ties go to the later entry."""
+    """Newest record per domain, by harvest_time; ties go to the later entry.
+    A record's domain is already in canonical_domain form, so every
+    spelling of one name is one domain here."""
     latest: dict[str, DomainRecord] = {}
     for record in records:
         prev = latest.get(record.domain)

@@ -30,6 +30,7 @@ from .certs import (
 )
 from .corpus import CorpusIndex, DomainRecord, build_corpus_index, latest_records
 from .errors import IndexMismatch, MalformedInput, SerializationFailure
+from .probe import canonical_domain
 
 log = logging.getLogger(__name__)
 
@@ -141,11 +142,11 @@ class FeatureVector:
 def normalize_hostname(name: str) -> str:
     """Canonicalize a hostname for similarity comparison.
 
-    Trims, lowercases, strips any trailing dot, and drops one leading
-    "www." or "*." label so that a site and its common aliases compare
-    as the same name.  Inner labels are left alone.
+    Takes canonical_domain's form and drops one leading "www." or "*."
+    label so that a site and its common aliases compare as the same name.
+    Inner labels are left alone.
     """
-    text = name.strip().lower().rstrip(".")
+    text = canonical_domain(name)
     for prefix in ("www.", "*."):
         if text.startswith(prefix):
             return text[len(prefix) :]
@@ -205,7 +206,7 @@ def extract_features(
     IssuerIndex, so the anchors are indexed once.
     """
     # Index identity keeps the full domain; alias stripping is only for f15.
-    host = domain.strip().lower().rstrip(".")
+    host = canonical_domain(domain)
     if not index.contains(host, cert.fingerprint):
         raise IndexMismatch(
             f"({host}, {cert.fingerprint[:16]}...) is not in the corpus index"

@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import SchemaError
 from ..features import LABEL_NEGATIVE, LABEL_POSITIVE, FeatureVector
 from .schema import Dataset, Encoder, FeatureSchema, encode_labels
-from .tree import NodeTable, grow_tree, grow_trees  # noqa: F401 (grow_tree re-exported)
+from .tree import NodeTable, grow_trees
 
 DEFAULT_SEED = 17
 

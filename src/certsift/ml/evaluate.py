@@ -25,7 +25,6 @@ from .classifiers import (
     _grow_trees,
     _label,
     resolve_hyperparameters,
-    train,  # noqa: F401 (perfbench/tracing.py wraps evaluate.train)
     tree_votes,
 )
 from .schema import Dataset, Encoder, FeatureSchema, encode_labels

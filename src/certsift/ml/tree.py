@@ -112,22 +112,6 @@ _GROW_ROWS = 2**20
 _WALK_CELLS = 2**13
 
 
-def grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    eq_mask: np.ndarray,
-    max_depth: int,
-    min_leaf: int,
-    rng: np.random.Generator | None = None,
-    n_sample_features: int | None = None,
-) -> NodeTable:
-    """Grow one tree on every row of X: grow_trees with a single bootstrap."""
-    rngs = None if rng is None else [rng]
-    return next(grow_trees(
-        X, y, eq_mask, [np.arange(X.shape[0])], max_depth, min_leaf, rngs, n_sample_features
-    ))
-
-
 def grow_trees(
     X: np.ndarray,
     y: np.ndarray,

@@ -35,9 +35,16 @@ _LABEL = r"[a-z0-9]([a-z0-9-]{0,61}[a-z0-9])?"
 _HOSTNAME_RE = re.compile(rf"^{_LABEL}(\.{_LABEL})*$")
 
 
+def canonical_domain(name: str) -> str:
+    """A domain name in the one form it is known by from the domain list to
+    the feature row: trimmed, lowercased (DNS names ignore case, RFC 4343)
+    and without the final dot.  Nothing is checked here."""
+    return name.strip().lower().rstrip(".")
+
+
 def validate_domain(domain: str) -> str:
-    """Lowercase and syntax-check a domain name; raises InvalidDomainName."""
-    name = domain.strip().lower().rstrip(".")
+    """canonical_domain, syntax-checked; raises InvalidDomainName."""
+    name = canonical_domain(domain)
     if not name or len(name) > 253 or not _HOSTNAME_RE.match(name):
         raise InvalidDomainName(f"not a valid domain name: {domain!r}")
     return name
@@ -75,10 +82,11 @@ class ProbeConfig:
 class DomainRecord:
     """Outcome of probing one domain.
 
-    cert_der is present iff the TLS handshake delivered a certificate;
-    presented_chain_der holds every certificate the server sent (leaf
-    included) when the TLS stack exposes it.  tls_error keeps the reason
-    the handshake failed, for forensics.
+    domain is kept in canonical_domain form, whatever spelling the record
+    was made or loaded with.  cert_der is present iff the TLS handshake
+    delivered a certificate; presented_chain_der holds every certificate
+    the server sent (leaf included) when the TLS stack exposes it.
+    tls_error keeps the reason the handshake failed, for forensics.
     """
 
     domain: str
@@ -90,6 +98,7 @@ class DomainRecord:
     tls_error: str | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "domain", canonical_domain(self.domain))
         if self.cert_der is not None and not self.https_ok:
             raise ValueError("cert_der present without https_ok")
 
@@ -170,6 +179,14 @@ def _unverified_chain(tls_sock: ssl.SSLSocket) -> tuple[bytes, ...] | None:
         return None
 
 
+def _dial(address: str, port: int, config: ProbeConfig) -> socket.socket:
+    """The one place a probe opens a socket: a TCP connection made under
+    the connect timeout, left with the handshake timeout for what follows."""
+    sock = socket.create_connection((address, port), timeout=config.connect_timeout_ms / 1000)
+    sock.settimeout(config.handshake_timeout_ms / 1000)
+    return sock
+
+
 def _probe_http(address: str, host: str, config: ProbeConfig) -> bool:
     """True iff a GET / receives any well-formed HTTP response."""
     request = (
@@ -177,21 +194,13 @@ def _probe_http(address: str, host: str, config: ProbeConfig) -> bool:
         f"User-Agent: certsift/0.1\r\nAccept: */*\r\nConnection: close\r\n\r\n"
     ).encode("ascii", errors="replace")
     for _ in range(config.retries + 1):
-        sock = None
         try:
-            sock = socket.create_connection(
-                (address, config.http_port), timeout=config.connect_timeout_ms / 1000
-            )
-            sock.settimeout(config.handshake_timeout_ms / 1000)
-            sock.sendall(request)
-            response = http.client.HTTPResponse(sock, method="GET")
-            response.begin()
-            return True
+            with _dial(address, config.http_port, config) as sock:
+                sock.sendall(request)
+                http.client.HTTPResponse(sock, method="GET").begin()
+                return True
         except (OSError, http.client.HTTPException):
             continue
-        finally:
-            if sock is not None:
-                sock.close()
     return False
 
 
@@ -200,35 +209,24 @@ def _probe_https(
 ) -> tuple[bool, bytes | None, tuple[bytes, ...] | None, str | None]:
     last_error: str | None = None
     for _ in range(config.retries + 1):
-        sock = None
-        tls_sock = None
         try:
-            try:
-                sock = socket.create_connection(
-                    (address, config.https_port),
-                    timeout=config.connect_timeout_ms / 1000,
-                )
-            except OSError as exc:
-                last_error = f"connect: {exc}"
-                continue
-            sock.settimeout(config.handshake_timeout_ms / 1000)
+            sock = _dial(address, config.https_port, config)
+        except OSError as exc:
+            last_error = f"connect: {exc}"
+            continue
+        # wrap_socket takes sock's descriptor over, handshake failed or not;
+        # closing sock matters only if wrapping failed before that
+        with sock:
             try:
                 tls_sock = _harvest_context().wrap_socket(sock, server_hostname=host)
-                sock = None  # ownership moved into the TLS socket
             except (ssl.SSLError, OSError) as exc:
                 last_error = f"handshake: {exc}"
                 continue
-            der = tls_sock.getpeercert(binary_form=True)
-            if not der:
-                return True, None, None, "handshake succeeded without a certificate"
-            return True, der, _unverified_chain(tls_sock), None
-        finally:
-            for s in (tls_sock, sock):
-                if s is not None:
-                    try:
-                        s.close()
-                    except OSError:
-                        pass
+            with tls_sock:
+                der = tls_sock.getpeercert(binary_form=True)
+                if not der:
+                    return True, None, None, "handshake succeeded without a certificate"
+                return True, der, _unverified_chain(tls_sock), None
     return False, None, None, last_error
 
 
@@ -275,7 +273,7 @@ def probe_corpus(
             return probe_domain(domain, config)
         except InvalidDomainName as exc:
             return DomainRecord(
-                domain=domain.strip().lower(),
+                domain=domain,
                 http_ok=False,
                 https_ok=False,
                 harvest_time=int(time.time()),

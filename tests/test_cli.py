@@ -6,9 +6,11 @@ import base64
 import csv
 import dataclasses
 import hashlib
+import ipaddress
 import json
 import logging
 import shutil
+import socket
 import subprocess
 from pathlib import Path
 
@@ -711,13 +713,13 @@ class TestExtractCommand:
 
 
 class TestProbeCommand:
-    def _probe_argv(self, farm, domains_file, out_path):
+    def _probe_argv(self, farm, domains_file, out_path, resolve=None):
         argv = [
             "probe", "--domains", str(domains_file), "--out", str(out_path),
             "--timeout", "2000", "--retries", "0", "--concurrency", "4",
             "--http-port", str(farm.http_port), "--https-port", str(farm.https_port),
         ]
-        for domain, address in farm.addresses.items():
+        for domain, address in (resolve or farm.addresses).items():
             argv += ["--resolve", f"{domain}={address}"]
         return argv
 
@@ -783,6 +785,26 @@ class TestProbeCommand:
             [DOMAIN_BOTH, DOMAIN_TLS_ONLY]
         )
 
+    def test_resolve_key_in_any_spelling_names_the_domain(self, farm, tmp_path, monkeypatch):
+        real_getaddrinfo = socket.getaddrinfo
+
+        def literals_only(host, *args, **kwargs):  # a missed key never reaches DNS
+            try:
+                ipaddress.ip_address(host)
+            except ValueError:
+                raise socket.gaierror(socket.EAI_NONAME, f"no lookups here: {host}") from None
+            return real_getaddrinfo(host, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", literals_only)
+        domains_file = tmp_path / "domains.txt"
+        domains_file.write_text(f"{DOMAIN_BOTH}\n", encoding="utf-8")
+        out = tmp_path / "corpus.ndjson"
+        resolve = {f"{DOMAIN_BOTH.upper()}.": farm.addresses[DOMAIN_BOTH]}
+        assert main(self._probe_argv(farm, domains_file, out, resolve)) == 0
+        (record,) = load_corpus(out)
+        assert record.domain == DOMAIN_BOTH
+        assert record.category == "both"
+
     def test_bad_resolve_syntax_exit_1(self, tmp_path, capsys):
         domains_file = tmp_path / "domains.txt"
         domains_file.write_text("a.test\n", encoding="utf-8")
@@ -815,6 +837,25 @@ class TestExitCodesAndPlumbing:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "COMMAND" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["probe", "extract", "synth"])
+    def test_text_input_not_utf8_exit_3(self, command, tmp_path, capsys):
+        # the domain list, the bogus list and a spec file are UTF-8 text
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("caf\xe9.test\n".encode("latin-1"))
+        empty_corpus = tmp_path / "corpus.ndjson"
+        empty_corpus.write_bytes(b"")
+        out = tmp_path / "out"
+        argv = {
+            "probe": ["probe", "--domains", str(latin1), "--out", str(out)],
+            "extract": ["extract", "--corpus", str(empty_corpus), "--bogus-list", str(latin1),
+                        "--out", str(out)],
+            "synth": ["synth", "--pos-spec", str(latin1), "--neg-spec", "alexa", "--n", "5",
+                      "--out", str(out)],
+        }[command]
+        assert run(*argv) == 3
+        assert capsys.readouterr().err.startswith("error: UnicodeDecodeError: ")
+        assert not out.exists()
 
     def test_out_into_missing_directory_exit_2(self, synth_csv, tmp_path, capsys):
         target = tmp_path / "missing" / "deep" / "out.json"

@@ -89,6 +89,12 @@ class TestRecordSerialization:
         with pytest.raises(SerializationFailure):
             record_from_json(doc)
 
+    def test_domain_loads_in_canonical_form(self):
+        doc = record_to_json(_record())
+        doc["domain"] = "Example.com."
+        (record,) = load_corpus_stream(io.BytesIO(json.dumps(doc).encode() + b"\n"))
+        assert record.domain == "example.com"
+
 
 class TestCorpusFile:
     def test_write_and_load(self, tmp_path):

@@ -342,6 +342,20 @@ class TestExtractCorpus:
         alpha = vectors[0]
         assert alpha.f14 == 1  # serial 2 has one digit
 
+    def test_spellings_of_one_name_are_one_domain(self):
+        # DNS names ignore case and imply the final dot, so both records
+        # name one domain, and the newer one gives its only row
+        old_der, _ = make_cert("example.com", serial=1111)
+        new_der, _ = make_cert("example.com", serial=2, key=rsa_key(1))
+        records = [
+            _corpus_record("Example.COM", old_der, time_=T0 + 60),
+            _corpus_record("example.com.", new_der, time_=T0 + 120),
+        ]
+        vectors = extract_corpus(records)
+        assert [fv.domain for fv in vectors] == ["example.com"]
+        assert vectors[0].f14 == 1  # serial 2, of the newer record
+        assert not vectors[0].f6  # the older record no longer counts
+
     def test_unparseable_certificates_skipped(self):
         records = [
             DomainRecord(

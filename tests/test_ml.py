@@ -47,7 +47,6 @@ from certsift.ml.schema import Encoder, canonical_key
 from certsift.ml.tree import (
     _MIN_GAIN,
     NodeTable,
-    grow_tree,
     grow_trees,
 )
 from certsift.synth import boolean_only_variant, load_spec, sample_corpus
@@ -182,7 +181,7 @@ def reference_scan_columns(X, y, tests, cols, min_leaf):
     """Best (column, test, encoded value) over the given columns, or None.
 
     The per-column sort-and-scan split search: the reference the
-    histogram search in grow_tree is checked against, exactly.
+    histogram search in grow_trees is checked against, exactly.
     """
     n = y.size
     pos = float(y.sum())
@@ -231,7 +230,7 @@ def reference_scan_columns(X, y, tests, cols, min_leaf):
 
 def reference_grow_tree(X, y, tests, max_depth, min_leaf, rng=None, n_sample_features=None):
     """Depth-first growth over reference_scan_columns, drawing the forest's
-    feature subset at the same points, in the same order, as grow_tree."""
+    feature subset at the same points, in the same order, as grow_trees."""
     n, d = X.shape
     all_cols = list(range(d))
     subsampling = rng is not None and n_sample_features is not None and n_sample_features < d
@@ -337,7 +336,7 @@ def random_encoded_matrix(rng: np.random.Generator):
 
 
 def eq_mask(tests: list[str]) -> np.ndarray:
-    """grow_tree's column mask for the reference's per-column test names."""
+    """grow_trees's column mask for the reference's per-column test names."""
     return np.array([test == TEST_EQ for test in tests], dtype=bool)
 
 
@@ -568,7 +567,8 @@ class TestDecisionTree:
 
 
 class TestHistogramGrowth:
-    """grow_tree against the sort-and-scan reference: equal dicts, exact floats."""
+    """grow_trees on one whole-data bootstrap against the sort-and-scan
+    reference: equal dicts, exact floats."""
 
     CASES = 400
 
@@ -579,11 +579,13 @@ class TestHistogramGrowth:
             max_depth = int(cases.integers(1, 7))
             min_leaf = int(cases.integers(1, 5))
             want = reference_grow_tree(X, y, tests, max_depth, min_leaf)
-            assert nested_trees(grow_tree(X, y, eq_mask(tests), max_depth, min_leaf)) == [want]
+            (got,) = grow_trees(X, y, eq_mask(tests), [np.arange(len(X))], max_depth, min_leaf)
+            assert nested_trees(got) == [want]
 
     def test_no_columns_grows_a_leaf(self):
         X, y = np.empty((6, 0)), np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
-        assert nested_trees(grow_tree(X, y, eq_mask([]), 3, 1)) == [reference_grow_tree(X, y, [], 3, 1)]
+        (got,) = grow_trees(X, y, eq_mask([]), [np.arange(len(X))], 3, 1)
+        assert nested_trees(got) == [reference_grow_tree(X, y, [], 3, 1)]
 
     @pytest.mark.parametrize("lo,hi,value", [
         (1 + 2**-52, 1 + 2**-51, 1 + 2**-52),  # adjacent doubles: the midpoint rounds up to hi
@@ -591,7 +593,8 @@ class TestHistogramGrowth:
     ])
     def test_threshold_between_adjacent_or_huge_values(self, lo, hi, value):
         X, y = np.array([[lo], [lo], [hi], [hi]]), np.array([0.0, 0.0, 1.0, 1.0])
-        (root,) = nested_trees(grow_tree(X, y, eq_mask([TEST_LE]), 3, 1))
+        (got,) = grow_trees(X, y, eq_mask([TEST_LE]), [np.arange(len(X))], 3, 1)
+        (root,) = nested_trees(got)
         assert root == reference_grow_tree(X, y, [TEST_LE], 3, 1)
         assert (root["node"], root["value"]) == ("split", value)
         assert (root["left"]["count"], root["right"]["count"]) == (2, 2)
@@ -607,8 +610,9 @@ class TestHistogramGrowth:
             want = reference_grow_tree(
                 X, y, tests, max_depth, min_leaf, np.random.default_rng(seed), n_sample
             )
-            got = grow_tree(
-                X, y, eq_mask(tests), max_depth, min_leaf, np.random.default_rng(seed), n_sample
+            (got,) = grow_trees(
+                X, y, eq_mask(tests), [np.arange(len(X))], max_depth, min_leaf,
+                [np.random.default_rng(seed)], n_sample,
             )
             assert nested_trees(got) == [want]
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import socket
+import ssl
 import threading
 import time
 
@@ -11,7 +13,14 @@ import pytest
 from certsift import DomainRecord, ProbeConfig, probe_corpus, probe_domain
 from certsift.errors import InvalidDomainName
 from certsift.probe import validate_domain
-from conftest import DOMAIN_BOTH, DOMAIN_DEAD, DOMAIN_HTTP_ONLY, DOMAIN_TLS_ONLY
+from conftest import (
+    DOMAIN_BOTH,
+    DOMAIN_DEAD,
+    DOMAIN_HTTP_ONLY,
+    DOMAIN_TLS_ONLY,
+    IP_DEAD,
+    IP_HTTP_ONLY,
+)
 
 
 class TestValidateDomain:
@@ -75,6 +84,66 @@ class TestProbeDomain:
     def test_invalid_domain_raises(self, farm_config):
         with pytest.raises(InvalidDomainName):
             probe_domain("not a domain", farm_config)
+
+
+class TestDialPath:
+    """Every attempt of either probe is one socket.create_connection call,
+    and every socket it opens, TLS ones included, is closed by the time the
+    probe returns.  Each socket is kept, so none is closed by collection."""
+
+    @pytest.fixture
+    def dials(self, monkeypatch):
+        real_connect = socket.create_connection
+        real_wrap = ssl.SSLContext.wrap_socket
+        dialed: list[tuple[str, int]] = []
+        sockets: list[socket.socket] = []
+
+        def counting(address, *args, **kwargs):
+            dialed.append(address)
+            sock = real_connect(address, *args, **kwargs)
+            sockets.append(sock)
+            return sock
+
+        def keeping(context, sock, *args, **kwargs):
+            tls_sock = real_wrap(context, sock, *args, **kwargs)
+            if not kwargs.get("server_side"):  # the farm's own sockets are not ours
+                sockets.append(tls_sock)
+            return tls_sock
+
+        monkeypatch.setattr(socket, "create_connection", counting)
+        monkeypatch.setattr(ssl.SSLContext, "wrap_socket", keeping)
+        return dialed, sockets
+
+    def test_refused_port_dials_each_protocol_twice(self, farm, farm_config, dials):
+        dialed, sockets = dials
+        config = dataclasses.replace(farm_config, retries=1)
+        record = probe_domain(DOMAIN_DEAD, config)
+        assert record.category == "neither"
+        assert record.tls_error.startswith("connect: ")
+        assert dialed == [(IP_DEAD, farm.http_port)] * 2 + [(IP_DEAD, farm.https_port)] * 2
+        assert sockets == []
+
+    def test_non_tls_listener_dials_https_twice(self, farm, farm_config, dials):
+        dialed, sockets = dials
+        config = dataclasses.replace(farm_config, retries=1, https_port=farm.http_port)
+        record = probe_domain(DOMAIN_HTTP_ONLY, config)
+        assert record.http_ok and not record.https_ok
+        assert record.tls_error.startswith("handshake: ")
+        # one HTTP dial that succeeds, then two HTTPS dials that fail
+        assert dialed == [(IP_HTTP_ONLY, farm.http_port)] * 3
+        assert [sock.fileno() for sock in sockets] == [-1] * 3
+
+    @pytest.mark.parametrize(
+        "domain,attempts",
+        [(DOMAIN_BOTH, 2), (DOMAIN_TLS_ONLY, 3), (DOMAIN_HTTP_ONLY, 3), (DOMAIN_DEAD, 4)],
+    )
+    def test_every_dialed_socket_ends_closed(self, farm, farm_config, dials, domain, attempts):
+        dialed, sockets = dials
+        config = dataclasses.replace(farm_config, retries=1)
+        record = probe_domain(domain, config)
+        assert record.category == farm.categories[domain]
+        assert len(dialed) == attempts
+        assert [sock.fileno() for sock in sockets] == [-1] * len(sockets)
 
 
 class TestTimeouts:
