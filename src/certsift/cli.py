@@ -19,7 +19,7 @@ import tempfile
 from collections.abc import Iterator
 
 from .corpus import CorpusWriter, load_corpus, record_to_line
-from .errors import CertsiftError, StorageFull, UsageError
+from .errors import CertsiftError, MalformedInput, StorageFull, UsageError, reading
 from .features import (
     BogusValueList,
     DEFAULT_SHINGLE_SIZE,
@@ -67,7 +67,7 @@ def _atomic_output(path: str | None) -> Iterator:
 
 
 def _read_domain_list(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
+    with reading(path, MalformedInput) as fh:
         return [
             line.strip()
             for line in fh
@@ -361,13 +361,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except StorageFull as exc:
+    except (StorageFull, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    except (CertsiftError, UnicodeDecodeError) as exc:
+    except CertsiftError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

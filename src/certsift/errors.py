@@ -4,6 +4,14 @@ Everything raised deliberately by this package derives from CertsiftError,
 so callers (and the CLI) can tell data problems apart from genuine bugs.
 """
 
+from __future__ import annotations
+
+import contextlib
+import json
+import os
+from collections.abc import Iterator
+from typing import TextIO
+
 
 class CertsiftError(Exception):
     """Base class for all errors raised by certsift."""
@@ -71,3 +79,20 @@ class EmptyInput(CertsiftError):
 
 class UsageError(CertsiftError):
     """The command line was malformed."""
+
+
+@contextlib.contextmanager
+def reading(path: str | os.PathLike, error: type[CertsiftError]) -> Iterator[TextIO]:
+    """Open a text input as UTF-8, with newline="" as csv needs (line
+    readers strip their line ends).  Inside the block, text that is not
+    UTF-8, JSON that does not decode, or a RecursionError (the JSON decoder
+    recurses once per nesting level) raises error, naming the file."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise error(f"{path}: nested too deeply to load") from None

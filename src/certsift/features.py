@@ -29,7 +29,7 @@ from .certs import (
     verify_chain,
 )
 from .corpus import CorpusIndex, DomainRecord, build_corpus_index, latest_records
-from .errors import IndexMismatch, MalformedInput, SerializationFailure
+from .errors import IndexMismatch, MalformedInput, SerializationFailure, reading
 from .probe import canonical_domain
 
 log = logging.getLogger(__name__)
@@ -99,8 +99,10 @@ class BogusValueList:
 
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "BogusValueList":
-        with open(path, encoding="utf-8") as fh:
+        with reading(path, MalformedInput) as fh:
             values = [line for line in (l.strip() for l in fh) if line]
+        if not values:
+            raise MalformedInput(f"{path}: no placeholder values")
         return cls.of(values)
 
     def matches(self, value: str) -> bool:
@@ -171,10 +173,7 @@ def jaccard(a: str, b: str, shingle_size: int = DEFAULT_SHINGLE_SIZE) -> float:
     sb = _shingles(b, shingle_size)
     if not sa and not sb:
         return 1.0
-    union = len(sa | sb)
-    if union == 0:
-        return 1.0
-    return len(sa & sb) / union
+    return len(sa & sb) / len(sa | sb)
 
 
 def serial_digit_count(serial: int) -> int:
@@ -388,11 +387,8 @@ def write_features_csv(out: io.TextIOBase, vectors: Iterable[FeatureVector]) -> 
 def read_features_csv(source: io.TextIOBase | str | os.PathLike) -> list[FeatureVector]:
     """Read feature vectors back from CSV produced by write_features_csv."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source, newline="", encoding="utf-8") as fh:
-            try:
-                return read_features_csv(fh)
-            except UnicodeDecodeError as exc:
-                raise SerializationFailure(f"{source}: not UTF-8 text: {exc}") from exc
+        with reading(source, SerializationFailure) as fh:
+            return read_features_csv(fh)
     reader = csv.reader(source)
     try:
         header = next(reader)

@@ -65,10 +65,14 @@ class _Model:
 
     kind: str
 
-    def __init__(self, schema: FeatureSchema, hyperparameters: dict, seed: int):
-        self.schema = schema
+    def __init__(self, encoder: Encoder, hyperparameters: dict, seed: int):
+        self.encoder = encoder
+        self.schema = encoder.schema
         self.hyperparameters = dict(hyperparameters)
         self.seed = seed
+
+    def encode(self, rows: Sequence[FeatureVector]) -> np.ndarray:
+        return self.encoder.encode_rows(rows)
 
     def predict_batch(self, rows: Sequence[FeatureVector]) -> tuple[list[str], np.ndarray]:
         scores = self.score_encoded(self.encode(rows))
@@ -97,12 +101,8 @@ class _TreeModel(_Model):
     trees that vote positive (each its leaf majority)."""
 
     def __init__(self, table: NodeTable, encoder: Encoder, hyperparameters: dict, seed: int):
-        super().__init__(encoder.schema, hyperparameters, seed)
+        super().__init__(encoder, hyperparameters, seed)
         self.table = table
-        self.encoder = encoder
-
-    def encode(self, rows: Sequence[FeatureVector]) -> np.ndarray:
-        return self.encoder.encode_rows(rows)
 
     def score_encoded(self, X: np.ndarray) -> np.ndarray:
         n_trees = self.table.n_trees
@@ -162,8 +162,8 @@ _SLACK = 1e-9
 class NearestNeighborModel(_Model):
     """k nearest training rows under a mean per-feature mismatch distance.
 
-    Query rows go through the two steps that made the stored matrix: an
-    Encoder rebuilt from the training vocabularies, then min-max scaling
+    Query rows go through the two steps that made the stored matrix: the
+    training Encoder (or the one a model file stores), then min-max scaling
     of numeric columns over the training ranges.  Boolean and categorical
     features contribute 0 on match and 1 on mismatch (an unseen category
     matches nothing); numeric features contribute the absolute difference
@@ -205,16 +205,14 @@ class NearestNeighborModel(_Model):
 
     def __init__(
         self,
-        schema: FeatureSchema,
+        encoder: Encoder,
         hyperparameters: dict,
         seed: int,
-        vocabs: dict[str, dict[str, int]],
         ranges: dict[str, tuple[float, float]],
         matrix: np.ndarray,
         labels: np.ndarray,
     ):
-        super().__init__(schema, hyperparameters, seed)
-        self.encoder = Encoder(schema, vocabs=vocabs)
+        super().__init__(encoder, hyperparameters, seed)
         self.ranges = ranges
         self.matrix = matrix
         self.labels = labels
@@ -305,10 +303,6 @@ TREE_CLASSES = {KIND_TREE: DecisionTreeModel, KIND_BAGGING: BaggedTreesModel,
 TrainedModel = DecisionTreeModel | BaggedTreesModel | RandomForestModel | NearestNeighborModel
 
 
-def _canonical_rows(dataset: Dataset) -> list[FeatureVector]:
-    return [dataset.rows[i] for i in dataset.canonical_order()]
-
-
 def _grow_trees(
     X: np.ndarray,
     y: np.ndarray,
@@ -351,18 +345,23 @@ def train(
     Raises DegenerateDataset when rows are unlabeled or a class is absent,
     and ValueError for an unknown kind or hyperparameter.
     """
-    hp = resolve_hyperparameters(kind, hyperparameters)
-    dataset.require_labeled()
-    rows = _canonical_rows(dataset)
-    schema = dataset.schema
-    encoder = Encoder(schema, rows)
-    X = encoder.encode_rows(rows)
-    y = encode_labels(rows)
-
+    hp, _, encoder, X, y = _prepare(dataset, kind, hyperparameters)
     if kind in TREE_KINDS:
-        grown = _grow_trees(X, y, encoder.eq_mask, kind, hp, seed, [np.arange(len(rows))])
+        grown = _grow_trees(X, y, encoder.eq_mask, kind, hp, seed, [np.arange(len(X))])
         return TREE_CLASSES[kind](NodeTable.join(list(grown)), encoder, hp, seed)
     return _fit_knn(encoder, hp, seed, X, y)
+
+
+def _prepare(dataset: Dataset, kind: str, hyperparameters: dict | None
+             ) -> tuple[dict[str, int], list[FeatureVector], Encoder, np.ndarray, np.ndarray]:
+    """What every fit starts from (train's, and cross-validation's): kind's
+    resolved hyperparameters, the rows in canonical order, the Encoder built
+    over them, and their matrix X and 0/1 labels y.  Raises as train does."""
+    hp = resolve_hyperparameters(kind, hyperparameters)
+    dataset.require_labeled()
+    rows = [dataset.rows[i] for i in dataset.canonical_order()]
+    encoder = Encoder(dataset.schema, rows)
+    return hp, rows, encoder, encoder.encode_rows(rows), encode_labels(rows)
 
 
 def _fit_knn(encoder: Encoder, hp: dict, seed: int, X: np.ndarray, y: np.ndarray
@@ -376,7 +375,7 @@ def _fit_knn(encoder: Encoder, hp: dict, seed: int, X: np.ndarray, y: np.ndarray
     columns = compress(encoder.columns, numeric)
     ranges = {c.name: (float(a), float(b)) for c, a, b in zip(columns, lo, hi)}
     X[:, numeric] = _min_max(X[:, numeric], lo, hi)
-    return NearestNeighborModel(encoder.schema, hp, seed, encoder.vocabs, ranges, X, y)
+    return NearestNeighborModel(encoder, hp, seed, ranges, X, y)
 
 
 def predict(

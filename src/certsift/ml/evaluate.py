@@ -12,22 +12,13 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..errors import TooFewRows
-from ..features import LABEL_NEGATIVE, LABEL_POSITIVE, FeatureVector
-from .classifiers import (
-    DEFAULT_SEED,
-    TREE_KINDS,
-    _fit_knn,
-    _grow_trees,
-    _label,
-    resolve_hyperparameters,
-    tree_votes,
-)
-from .schema import Dataset, Encoder, FeatureSchema, encode_labels
+from .classifiers import DEFAULT_SEED, TREE_KINDS, _fit_knn, _grow_trees, _prepare, tree_votes
+from .schema import Dataset, Encoder
 
 
 @dataclass(frozen=True)
@@ -44,6 +35,13 @@ class Confusion:
             self.tn + other.tn,
             self.fn + other.fn,
         )
+
+    @classmethod
+    def of(cls, truth: np.ndarray, predicted: np.ndarray) -> "Confusion":
+        """The counts of two boolean arrays: each row's true class and its
+        prediction, True for positive."""
+        tn, fp, fn, tp = np.bincount(2 * truth + predicted, minlength=4).tolist()
+        return cls(tp, fp, tn, fn)
 
     @property
     def total(self) -> int:
@@ -135,16 +133,9 @@ class EvalReport:
             "seed": self.seed,
             "hyperparameters": self.hyperparameters,
             "rows": self.confusion.total,
-            "confusion": {
-                "tp": self.confusion.tp,
-                "fp": self.confusion.fp,
-                "tn": self.confusion.tn,
-                "fn": self.confusion.fn,
-            },
+            "confusion": asdict(self.confusion),
             "metrics": self.metrics(),
-            "per_fold": [
-                {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn} for c in self.per_fold
-            ],
+            "per_fold": [asdict(c) for c in self.per_fold],
         }
         return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
@@ -162,24 +153,6 @@ class EvalReport:
             f"{cell(self.negative_precision):>15}"
         )
         return header + "\n" + row + "\n"
-
-
-def _confusion_from_predictions(
-    truth: Sequence[str], predicted: Sequence[str]
-) -> Confusion:
-    tp = fp = tn = fn = 0
-    for want, got in zip(truth, predicted):
-        if want == LABEL_POSITIVE:
-            if got == LABEL_POSITIVE:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if got == LABEL_NEGATIVE:
-                tn += 1
-            else:
-                fp += 1
-    return Confusion(tp, fp, tn, fn)
 
 
 def cross_validate(
@@ -224,54 +197,29 @@ def cross_validate(
       over the fold's own training ranges through the same helper, so
       every distance, and with it every neighbour, is the fold model's.
     """
-    resolved = resolve_hyperparameters(kind, hyperparameters)
-    dataset.require_labeled()
-    order = dataset.canonical_order()
-    rows = [dataset.rows[i] for i in order]
-    labels = [fv.label for fv in rows]
-    folds = stratified_fold_indices(labels, k, seed)
-
-    scores = _fold_scores(rows, dataset.schema, kind, resolved, seed, folds)
-    per_fold = [
-        _confusion_from_predictions(
-            [labels[i] for i in test_positions], [_label(score) for score in fold_scores]
-        )
-        for test_positions, fold_scores in zip(folds, scores)
-    ]
-
-    total = Confusion()
-    for fold in per_fold:
-        total = total + fold
-    return EvalReport(
-        kind=kind,
-        k=k,
-        seed=seed,
-        hyperparameters=resolved,
-        confusion=total,
-        per_fold=tuple(per_fold),
-    )
+    hp, rows, encoder, X, y = _prepare(dataset, kind, hyperparameters)
+    folds = stratified_fold_indices([fv.label for fv in rows], k, seed)
+    scores = _fold_scores(encoder, X, y, kind, hp, seed, folds)
+    per_fold = [Confusion.of(y[test] > 0, fold_scores >= 0.5)
+                for test, fold_scores in zip(folds, scores)]
+    return EvalReport(kind=kind, k=k, seed=seed, hyperparameters=hp,
+                      confusion=sum(per_fold, Confusion()), per_fold=tuple(per_fold))
 
 
 def _fold_scores(
-    rows: Sequence[FeatureVector],
-    schema: FeatureSchema,
+    encoder: Encoder,
+    X: np.ndarray,
+    y: np.ndarray,
     kind: str,
     hp: dict,
     seed: int,
     folds: Sequence[Sequence[int]],
 ) -> list[np.ndarray]:
     """Each fold's scores for its test rows, from the model of a kind fitted
-    on the other folds' rows, all over one encoding of rows (labeled, in
-    canonical order)."""
-    encoder = Encoder(schema, rows)
-    X = encoder.encode_rows(rows)
-    y = encode_labels(rows)
+    on the other folds' rows, all over X, the rows (in canonical order) as
+    encoder encodes them, with their 0/1 labels y."""
     tests = [np.array(test_positions, dtype=np.intp) for test_positions in folds]
-    row_sets = []
-    for test in tests:
-        kept = np.ones(len(rows), dtype=bool)
-        kept[test] = False
-        row_sets.append(np.flatnonzero(kept))
+    row_sets = [np.delete(np.arange(len(X)), test) for test in tests]
     if kind not in TREE_KINDS:
         scores = []
         for test, kept in zip(tests, row_sets):

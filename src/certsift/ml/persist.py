@@ -25,7 +25,7 @@ from typing import TextIO
 
 import numpy as np
 
-from ..errors import CorruptModel, VersionMismatch
+from ..errors import CorruptModel, VersionMismatch, reading
 from ..features import FEATURE_KINDS, KIND_BOOLEAN, KIND_CATEGORICAL
 from .classifiers import (
     KIND_TREE,
@@ -93,15 +93,8 @@ def model_to_json(model: TrainedModel) -> dict:
             "labels": model.labels.tolist(),
         }
     else:
-        table = model.table
-        doc["nodes"] = {
-            "vocabs": vocabs,
-            "column": table.column.tolist(),
-            "value": table.value.tolist(),
-            "left": table.left.tolist(),
-            "fraction": table.fraction.tolist(),
-            "count": table.count.tolist(),
-        }
+        doc["nodes"] = {"vocabs": vocabs,
+                        **{name: getattr(model.table, name).tolist() for name in _NODE_ARRAYS}}
     return doc
 
 
@@ -150,17 +143,15 @@ def model_from_json(doc: dict) -> TrainedModel:
     if not isinstance(instances, dict):
         raise CorruptModel("nearest-neighbor model holds no instances")
     try:
-        vocabs = _vocabs_from_json(instances["vocabs"])
+        encoder = _encoder_from_json(instances, schema)
         ranges = {
             str(name): (float(pair[0]), float(pair[1]))
             for name, pair in instances["ranges"].items()
         }
         matrix = np.array(instances["matrix"], dtype=np.float64)
         labels = np.array(instances["labels"], dtype=np.float64)
-        # a missing vocabulary or range fails here, not at the first prediction
-        model = NearestNeighborModel(
-            schema, hyperparameters, seed, vocabs, ranges, matrix, labels
-        )
+        # a missing range fails here, not at the first prediction
+        model = NearestNeighborModel(encoder, hyperparameters, seed, ranges, matrix, labels)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CorruptModel(f"nearest-neighbor payload does not decode: {exc}") from exc
     if matrix.ndim != 2 or labels.ndim != 1 or matrix.shape[0] != labels.size:
@@ -171,16 +162,18 @@ def model_from_json(doc: dict) -> TrainedModel:
     return model
 
 
-def _vocabs_from_json(vocabs: dict) -> dict[str, dict[str, int]]:
-    """Stored categorical vocabularies, each coding its values as the JSON
-    integers 0..n-1; raises ValueError on other codes, and what a malformed
-    one raises (KeyError, TypeError, ValueError or AttributeError)."""
+def _encoder_from_json(payload: dict, schema: FeatureSchema) -> Encoder:
+    """The Encoder of a payload's stored vocabularies, each of which must
+    code its values as the JSON integers 0..n-1; raises ValueError on other
+    codes, and what a malformed or missing one raises (KeyError, TypeError,
+    ValueError or AttributeError)."""
+    vocabs = payload["vocabs"]
     for name, vocab in vocabs.items():
         codes = list(vocab.values())
         if any(type(code) is not int for code in codes) or sorted(codes) != list(range(len(codes))):
             raise ValueError(f"vocabulary {name!r} does not code its values 0..n-1")
-    return {str(name): {str(v): code for v, code in vocab.items()}
-            for name, vocab in vocabs.items()}
+    return Encoder(schema, vocabs={str(name): {str(v): code for v, code in vocab.items()}
+                                   for name, vocab in vocabs.items()})
 
 
 def _v1_payload(roots: list, schema: FeatureSchema) -> dict:
@@ -243,7 +236,7 @@ def _nodes_from_json(payload, kind: str, schema: FeatureSchema) -> tuple[NodeTab
     one split; a tree model holds one tree; a leaf holds a fraction in [0, 1]
     and a whole count in [1, 2^53], a split the count 0."""
     try:
-        encoder = Encoder(schema, vocabs=_vocabs_from_json(payload["vocabs"]))
+        encoder = _encoder_from_json(payload, schema)
         arrays = [np.array(payload[name]) for name in _NODE_ARRAYS]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CorruptModel(f"tree payload does not decode: {exc}") from exc
@@ -301,14 +294,6 @@ def _check_knn(model: NearestNeighborModel) -> None:
 
 
 def load_model(path: str | os.PathLike) -> TrainedModel:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return model_from_json(doc)
-    except json.JSONDecodeError as exc:
-        raise CorruptModel(f"{path}: not valid JSON: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CorruptModel(f"{path}: not UTF-8 text: {exc}") from exc
-    except RecursionError:
-        # the JSON decoder recurses once per nesting level; nothing else does
-        raise CorruptModel(f"{path}: nested too deeply to load") from None
+    with reading(path, CorruptModel) as fh:
+        doc = json.load(fh)
+    return model_from_json(doc)

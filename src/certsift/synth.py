@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyClass, SpecIncomplete, SubsetTooLarge
+from .errors import EmptyClass, SpecIncomplete, SubsetTooLarge, reading
 from .features import (
     BOOLEAN_FEATURES,
     CATEGORICAL_FEATURES,
@@ -152,7 +152,7 @@ def load_spec(source: str | os.PathLike) -> MarginalSpec:
         resource = importlib.resources.files("certsift.specs").joinpath(f"{name}.json")
         doc = json.loads(resource.read_text(encoding="utf-8"))
     else:
-        with open(name, encoding="utf-8") as fh:
+        with reading(name, SpecIncomplete) as fh:
             doc = json.load(fh)
     return spec_from_json(doc)
 

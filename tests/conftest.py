@@ -90,6 +90,9 @@ class _FarmServer(ThreadingHTTPServer):
         finally:
             if gauge is not None:
                 gauge.leave()
+            if self.tls_context is not None:
+                # wrapping detached the socket socketserver will close
+                request.close()
 
     def handle_error(self, request, client_address) -> None:
         pass  # probes hang up mid-handshake on purpose; keep the log clean

@@ -854,7 +854,25 @@ class TestExitCodesAndPlumbing:
                       "--out", str(out)],
         }[command]
         assert run(*argv) == 3
-        assert capsys.readouterr().err.startswith("error: UnicodeDecodeError: ")
+        assert str(latin1) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["spec_not_json", "spec_too_deep", "bogus_list_empty"])
+    def test_bad_input_file_exit_3(self, case, tmp_path, capsys):
+        # cut-off JSON, JSON nested past the decoder's recursion limit, a list of blank lines
+        bad = tmp_path / "input"
+        bad.write_text({"spec_not_json": '{"label": "pos", ', "spec_too_deep": "[" * 100_000,
+                        "bogus_list_empty": " \n\n"}[case], encoding="utf-8")
+        out = tmp_path / "out"
+        if case == "bogus_list_empty":
+            corpus = tmp_path / "corpus.ndjson"
+            corpus.write_bytes(b"")
+            argv = ["extract", "--corpus", str(corpus), "--bogus-list", str(bad), "--out", str(out)]
+        else:
+            argv = ["synth", "--pos-spec", str(bad), "--neg-spec", "alexa", "--n", "5",
+                    "--out", str(out)]
+        assert run(*argv) == 3
+        assert str(bad) in capsys.readouterr().err
         assert not out.exists()
 
     def test_out_into_missing_directory_exit_2(self, synth_csv, tmp_path, capsys):

@@ -1070,7 +1070,7 @@ class TestNearestNeighbor:
         columns, categories a, b and c coded 0, 1 and 2."""
         encoder = Encoder(default_schema(), vocabs={f"f{i}": {"a": 0, "b": 1, "c": 2} for i in (9, 10, 11, 12)})
         ranges = ranges or {"f14": (0.0, 3.0), "f15": (0.0, 1.0)}
-        return NearestNeighborModel(encoder.schema, {"k": k}, 0, encoder.vocabs, ranges, matrix,
+        return NearestNeighborModel(encoder, {"k": k}, 0, ranges, matrix,
                                     np.asarray(labels, dtype=np.float64))
 
     @classmethod
@@ -1343,8 +1343,8 @@ class TestCrossValidateGrowsFoldsTogether:
         dataset = datasets[data]
         overrides = {"n_trees": 6} if kind in (KIND_BAGGING, KIND_FOREST) else None
         rows, folds, want = reference_fold_scores(dataset, kind, overrides, k, seed)
-        hp = resolve_hyperparameters(kind, overrides)
-        got = evaluate._fold_scores(rows, dataset.schema, kind, hp, seed, folds)
+        hp, _, encoder, X, y = classifiers._prepare(dataset, kind, overrides)
+        got = evaluate._fold_scores(encoder, X, y, kind, hp, seed, folds)
         assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
         report = cross_validate(dataset, kind, k, overrides, seed)
         for fold, test_positions, scores in zip(report.per_fold, folds, want):
@@ -1366,9 +1366,9 @@ class TestCrossValidateGrowsFoldsTogether:
         rows.append(fv("unique.example", "pos", f9="CA Unique", f14=10**6, f15=1.0))
         dataset = Dataset(rows)
         for k, seed, hp in ((3, 5, {"k": 3}), (4, 2, None), (5, 8, {"k": 1})):
-            canonical, folds, want = reference_fold_scores(dataset, KIND_KNN, hp, k, seed)
-            got = evaluate._fold_scores(canonical, dataset.schema, KIND_KNN,
-                                        resolve_hyperparameters(KIND_KNN, hp), seed, folds)
+            _, folds, want = reference_fold_scores(dataset, KIND_KNN, hp, k, seed)
+            resolved, _, encoder, X, y = classifiers._prepare(dataset, KIND_KNN, hp)
+            got = evaluate._fold_scores(encoder, X, y, KIND_KNN, resolved, seed, folds)
             assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
 
     @pytest.mark.parametrize("budget", [1, 100, 400])
