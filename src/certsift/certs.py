@@ -30,12 +30,14 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-
-from cryptography import x509
-from cryptography.hazmat.primitives.asymmetric import dsa, ec, ed448, ed25519, rsa
-from cryptography.hazmat.primitives.serialization import Encoding
+from typing import TYPE_CHECKING
 
 from .errors import MalformedInput
+
+# cryptography is imported where a certificate is parsed or a signature
+# checked, so a command that reads only feature rows never loads it
+if TYPE_CHECKING:
+    from cryptography import x509
 
 log = logging.getLogger(__name__)
 
@@ -199,6 +201,8 @@ def parse_certificate(blob: bytes | str) -> CertificateSummary:
     anything other than exactly one certificate block, and for
     certificates whose validity window is inverted.
     """
+    from cryptography import x509
+
     if isinstance(blob, str):
         blob = blob.encode("utf-8", errors="replace")
     if not blob:
@@ -272,6 +276,9 @@ def _signature_valid(child: CertificateSummary, parent: CertificateSummary) -> b
     would overrule.  Any failure to verify (bad signature bytes, key type
     mismatch, an algorithm the crypto backend refuses) counts as invalid.
     """
+    from cryptography import x509
+    from cryptography.hazmat.primitives.asymmetric import dsa, ec, ed448, ed25519, rsa
+
     try:
         child_x = x509.load_der_x509_certificate(child.der_bytes)
         key = x509.load_der_x509_certificate(parent.der_bytes).public_key()

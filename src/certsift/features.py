@@ -385,37 +385,45 @@ def write_features_csv(out: io.TextIOBase, vectors: Iterable[FeatureVector]) -> 
 
 
 def read_features_csv(source: io.TextIOBase | str | os.PathLike) -> list[FeatureVector]:
-    """Read feature vectors back from CSV produced by write_features_csv."""
+    """Read feature vectors back from CSV produced by write_features_csv.
+
+    A malformed header, row or cell raises SerializationFailure naming the
+    line, and the file too when source is a path."""
     if isinstance(source, (str, os.PathLike)):
         with reading(source, SerializationFailure) as fh:
-            return read_features_csv(fh)
+            try:
+                return read_features_csv(fh)
+            except SerializationFailure as exc:
+                raise SerializationFailure(f"{source}: {exc}") from exc
     reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SerializationFailure("feature CSV is empty") from None
-    if tuple(header) != CSV_HEADER:
-        raise SerializationFailure(
-            f"unexpected feature CSV header: {header!r}"
-        )
     parsers = [_CODECS[kind][1] for kind in FEATURE_KINDS.values()]
     vectors = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(CSV_HEADER):
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise SerializationFailure("feature CSV is empty")
+        if tuple(header) != CSV_HEADER:
             raise SerializationFailure(
-                f"line {lineno}: expected {len(CSV_HEADER)} columns, got {len(row)}"
+                f"unexpected feature CSV header: {header!r}"
             )
-        label = row[-1] or None
-        if label not in (None, LABEL_POSITIVE, LABEL_NEGATIVE):
-            raise SerializationFailure(f"line {lineno}: bad label {row[-1]!r}")
-        values = []
-        try:
-            for name, parse, cell in zip(FEATURE_NAMES, parsers, row[1:]):
-                values.append(parse(cell))
-            # after the loop name is f15, the column of FeatureVector's one check left
-            vectors.append(FeatureVector(row[0], *values, label))
-        except ValueError as exc:
-            raise SerializationFailure(f"line {lineno}, column {name}: {exc}") from exc
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(CSV_HEADER):
+                raise SerializationFailure(
+                    f"line {lineno}: expected {len(CSV_HEADER)} columns, got {len(row)}"
+                )
+            label = row[-1] or None
+            if label not in (None, LABEL_POSITIVE, LABEL_NEGATIVE):
+                raise SerializationFailure(f"line {lineno}: bad label {row[-1]!r}")
+            values = []
+            try:
+                for name, parse, cell in zip(FEATURE_NAMES, parsers, row[1:]):
+                    values.append(parse(cell))
+                # after the loop name is f15, the column of FeatureVector's one check left
+                vectors.append(FeatureVector(row[0], *values, label))
+            except ValueError as exc:
+                raise SerializationFailure(f"line {lineno}, column {name}: {exc}") from exc
+    except csv.Error as exc:  # e.g. a bare line break inside an unquoted cell
+        raise SerializationFailure(f"line {reader.line_num}: {exc}") from exc
     return vectors

@@ -9,20 +9,23 @@ collect).  Verification happens later, offline, against the stored bytes.
 from __future__ import annotations
 
 import functools
-import http.client
 import logging
 import re
-import socket
-import ssl
 import time
 import warnings
 from collections import deque
 from collections.abc import Callable, Iterable
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import InvalidDomainName
+
+# the network stack is imported where a host is dialed, so a command that
+# never probes never loads it
+if TYPE_CHECKING:
+    import socket
+    import ssl
+    from concurrent.futures import Future
 
 log = logging.getLogger(__name__)
 
@@ -144,6 +147,8 @@ def _harvest_context() -> ssl.SSLContext:
     """The one client context of every harvest in this process: building one
     costs about 0.37 ms per HTTPS attempt, and a context is never changed
     after this, so worker threads share it."""
+    import ssl
+
     ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
     ctx.check_hostname = False
     ctx.verify_mode = ssl.CERT_NONE
@@ -182,6 +187,8 @@ def _unverified_chain(tls_sock: ssl.SSLSocket) -> tuple[bytes, ...] | None:
 def _dial(address: str, port: int, config: ProbeConfig) -> socket.socket:
     """The one place a probe opens a socket: a TCP connection made under
     the connect timeout, left with the handshake timeout for what follows."""
+    import socket
+
     sock = socket.create_connection((address, port), timeout=config.connect_timeout_ms / 1000)
     sock.settimeout(config.handshake_timeout_ms / 1000)
     return sock
@@ -189,6 +196,8 @@ def _dial(address: str, port: int, config: ProbeConfig) -> socket.socket:
 
 def _probe_http(address: str, host: str, config: ProbeConfig) -> bool:
     """True iff a GET / receives any well-formed HTTP response."""
+    import http.client
+
     request = (
         f"GET / HTTP/1.1\r\nHost: {host}\r\n"
         f"User-Agent: certsift/0.1\r\nAccept: */*\r\nConnection: close\r\n\r\n"
@@ -207,6 +216,8 @@ def _probe_http(address: str, host: str, config: ProbeConfig) -> bool:
 def _probe_https(
     address: str, host: str, config: ProbeConfig
 ) -> tuple[bool, bytes | None, tuple[bytes, ...] | None, str | None]:
+    import ssl
+
     last_error: str | None = None
     for _ in range(config.retries + 1):
         try:
@@ -267,6 +278,7 @@ def probe_corpus(
     are not dialed; they come back as unreachable with the reason in
     tls_error.
     """
+    from concurrent.futures import ThreadPoolExecutor
 
     def one(domain: str) -> DomainRecord:
         try:

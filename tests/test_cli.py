@@ -9,9 +9,11 @@ import hashlib
 import ipaddress
 import json
 import logging
+import os
 import shutil
 import socket
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -441,6 +443,20 @@ class TestClassifyCommand:
         code = run("classify", "--model", str(model_path), "--features", str(synth_csv))
         assert code == 3
         assert "SerializationFailure" in capsys.readouterr().err
+
+    def test_bad_cell_names_the_file_exit_3(self, model_path, synth_csv, tmp_path, capsys):
+        lines = synth_csv.read_text(encoding="utf-8").split("\n")
+        cells = lines[2].split(",")
+        cells[3] = "maybe"  # f3
+        lines[2] = ",".join(cells)
+        synth_csv.write_text("\n".join(lines), encoding="utf-8")
+        out = tmp_path / "predictions.csv"
+        code = run("classify", "--model", str(model_path), "--features", str(synth_csv),
+                   "--out", str(out))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"error: SerializationFailure: {synth_csv}: line 3, column f3: " in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("k", [0, "5"])
     def test_bad_knn_k_exit_3(self, k, synth_csv, tmp_path, capsys):
@@ -904,6 +920,39 @@ class TestExitCodesAndPlumbing:
         with _atomic_output(str(target)) as out:
             out.write("new")
         assert target.read_text(encoding="utf-8") == "new"
+
+    def test_feature_row_commands_load_no_certificate_or_network_library(self, tmp_path):
+        # a fresh interpreter, since this one imported cryptography already
+        corpus = tmp_path / "corpus.ndjson"
+        _write_fixture_corpus(corpus, shared=False)
+        script = f"""
+import json, sys
+import certsift, certsift.cli
+heavy = ("cryptography", "ssl", "http.client", "concurrent.futures")
+def loaded():
+    return [name for name in heavy if name in sys.modules]
+seen = {{"import": loaded()}}
+main = certsift.cli.main
+assert main(["synth", "--pos-spec", "phishing", "--neg-spec", "alexa", "--n", "20",
+             "--out", "rows.csv"]) == 0
+assert main(["train", "--features", "rows.csv", "--algo", "tree", "--model-out", "m.json"]) == 0
+assert main(["eval", "--features", "rows.csv", "--algo", "tree", "--cv", "2",
+             "--out", "report.json"]) == 0
+seen["synth, train, eval"] = loaded()
+assert main(["extract", "--corpus", {str(corpus)!r}, "--out", "features.csv"]) == 0
+seen["extract"] = loaded()
+print(json.dumps(seen))
+"""
+        src = str(Path(features.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                                capture_output=True, encoding="utf-8", timeout=120)
+        assert result.returncode == 0, result.stderr
+        seen = json.loads(result.stdout.splitlines()[-1])
+        assert seen["import"] == []
+        assert seen["synth, train, eval"] == []
+        assert "cryptography" in seen["extract"]
 
     def test_console_script_installed(self, tmp_path):
         exe = shutil.which("certsift")

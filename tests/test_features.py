@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import logging
+import re
 
 import pytest
 from cryptography import x509
@@ -510,6 +511,20 @@ class TestFeatureCsv:
         text = "\n".join([",".join(CSV_HEADER), good, ",".join(row.values())]) + "\n"
         with pytest.raises(SerializationFailure, match=f"line 3, column {column}:"):
             read_features_csv(io.StringIO(text))
+
+    def test_line_break_in_unquoted_cell_names_the_line(self):
+        header = ",".join(CSV_HEADER)
+        with pytest.raises(SerializationFailure, match="^line 2: "):
+            read_features_csv(io.StringIO(header + "\na\rb\n"))
+
+    def test_row_error_names_the_file(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text(",".join(CSV_HEADER) + "\nx,2\n", encoding="utf-8")
+        with pytest.raises(SerializationFailure, match=f"^{re.escape(str(path))}: line 2: "):
+            read_features_csv(path)
+        path.write_text("domain,oops\n", encoding="utf-8")
+        with pytest.raises(SerializationFailure, match=f"^{re.escape(str(path))}: unexpected "):
+            read_features_csv(path)
 
     def test_integer_cells_as_written_accepted(self):
         good = "x,0,0,0,0,0,0,0,0,a,b,c,d,{},{},0.000000,pos"
