@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .errors import MalformedInput
+from .errors import MalformedInput, reading
 
 # cryptography is imported where a certificate is parsed or a signature
 # checked, so a command that reads only feature rows never loads it
@@ -257,13 +257,13 @@ def dn_equal(a: DistinguishedName, b: DistinguishedName) -> bool:
 
 
 def load_trust_store(path: str) -> list[CertificateSummary]:
-    """Load all PEM certificate blocks from a bundle file."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    blocks = _PEM_BLOCK.findall(blob)
-    if not blocks:
-        raise MalformedInput(f"no PEM certificate blocks in {path}")
-    return [parse_certificate(_pem_body_to_der(body)) for body in blocks]
+    """Load all PEM certificate blocks from a bundle file, read as bytes:
+    RFC 7468 lets text outside the armor be any bytes."""
+    with reading(path, MalformedInput) as fh:
+        blocks = _PEM_BLOCK.findall(fh.buffer.read())
+        if not blocks:
+            raise MalformedInput("no PEM certificate blocks")
+        return [parse_certificate(_pem_body_to_der(body)) for body in blocks]
 
 
 def _signature_valid(child: CertificateSummary, parent: CertificateSummary) -> bool:

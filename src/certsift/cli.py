@@ -79,19 +79,21 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _pair(entry: str, flag: str, form: str) -> tuple[str, str]:
+    """Split a KEY=VALUE flag value; either side empty is a usage error."""
+    key, sep, value = entry.partition("=")
+    if not sep or not key or not value:
+        raise UsageError(f"{flag} wants {form}, got {entry!r}")
+    return key, value
+
+
 # --- subcommand handlers ----------------------------------------------------
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    resolver = None
-    if args.resolve:
-        mapping = {}
-        for entry in args.resolve:
-            domain, sep, address = entry.partition("=")
-            if not sep or not domain or not address:
-                raise UsageError(f"--resolve wants DOMAIN=ADDRESS, got {entry!r}")
-            mapping[canonical_domain(domain)] = address
-        resolver = lambda host: mapping.get(host, host)
+    pairs = [_pair(entry, "--resolve", "DOMAIN=ADDRESS") for entry in args.resolve or ()]
+    mapping = {canonical_domain(domain): address for domain, address in pairs}
+    resolver = (lambda host: mapping.get(host, host)) if mapping else None
     try:
         config = ProbeConfig(
             connect_timeout_ms=args.timeout,
@@ -121,8 +123,8 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _extract_vectors(args: argparse.Namespace, corpus_path: str):
-    records = load_corpus(corpus_path)
+def _extract_vectors(args: argparse.Namespace):
+    records = load_corpus(args.corpus)
     index_records = load_corpus(args.index_corpus) if args.index_corpus else None
     trust = load_trust_store(args.trust_store) if args.trust_store else []
     bogus = BogusValueList.from_file(args.bogus_list) if args.bogus_list else None
@@ -136,7 +138,7 @@ def _extract_vectors(args: argparse.Namespace, corpus_path: str):
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    records, vectors = _extract_vectors(args, args.corpus)
+    records, vectors = _extract_vectors(args)
     with _atomic_output(args.out) as out:
         count = write_features_csv(out, vectors)
     _note(f"extracted {count} feature vectors from {len(records)} records")
@@ -146,16 +148,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 def _hyperparameters(args: argparse.Namespace) -> dict:
     """The hyperparameters of --algo with the override flags given; a flag
     the kind has no use for, or a value below 1, is a usage error."""
-    overrides = {}
-    for key, attr in (
-        ("n_trees", "trees"),
-        ("max_depth", "depth"),
-        ("min_leaf", "min_leaf"),
-        ("k", "k"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
+    keys = ("n_trees", "max_depth", "min_leaf", "k")
+    overrides = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     try:
         return resolve_hyperparameters(args.algo, overrides)
     except ValueError as exc:
@@ -197,7 +191,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.features:
         vectors = read_features_csv(args.features)
     else:
-        _, vectors = _extract_vectors(args, args.corpus)
+        _, vectors = _extract_vectors(args)
     labels, scores = model.predict_batch(vectors)
     with _atomic_output(args.out) as out:
         writerow = csv_row_writer(out)
@@ -212,13 +206,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.mode == "table":
         if not args.features:
             raise UsageError("table mode wants at least one --features NAME=PATH")
-        corpora = []
-        for entry in args.features:
-            name, sep, path = entry.partition("=")
-            if not sep or not name or not path:
-                raise UsageError(f"--features wants NAME=PATH, got {entry!r}")
-            corpora.append((name, read_features_csv(path)))
-        table = boolean_feature_table(corpora)
+        pairs = [_pair(entry, "--features", "NAME=PATH") for entry in args.features]
+        table = boolean_feature_table([(name, read_features_csv(path)) for name, path in pairs])
         with _atomic_output(args.out) as out:
             table.write_csv(out)
         return 0
@@ -281,8 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
         if with_model_out:
             p.add_argument("--model-out", help="model JSON output (default: stdout)")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--trees", type=int, help="ensemble size override")
-        p.add_argument("--depth", type=int, help="tree depth override")
+        p.add_argument("--trees", type=int, dest="n_trees", metavar="TREES",
+                       help="ensemble size override")
+        p.add_argument("--depth", type=int, dest="max_depth", metavar="DEPTH",
+                       help="tree depth override")
         p.add_argument("--min-leaf", type=int, help="minimum rows per leaf override")
         p.add_argument("--k", type=int, help="neighbor count override")
 
@@ -348,16 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -84,12 +84,16 @@ class UsageError(CertsiftError):
 @contextlib.contextmanager
 def reading(path: str | os.PathLike, error: type[CertsiftError]) -> Iterator[TextIO]:
     """Open a text input as UTF-8, with newline="" as csv needs (line
-    readers strip their line ends).  Inside the block, text that is not
-    UTF-8, JSON that does not decode, or a RecursionError (the JSON decoder
-    recurses once per nesting level) raises error, naming the file."""
+    readers strip their line ends).  Every input error names its file here:
+    a CertsiftError raised in the block is re-raised with the path in front,
+    and text that is not UTF-8, JSON that does not decode, or a
+    RecursionError (the JSON decoder recurses once per nesting level)
+    raises error."""
     with open(path, encoding="utf-8", newline="") as fh:
         try:
             yield fh
+        except CertsiftError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:

@@ -101,8 +101,8 @@ class BogusValueList:
     def from_file(cls, path: str | os.PathLike) -> "BogusValueList":
         with reading(path, MalformedInput) as fh:
             values = [line for line in (l.strip() for l in fh) if line]
-        if not values:
-            raise MalformedInput(f"{path}: no placeholder values")
+            if not values:
+                raise MalformedInput("no placeholder values")
         return cls.of(values)
 
     def matches(self, value: str) -> bool:
@@ -334,10 +334,15 @@ def _parse_bool(text: str) -> bool:
 
 def _parse_int(text: str) -> int:
     """A whole number spelled as str(int) spells it: int() alone also takes
-    signs, spaces, underscores, leading zeros and non-ASCII digits."""
+    signs, spaces, underscores, leading zeros and non-ASCII digits.  The
+    encoders and the CDF turn it into a float64, so it must fit one."""
     value = int(text)
     if str(value) != text:
         raise ValueError(f"must be a whole number as written, not {text!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"a {len(text)}-character integer does not fit a float64") from None
     return value
 
 
@@ -391,10 +396,7 @@ def read_features_csv(source: io.TextIOBase | str | os.PathLike) -> list[Feature
     line, and the file too when source is a path."""
     if isinstance(source, (str, os.PathLike)):
         with reading(source, SerializationFailure) as fh:
-            try:
-                return read_features_csv(fh)
-            except SerializationFailure as exc:
-                raise SerializationFailure(f"{source}: {exc}") from exc
+            return read_features_csv(fh)
     reader = csv.reader(source)
     parsers = [_CODECS[kind][1] for kind in FEATURE_KINDS.values()]
     vectors = []

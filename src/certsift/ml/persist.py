@@ -295,5 +295,4 @@ def _check_knn(model: NearestNeighborModel) -> None:
 
 def load_model(path: str | os.PathLike) -> TrainedModel:
     with reading(path, CorruptModel) as fh:
-        doc = json.load(fh)
-    return model_from_json(doc)
+        return model_from_json(json.load(fh))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegenerateDataset
+from ..errors import DegenerateDataset, SchemaError
 from ..features import (
     FEATURE_KINDS,
     FEATURE_NAMES,
@@ -47,7 +47,7 @@ class FeatureSchema:
         text = ";".join(
             f"{c.name}:{c.kind}:{int(c.included)}" for c in self.columns
         )
-        return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def default_schema() -> FeatureSchema:
@@ -137,6 +137,11 @@ class Encoder:
         )
 
     def encode_rows(self, rows: Sequence[FeatureVector]) -> np.ndarray:
+        """Rows as the float matrix; a column that is not a feature of its
+        kind (a model file may declare one) raises SchemaError."""
+        for col in self.columns:
+            if FEATURE_KINDS.get(col.name) != col.kind:
+                raise SchemaError(f"column {col.name} is not a {col.kind} feature")
         matrix = np.empty((len(rows), len(self.columns)), dtype=np.float64)
         for j, col in enumerate(self.columns):
             values = [fv.value(col.name) for fv in rows]

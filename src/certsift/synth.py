@@ -150,11 +150,9 @@ def load_spec(source: str | os.PathLike) -> MarginalSpec:
     name = os.fspath(source)
     if name in SHIPPED_SPEC_NAMES:
         resource = importlib.resources.files("certsift.specs").joinpath(f"{name}.json")
-        doc = json.loads(resource.read_text(encoding="utf-8"))
-    else:
-        with reading(name, SpecIncomplete) as fh:
-            doc = json.load(fh)
-    return spec_from_json(doc)
+        return spec_from_json(json.loads(resource.read_text(encoding="utf-8")))
+    with reading(name, SpecIncomplete) as fh:
+        return spec_from_json(json.load(fh))
 
 
 def boolean_only_variant(spec: MarginalSpec) -> MarginalSpec:

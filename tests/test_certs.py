@@ -499,6 +499,12 @@ class TestTrustStore:
             other_root[0].fingerprint,
         ]
 
+    def test_text_outside_the_armor_may_be_any_bytes(self, tmp_path, root):
+        # RFC 7468 section 2: explanatory text around a block is not decoded
+        bundle = tmp_path / "anchors.pem"
+        bundle.write_bytes(b"caf\xe9 \xff\n" + to_pem(root[0].der_bytes) + b"\x80\n")
+        assert [a.fingerprint for a in load_trust_store(str(bundle))] == [root[0].fingerprint]
+
     def test_empty_bundle_rejected(self, tmp_path):
         empty = tmp_path / "nothing.pem"
         empty.write_text("no anchors here\n", encoding="utf-8")

@@ -31,7 +31,7 @@ from certsift import (
 )
 from certsift import corpus as corpus_module, features
 from certsift.cli import _atomic_output, main
-from certsift.ml import default_schema, load_model
+from certsift.ml import FeatureColumn, FeatureSchema, default_schema, load_model
 from certsift.synth import load_spec, spec_to_json
 
 from conftest import (
@@ -259,6 +259,24 @@ class TestTrainAndEval:
         assert run("train", "--features", str(bad), "--algo", "tree") == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("train", "--algo", "forest", "--model-out", "{out}"),
+        ("report", "--mode", "cdf", "--column", "f14", "--out", "{out}"),
+    ])
+    def test_integer_cell_beyond_float64_exit_3(self, argv, synth_csv, tmp_path, capsys):
+        # int() takes 401 digits, but the encoders and the CDF need a float64
+        with synth_csv.open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[3][rows[0].index("f14")] = "9" * 401
+        big = tmp_path / "big.csv"
+        with big.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        out = tmp_path / "out"
+        assert run(*(arg.format(out=out) for arg in argv), "--features", str(big)) == 3
+        err = capsys.readouterr().err
+        assert f"error: SerializationFailure: {big}: line 4, column f14: " in err
+        assert not out.exists()
+
 
 class TestClassifyCommand:
     @pytest.fixture
@@ -471,6 +489,34 @@ class TestClassifyCommand:
         code = run("classify", "--model", str(path), "--features", str(synth_csv), "--out", str(out))
         assert code == 3
         assert "CorruptModel" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algo, column, field, value", [
+        ("tree", "f1", "name", "zz"), ("tree", "f9", "kind", "real"),
+        ("tree", "f14", "kind", "boolean"), ("knn", "f1", "name", "zz"),
+    ])
+    def test_schema_naming_no_feature_of_its_kind_exit_3(
+        self, algo, column, field, value, synth_csv, tmp_path, capsys
+    ):
+        # the fingerprint is recomputed, so the file loads; encoding refuses it
+        # (a k-NN file whose kinds change fails its own payload check instead)
+        path = tmp_path / "model.json"
+        assert run("train", "--features", str(synth_csv), "--algo", algo,
+                   "--model-out", str(path)) == 0
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        columns = doc["schema"]["columns"]
+        next(c for c in columns if c["name"] == column)[field] = value
+        doc["schema"]["fingerprint"] = FeatureSchema(
+            tuple(FeatureColumn(c["name"], c["kind"], c["included"]) for c in columns)
+        ).fingerprint()
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "predictions.csv"
+        code = run("classify", "--model", str(path), "--features", str(synth_csv),
+                   "--out", str(out))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: SchemaError: ") and "Traceback" not in err
         assert not out.exists()
 
     def test_unknown_feature_model_exit_3(self, model_path, synth_csv, tmp_path, capsys):
@@ -889,6 +935,35 @@ class TestExitCodesAndPlumbing:
                     "--out", str(out)]
         assert run(*argv) == 3
         assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["model_kind", "spec_probability", "trust_store_block"])
+    def test_bad_document_names_the_file_exit_3(self, case, tmp_path, capsys):
+        # each file decodes, then fails a check of its content
+        bad = tmp_path / "input"
+        out = tmp_path / "out"
+        if case == "model_kind":
+            bad.write_text('{"format_version": 2, "kind": "zz"}', encoding="utf-8")
+            features_csv = tmp_path / "f.csv"
+            features_csv.write_text(",".join(features.CSV_HEADER) + "\n", encoding="utf-8")
+            argv = ["classify", "--model", str(bad), "--features", str(features_csv)]
+            expected = "CorruptModel"
+        elif case == "spec_probability":
+            doc = spec_to_json(load_spec("phishing"))
+            doc["booleans"]["f1"] = 2.0
+            bad.write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["synth", "--pos-spec", str(bad), "--neg-spec", "alexa", "--n", "5"]
+            expected = "SpecIncomplete"
+        else:
+            anchor = to_pem(make_cert("Anchor")[0])
+            broken = b"-----BEGIN CERTIFICATE-----\nMIIB\n-----END CERTIFICATE-----\n"
+            bad.write_bytes(anchor + broken)
+            corpus = tmp_path / "corpus.ndjson"
+            corpus.write_bytes(b"")
+            argv = ["extract", "--corpus", str(corpus), "--trust-store", str(bad)]
+            expected = "MalformedInput"
+        assert run(*argv, "--out", str(out)) == 3
+        assert capsys.readouterr().err.startswith(f"error: {expected}: {bad}: ")
         assert not out.exists()
 
     def test_out_into_missing_directory_exit_2(self, synth_csv, tmp_path, capsys):

@@ -643,6 +643,34 @@ class TestHistogramGrowth:
                 (got,) = grow_trees(X, y, eq_mask(tests), boots, max_depth, min_leaf, rngs, n_sample)
                 assert nested_trees(got) == want
 
+    def test_trees_that_outgrow_the_first_stack_match_reference(self):
+        # a tree's search stack starts 16 nodes tall.  Here each split peels
+        # one impure 4-row chunk off the left spine (column j marks chunk j);
+        # every chunk waits on the stack while the spine below it is
+        # searched, so 24 chunks outgrow it
+        chunks, base = 24, 40
+        X = np.zeros((base + 4 * chunks, chunks))
+        for j in range(chunks):
+            X[base + 4 * j:base + 4 * j + 4, j] = 1.0
+        y = np.concatenate([np.zeros(base), np.tile([0.0, 0.0, 1.0, 1.0], chunks)])
+        tests, max_depth = [TEST_LE] * chunks, 40
+        want = reference_grow_tree(X, y, tests, max_depth, 1)
+        spine, node = 0, want
+        while node["node"] == "split" and 0 < node["right"]["positive_fraction"] < 1:
+            spine, node = spine + 1, node["left"]
+        assert spine > 16
+        (got,) = grow_trees(X, y, eq_mask(tests), [np.arange(len(X))], max_depth, 1)
+        assert nested_trees(got) == [want]
+        # a lockstep batch of bootstraps, each drawing a forest's column subsets
+        rng = np.random.default_rng(2033)
+        boots = [rng.integers(0, len(X), size=len(X)) for _ in range(4)]
+        seeds = rng.integers(0, 2**32, size=len(boots))
+        want = [reference_grow_tree(X[b], y[b], tests, max_depth, 1, np.random.default_rng(s), 5)
+                for b, s in zip(boots, seeds)]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        (got,) = grow_trees(X, y, eq_mask(tests), boots, max_depth, 1, rngs, 5)
+        assert nested_trees(got) == want
+
     @pytest.mark.parametrize("d", [*range(2, 17), 40])
     def test_bulk_column_draws_equal_numpy_choice(self, d):
         # a forest's column subsets are drawn in bulk from each rng's raw
