@@ -60,6 +60,28 @@ seed-7 benchmark forest (2-CPU Xeon VM) peaked at 4.8 MiB of traced memory
 in 0.32 s with 2^13 rows; 2^11 gave 4.2 MiB in 0.43 s, 2^14 4.8 MiB in
 0.31 s, and no cut 7.7 MiB in 0.34 s.
 
+A batch of at least _FORK_ROWS bootstrap rows grows in parts, one per
+usable CPU (on Linux, while no other thread is alive), but in no more parts
+than it has runs of trees whose rngs start in equal states: such trees
+share draws (below), so a cut falls where the state changes, at the run
+start nearest its share of the rows.  Forest trees are independent
+(Breiman 2001), and each here has its own rng and bootstrap, so the parts
+grow apart, each by the one lockstep code of a batch: all but the last in
+forked children, which send their tables back through a pipe, and the last
+in the parent.  A part whose child fails grows in the parent after.  The
+merge is exact.  In one batch every live tree searches one node a step, so
+a tree's k-th searched node is searched at step k whatever its batch-mates,
+and the children of a step's splits are numbered together, in tree order.
+So the one-batch table is the parts' roots in part order, then their other
+nodes stably sorted by the step that numbered them (NodeTable.join, given
+that order).  One part against two, alternating (2-CPU Xeon VM, medians of
+20): 5-fold 25-tree forest cross-validation of 16,000 rows took 53 against
+57 ms, of 24,000 79 against 72, of 32,000 108 against 97 (two parts won 17
+of 20), and of 50,000 170 against 147; a 100-tree forest train of 16,000
+rows 69 against 75 ms, of 24,000 94 against 90, and of 32,000 124 against
+108 (15 of 16).  Each part pays each step's fixed cost, a fork about 1 ms,
+and the copy-on-write faults after it a few ms in each process.
+
 A tree's k-th column subset is the k-th choice(d, n_sample_features,
 replace=False) of its rng, so it depends only on the rng's starting state.
 _ColumnDraws makes those subsets in bulk from the rng's raw stream, exactly
@@ -83,8 +105,15 @@ tree depth recurses.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+import contextlib
+import os
+import pickle
+import signal
+import sys
+import threading
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import repeat
+from typing import NoReturn
 
 import numpy as np
 
@@ -103,6 +132,10 @@ _STEP_ROWS = 2**13
 # budget 79 MiB in 1.4-1.6 s.  On 4,000 full-feature rows: 91 MiB in 7.1 s;
 # 2^19 75 MiB in 8.2 s, 2^21 103 MiB in 7.2 s, no budget 133 MiB in 6.8 s.
 _GROW_ROWS = 2**20
+
+# Bootstrap rows from which a batch grows in parts, one per usable CPU: the
+# sweep in the module docstring puts the break-even near 24,000 rows.
+_FORK_ROWS = 2**15
 
 # (root, row) cells one pass of NodeTable.walk_encoded steps together.
 # Classify's 100-tree seed-7 benchmark forest over its 836 rows, timed alone
@@ -123,7 +156,8 @@ def grow_trees(
     n_sample_features: int | None = None,
 ) -> Iterator[NodeTable]:
     """Grow one tree per bootstrap on encoded data and 0/1 labels (min_leaf
-    >= 1), in batches of at most _GROW_ROWS bootstrap rows grown in lockstep;
+    >= 1), in batches of at most _GROW_ROWS bootstrap rows grown in lockstep
+    (in parts on the usable CPUs from _FORK_ROWS rows, module docstring);
     yields each batch's NodeTable, whose values are X's codes and whose node
     t is the root of the batch's t-th tree, batches and trees in the order of
     boots.  A bootstrap is an array of row indices into X, repeats allowed.
@@ -139,7 +173,8 @@ def grow_trees(
     passed over just because the draw missed it.  The rngs are Generators
     over PCG64, as default_rng makes.  Trees of one batch whose rngs are in
     equal states share their draws (below): an rng that only replays is not
-    advanced, and one that draws ends past its last subset.
+    advanced, and one that draws ends past its last subset (or unadvanced,
+    where its part grew in a child process).
     """
     n, d = X.shape
     subsampling = rngs is not None and n_sample_features is not None and n_sample_features < d
@@ -247,9 +282,12 @@ def grow_trees(
         value = np.where(eq_mask[j] | ~(mid < high), low, mid)
         return owner[won], j, b, value, n_left[won], pos_left[won]
 
-    def grow(trees: list[tuple]) -> NodeTable:
+    def grow(trees: list[tuple]) -> tuple[NodeTable, np.ndarray]:
         """Grow a batch of trees (each its pairs, their weights, its rows and
-        positive rows, and its rng) into one NodeTable, emptying trees."""
+        positive rows, and its rng) into one NodeTable, emptying trees; with
+        it, the table's node count after each lockstep step, so that the
+        children numbered at step s are the nodes from the count after step
+        s - 1 (or the root count) up to its count after step s."""
         n_trees = len(trees)
         if subsampling:
             # choice's output depends only on the rng's state and its arguments,
@@ -369,6 +407,7 @@ def grow_trees(
             settle(np.stack([right_nodes, left_nodes], axis=1).reshape(-1, 7))
 
         settle(np.array(roots, dtype=np.float64).reshape(-1, 7))
+        step_ends = []
         while (live := np.flatnonzero(height)).size:
             # each live tree's next node in preorder, scored in pieces of rows
             height[live] -= 1
@@ -389,9 +428,31 @@ def grow_trees(
                 hi = max(lo + 1, int(np.searchsorted(ends, cut, side="right")))
                 grow_piece(step[lo:hi], None if sampled is None else sampled[lo:hi])
                 lo = hi
+            step_ends.append(n_nodes)
         for cells in (node_column, node_left, node_value, node_fraction, node_count):
             cells.resize(n_nodes, refcheck=False)
-        return NodeTable(node_column, node_value, node_left, node_fraction, node_count, eq_mask)
+        table = NodeTable(node_column, node_value, node_left, node_fraction, node_count, eq_mask)
+        return table, np.array(step_ends, dtype=np.int64)
+
+    def grow_batch(trees: list[tuple]) -> NodeTable:
+        """grow's table of a batch, emptying trees: grown in parts, one per
+        usable CPU, once the batch holds _FORK_ROWS bootstrap rows."""
+        sizes, cuts = [size for _, _, size, *_ in trees], []
+        if sum(sizes) >= _FORK_ROWS and (cpus := _usable_cpus()) > 1:
+            # cut where the rng state changes, as equal states share draws
+            states = [repr(rng.bit_generator.state) if subsampling else t
+                      for t, (*_, rng) in enumerate(trees)]
+            cuts = _cuts(sizes, states, cpus)
+        parts = [trees[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(trees)])]
+        trees.clear()
+        if len(parts) == 1:
+            return grow(parts[0])[0]
+        tables, step_ends = zip(*_grow_parts(grow, parts))
+        # the children each step numbered, as one batch numbers them: in step
+        # order, and within a step in tree order, which is part order
+        born = [np.repeat(np.arange(ends.size), np.diff(ends, prepend=table.n_trees))
+                for table, ends in zip(tables, step_ends)]
+        return NodeTable.join(tables, np.argsort(np.concatenate(born), kind="stable"))
 
     rngs = repeat(None) if rngs is None else iter(rngs)  # read in step with boots
     batch, batch_rows = [], 0
@@ -400,13 +461,13 @@ def grow_trees(
         held, size = np.flatnonzero(drawn_pairs), len(boot)
         del boot  # so that a generator of bootstraps has one alive at a time
         if batch and batch_rows + size > _GROW_ROWS:
-            yield grow(batch)  # which empties batch
+            yield grow_batch(batch)  # which empties batch
             batch_rows = 0
         batch.append((held, drawn_pairs[held].astype(np.float64), size,
                       float(drawn_pairs[held] @ pair_positive[held]), next(rngs)))
         batch_rows += size
     if batch:
-        yield grow(batch)
+        yield grow_batch(batch)
 
 
 def _starts(keys: np.ndarray) -> np.ndarray:
@@ -419,6 +480,85 @@ def _starts(keys: np.ndarray) -> np.ndarray:
 def _run_first(keys: np.ndarray) -> np.ndarray:
     """The index of the first of each key's run of equal keys."""
     return np.maximum.accumulate(np.where(_starts(keys), np.arange(keys.size), 0))
+
+
+def _usable_cpus() -> int:
+    """The CPUs a batch may grow on: those this process may run on, on Linux
+    while no other thread is alive (a fork copies only the calling thread,
+    and a lock another thread holds stays locked in the child), else 1."""
+    if sys.platform != "linux" or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _cuts(sizes: Sequence[int], states: Sequence, cpus: int) -> list[int]:
+    """Where to cut a batch of trees, of sizes bootstrap rows and rng states
+    states, into min(cpus, runs of equal states) parts of about equal rows:
+    at the run start nearest each share of the rows.  Ascending, none at 0;
+    two shares nearest one start give one cut."""
+    starts = np.array([t for t in range(1, len(states)) if states[t] != states[t - 1]],
+                      dtype=np.intp)
+    n_parts = min(cpus, starts.size + 1)
+    if n_parts < 2:
+        return []
+    before = np.cumsum(sizes)[starts - 1]  # the rows ahead of each run start
+    shares = np.arange(1, n_parts) * (sum(sizes) / n_parts)
+    return np.unique(starts[np.abs(before[:, None] - shares).argmin(axis=0)]).tolist()
+
+
+def _grow_parts(grow: Callable[[list], tuple], parts: list[list]) -> list[tuple]:
+    """grow's result for each part, in order.  The last part grows here, the
+    others each in a forked child that sends its result back through a pipe
+    and leaves by os._exit.  A part whose child cannot be forked, fails or
+    sends short data grows here afterwards, as it would have there.  Every
+    child is reaped before this returns or raises; on an error or interrupt
+    it is killed first."""
+    children: list[list] = []  # per part forked: [pid, read end], each None once done
+    try:
+        for part in parts[:-1]:
+            read, write = os.pipe()
+            child = [None, read]
+            children.append(child)
+            try:
+                with contextlib.suppress(OSError):  # if not forked, it grows here below
+                    child[0] = os.fork()
+                if child[0] == 0:
+                    _send(grow, part, write)
+            finally:
+                os.close(write)
+        grown = [None] * len(children) + [grow(parts[-1])]
+        for i, child in enumerate(children):
+            pid, read = child
+            with open(read, "rb") as fh:
+                child[1] = None
+                data = fh.read()
+            if pid is not None:
+                child[0] = None
+                if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0:
+                    with contextlib.suppress(pickle.UnpicklingError, EOFError):  # if short
+                        grown[i] = pickle.loads(data)
+    finally:
+        for pid, read in children:
+            if read is not None:
+                os.close(read)
+            if pid is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return [result or grow(part) for result, part in zip(grown, parts)]
+
+
+def _send(grow: Callable[[list], tuple], part: list, write: int) -> NoReturn:
+    """In a forked child: pickle what grow returns for part to the pipe
+    write, and exit, 0 once all is written, running no exit handler and
+    flushing no buffer the parent left."""
+    code = 1
+    try:
+        with open(write, "wb", closefd=False) as out:
+            pickle.dump(grow(part), out, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 class _ColumnDraws:
@@ -517,24 +657,28 @@ class NodeTable:
         self.n_trees = self.column.size - 2 * int(np.count_nonzero(self.column >= 0))
 
     @classmethod
-    def join(cls, tables: Sequence[NodeTable]) -> NodeTable:
+    def join(cls, tables: Sequence[NodeTable], rest: np.ndarray | None = None) -> NodeTable:
         """The trees of several tables over one encoding as one table: every
-        table's roots first, in order, then every table's other nodes.  Nodes
-        keep their order within each part, so every child still follows its
-        parent."""
+        table's roots first, in order, then every table's other nodes, in
+        order, or in the order rest (indices into them, so ordered) gives.
+        Nodes keep their order within each table, so every child still
+        follows its parent; a rest must keep that too."""
         offsets = np.cumsum([0] + [table.column.size for table in tables])
-        column, value, left, fraction, count = (np.concatenate(cells) for cells in zip(
-            *((t.column, t.value, t.left + k, t.fraction, t.count) for t, k in zip(tables, offsets))
-        ))
-        order = np.concatenate(
-            [k + np.arange(t.n_trees) for t, k in zip(tables, offsets)]
-            + [k + np.arange(t.n_trees, t.column.size) for t, k in zip(tables, offsets)]
-        )
+        others = np.concatenate([k + np.arange(t.n_trees, t.column.size)
+                                 for t, k in zip(tables, offsets)])
+        order = np.concatenate([k + np.arange(t.n_trees) for t, k in zip(tables, offsets)]
+                               + [others if rest is None else others[rest]])
         place = np.empty_like(order)  # each node's index in the joined table
         place[order] = np.arange(order.size)
-        column = column[order]
-        left = np.where(column >= 0, place[left[order]], -1)
-        return cls(column, value[order], left, fraction[order], count[order], tables[0].eq_mask)
+        del others, order
+        # each table's nodes put in place, which copies no table whole
+        column, left, count, value, fraction = (
+            np.empty(place.size, dtype=t) for t in (np.intp, np.intp, np.int64, float, float))
+        for t, k in zip(tables, offsets):
+            at = place[k:k + t.column.size]
+            column[at], value[at], fraction[at], count[at] = t.column, t.value, t.fraction, t.count
+            left[at] = np.where(t.column >= 0, place[t.left + k], -1)
+        return cls(column, value, left, fraction, count, tables[0].eq_mask)
 
     def walk_encoded(self, X: np.ndarray, roots: Iterable[int]) -> Iterator[np.ndarray]:
         """Per root in turn, the positive fraction of the leaf each row of X

@@ -6,7 +6,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import pickle
 import random
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -1480,6 +1484,156 @@ class TestCrossValidateGrowsFoldsTogether:
             assert nested_trees(got) == want
             # the second spawn only replayed the first's draws
             assert [rng.bit_generator.state for rng in rngs[3:]] == untouched[3:]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="batches grow in parts on Linux alone")
+class TestGrowthInParts:
+    """grow_trees with each batch cut into parts, all but the last grown in
+    forked children, must give the NodeTables of one lockstep batch, array
+    for array, and leave no child process or descriptor behind."""
+
+    TREES = 12  # in batches of six, each cut into parts
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pid of every child forked, each running as it would."""
+        pids, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return pids
+
+    def case(self, cases: np.random.Generator, kind: str, layout: str):
+        """A matrix, and twelve bootstraps of its n rows with the seeds of
+        their rngs: in runs of two equal seeds ("cv", as cross-validation
+        lays out the same tree of every fold) or three seeds repeated
+        ("spread", so equal states stand apart in a batch)."""
+        while True:
+            X, y, tests = random_encoded_matrix(cases)
+            if 0 < y.sum() < len(y) and len(X) > 8:
+                break
+        n = len(X)
+        boots = [cases.integers(0, n, size=n) for _ in range(self.TREES)]
+        seeds = cases.integers(0, 2**32, size=self.TREES // (2 if layout == "cv" else 4))
+        seeds = np.repeat(seeds, 2) if layout == "cv" else np.tile(seeds, 4)
+        forest = kind == KIND_FOREST and X.shape[1] > 1
+        n_sample = int(cases.integers(1, X.shape[1])) if forest else None
+        return X, y, eq_mask(tests), boots, None if kind == KIND_TREE else seeds, n_sample
+
+    def grown(self, monkeypatch, cpus, X, y, mask, boots, seeds, n_sample):
+        """grow_trees's tables with six trees a batch, every batch past the
+        threshold, on cpus usable CPUs (None: those _usable_cpus finds).  The
+        tests' farm threads may be alive, so the count is set here."""
+        with monkeypatch.context() as patch:
+            patch.setattr(tree, "_GROW_ROWS", 6 * len(X))
+            patch.setattr(tree, "_FORK_ROWS", 1)
+            if cpus is not None:
+                patch.setattr(tree, "_usable_cpus", lambda: cpus)
+            rngs = None if seeds is None else [np.random.default_rng(s) for s in seeds]
+            return list(grow_trees(X, y, mask, boots, 5, 1, rngs, n_sample))
+
+    @staticmethod
+    def assert_same_tables(got, want):
+        assert len(got) == len(want) == 2
+        for a, b in zip(got, want):
+            assert a.n_trees == b.n_trees == 6
+            for name in ("column", "value", "left", "fraction", "count"):
+                x, w = getattr(a, name), getattr(b, name)
+                assert x.dtype == w.dtype and x.tobytes() == w.tobytes(), name
+
+    @pytest.mark.parametrize("kind", [KIND_TREE, KIND_BAGGING, KIND_FOREST])
+    @pytest.mark.parametrize("layout", ["cv", "spread"])
+    def test_grown_parts_equal_one_lockstep_batch(self, monkeypatch, forks, kind, layout):
+        split = []  # per batch cut in parts: whether one rng state lies in two parts
+        grow_parts = tree._grow_parts
+
+        def spied(grow, parts):
+            states = [{repr(rng.bit_generator.state) for *_, rng in part if rng is not None}
+                      for part in parts]
+            split.append(any(a & b for i, a in enumerate(states) for b in states[i + 1:]))
+            return grow_parts(grow, parts)
+
+        monkeypatch.setattr(tree, "_grow_parts", spied)
+        cases = np.random.default_rng(2034)
+        for _ in range(4):
+            data = self.case(cases, kind, layout)
+            want = self.grown(monkeypatch, 1, *data)
+            assert not forks and not split
+            for cpus in (2, 3):
+                got = self.grown(monkeypatch, cpus, *data)
+                self.assert_same_tables(got, want)
+                assert len(forks) == 2 * (cpus - 1)  # each batch in cpus parts
+                forks.clear()
+            if data[-1] is not None:  # a forest cuts where the rng state changes:
+                # between runs, or inside a group of equal states standing apart
+                assert any(split) == (layout == "spread")
+            split.clear()
+
+    @pytest.mark.parametrize("failure", ["exits 1", "short data"])
+    def test_a_failed_child_leaves_its_part_to_the_parent(self, monkeypatch, failure):
+        data = self.case(np.random.default_rng(2035), KIND_FOREST, "cv")
+        want = self.grown(monkeypatch, 1, *data)
+        descriptors = sorted(os.listdir("/proc/self/fd"))
+        pids, fork = [], os.fork
+
+        def failing():
+            pid = fork()
+            if pid == 0 and failure == "exits 1":
+                os._exit(1)  # before writing anything
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def short(grow, part, write):  # half of what it would send, then exit 0
+            sent = pickle.dumps(grow(part))
+            os.write(write, sent[:len(sent) // 2])
+            os._exit(0)
+
+        monkeypatch.setattr(os, "fork", failing)
+        monkeypatch.setattr(tree, "_send", short)
+        self.assert_same_tables(self.grown(monkeypatch, 2, *data), want)
+        assert len(pids) == 2
+        for pid in pids:  # each reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        assert sorted(os.listdir("/proc/self/fd")) == descriptors
+
+    def test_one_part_while_another_thread_is_alive(self, monkeypatch, forks):
+        data = self.case(np.random.default_rng(2036), KIND_FOREST, "spread")
+        want = self.grown(monkeypatch, 1, *data)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        done = threading.Event()
+        waiting = threading.Thread(target=done.wait)
+        waiting.start()
+        try:
+            got = self.grown(monkeypatch, None, *data)
+        finally:
+            done.set()
+            waiting.join()
+        self.assert_same_tables(got, want)
+        assert not forks
+
+    def test_usable_cpus_are_the_affinity_on_linux_with_one_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        assert tree._usable_cpus() == 3
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+        assert tree._usable_cpus() == 1
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert tree._usable_cpus() == 1
+
+    def test_cuts_balance_rows_at_run_starts(self):
+        assert tree._cuts([10] * 6, list("aabbcc"), 2) == [2]
+        assert tree._cuts([10] * 6, list("aabbcc"), 3) == [2, 4]
+        assert tree._cuts([10] * 6, list("aabbcc"), 8) == [2, 4]  # one part a run
+        assert tree._cuts([50, 10, 10, 10, 10, 10], list("abcdef"), 2) == [1]
+        assert tree._cuts([10] * 4, list("aaaa"), 2) == []
 
 
 class TestPersistence:

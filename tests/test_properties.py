@@ -1,5 +1,7 @@
 """Property-based tests: hostile file contents end in a CertsiftError that
-names the file, or in a result.
+names the file, or in a result; any certificate blob parses or raises
+MalformedInput; and the order of a feature CSV's rows never reaches the
+model file.
 
 Every property runs derandomized with no example database, so its
 examples depend on the hypothesis version and the code alone.
@@ -12,6 +14,7 @@ import csv
 import io
 import json
 import os
+import sys
 import tempfile
 
 import pytest
@@ -19,6 +22,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from certbuild import make_cert, to_pem
 from certsift import BogusValueList, CertsiftError, load_trust_store
+from certsift.certs import CertificateSummary, parse_certificate
+from certsift.errors import MalformedInput
 from certsift.features import (
     CSV_HEADER,
     FEATURE_KINDS,
@@ -38,7 +43,8 @@ from certsift.ml import (
     load_model,
     train,
 )
-from certsift.ml.persist import model_from_json, model_to_json
+from certsift.ml import tree
+from certsift.ml.persist import model_from_json, model_to_json, write_model
 from certsift.ml.schema import Encoder
 from certsift.report import feature_cdf
 from certsift.synth import load_spec, sample_corpus, spec_to_json
@@ -278,3 +284,63 @@ def test_one_field_mutation_of_a_model_is_refused_or_predicts(kind, trained_docs
         assert len(labels) == len(scores) == len(rows)
 
     run()
+
+
+# --- a certificate parses to a summary or raises MalformedInput --------------
+
+fuzz_der = make_cert("Fuzz")[0]
+
+
+def _one_byte_mutations(blob: bytes):
+    """blob with the byte at one position set to one value."""
+    return st.builds(lambda at, value: blob[:at] + bytes([value]) + blob[at + 1:],
+                     st.integers(min_value=0, max_value=len(blob) - 1),
+                     st.integers(min_value=0, max_value=255))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(st.binary(max_size=80), st.text(max_size=40),
+                 _one_byte_mutations(fuzz_der), _one_byte_mutations(to_pem(fuzz_der))))
+def test_parse_certificate_returns_a_summary_or_raises_malformed_input(blob):
+    try:
+        summary = parse_certificate(blob)
+    except MalformedInput:
+        return
+    assert isinstance(summary, CertificateSummary)
+
+
+# --- row order never reaches the model file ----------------------------------
+
+
+def _forest_file(rows) -> str:
+    out = io.StringIO()
+    write_model(train(Dataset(rows), "forest", {"n_trees": 4}, seed=3), out)
+    return out.getvalue()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="batches grow in parts on Linux alone")
+def test_shuffled_csv_rows_train_the_same_forest_file_in_parts(rows, monkeypatch):
+    want = _forest_file(rows)  # in one part: 160 bootstrap rows
+    forks, examples, fork = [], [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(tree, "_usable_cpus", lambda: 2)  # the farm's threads may be alive
+    monkeypatch.setattr(tree, "_FORK_ROWS", 1)
+
+    @settings(PROPERTY, max_examples=20)
+    @given(st.permutations(range(len(rows))))
+    def run(order):
+        examples.append(order)
+        out = io.StringIO(newline="")
+        write_features_csv(out, [rows[i] for i in order])
+        out.seek(0)
+        assert _forest_file(read_features_csv(out)) == want
+
+    run()
+    assert len(forks) == len(examples) > 1  # each forest grown in two parts
