@@ -32,7 +32,10 @@ log = logging.getLogger(__name__)
 
 
 def format_timestamp(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """RFC 3339 UTC to the second, the year in four digits even before 1000
+    (strftime's %Y gives fewer, which fromisoformat refuses)."""
+    text = datetime.fromtimestamp(ts, tz=timezone.utc).isoformat(timespec="seconds")
+    return text.replace("+00:00", "Z")
 
 
 def parse_timestamp(text: str) -> int:
@@ -99,7 +102,8 @@ def record_from_json(doc: dict) -> DomainRecord:
 def record_to_line(record: DomainRecord) -> str:
     try:
         return json.dumps(record_to_json(record), separators=(",", ":"), sort_keys=False)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError, OSError) as exc:
+        # OverflowError and OSError: a harvest_time past the platform's time_t
         raise SerializationFailure(f"record does not serialize: {exc}") from exc
 
 
@@ -173,7 +177,10 @@ def load_corpus_stream(fh: io.BufferedIOBase, name: str = "<stream>") -> Iterabl
             if not isinstance(doc, dict):
                 raise SerializationFailure("line is not a JSON object")
             yield record_from_json(doc)
-        except (UnicodeDecodeError, json.JSONDecodeError, SerializationFailure) as exc:
+        except (ValueError, RecursionError, SerializationFailure) as exc:
+            # ValueError: bytes that are not UTF-8, text that is not JSON, or
+            # an integer past int's digit limit; RecursionError: JSON nested
+            # too deeply for the decoder
             if not raw.endswith(b"\n"):  # only the final line can lack it
                 log.warning("%s: dropping torn final line %d", name, lineno)
                 return

@@ -66,10 +66,11 @@ than it has runs of trees whose rngs start in equal states: such trees
 share draws (below), so a cut falls where the state changes, at the run
 start nearest its share of the rows.  Forest trees are independent
 (Breiman 2001), and each here has its own rng and bootstrap, so the parts
-grow apart, each by the one lockstep code of a batch: all but the last in
-forked children, which send their tables back through a pipe, and the last
-in the parent.  A part whose child fails grows in the parent after.  The
-merge is exact.  In one batch every live tree searches one node a step, so
+grow apart, each by the one lockstep code of a batch, through the fork
+helper that extraction shares (parts.in_parts): all but the last in forked
+children, which send their tables back through a pipe, and the last in the
+parent.  A part whose child fails grows in the parent after.  The merge is
+exact.  In one batch every live tree searches one node a step, so
 a tree's k-th searched node is searched at step k whatever its batch-mates,
 and the children of a step's splits are numbered together, in tree order.
 So the one-batch table is the parts' roots in part order, then their other
@@ -105,17 +106,12 @@ tree depth recurses.
 
 from __future__ import annotations
 
-import contextlib
-import os
-import pickle
-import signal
-import sys
-import threading
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
-from typing import NoReturn
 
 import numpy as np
+
+from .. import parts
 
 _MIN_GAIN = 1e-12
 
@@ -438,16 +434,16 @@ def grow_trees(
         """grow's table of a batch, emptying trees: grown in parts, one per
         usable CPU, once the batch holds _FORK_ROWS bootstrap rows."""
         sizes, cuts = [size for _, _, size, *_ in trees], []
-        if sum(sizes) >= _FORK_ROWS and (cpus := _usable_cpus()) > 1:
+        if sum(sizes) >= _FORK_ROWS and (cpus := parts.usable_cpus()) > 1:
             # cut where the rng state changes, as equal states share draws
             states = [repr(rng.bit_generator.state) if subsampling else t
                       for t, (*_, rng) in enumerate(trees)]
             cuts = _cuts(sizes, states, cpus)
-        parts = [trees[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(trees)])]
+        split = [trees[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(trees)])]
         trees.clear()
-        if len(parts) == 1:
-            return grow(parts[0])[0]
-        tables, step_ends = zip(*_grow_parts(grow, parts))
+        if len(split) == 1:
+            return grow(split[0])[0]
+        tables, step_ends = zip(*parts.in_parts(grow, split))
         # the children each step numbered, as one batch numbers them: in step
         # order, and within a step in tree order, which is part order
         born = [np.repeat(np.arange(ends.size), np.diff(ends, prepend=table.n_trees))
@@ -482,15 +478,6 @@ def _run_first(keys: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.where(_starts(keys), np.arange(keys.size), 0))
 
 
-def _usable_cpus() -> int:
-    """The CPUs a batch may grow on: those this process may run on, on Linux
-    while no other thread is alive (a fork copies only the calling thread,
-    and a lock another thread holds stays locked in the child), else 1."""
-    if sys.platform != "linux" or threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _cuts(sizes: Sequence[int], states: Sequence, cpus: int) -> list[int]:
     """Where to cut a batch of trees, of sizes bootstrap rows and rng states
     states, into min(cpus, runs of equal states) parts of about equal rows:
@@ -504,61 +491,6 @@ def _cuts(sizes: Sequence[int], states: Sequence, cpus: int) -> list[int]:
     before = np.cumsum(sizes)[starts - 1]  # the rows ahead of each run start
     shares = np.arange(1, n_parts) * (sum(sizes) / n_parts)
     return np.unique(starts[np.abs(before[:, None] - shares).argmin(axis=0)]).tolist()
-
-
-def _grow_parts(grow: Callable[[list], tuple], parts: list[list]) -> list[tuple]:
-    """grow's result for each part, in order.  The last part grows here, the
-    others each in a forked child that sends its result back through a pipe
-    and leaves by os._exit.  A part whose child cannot be forked, fails or
-    sends short data grows here afterwards, as it would have there.  Every
-    child is reaped before this returns or raises; on an error or interrupt
-    it is killed first."""
-    children: list[list] = []  # per part forked: [pid, read end], each None once done
-    try:
-        for part in parts[:-1]:
-            read, write = os.pipe()
-            child = [None, read]
-            children.append(child)
-            try:
-                with contextlib.suppress(OSError):  # if not forked, it grows here below
-                    child[0] = os.fork()
-                if child[0] == 0:
-                    _send(grow, part, write)
-            finally:
-                os.close(write)
-        grown = [None] * len(children) + [grow(parts[-1])]
-        for i, child in enumerate(children):
-            pid, read = child
-            with open(read, "rb") as fh:
-                child[1] = None
-                data = fh.read()
-            if pid is not None:
-                child[0] = None
-                if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0:
-                    with contextlib.suppress(pickle.UnpicklingError, EOFError):  # if short
-                        grown[i] = pickle.loads(data)
-    finally:
-        for pid, read in children:
-            if read is not None:
-                os.close(read)
-            if pid is not None:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    return [result or grow(part) for result, part in zip(grown, parts)]
-
-
-def _send(grow: Callable[[list], tuple], part: list, write: int) -> NoReturn:
-    """In a forked child: pickle what grow returns for part to the pipe
-    write, and exit, 0 once all is written, running no exit handler and
-    flushing no buffer the parent left."""
-    code = 1
-    try:
-        with open(write, "wb", closefd=False) as out:
-            pickle.dump(grow(part), out, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 class _ColumnDraws:

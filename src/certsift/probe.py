@@ -41,8 +41,12 @@ _HOSTNAME_RE = re.compile(rf"^{_LABEL}(\.{_LABEL})*$")
 def canonical_domain(name: str) -> str:
     """A domain name in the one form it is known by from the domain list to
     the feature row: trimmed, lowercased (DNS names ignore case, RFC 4343)
-    and without the final dot.  Nothing is checked here."""
-    return name.strip().lower().rstrip(".")
+    and without the final dot, its own form again (a record keeps its name
+    through the corpus file).  Nothing is checked here."""
+    text = name.lower().strip()
+    while text[-1:] == ".":  # final dots, and any spaces they leave at the end
+        text = text.rstrip(".").rstrip()
+    return text
 
 
 def validate_domain(domain: str) -> str:

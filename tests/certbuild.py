@@ -157,3 +157,80 @@ def key_pem(key: rsa.RSAPrivateKey) -> bytes:
         serialization.PrivateFormat.TraditionalOpenSSL,
         serialization.NoEncryption(),
     )
+
+
+@functools.lru_cache(maxsize=1)
+def chain_corpus() -> tuple[tuple, bytes]:
+    """(records, anchor DER): a corpus of the cases extraction must tell
+    apart, every record built from this module.  Leaves chain through a
+    shared intermediate (so CA links repeat) or a tampered one, or are
+    self-signed, expired, not yet valid, under a root outside the store,
+    served without their intermediate, or tampered; some leaves and chain certificates do not parse, one chain
+    certificate carries a negative serial, one certificate and one serial
+    are shared between domains, and some domains were harvested twice.
+    Harvest times of one domain differ, so the newest record never ties."""
+    from certsift import DomainRecord
+
+    root_der, root_key = make_cert(name("Corpus Root", o="Test Roots"), key=rsa_key(1),
+                                   ca=True, serial=1, days=3650)
+    root = x509.load_der_x509_certificate(root_der)
+    inter_der, inter_key = make_cert(name("Corpus Intermediate"), issuer_cert=root,
+                                     issuer_key=root_key, key=rsa_key(2), ca=True,
+                                     serial=2, days=1825)
+    inter = x509.load_der_x509_certificate(inter_der)
+    bad_inter_der, bad_inter_key = make_cert(name("Tampered Intermediate"), issuer_cert=root,
+                                             issuer_key=root_key, key=rsa_key(3), ca=True,
+                                             serial=3, days=1825)
+    bad_inter = x509.load_der_x509_certificate(bad_inter_der)
+    stray_der, stray_key = make_cert(name("Stray Root"), key=rsa_key(3), ca=True, serial=4)
+    stray = x509.load_der_x509_certificate(stray_der)
+    negative_der, _ = make_cert(name("Negative Intermediate"), issuer_cert=root,
+                                issuer_key=root_key, key=rsa_key(2), ca=True,
+                                serial=0x7F1122334455)
+    at = negative_der.index(bytes.fromhex("7f1122334455"))
+    negative_der = negative_der[:at] + b"\x8f" + negative_der[at + 1:]
+    junk = b"\x30\x03bad"
+
+    def leaf(domain, serial, issuer=None, key_slot=4, **kwargs):
+        signer = {"issuer_cert": issuer[0], "issuer_key": issuer[1]} if issuer else {}
+        return make_cert(domain, serial=serial, key=rsa_key(key_slot), **signer, **kwargs)[0]
+
+    by_root, by_inter = (root, root_key), (inter, inter_key)
+    shared = leaf("shared.test", 200, by_root)
+    served = {  # domain -> (leaf DER, chain certificates after the leaf)
+        **{f"inter{i}.test": (leaf(f"inter{i}.test", 100 + i, by_inter), (inter_der,))
+           for i in range(6)},
+        **{f"tampered-ca{i}.test": (
+            leaf(f"tampered-ca{i}.test", 110 + i, (bad_inter, bad_inter_key)),
+            (tamper_signature(bad_inter_der),)) for i in range(2)},
+        "root.test": (leaf("root.test", 120, by_root), ()),
+        "self.test": (leaf("self.test", 121), ()),
+        "expired.test": (leaf("expired.test", 122, by_root, not_before=T0 - 400 * DAY,
+                              days=30), ()),
+        "early.test": (leaf("early.test", 123, by_inter, not_before=T0 + 10 * DAY),
+                       (inter_der,)),
+        "stray.test": (leaf("stray.test", 124, (stray, stray_key)), (stray_der,)),
+        "orphan.test": (leaf("orphan.test", 128, by_inter), ()),
+        "tampered.test": (tamper_signature(leaf("tampered.test", 125, by_root)), ()),
+        "junk-leaf.test": (junk, ()),
+        "junk-chain.test": (leaf("junk-chain.test", 126, by_inter), (junk, inter_der)),
+        "negative-chain.test": (leaf("negative-chain.test", 127, by_inter),
+                                (negative_der, inter_der)),
+        "shared-a.test": (shared, ()),
+        "shared-b.test": (shared, ()),
+        "serial-a.test": (leaf("serial-a.test", 4242, by_root), ()),
+        "serial-b.test": (leaf("serial-b.test", 4242, by_inter), (inter_der,)),
+        "anchor.test": (root_der, ()),
+    }
+    records = [
+        DomainRecord(domain=domain, http_ok=True, https_ok=True, harvest_time=T0 + i,
+                     cert_der=der, presented_chain_der=(der, *chain))
+        for i, (domain, (der, chain)) in enumerate(served.items())
+    ]
+    records += [  # older harvests, which the newest records replace
+        DomainRecord(domain="inter0.test", http_ok=True, https_ok=True, harvest_time=T0 - DAY,
+                     cert_der=shared, presented_chain_der=(shared,)),
+        DomainRecord(domain="self.test", http_ok=True, https_ok=False, harvest_time=T0 - DAY),
+        DomainRecord(domain="nocert.test", http_ok=True, https_ok=False, harvest_time=T0),
+    ]
+    return tuple(records), root_der

@@ -29,7 +29,7 @@ from certsift import (
     verify_chain,
     write_corpus,
 )
-from certsift import corpus as corpus_module, features
+from certsift import corpus as corpus_module, features, parts
 from certsift.cli import _atomic_output, main
 from certsift.ml import FeatureColumn, FeatureSchema, default_schema, load_model
 from certsift.synth import load_spec, spec_to_json
@@ -673,6 +673,21 @@ class TestExtractCommand:
         assert code == 3
         assert "CorruptRecord" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["[" * 100_000, '{"harvest_time": ' + "9" * 5000 + "}"],
+                             ids=["nested", "5000 digits"])
+    def test_json_line_past_the_decoder_limits_exit_3_unless_torn(self, line, tmp_path, capsys):
+        corpus = tmp_path / "corpus.ndjson"
+        _write_fixture_corpus(corpus, shared=False)
+        good = corpus.read_bytes()
+        corpus.write_bytes(line.encode() + b"\n" + good)
+        assert run("extract", "--corpus", str(corpus)) == 3
+        err = capsys.readouterr().err
+        assert "CorruptRecord" in err and f"{corpus}: line 1 does not parse" in err
+        corpus.write_bytes(good + line.encode())  # a torn final line is dropped
+        out = tmp_path / "features.csv"
+        assert run("extract", "--corpus", str(corpus), "--out", str(out)) == 0
+        assert len(read_features_csv(out)) == 2
+
     def test_extract_deterministic(self, tmp_path):
         corpus = tmp_path / "corpus.ndjson"
         _write_fixture_corpus(corpus, shared=False)
@@ -689,7 +704,9 @@ class TestExtractCommand:
     # no feature depends on key or signature bytes.
     GOLDEN_EXTRACT = "00f7334cebd830d2f8957e826f51fd2a471815579a098a4626d5c12a1e9194cb"
 
-    def test_extract_output_golden(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _golden_inputs(tmp_path) -> tuple[Path, Path]:
+        """The corpus and trust store whose features GOLDEN_EXTRACT pins."""
         root_der, root_key = make_cert(
             name("Golden Root", o="Test Roots", c="US"), key=rsa_key(1), ca=True,
             serial=1, days=3650,
@@ -757,6 +774,10 @@ class TestExtractCommand:
         write_corpus(corpus, records)
         other_der, _ = make_cert(name("Other Anchor"), key=rsa_key(5), ca=True, serial=5)
         bundle.write_bytes(to_pem(other_der) + to_pem(root_der))
+        return corpus, bundle
+
+    def test_extract_output_golden(self, tmp_path, monkeypatch):
+        corpus, bundle = self._golden_inputs(tmp_path)
         verdicts = []
 
         def recording_verify(*args):
@@ -771,6 +792,29 @@ class TestExtractCommand:
             "--out", str(out),
         ) == 0
         assert set(verdicts) == set(Verdict)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_EXTRACT
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="extraction forks on Linux alone")
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_extract_output_golden_in_shares(self, tmp_path, monkeypatch, cpus):
+        corpus, bundle = self._golden_inputs(tmp_path)
+        forks, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(parts, "usable_cpus", lambda: cpus)  # the farm's threads may be alive
+        monkeypatch.setattr(features, "_FORK_RECORDS", 1)
+        out = tmp_path / "features.csv"
+        assert run(
+            "extract", "--corpus", str(corpus), "--trust-store", str(bundle),
+            "--out", str(out),
+        ) == 0
+        assert len(forks) == cpus - 1
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_EXTRACT
 
 

@@ -6,12 +6,16 @@ import csv
 import dataclasses
 import io
 import logging
+import os
+import pickle
 import re
+import sys
+import threading
 
 import pytest
 from cryptography import x509
 
-from certbuild import DAY, T0, make_cert, name, rsa_key
+from certbuild import DAY, T0, chain_corpus, make_cert, name, rsa_key
 from certsift import (
     BogusValueList,
     DomainRecord,
@@ -26,6 +30,8 @@ from certsift import (
     serial_digit_count,
     write_features_csv,
 )
+from certsift import features, parts
+from certsift.certs import IssuerIndex
 from certsift.errors import IndexMismatch, SerializationFailure
 from certsift.features import (
     BOOLEAN_FEATURES,
@@ -419,6 +425,131 @@ class TestExtractCorpus:
             trust_store=[parse_certificate(root_der)],
         )
         assert without_chain[0].f5  # intermediate missing, path cannot build
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="extraction forks on Linux alone")
+@pytest.mark.filterwarnings("ignore:Parsed a serial number which wasn't positive")
+class TestExtractionInShares:
+    """extract_corpus's verify-and-feature loop, run in forked shares, makes
+    one process's vectors, log records and CA link memo."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pid of every child forked, each running as it would."""
+        pids, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return pids
+
+    @staticmethod
+    def extracted(monkeypatch, caplog, cpus, **kwargs):
+        """(vectors, warning records, final link memo) of one extract_corpus
+        call over chain_corpus, every loop past the threshold, on cpus usable
+        CPUs (None: those usable_cpus finds).  The tests' farm threads may
+        be alive, so the count is set here."""
+        corpus, root_der = chain_corpus()
+        anchors = IssuerIndex([parse_certificate(root_der)])
+        caplog.clear()
+        with monkeypatch.context() as patch, caplog.at_level(logging.WARNING):
+            patch.setattr(features, "_FORK_RECORDS", 1)
+            if cpus is not None:
+                patch.setattr(parts, "usable_cpus", lambda: cpus)
+            try:
+                vectors = extract_corpus(corpus, anchors, **kwargs)
+            except IndexMismatch as exc:
+                vectors = str(exc)
+        logged = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        return vectors, logged, anchors.link_verdicts
+
+    def test_shares_equal_one_process(self, monkeypatch, caplog, forks):
+        want = self.extracted(monkeypatch, caplog, 1)
+        vectors, logged, links = want
+        assert not forks
+        assert len(vectors) == 22 and sum(v.f5 for v in vectors) == 8
+        assert [m for _, _, m in logged if "chain" in m or "negative" in m] == [
+            "skipping unparseable chain certificate for junk-chain.test",
+            "negative serial -124171225709483 normalized to absolute value",
+        ]
+        assert sorted(links.values()) == [False, True, True]  # tampered, shared CA links
+        for cpus in (2, 3):
+            assert self.extracted(monkeypatch, caplog, cpus) == want
+            assert len(forks) == cpus - 1
+            forks.clear()
+
+    def test_first_index_mismatch_is_raised_after_the_same_records(
+            self, monkeypatch, caplog, forks):
+        # the index lacks a domain in the middle: one process logs the chain
+        # warnings of the records before it, then raises its IndexMismatch
+        records = chain_corpus()[0]
+        index_records = [r for r in records if r.domain != "inter3.test"]
+        want = self.extracted(monkeypatch, caplog, 1, index_records=index_records)
+        assert "inter3.test" in want[0]
+        assert not any("junk-chain" in m for _, _, m in want[1])
+        for cpus in (2, 3):
+            assert self.extracted(monkeypatch, caplog, cpus,
+                                  index_records=index_records) == want
+            assert len(forks) == cpus - 1
+            forks.clear()
+
+    @pytest.mark.parametrize("failure", ["exits 1", "short data"])
+    def test_a_failed_child_leaves_its_share_to_the_parent(self, monkeypatch, caplog, failure):
+        want = self.extracted(monkeypatch, caplog, 1)
+        descriptors = sorted(os.listdir("/proc/self/fd"))
+        pids, fork = [], os.fork
+
+        def failing():
+            pid = fork()
+            if pid == 0 and failure == "exits 1":
+                os._exit(1)  # before writing anything
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def short(fn, share, write):  # half of what it would send, then exit 0
+            sent = pickle.dumps(fn(share))
+            os.write(write, sent[:len(sent) // 2])
+            os._exit(0)
+
+        monkeypatch.setattr(os, "fork", failing)
+        monkeypatch.setattr(parts, "_send", short)
+        assert self.extracted(monkeypatch, caplog, 3) == want
+        assert len(pids) == 2
+        for pid in pids:  # each reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        assert sorted(os.listdir("/proc/self/fd")) == descriptors
+
+    def test_one_share_while_another_thread_is_alive(self, monkeypatch, caplog, forks):
+        want = self.extracted(monkeypatch, caplog, 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        done = threading.Event()
+        waiting = threading.Thread(target=done.wait)
+        waiting.start()
+        try:
+            got = self.extracted(monkeypatch, caplog, None)
+        finally:
+            done.set()
+            waiting.join()
+        assert got == want
+        assert not forks
+
+    def test_one_share_below_the_threshold_or_with_no_anchor(self, monkeypatch, forks):
+        records, root_der = chain_corpus()
+        monkeypatch.setattr(parts, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(features, "_FORK_RECORDS", 23)  # one more than the leaves
+        extract_corpus(records, [parse_certificate(root_der)])
+        assert not forks
+        monkeypatch.setattr(features, "_FORK_RECORDS", 22)
+        extract_corpus(records)  # no path reaches an empty store: no signature to check
+        assert not forks
+        extract_corpus(records, [parse_certificate(root_der)])
+        assert len(forks) == 1
 
 
 class TestFeatureLayout:

@@ -16,7 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
-from certsift import FeatureVector
+from certsift import FeatureVector, parts
 from certsift.errors import (
     CorruptModel,
     DegenerateDataset,
@@ -1527,13 +1527,13 @@ class TestGrowthInParts:
 
     def grown(self, monkeypatch, cpus, X, y, mask, boots, seeds, n_sample):
         """grow_trees's tables with six trees a batch, every batch past the
-        threshold, on cpus usable CPUs (None: those _usable_cpus finds).  The
+        threshold, on cpus usable CPUs (None: those usable_cpus finds).  The
         tests' farm threads may be alive, so the count is set here."""
         with monkeypatch.context() as patch:
             patch.setattr(tree, "_GROW_ROWS", 6 * len(X))
             patch.setattr(tree, "_FORK_ROWS", 1)
             if cpus is not None:
-                patch.setattr(tree, "_usable_cpus", lambda: cpus)
+                patch.setattr(parts, "usable_cpus", lambda: cpus)
             rngs = None if seeds is None else [np.random.default_rng(s) for s in seeds]
             return list(grow_trees(X, y, mask, boots, 5, 1, rngs, n_sample))
 
@@ -1550,7 +1550,7 @@ class TestGrowthInParts:
     @pytest.mark.parametrize("layout", ["cv", "spread"])
     def test_grown_parts_equal_one_lockstep_batch(self, monkeypatch, forks, kind, layout):
         split = []  # per batch cut in parts: whether one rng state lies in two parts
-        grow_parts = tree._grow_parts
+        grow_parts = parts.in_parts
 
         def spied(grow, parts):
             states = [{repr(rng.bit_generator.state) for *_, rng in part if rng is not None}
@@ -1558,7 +1558,7 @@ class TestGrowthInParts:
             split.append(any(a & b for i, a in enumerate(states) for b in states[i + 1:]))
             return grow_parts(grow, parts)
 
-        monkeypatch.setattr(tree, "_grow_parts", spied)
+        monkeypatch.setattr(parts, "in_parts", spied)
         cases = np.random.default_rng(2034)
         for _ in range(4):
             data = self.case(cases, kind, layout)
@@ -1595,7 +1595,7 @@ class TestGrowthInParts:
             os._exit(0)
 
         monkeypatch.setattr(os, "fork", failing)
-        monkeypatch.setattr(tree, "_send", short)
+        monkeypatch.setattr(parts, "_send", short)
         self.assert_same_tables(self.grown(monkeypatch, 2, *data), want)
         assert len(pids) == 2
         for pid in pids:  # each reaped
@@ -1621,12 +1621,12 @@ class TestGrowthInParts:
     def test_usable_cpus_are_the_affinity_on_linux_with_one_thread(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
         monkeypatch.setattr(threading, "active_count", lambda: 1)
-        assert tree._usable_cpus() == 3
+        assert parts.usable_cpus() == 3
         monkeypatch.setattr(threading, "active_count", lambda: 2)
-        assert tree._usable_cpus() == 1
+        assert parts.usable_cpus() == 1
         monkeypatch.setattr(threading, "active_count", lambda: 1)
         monkeypatch.setattr(sys, "platform", "darwin")
-        assert tree._usable_cpus() == 1
+        assert parts.usable_cpus() == 1
 
     def test_cuts_balance_rows_at_run_starts(self):
         assert tree._cuts([10] * 6, list("aabbcc"), 2) == [2]

@@ -1,7 +1,8 @@
 """Property-based tests: hostile file contents end in a CertsiftError that
 names the file, or in a result; any certificate blob parses or raises
-MalformedInput; and the order of a feature CSV's rows never reaches the
-model file.
+MalformedInput; any corpus line loads or raises a CertsiftError, and a
+written record loads back equal; the order of a feature CSV's rows never
+reaches the model file, nor the order of a corpus's lines the features.
 
 Every property runs derandomized with no example database, so its
 examples depend on the hypothesis version and the code alone.
@@ -20,9 +21,11 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from certbuild import make_cert, to_pem
-from certsift import BogusValueList, CertsiftError, load_trust_store
+from certbuild import chain_corpus, make_cert, to_pem
+from certsift import (BogusValueList, CertsiftError, DomainRecord, features, load_trust_store,
+                      parts)
 from certsift.certs import CertificateSummary, parse_certificate
+from certsift.corpus import load_corpus_stream, record_to_json, record_to_line
 from certsift.errors import MalformedInput
 from certsift.features import (
     CSV_HEADER,
@@ -32,6 +35,7 @@ from certsift.features import (
     KIND_INTEGER,
     KIND_REAL,
     FeatureVector,
+    extract_corpus,
     read_features_csv,
     write_features_csv,
 )
@@ -309,6 +313,67 @@ def test_parse_certificate_returns_a_summary_or_raises_malformed_input(blob):
     assert isinstance(summary, CertificateSummary)
 
 
+# --- a corpus line loads as a record or raises a CertsiftError ---------------
+
+# names as hostile servers and hand edits spell them, with cased letters and
+# final dots and spaces
+domains = st.builds(lambda name, end: name + end, st.text(max_size=8),
+                    st.sampled_from(["", ".", " ", ". .", " .\t.", "\u0130."]))
+# every second a datetime holds (years 1 to 9999), and far past them
+harvest_times = st.one_of(st.integers(min_value=-62135596800, max_value=253402300799),
+                          st.integers(min_value=-(2**70), max_value=2**70))
+records = st.builds(
+    lambda domain, http_ok, https_ok, harvest_time, cert_der, chain, tls_error: DomainRecord(
+        domain, http_ok, https_ok or cert_der is not None, harvest_time, cert_der, chain,
+        tls_error),
+    domains, st.booleans(), st.booleans(), harvest_times,
+    st.one_of(st.none(), st.binary(max_size=12)),
+    st.one_of(st.none(), st.lists(st.binary(max_size=6), max_size=3).map(tuple)),
+    st.one_of(st.none(), st.text(max_size=8)),
+)
+
+
+def _mutated_record_line(record, key, value) -> str:
+    doc = record_to_json(record)
+    doc[key] = value
+    return json.dumps(doc)
+
+
+corpus_lines = st.one_of(
+    st.binary(max_size=40),
+    json_values.map(json.dumps),
+    st.builds(_mutated_record_line, st.sampled_from(chain_corpus()[0]),
+              st.sampled_from(["domain", "http_ok", "https_ok", "harvest_time",
+                               "cert_der_b64", "chain_der_b64", "tls_error", "zz"]),
+              json_values),
+    st.integers(min_value=1, max_value=100_000).map(lambda depth: "[" * depth),
+    st.integers(min_value=1, max_value=6_000).map(lambda digits: '{"harvest_time": '
+                                                  + "9" * digits + "}"),
+).map(lambda line: line if isinstance(line, bytes) else line.encode("utf-8"))
+
+
+@PROPERTY
+@given(st.lists(corpus_lines, max_size=4), st.booleans())
+def test_corpus_lines_load_or_raise_a_certsift_error(lines, final_newline):
+    data = b"\n".join(lines) + (b"\n" if final_newline else b"")
+    try:
+        loaded = list(load_corpus_stream(io.BytesIO(data), name="corpus"))
+    except CertsiftError as exc:
+        assert str(exc).startswith("corpus: line "), str(exc)
+        return
+    assert all(isinstance(record, DomainRecord) for record in loaded)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(records)
+def test_a_written_record_loads_back_equal(record):
+    try:
+        line = record_to_line(record)
+    except CertsiftError:
+        return  # a record the wire form cannot hold is refused, not mangled
+    assert list(load_corpus_stream(io.BytesIO(line.encode("utf-8") + b"\n"))) == [record]
+
+
 # --- row order never reaches the model file ----------------------------------
 
 
@@ -330,7 +395,7 @@ def test_shuffled_csv_rows_train_the_same_forest_file_in_parts(rows, monkeypatch
         return pid
 
     monkeypatch.setattr(os, "fork", counted)
-    monkeypatch.setattr(tree, "_usable_cpus", lambda: 2)  # the farm's threads may be alive
+    monkeypatch.setattr(parts, "usable_cpus", lambda: 2)  # the farm's threads may be alive
     monkeypatch.setattr(tree, "_FORK_ROWS", 1)
 
     @settings(PROPERTY, max_examples=20)
@@ -344,3 +409,38 @@ def test_shuffled_csv_rows_train_the_same_forest_file_in_parts(rows, monkeypatch
 
     run()
     assert len(forks) == len(examples) > 1  # each forest grown in two parts
+
+
+def _features_csv(records) -> str:
+    out = io.StringIO(newline="")
+    write_features_csv(out, extract_corpus(records, [parse_certificate(chain_corpus()[1])]))
+    return out.getvalue()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="extraction forks on Linux alone")
+@pytest.mark.filterwarnings("ignore:Parsed a serial number which wasn't positive")
+def test_shuffled_corpus_lines_extract_the_same_features_csv_in_shares(monkeypatch):
+    records = chain_corpus()[0]
+    want = _features_csv(records)  # in one share: below the threshold
+    lines = [record_to_line(record).encode("utf-8") + b"\n" for record in records]
+    forks, examples, fork = [], [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(parts, "usable_cpus", lambda: 2)  # the farm's threads may be alive
+    monkeypatch.setattr(features, "_FORK_RECORDS", 1)
+
+    @settings(PROPERTY, max_examples=20)
+    @given(st.permutations(range(len(lines))))
+    def run(order):
+        examples.append(order)
+        shuffled = load_corpus_stream(io.BytesIO(b"".join(lines[i] for i in order)))
+        assert _features_csv(shuffled) == want
+
+    run()
+    assert len(forks) == len(examples) > 1  # each extracted in two shares
