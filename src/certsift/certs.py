@@ -201,6 +201,17 @@ def parse_certificate(blob: bytes | str) -> CertificateSummary:
     anything other than exactly one certificate block, and for
     certificates whose validity window is inverted.
     """
+    warnings: list[tuple] = []
+    try:
+        return _parse_certificate(blob, warnings)
+    finally:
+        for warning in warnings:
+            log.warning(*warning)
+
+
+def _parse_certificate(blob: bytes | str, warnings: list[tuple]) -> CertificateSummary:
+    """parse_certificate, which appends each warning it has, as a logging
+    (format, *args) tuple, to warnings instead of logging it."""
     from cryptography import x509
 
     if isinstance(blob, str):
@@ -227,7 +238,7 @@ def parse_certificate(blob: bytes | str) -> CertificateSummary:
         raise MalformedInput(f"certificate fields do not decode: {exc}") from exc
 
     if serial < 0:
-        log.warning("negative serial %d normalized to absolute value", serial)
+        warnings.append(("negative serial %d normalized to absolute value", serial))
         serial = -serial
     if not_before > not_after:
         raise MalformedInput(

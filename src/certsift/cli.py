@@ -18,7 +18,7 @@ import sys
 import tempfile
 from collections.abc import Iterator
 
-from .corpus import CorpusWriter, load_corpus, record_to_line
+from .corpus import CorpusFile, CorpusWriter, load_corpus, record_to_line
 from .errors import CertsiftError, MalformedInput, StorageFull, UsageError, reading
 from .features import (
     BogusValueList,
@@ -123,17 +123,28 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     return 0
 
 
+def _corpus(path: str) -> tuple[int, CorpusFile | list]:
+    """(record count, records) of a corpus: a regular file streams through
+    CorpusFile, whose first pass reports damage before any work; anything
+    else, such as a pipe, can be read once only, so its records are held."""
+    if os.path.isfile(path):
+        corpus = CorpusFile(path)
+        return corpus.records, corpus
+    records = load_corpus(path)
+    return len(records), records
+
+
 def _extract_vectors(args: argparse.Namespace):
-    records = load_corpus(args.corpus)
-    index_records = load_corpus(args.index_corpus) if args.index_corpus else None
+    count, corpus = _corpus(args.corpus)
+    index_corpus = _corpus(args.index_corpus)[1] if args.index_corpus else None
     trust = load_trust_store(args.trust_store) if args.trust_store else []
     bogus = BogusValueList.from_file(args.bogus_list) if args.bogus_list else None
-    return records, extract_corpus(
-        records,
+    return count, extract_corpus(
+        corpus,
         trust_store=trust,
         bogus=bogus,
         shingle_size=args.shingle,
-        index_records=index_records,
+        index_records=index_corpus,
     )
 
 
@@ -141,7 +152,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     records, vectors = _extract_vectors(args)
     with _atomic_output(args.out) as out:
         count = write_features_csv(out, vectors)
-    _note(f"extracted {count} feature vectors from {len(records)} records")
+    _note(f"extracted {count} feature vectors from {records} records")
     return 0
 
 

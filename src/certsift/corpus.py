@@ -20,7 +20,8 @@ import io
 import json
 import logging
 import os
-from collections.abc import Callable, Iterable
+import stat
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -108,13 +109,45 @@ def record_to_line(record: DomainRecord) -> str:
 
 
 class CorpusWriter:
-    """Appends records to an NDJSON file, one fsync'd stream per writer."""
+    """Appends records to an NDJSON file, one fsync'd stream per writer.
+
+    Appending to a regular file whose last line lacks its newline, as a
+    crash mid-append leaves it, first mends that line: one that decodes as
+    a record (the loader keeps it) gets its newline, and any other is cut
+    off with a warning.  Otherwise the first record appended would join it,
+    and the loader would refuse the line as damage before the final one.
+    """
 
     def __init__(self, path: str | os.PathLike, append: bool = True):
         mode = "ab" if append else "wb"
         self._fh = open(path, mode)
         self.path = os.fspath(path)
         self.count = 0
+        if append and stat.S_ISREG(os.fstat(self._fh.fileno()).st_mode):
+            self._end_last_line()
+
+    def _end_last_line(self) -> None:
+        with open(self.path, "rb") as fh:
+            end = keep = fh.seek(0, os.SEEK_END)
+            while keep:  # back to just after the last newline, 64 KiB at a time
+                start = max(0, keep - (1 << 16))
+                fh.seek(start)
+                cut = fh.read(keep - start).rfind(b"\n")
+                if cut >= 0:
+                    keep = start + cut + 1
+                    break
+                keep = start
+            if keep == end:
+                return
+            fh.seek(keep)
+            torn = fh.read()
+        try:
+            _line_record(torn)
+        except _UNDECODABLE:
+            log.warning("%s: dropping %d bytes of a torn final line", self.path, end - keep)
+            self._fh.truncate(keep)
+        else:
+            self._fh.write(b"\n")
 
     def append(self, record: DomainRecord) -> None:
         line = record_to_line(record) + "\n"
@@ -162,29 +195,84 @@ def load_corpus(path: str | os.PathLike) -> list[DomainRecord]:
         return list(load_corpus_stream(fh, name=os.fspath(path)))
 
 
+# what decoding a line raises: ValueError for bytes that are not UTF-8, text
+# that is not JSON, or an integer past int's digit limit; RecursionError for
+# JSON nested too deeply for the decoder
+_UNDECODABLE = (ValueError, RecursionError, SerializationFailure)
+
+
+def _line_record(raw: bytes) -> DomainRecord:
+    doc = json.loads(raw.decode("utf-8"))
+    if not isinstance(doc, dict):
+        raise SerializationFailure("line is not a JSON object")
+    return record_from_json(doc)
+
+
 def load_corpus_stream(fh: io.BufferedIOBase, name: str = "<stream>") -> Iterable[DomainRecord]:
     """Parse NDJSON records from a binary stream.
 
     A final line without its newline (torn by a crash) is kept if it still
-    parses and silently dropped otherwise.  A malformed line anywhere else
-    raises CorruptRecord: that is damage, not a torn append.
+    parses, and dropped with a warning otherwise.  A malformed line
+    anywhere else raises CorruptRecord: that is damage, not a torn append.
     """
+    return (record for _, record in _offset_records(fh, name))
+
+
+def _offset_records(fh: io.BufferedIOBase, name: str) -> Iterator[tuple[int, DomainRecord]]:
+    """(byte offset from where fh stood, record) of each line, by
+    load_corpus_stream's rules."""
+    end = 0
     for lineno, raw in enumerate(fh, start=1):
+        offset, end = end, end + len(raw)
         if not raw.strip():
             continue
         try:
-            doc = json.loads(raw.decode("utf-8"))
-            if not isinstance(doc, dict):
-                raise SerializationFailure("line is not a JSON object")
-            yield record_from_json(doc)
-        except (ValueError, RecursionError, SerializationFailure) as exc:
-            # ValueError: bytes that are not UTF-8, text that is not JSON, or
-            # an integer past int's digit limit; RecursionError: JSON nested
-            # too deeply for the decoder
+            record = _line_record(raw)
+        except _UNDECODABLE as exc:
             if not raw.endswith(b"\n"):  # only the final line can lack it
                 log.warning("%s: dropping torn final line %d", name, lineno)
                 return
             raise CorruptRecord(f"{name}: line {lineno} does not parse: {exc}") from exc
+        yield offset, record
+
+
+class CorpusFile:
+    """A corpus file that extraction reads in two passes, never holding
+    more than one record of it.
+
+    Opening it is the first pass: every line is decoded by
+    load_corpus_stream's rules, so damage raises CorruptRecord here, and
+    only the byte offset of each domain's newest record (as
+    latest_records picks it) is kept, for the domains whose newest record
+    carries a certificate.  records_at is the second: it reads and decodes
+    the lines at given offsets again, through a file of its own, so a
+    forked child reads its share without moving its parent's file offset.
+    """
+
+    def __init__(self, path: str | os.PathLike):
+        self.path = os.fspath(path)
+        self.records = 0  # lines that decode as records
+        newest: dict[str, tuple[int, int | None]] = {}  # domain -> (harvest_time, offset)
+        with open(self.path, "rb") as fh:
+            for offset, record in _offset_records(fh, self.path):
+                self.records += 1
+                prev = newest.get(record.domain)
+                if prev is None or record.harvest_time >= prev[0]:
+                    newest[record.domain] = (
+                        record.harvest_time, None if record.cert_der is None else offset)
+        # domain -> offset, in order of each domain's first record
+        self.offsets = {d: offset for d, (_, offset) in newest.items() if offset is not None}
+
+    def records_at(self, offsets: Iterable[int]) -> Iterator[DomainRecord]:
+        with open(self.path, "rb") as fh:
+            for offset in offsets:
+                fh.seek(offset)
+                try:
+                    yield _line_record(fh.readline())
+                except _UNDECODABLE as exc:  # the file changed since the first pass
+                    raise CorruptRecord(
+                        f"{self.path}: the line at byte {offset} no longer parses: {exc}"
+                    ) from exc
 
 
 @dataclass(frozen=True)
@@ -199,6 +287,20 @@ class CorpusIndex:
     by_fingerprint: dict[str, frozenset[str]]
     by_serial: dict[str, frozenset[tuple[str, str]]]
 
+    @classmethod
+    def from_entries(cls, entries: Iterable[tuple[str, str, str]]) -> CorpusIndex:
+        """The index of (domain, fingerprint, decimal serial) entries, one
+        per newest record with a parsed certificate."""
+        by_fp: dict = {}
+        by_serial: dict = {}
+        for domain, fingerprint, serial in entries:
+            by_fp.setdefault(fingerprint, set()).add(domain)
+            by_serial.setdefault(serial, set()).add((domain, fingerprint))
+        for sets in (by_fp, by_serial):  # in place, so no second dict of them is made
+            for key, values in sets.items():
+                sets[key] = frozenset(values)
+        return cls(by_fingerprint=by_fp, by_serial=by_serial)
+
     def contains(self, domain: str, fingerprint: str) -> bool:
         return domain in self.by_fingerprint.get(fingerprint, frozenset())
 
@@ -206,8 +308,9 @@ class CorpusIndex:
         """True iff more than one domain serves this exact certificate."""
         return len(self.by_fingerprint.get(fingerprint, frozenset())) >= 2
 
-    def shared_serial(self, serial: int) -> bool:
-        """True iff this serial occurs on two or more domain/cert pairs."""
+    def shared_serial(self, serial: int | str) -> bool:
+        """True iff this serial, or its decimal string, occurs on two or
+        more domain/cert pairs."""
         return len(self.by_serial.get(str(serial), frozenset())) >= 2
 
 
@@ -233,30 +336,16 @@ def _parse_leaf(record: DomainRecord) -> CertificateSummary | None:
         return None
 
 
-def build_corpus_index(
-    records: Iterable[DomainRecord],
-    leaf: Callable[[DomainRecord], CertificateSummary | None] = _parse_leaf,
-) -> CorpusIndex:
+def build_corpus_index(records: Iterable[DomainRecord]) -> CorpusIndex:
     """Index the newest record of every domain that delivered a certificate.
 
-    leaf gives a record's parsed certificate, or None to leave the record
-    out.  By default the record's bytes are parsed here, and records whose
-    bytes do not parse are skipped with a warning; they cannot contribute
-    a serial and their fingerprint would never be asked about by the
-    feature extractor (which parses first).  extract_corpus passes its
-    own parse, which caches each distinct certificate and warns once.
+    The record's bytes are parsed here, and records whose bytes do not
+    parse are skipped with a warning; they cannot contribute a serial and
+    their fingerprint would never be asked about by the feature extractor
+    (which parses first).
     """
-    by_fp: dict[str, set[str]] = {}
-    by_serial: dict[str, set[tuple[str, str]]] = {}
-    for record in latest_records(records):
-        summary = leaf(record)
-        if summary is None:
-            continue
-        by_fp.setdefault(summary.fingerprint, set()).add(record.domain)
-        by_serial.setdefault(str(summary.serial), set()).add(
-            (record.domain, summary.fingerprint)
-        )
-    return CorpusIndex(
-        by_fingerprint={fp: frozenset(v) for fp, v in by_fp.items()},
-        by_serial={s: frozenset(v) for s, v in by_serial.items()},
+    return CorpusIndex.from_entries(
+        (record.domain, summary.fingerprint, str(summary.serial))
+        for record in latest_records(records)
+        if (summary := _parse_leaf(record)) is not None
     )

@@ -12,25 +12,29 @@ so classifiers can treat missingness itself as a signal.
 
 from __future__ import annotations
 
+import copy
 import csv
+import hashlib
 import io
 import logging
 import os
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, replace
+from itertools import chain, islice
 from operator import attrgetter
+from sys import intern
 
 from . import parts
 from .certs import (
     OID_MD5_RSA,
     CertificateSummary,
     IssuerIndex,
+    _parse_certificate,
     dn_equal,
-    parse_certificate,
     verify_chain,
 )
-from .corpus import CorpusIndex, DomainRecord, build_corpus_index, latest_records
+from .certs import log as certs_log
+from .corpus import CorpusFile, CorpusIndex, DomainRecord, latest_records
 from .errors import IndexMismatch, MalformedInput, SerializationFailure, reading
 from .probe import canonical_domain
 
@@ -45,9 +49,9 @@ SECONDS_PER_DAY = 86400
 
 DEFAULT_SHINGLE_SIZE = 2
 
-# Records with a parsed leaf from which extract_corpus verifies and
-# extracts in shares, one per usable CPU: the sweep in its docstring puts
-# the break-even near 64.
+# Newest records carrying a certificate beyond which extract_corpus works
+# in shares, one per usable CPU: the sweep in its docstring puts the
+# break-even near 64.
 _FORK_RECORDS = 128
 
 # Values that certificate-generation tools ship as placeholders.  A subject
@@ -214,12 +218,29 @@ def extract_features(
     # Index identity keeps the full domain; alias stripping is only for f15.
     host = canonical_domain(domain)
     if not index.contains(host, cert.fingerprint):
-        raise IndexMismatch(
-            f"({host}, {cert.fingerprint[:16]}...) is not in the corpus index"
-        )
+        raise _mismatch(host, cert.fingerprint)
     if bogus is None:
         bogus = BogusValueList.default()
+    return _features(cert, host, harvest_time, trust_store, bogus, presented_chain, shingle_size,
+                     index.shared_certificate(cert.fingerprint), index.shared_serial(cert.serial))
 
+
+def _mismatch(host: str, fingerprint: str) -> IndexMismatch:
+    return IndexMismatch(f"({host}, {fingerprint[:16]}...) is not in the corpus index")
+
+
+def _features(
+    cert: CertificateSummary,
+    host: str,
+    harvest_time: int,
+    trust_store: IssuerIndex | Sequence[CertificateSummary],
+    bogus: BogusValueList,
+    presented_chain: Sequence[CertificateSummary],
+    shingle_size: int,
+    f6: bool = False,
+    f7: bool = False,
+) -> FeatureVector:
+    """extract_features's vector for a canonical host, f6 and f7 as given."""
     outcome = verify_chain(cert, presented_chain, trust_store, harvest_time)
     validity_days = (cert.not_after - cert.not_before) // SECONDS_PER_DAY
     subject_cn = cert.subject.get("CN") or MISSING
@@ -230,13 +251,15 @@ def extract_features(
         f3=dn_equal(cert.issuer, cert.subject),
         f4=harvest_time > cert.not_after,
         f5=not outcome.ok,
-        f6=index.shared_certificate(cert.fingerprint),
-        f7=index.shared_serial(cert.serial),
+        f6=f6,
+        f7=f7,
         f8=validity_days > THREE_YEARS_DAYS,
-        f9=cert.issuer.get("CN") or MISSING,
-        f10=cert.issuer.get("O") or MISSING,
-        f11=cert.issuer.get("C") or MISSING,
-        f12=cert.subject.get("C") or MISSING,
+        # interned: a few issuers' values recur in many vectors, which then
+        # share them, in a share's pickle too
+        f9=intern(cert.issuer.get("CN") or MISSING),
+        f10=intern(cert.issuer.get("O") or MISSING),
+        f11=intern(cert.issuer.get("C") or MISSING),
+        f12=intern(cert.subject.get("C") or MISSING),
         f13=validity_days,
         f14=serial_digit_count(cert.serial),
         f15=jaccard(
@@ -246,124 +269,186 @@ def extract_features(
     )
 
 
+def _newest(records: Iterable[DomainRecord] | CorpusFile) -> tuple[dict, Callable]:
+    """domain -> where, for each domain whose newest record carries a
+    certificate, in the order of each domain's first record, and the reader
+    that turns a list of wheres into their records: byte offsets that a
+    CorpusFile reads, or the records themselves."""
+    if isinstance(records, CorpusFile):
+        return records.offsets, records.records_at
+    return {r.domain: r for r in latest_records(records) if r.cert_der is not None}, iter
+
+
 def extract_corpus(
-    records: Iterable[DomainRecord],
+    records: Iterable[DomainRecord] | CorpusFile,
     trust_store: IssuerIndex | Iterable[CertificateSummary] = (),
     bogus: BogusValueList | None = None,
     shingle_size: int = DEFAULT_SHINGLE_SIZE,
-    index_records: Iterable[DomainRecord] | None = None,
+    index_records: Iterable[DomainRecord] | CorpusFile | None = None,
 ) -> list[FeatureVector]:
     """Extract features for every certificate-bearing domain in a corpus.
 
     Uses the newest record per domain.  The duplicate features are
     computed against index_records, or against the same records when it
-    is None.  Each distinct certificate of either corpus is parsed once
-    per call, and the trust store and the default bogus list are built
-    once per call.  Records whose certificate bytes do not parse are
-    skipped with one warning per domain.
+    is None; either corpus may be records or a CorpusFile.  The trust
+    store and the default bogus list are built once per call.  Records
+    whose certificate bytes do not parse are skipped with one warning per
+    domain, and each distinct certificate's parse warnings are logged once.
+
+    Two passes.  The first finds each domain's newest record that carries
+    a certificate: a CorpusFile keeps its byte offset, made when the file
+    was opened; records are picked by latest_records.  The second runs in
+    contiguous shares of those records in domain order, the index corpus's
+    cut alongside, through parts.in_parts: all but the last share in
+    forked children, the last here.  A share reads its records one at a
+    time, by offset through a file of its own, and parses, verifies and
+    featurizes each.  It holds one record's objects at a time and a cache
+    of the chain certificates it has parsed, which grows with the distinct
+    CA certificates; a leaf that several domains serve is parsed once per
+    domain.  A share logs nothing and sends back compact rows: a vector
+    without f6 and f7, the leaf's fingerprint and serial, the record's
+    warnings as events, and the CA links it added to a copy of the
+    anchors' memo.  After the join this process logs the warnings in one
+    process's order (every leaf's, then the index corpus's, then each
+    record's chain certificates', up to any mismatch), builds the index
+    from the rows, and fills in f6 and f7.  A record the index lacks
+    raises IndexMismatch after the records before it, and only their links
+    reach the caller's memo.  So the vectors, warnings and memo are one
+    process's, and this process holds an offset per domain, the index (a
+    domain, fingerprint and serial per leaf) and the vectors: no record,
+    DER or certificate summary outside its own share.
 
     Chain verification, a signature check per leaf, is most of the cost.
-    The leaves, the index and the presented chains are parsed here, in
-    record order, and so is every warning logged; then, from _FORK_RECORDS
-    records with a parsed leaf, on Linux while no other thread is alive
-    and with an anchor in the store (without one no path reaches the store
-    and no signature is checked), the verify-and-feature loop runs in
-    contiguous shares, one per usable CPU, through parts.in_parts: all but
-    the last in forked children, which inherit this state copy-on-write,
-    and the last here.  Shares join in record order, so the vectors are
-    one process's.  Each share returns the CA links it added to the
-    anchors' memo, which is exact, so the caller's IssuerIndex ends
-    holding the memo one process leaves.  One share against two,
-    alternating, 20 calls each on the first N records of the seed-7
-    benchmark corpus (2-CPU Xeon VM), with its 150 anchors: 32 records
-    10.7 against 11.9 ms (two won 4 of 20), 64 19.6 against 18.9 (11 of
-    20), 128 37.7 against 31.1 (17 of 20), 256 75.6 against 58.0 (20 of
-    20), 1,000 204 against 171 (19 of 20); with no anchor, 128 records
-    17.2 against 20.3 ms (1 of 20) and 1,000 95.6 against 96.7 (11 of 20).
-    The host's second CPU is often busy: in two other sweeps two shares
-    lost at every size, 1,000 records with anchors 155 against 181 ms (0
-    of 20).
+    The shares are cut from more than _FORK_RECORDS records that carry a
+    certificate, on Linux while no other thread is alive and with an
+    anchor in the store (without one no path reaches the store and no
+    signature is checked).  One share against two, alternating, 20 calls
+    each on the first N records of the seed-7 benchmark corpus (2-CPU Xeon
+    VM), with its 150 anchors, when the leaves were still parsed before
+    the shares: 32 records 10.7 against 11.9 ms (two won 4 of 20), 64 19.6
+    against 18.9 (11 of 20), 128 37.7 against 31.1 (17 of 20), 256 75.6
+    against 58.0 (20 of 20), 1,000 204 against 171 (19 of 20); with no
+    anchor, 128 records 17.2 against 20.3 ms (1 of 20) and 1,000 95.6
+    against 96.7 (11 of 20).  The host's second CPU is often busy: in two
+    other sweeps two shares lost at every size, 1,000 records with anchors
+    155 against 181 ms (0 of 20).
     """
-    newest = sorted(latest_records(records), key=lambda r: r.domain)
     anchors = IssuerIndex.of(trust_store)
     if bogus is None:
         bogus = BogusValueList.default()
-    # Certificate bytes -> summary, or the error text of a failed parse,
-    # starting from the anchors, which servers often present as well.
-    # Only the text is kept: an exception's traceback would hold its
-    # frames, and through them this cache, in a reference cycle.
-    parsed: dict[bytes, CertificateSummary | str] = {
-        anchor.der_bytes: anchor for anchor in anchors.by_fingerprint.values()
-    }
+    newest, read = _newest(records)
+    wheres = [newest[domain] for domain in sorted(newest)]
+    indexed, read_indexed = ({}, iter) if index_records is None else _newest(index_records)
+    index_wheres = list(indexed.values())
+    # servers often present an anchor, whose summary is at hand
+    anchor_of = {anchor.der_bytes: anchor for anchor in anchors.by_fingerprint.values()}
 
-    def parse(der: bytes) -> CertificateSummary | str:
-        summary = parsed.get(der)
-        if summary is None:
-            try:
-                summary = parse_certificate(der)
-            except MalformedInput as exc:
-                summary = str(exc)
-            parsed[der] = summary
-        return summary
+    # An event is (key, logger name, messages): a parse's warnings keyed by
+    # the DER's digest, a skipped leaf keyed by its domain, each logged the
+    # first time its key comes; a skipped chain certificate, key None,
+    # every time.
+    def parse(der: bytes) -> tuple[CertificateSummary | str, tuple]:
+        """der's summary, or the error text of a failed parse (an exception's
+        traceback would hold this frame), and the events of its parse."""
+        summary = anchor_of.get(der)
+        if summary is not None:
+            return summary, ()
+        warnings: list[tuple] = []
+        try:
+            summary = _parse_certificate(der, warnings)
+        except MalformedInput as exc:
+            summary = str(exc)
+        if not warnings:
+            return summary, ()
+        return summary, ((hashlib.sha256(der).digest(), certs_log.name, tuple(warnings)),)
 
-    skipped: set[str] = set()
-
-    def leaf(record: DomainRecord) -> CertificateSummary | None:
-        if record.cert_der is None:
-            return None
-        cert = parse(record.cert_der)
+    def leaf(record: DomainRecord) -> tuple[CertificateSummary | None, tuple]:
+        cert, events = parse(record.cert_der)
         if not isinstance(cert, str):
-            return cert
-        if record.domain not in skipped:
-            skipped.add(record.domain)
-            log.warning("skipping %s: %s", record.domain, cert)
-        return None
+            return cert, events
+        return None, events + ((record.domain, log.name, (("skipping %s: %s", record.domain, cert),)),)
 
-    leaves = {record.domain: leaf(record) for record in newest}
-    index = build_corpus_index(newest if index_records is None else index_records, leaf=leaf)
-    # Each record's leaf and presented chain, parsed and warned about here,
-    # in record order, so that the loop below logs nothing.
-    work, mismatch = [], None
-    for record in newest:
-        cert = leaves.get(record.domain)
-        if cert is None:
-            continue
-        chain = []
-        for der in record.presented_chain_der or ():
-            if der == record.cert_der:
+    def run(part: tuple[list, list]) -> tuple[list, list]:
+        """The rows of a share's records, each (leaf events, vector,
+        fingerprint, decimal serial, chain events, CA links), and of its
+        index records, each (leaf events, (domain, fingerprint, decimal
+        serial)); all but the events are None for a leaf that does not
+        parse."""
+        mine, my_indexed = part
+        # the anchors with a memo of this share's own: the caller's gains
+        # only the links of records before any mismatch, after the join
+        memo = copy.copy(anchors)
+        memo.link_verdicts = links = dict(anchors.link_verdicts)
+        chains: dict[bytes, tuple] = {}
+        rows = []
+        for record in read(mine):
+            cert, events = leaf(record)
+            if cert is None:
+                rows.append((events, None, None, None, None, None))
                 continue
-            summary = parse(der)
-            if isinstance(summary, str):
-                log.warning("skipping unparseable chain certificate for %s", record.domain)
-            else:
-                chain.append(summary)
-        if not index.contains(canonical_domain(record.domain), cert.fingerprint):
-            mismatch = (record, cert, chain)
-            break
-        work.append((record, cert, chain))
-    links = anchors.link_verdicts
-    known = len(links)
+            presented, chain_events = [], []
+            for der in record.presented_chain_der or ():
+                if der == record.cert_der:
+                    continue
+                if der not in chains:
+                    chains[der] = parse(der)
+                summary, warned = chains[der]
+                chain_events += warned
+                if isinstance(summary, str):
+                    chain_events.append((None, log.name, (
+                        ("skipping unparseable chain certificate for %s", record.domain),)))
+                else:
+                    presented.append(summary)
+            known = len(links)
+            vector = _features(cert, canonical_domain(record.domain), record.harvest_time, memo,
+                               bogus, presented, shingle_size)
+            rows.append((events, vector, cert.fingerprint, str(cert.serial), tuple(chain_events),
+                         tuple(islice(links.items(), known, None))))
+        index_rows = []
+        for record in read_indexed(my_indexed):
+            cert, events = leaf(record)
+            index_rows.append(
+                (events, cert and (record.domain, cert.fingerprint, str(cert.serial))))
+        return rows, index_rows
 
-    def run(share: list) -> tuple[list[FeatureVector], list]:
-        """share's vectors, and the CA links the memo gained meanwhile."""
-        vectors = [
-            extract_features(cert, record.domain, record.harvest_time, index, anchors,
-                             bogus=bogus, presented_chain=chain, shingle_size=shingle_size)
-            for record, cert, chain in share
-        ]
-        return vectors, list(islice(links.items(), known, None))
-
-    shares = [work]
-    if (anchors.by_fingerprint and len(work) >= _FORK_RECORDS
+    shares = [(wheres, index_wheres)]
+    if (anchors.by_fingerprint and len(wheres) > _FORK_RECORDS
             and (cpus := parts.usable_cpus()) > 1):
-        n = min(cpus, len(work))
-        shares = [work[len(work) * i // n : len(work) * (i + 1) // n] for i in range(n)]
+        n = min(cpus, len(wheres))
+        shares = [tuple(items[len(items) * i // n : len(items) * (i + 1) // n]
+                        for items in (wheres, index_wheres)) for i in range(n)]
+    rows, index_rows = [], []
+    for share_rows, share_index_rows in parts.in_parts(run, shares):
+        rows += share_rows
+        index_rows += share_index_rows
+
+    seen: set = set()
+
+    def replay(events: tuple) -> None:
+        for key, logger, messages in events:
+            if key is None or key not in seen:
+                seen.add(key)
+                for message in messages:
+                    logging.getLogger(logger).warning(*message)
+
+    for events, *_ in chain(rows, index_rows):
+        replay(events)
+    if index_records is None:
+        index = CorpusIndex.from_entries(
+            (vector.domain, fingerprint, serial) for _, vector, fingerprint, serial, *_ in rows
+            if vector)
+    else:
+        index = CorpusIndex.from_entries(entry for _, entry in index_rows if entry)
     vectors = []
-    for share_vectors, share_links in parts.in_parts(run, shares):
-        vectors += share_vectors
-        links.update(share_links)
-    if mismatch is not None:
-        run([mismatch])  # raises extract_features's IndexMismatch, after the records before it
+    for _, vector, fingerprint, serial, events, links in rows:
+        if vector is None:
+            continue
+        replay(events)
+        if not index.contains(vector.domain, fingerprint):
+            raise _mismatch(vector.domain, fingerprint)
+        anchors.link_verdicts.update(links)
+        f6, f7 = index.shared_certificate(fingerprint), index.shared_serial(serial)
+        vectors.append(replace(vector, f6=f6, f7=f7) if f6 or f7 else vector)
     return vectors
 
 

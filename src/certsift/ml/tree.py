@@ -490,7 +490,8 @@ def _cuts(sizes: Sequence[int], states: Sequence, cpus: int) -> list[int]:
         return []
     before = np.cumsum(sizes)[starts - 1]  # the rows ahead of each run start
     shares = np.arange(1, n_parts) * (sum(sizes) / n_parts)
-    return np.unique(starts[np.abs(before[:, None] - shares).argmin(axis=0)]).tolist()
+    # not np.unique, whose plain form imports numpy.ma (13-15 ms, 1.3 MiB)
+    return sorted(set(starts[np.abs(before[:, None] - shares).argmin(axis=0)].tolist()))
 
 
 class _ColumnDraws:

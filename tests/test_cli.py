@@ -14,6 +14,7 @@ import shutil
 import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -24,12 +25,11 @@ from certsift import (
     DomainRecord,
     Verdict,
     load_corpus,
-    parse_certificate,
     read_features_csv,
     verify_chain,
     write_corpus,
 )
-from certsift import corpus as corpus_module, features, parts
+from certsift import features, parts
 from certsift.cli import _atomic_output, main
 from certsift.ml import FeatureColumn, FeatureSchema, default_schema, load_model
 from certsift.synth import load_spec, spec_to_json
@@ -622,28 +622,49 @@ class TestExtractCommand:
         rows = read_features_csv(out)
         assert len(rows) == 1 and rows[0].f6
 
-    def test_index_corpus_parses_each_certificate_once(self, tmp_path, monkeypatch, caplog):
-        # one corpus as both inputs: the index reuses extraction's parses
+    def test_index_corpus_parses_each_leaf_once_per_corpus(self, tmp_path, monkeypatch, caplog):
+        # one corpus as both inputs: no parse outlives its record, so each
+        # leaf is parsed for extraction and again for the index, and the
+        # one that does not parse is warned about once
         corpus = tmp_path / "corpus.ndjson"
         records = _write_fixture_corpus(corpus, shared=False)
         records.append(DomainRecord(domain="junk.test", http_ok=False, https_ok=True,
                                     harvest_time=T0, cert_der=b"\x30\x03bad"))
         write_corpus(corpus, records)
-        parsed = []
+        parsed, parse = [], features._parse_certificate
 
-        def counting_parse(der):
+        def counting_parse(der, warnings):
             parsed.append(der)
-            return parse_certificate(der)
+            return parse(der, warnings)
 
-        for module in (corpus_module, features):
-            monkeypatch.setattr(module, "parse_certificate", counting_parse)
+        monkeypatch.setattr(features, "_parse_certificate", counting_parse)
         with caplog.at_level(logging.WARNING):
             assert run(
                 "extract", "--corpus", str(corpus), "--index-corpus", str(corpus),
                 "--out", str(tmp_path / "features.csv"),
             ) == 0
-        assert sorted(parsed) == sorted(r.cert_der for r in records)
+        assert sorted(parsed) == sorted(2 * [r.cert_der for r in records])
         assert sum("junk.test" in r.getMessage() for r in caplog.records) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_corpus_from_a_pipe_extracts_as_from_a_file(self, tmp_path):
+        # a pipe cannot be read twice, so its records are held instead
+        corpus = tmp_path / "corpus.ndjson"
+        _write_fixture_corpus(corpus, shared=True)
+        from_file = tmp_path / "file.csv"
+        assert run("extract", "--corpus", str(corpus), "--out", str(from_file)) == 0
+        pipe = tmp_path / "corpus.pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=lambda: pipe.write_bytes(corpus.read_bytes()),
+                                  daemon=True)  # blocked for good if nothing reads
+        writer.start()
+        try:
+            from_pipe = tmp_path / "pipe.csv"
+            assert run("extract", "--corpus", str(pipe), "--out", str(from_pipe)) == 0
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert from_pipe.read_bytes() == from_file.read_bytes()
 
     def test_disjoint_index_corpus_exit_3(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.ndjson"
@@ -887,6 +908,21 @@ class TestProbeCommand:
         out = tmp_path / "features.csv"
         assert run("extract", "--corpus", str(corpus), "--out", str(out)) == 0
         # only the two domains that served a certificate yield a vector
+        assert sorted(fv.domain for fv in read_features_csv(out)) == sorted(
+            [DOMAIN_BOTH, DOMAIN_TLS_ONLY]
+        )
+
+    def test_reprobe_after_a_crash_mid_append_keeps_the_corpus_readable(self, farm, tmp_path):
+        domains_file = tmp_path / "domains.txt"
+        domains_file.write_text(f"{DOMAIN_BOTH}\n{DOMAIN_TLS_ONLY}\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.ndjson"
+        assert main(self._probe_argv(farm, domains_file, corpus)) == 0
+        whole = corpus.read_bytes()
+        corpus.write_bytes(whole[: whole.rindex(b"\n", 0, -1) + 40])  # cut inside line 2
+        assert main(self._probe_argv(farm, domains_file, corpus)) == 0
+        assert len(load_corpus(corpus)) == 3
+        out = tmp_path / "features.csv"
+        assert run("extract", "--corpus", str(corpus), "--out", str(out)) == 0
         assert sorted(fv.domain for fv in read_features_csv(out)) == sorted(
             [DOMAIN_BOTH, DOMAIN_TLS_ONLY]
         )

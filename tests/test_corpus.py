@@ -123,6 +123,28 @@ class TestCorpusFile:
         records = load_corpus(path)
         assert [r.domain for r in records] == ["keep.test"]
 
+    def test_append_after_a_torn_line_cuts_it_off(self, tmp_path, caplog):
+        # a crash mid-append, then a re-probe appending to the same file
+        path = tmp_path / "torn.ndjson"
+        write_corpus(path, [_record(domain="keep.test"), _record(domain="lost.test")])
+        whole = path.read_bytes()
+        torn = len(record_to_line(_record(domain="lost.test"))) // 2
+        path.write_bytes(whole[: len(whole) - 1 - torn])  # cut inside the second line
+        with caplog.at_level("WARNING"), CorpusWriter(path, append=True) as writer:
+            writer.append(_record(domain="new.test"))
+        assert [r.domain for r in load_corpus(path)] == ["keep.test", "new.test"]
+        dropped = len(record_to_line(_record(domain="lost.test"))) - torn
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: dropping {dropped} bytes of a torn final line"]
+
+    def test_append_ends_a_whole_final_line_that_lacks_its_newline(self, tmp_path, caplog):
+        path = tmp_path / "noeol.ndjson"
+        path.write_bytes(record_to_line(_record(domain="first.test")).encode())
+        with caplog.at_level("WARNING"), CorpusWriter(path, append=True) as writer:
+            writer.append(_record(domain="second.test"))
+        assert [r.domain for r in load_corpus(path)] == ["first.test", "second.test"]
+        assert not caplog.records
+
     def test_final_line_without_newline_kept_if_parseable(self, tmp_path):
         path = tmp_path / "noeol.ndjson"
         write_corpus(path, [_record(domain="first.test")])

@@ -497,6 +497,34 @@ class TestExtractionInShares:
             assert len(forks) == cpus - 1
             forks.clear()
 
+    def test_after_a_mismatch_the_memo_holds_the_links_of_the_records_before_it(
+            self, monkeypatch, caplog, forks):
+        records, root_der = chain_corpus()
+        index_records = [r for r in records if r.domain != "inter3.test"]
+        before = [r for r in records if r.domain < "inter3.test"]
+        alone = IssuerIndex([parse_certificate(root_der)])
+        extract_corpus(before, alone)
+        for cpus in (1, 2, 3):
+            _, _, links = self.extracted(monkeypatch, caplog, cpus, index_records=index_records)
+            assert links == alone.link_verdicts
+
+    def test_a_certificate_in_two_shares_is_warned_about_once(self, monkeypatch, caplog, forks):
+        # the negative-serial chain certificate, presented by a domain at
+        # each end of the corpus
+        records, root_der = chain_corpus()
+        (negative,) = [r for r in records if r.domain == "negative-chain.test"]
+        records += (dataclasses.replace(negative, domain="a-negative-chain.test"),
+                    dataclasses.replace(negative, domain="z-negative-chain.test"))
+        for cpus in (1, 2, 3):
+            caplog.clear()
+            with monkeypatch.context() as patch, caplog.at_level(logging.WARNING):
+                patch.setattr(features, "_FORK_RECORDS", 1)
+                patch.setattr(parts, "usable_cpus", lambda: cpus)
+                extract_corpus(records, [parse_certificate(root_der)])
+            warned = [r.getMessage() for r in caplog.records if "negative" in r.getMessage()]
+            assert len(warned) == 1
+        assert len(forks) == 1 + 2
+
     @pytest.mark.parametrize("failure", ["exits 1", "short data"])
     def test_a_failed_child_leaves_its_share_to_the_parent(self, monkeypatch, caplog, failure):
         want = self.extracted(monkeypatch, caplog, 1)

@@ -9,6 +9,7 @@ import math
 import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
 import weakref
@@ -1545,6 +1546,31 @@ class TestGrowthInParts:
             for name in ("column", "value", "left", "fraction", "count"):
                 x, w = getattr(a, name), getattr(b, name)
                 assert x.dtype == w.dtype and x.tobytes() == w.tobytes(), name
+
+    def test_growth_in_parts_loads_no_numpy_ma(self, tmp_path):
+        # a fresh interpreter, since this one may have imported numpy.ma
+        script = """
+import sys
+from certsift import parts
+from certsift.ml import Dataset, train, tree
+from certsift.synth import load_spec, sample_corpus
+parts.usable_cpus = lambda: 2
+tree._FORK_ROWS = 1
+print("numpy.ma" in sys.modules)
+rows = sample_corpus(load_spec("phishing"), load_spec("alexa"), 40, 3).rows
+train(Dataset(rows), "forest", {"n_trees": 4}, seed=1)
+print("numpy.ma" in sys.modules)
+"""
+        src = os.path.dirname(os.path.dirname(parts.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                                capture_output=True, encoding="utf-8", timeout=120)
+        assert result.returncode == 0, result.stderr
+        loaded_by_import, loaded = result.stdout.split()
+        if loaded_by_import == "True":
+            pytest.skip("this numpy loads numpy.ma when it is imported")
+        assert loaded == "False"
 
     @pytest.mark.parametrize("kind", [KIND_TREE, KIND_BAGGING, KIND_FOREST])
     @pytest.mark.parametrize("layout", ["cv", "spread"])

@@ -28,6 +28,8 @@ from certsift.certs import CertificateSummary, parse_certificate
 from certsift.corpus import load_corpus_stream, record_to_json, record_to_line
 from certsift.errors import MalformedInput
 from certsift.features import (
+    BOOLEAN_FEATURES,
+    CATEGORICAL_FEATURES,
     CSV_HEADER,
     FEATURE_KINDS,
     KIND_BOOLEAN,
@@ -40,6 +42,7 @@ from certsift.features import (
     write_features_csv,
 )
 from certsift.ml import (
+    MODEL_KINDS,
     FeatureColumn,
     FeatureSchema,
     Dataset,
@@ -51,7 +54,7 @@ from certsift.ml import tree
 from certsift.ml.persist import model_from_json, model_to_json, write_model
 from certsift.ml.schema import Encoder
 from certsift.report import feature_cdf
-from certsift.synth import load_spec, sample_corpus, spec_to_json
+from certsift.synth import MarginalSpec, load_spec, sample_corpus, spec_from_json, spec_to_json
 
 PROPERTY = settings(
     derandomize=True,
@@ -236,6 +239,75 @@ def test_written_vectors_read_back_unchanged(vectors):
     write_features_csv(out, vectors)
     out.seek(0)
     assert read_features_csv(out) == vectors
+
+
+# --- specs and models round trip through their JSON --------------------------
+
+
+@st.composite
+def distributions(draw, values) -> tuple:
+    """(value, probability) pairs of distinct values, summing to 1."""
+    support = draw(st.lists(values, min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.integers(min_value=1, max_value=1000),
+                            min_size=len(support), max_size=len(support)))
+    return tuple((value, weight / sum(weights)) for value, weight in zip(support, weights))
+
+
+whole_numbers = st.one_of(st.integers(min_value=-(10**6), max_value=10**6),
+                          st.integers(min_value=-(10**300), max_value=10**300)).map(float)
+specs = st.builds(
+    MarginalSpec,
+    label=st.sampled_from(["pos", "neg"]),
+    booleans=st.dictionaries(st.sampled_from(BOOLEAN_FEATURES),
+                             st.floats(min_value=0.0, max_value=1.0)),
+    categoricals=st.dictionaries(st.sampled_from(CATEGORICAL_FEATURES),
+                                 distributions(st.text(max_size=6))),
+    numerics=st.fixed_dictionaries({}, optional={
+        "f13": distributions(whole_numbers), "f14": distributions(whole_numbers),
+        "f15": distributions(st.floats(min_value=0.0, max_value=1.0)),
+    }),
+)
+
+
+@PROPERTY
+@given(specs)
+def test_a_spec_round_trips_through_its_json(spec):
+    assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
+
+
+query_vectors = st.lists(
+    st.builds(
+        FeatureVector,
+        domain=st.just("q.test"),
+        f1=st.booleans(), f2=st.booleans(), f3=st.booleans(), f4=st.booleans(),
+        f5=st.booleans(), f6=st.booleans(), f7=st.booleans(), f8=st.booleans(),
+        # categories seen in training, and others
+        f9=st.one_of(st.sampled_from(["JustNone", "Let's Encrypt"]), st.text(max_size=6)),
+        f10=st.text(max_size=6), f11=st.one_of(st.sampled_from(["US", "JustNone"]),
+                                               st.text(max_size=3)),
+        f12=st.text(max_size=3),
+        f13=st.integers(min_value=-(10**300), max_value=10**300),
+        f14=st.integers(min_value=-(10**20), max_value=10**20),
+        f15=st.floats(min_value=0.0, max_value=1.0),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_model_round_trips_through_its_json_to_equal_scores(kind, rows):
+    hyperparameters = {"knn": {"k": 3}}.get(kind, {"n_trees": 3} if kind != "tree" else {})
+    model = train(Dataset(rows), kind, hyperparameters, seed=1)
+    loaded = model_from_json(json.loads(json.dumps(model_to_json(model))))
+
+    @PROPERTY
+    @given(query_vectors)
+    def run(vectors):
+        labels, scores = model.predict_batch(vectors)
+        again, rescored = loaded.predict_batch(vectors)
+        assert again == labels and rescored.tobytes() == scores.tobytes()
+
+    run()
 
 
 # --- a tampered model document is refused or predicts -------------------------
