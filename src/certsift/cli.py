@@ -16,7 +16,7 @@ import contextlib
 import os
 import sys
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .corpus import CorpusFile, CorpusWriter, load_corpus, record_to_line
 from .errors import CertsiftError, MalformedInput, StorageFull, UsageError, reading
@@ -66,13 +66,26 @@ def _atomic_output(path: str | None) -> Iterator:
         raise
 
 
-def _read_domain_list(path: str) -> list[str]:
+def _read_domain_list(path: str) -> Iterable[str]:
+    """The names of a domain list, one a line, without blank lines and #
+    comments.  A regular file is read whole first, a piece at a time, so
+    that text that is not UTF-8 fails before any probe, and then streams
+    from a second read as probe_corpus asks for names; anything else, such
+    as a pipe, can be read once only, so its names are held."""
+    if not os.path.isfile(path):
+        return list(_domain_names(path))
     with reading(path, MalformedInput) as fh:
-        return [
-            line.strip()
-            for line in fh
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
+        while fh.read(1 << 16):
+            pass
+    return _domain_names(path)
+
+
+def _domain_names(path: str) -> Iterator[str]:
+    with reading(path, MalformedInput) as fh:
+        for line in fh:
+            name = line.strip()
+            if name and not name.startswith("#"):
+                yield name
 
 
 def _note(message: str) -> None:

@@ -315,8 +315,8 @@ def extract_corpus(
     raises IndexMismatch after the records before it, and only their links
     reach the caller's memo.  So the vectors, warnings and memo are one
     process's, and this process holds an offset per domain, the index (a
-    domain, fingerprint and serial per leaf) and the vectors: no record,
-    DER or certificate summary outside its own share.
+    fingerprint per domain and counts per fingerprint and serial) and the
+    vectors: no record, DER or certificate summary outside its own share.
 
     Chain verification, a signature check per leaf, is most of the cost.
     The shares are cut from more than _FORK_RECORDS records that carry a

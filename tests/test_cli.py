@@ -15,6 +15,7 @@ import socket
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from certsift import (
     verify_chain,
     write_corpus,
 )
-from certsift import features, parts
+from certsift import features, parts, probe
 from certsift.cli import _atomic_output, main
 from certsift.ml import FeatureColumn, FeatureSchema, default_schema, load_model
 from certsift.synth import load_spec, spec_to_json
@@ -953,6 +954,56 @@ class TestProbeCommand:
         code = run("probe", "--domains", str(domains_file), "--resolve", "nonsense")
         assert code == 1
         assert "usage error" in capsys.readouterr().err
+
+    def test_a_long_domain_list_streams_into_the_probes(self, tmp_path, monkeypatch, capsys):
+        # the list is read as probe_corpus asks for names, not held: at the
+        # 2,000th probe the traced peak stays far below the 200,000 names'
+        # 13.5 MiB as strings in a list, and no more threads than the
+        # concurrency are started
+        n, concurrency = 200_000, 2
+        domains_file = tmp_path / "domains.txt"
+        domains_file.write_text("# targets\n" + "".join(f"d{i}.test\n\n" for i in range(n)),
+                                encoding="utf-8")
+        before = threading.active_count()
+        started, calls, peak = [], [], []
+
+        def stub(domain, config):
+            started.append(threading.active_count() - before)
+            calls.append(None)
+            if len(calls) == 2000:
+                peak.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            return DomainRecord(domain=domain, http_ok=True, https_ok=False, harvest_time=T0)
+
+        monkeypatch.setattr(probe, "probe_domain", stub)
+        out = tmp_path / "corpus.ndjson"
+        tracemalloc.start()
+        try:
+            code = run("probe", "--domains", str(domains_file), "--out", str(out),
+                       "--concurrency", str(concurrency))
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert f"probed {n} domains: 0 both, 0 https_only, {n} http_only" in capsys.readouterr().err
+        assert peak[0] < 2 * 2**20, peak
+        assert max(started) <= concurrency
+        with open(out, encoding="utf-8") as fh:
+            assert [json.loads(line)["domain"] for line in fh] == [f"d{i}.test" for i in range(n)]
+
+    def test_a_domain_list_from_a_pipe_is_read_once(self, tmp_path, monkeypatch):
+        fifo = tmp_path / "domains.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text,
+                                  args=("a.test\n# comment\n  B.test \n",), kwargs={"encoding": "utf-8"})
+        writer.start()
+        monkeypatch.setattr(probe, "probe_domain", lambda domain, config: DomainRecord(
+            domain=domain, http_ok=True, https_ok=False, harvest_time=T0))
+        out = tmp_path / "corpus.ndjson"
+        try:
+            assert run("probe", "--domains", str(fifo), "--out", str(out)) == 0
+        finally:
+            writer.join()
+        assert [r.domain for r in load_corpus(out)] == ["a.test", "b.test"]
 
     def test_zero_concurrency_exit_1(self, tmp_path, capsys):
         domains_file = tmp_path / "domains.txt"

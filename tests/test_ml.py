@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -1739,6 +1740,34 @@ class TestPersistence:
         assert loaded.encode(queries).tobytes() == model.encode(queries).tobytes()
         assert loaded.matrix.tobytes() == model.matrix.tobytes()
 
+    def test_loading_holds_each_payload_as_lists_once_and_copies_no_array(self, tmp_path):
+        # a 100-tree forest and a k-NN model at the benchmark's size (1,020
+        # training rows).  The forest's number lists become arrays as its
+        # payload closes and reach the table uncopied: about 130 traced bytes
+        # a node at the peak, where lists held through the checks and their
+        # float64 copies took 245.  A k-NN matrix's lists all exist when its
+        # payload closes, so its peak is nearly the lists' (about 57 bytes a
+        # cell, 61 before).
+        rows = sample_corpus(load_spec("phishing"), load_spec("alexa"), 510, 5).rows
+        for kind, hp in ((KIND_FOREST, {"n_trees": 100}), (KIND_KNN, None)):
+            path = tmp_path / f"{kind}.json"
+            save_model(train(Dataset(rows), kind, hp, seed=5), path)
+            tracemalloc.start()
+            try:
+                model = load_model(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if kind == KIND_FOREST:
+                assert model.table.column.size > 20_000
+                assert peak < 160 * model.table.column.size, peak
+                arrays = [getattr(model.table, name) for name in
+                          ("column", "value", "left", "fraction", "count")]
+            else:
+                assert peak < 64 * model.matrix.size, peak
+                arrays = [model.matrix, model.labels]
+            assert all(a.flags.owndata and a.base is None for a in arrays)
+
     def test_round_trip_preserves_document(self, tmp_path):
         model = train(self._mixed_dataset(), KIND_KNN)
         path = tmp_path / "knn.model.json"
@@ -1914,6 +1943,11 @@ class TestPersistence:
             lambda inst, hp: inst["vocabs"].__setitem__("f9", {"CA A": 1.7, "CA B": 0.2}),
             lambda inst, hp: inst["vocabs"].__setitem__("f9", {"CA A": 5, "CA B": -3}),
             lambda inst, hp: inst["ranges"]["f15"].reverse(),
+            # a range of one number, and a whole number past what a float64
+            # holds: no IndexError or OverflowError escapes
+            lambda inst, hp: inst["ranges"]["f15"].pop(),
+            lambda inst, hp: inst["ranges"]["f14"].__setitem__(1, 10**400),
+            lambda inst, hp: inst["matrix"][0].__setitem__(12, 10**400),
         ],
     )
     def test_corrupt_knn_documents(self, mutate, tmp_path):

@@ -1,5 +1,6 @@
 """Property-based tests: hostile file contents end in a CertsiftError that
-names the file, or in a result; any certificate blob parses or raises
+names the file, or in a result; a model file loads as the model or the
+error its text gives; any certificate blob parses or raises
 MalformedInput; any corpus line loads or raises a CertsiftError, and a
 written record loads back equal; the order of a feature CSV's rows never
 reaches the model file, nor the order of a corpus's lines the features.
@@ -18,6 +19,7 @@ import os
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -334,30 +336,117 @@ def _refingerprint(doc) -> None:
         pass  # the mutation broke the schema itself; loading must refuse it
 
 
+def _mutations(original):
+    """The strategies of a one-field mutation of a model document: a path
+    to any of its values (or to a schema column's name or kind), and the
+    value put there."""
+    paths = [p for p in _paths(original) if p]
+    schema_paths = [p for p in paths if p[0] == "schema" and p[-1] in ("name", "kind")]
+    return (st.one_of(st.sampled_from(paths), st.sampled_from(schema_paths)),
+            st.one_of(json_values, st.sampled_from(list(FEATURE_KINDS.values())
+                                                   + list(FEATURE_KINDS) + ["zz"])))
+
+
+def _mutated(original, path, value) -> dict:
+    doc = copy.deepcopy(original)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    if path[0] == "schema" and path[-1] != "fingerprint":
+        _refingerprint(doc)
+    return doc
+
+
 @pytest.mark.parametrize("kind", ["tree", "forest", "knn"])
 def test_one_field_mutation_of_a_model_is_refused_or_predicts(kind, trained_docs, rows):
     original = trained_docs[kind]
-    paths = [p for p in _paths(original) if p]
-    schema_paths = [p for p in paths if p[0] == "schema" and p[-1] in ("name", "kind")]
 
     @PROPERTY
-    @given(st.one_of(st.sampled_from(paths), st.sampled_from(schema_paths)),
-           st.one_of(json_values, st.sampled_from(list(FEATURE_KINDS.values())
-                                                  + list(FEATURE_KINDS) + ["zz"])))
+    @given(*_mutations(original))
     def run(path, value):
-        doc = copy.deepcopy(original)
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
-        if path[0] == "schema" and path[-1] != "fingerprint":
-            _refingerprint(doc)
+        doc = _mutated(original, path, value)
         try:
             model = model_from_json(json.loads(json.dumps(doc)))
             labels, scores = model.predict_batch(rows)
         except CertsiftError:
             return
         assert len(labels) == len(scores) == len(rows)
+
+    run()
+
+
+# --- a model file loads as its text does ---------------------------------------
+
+NODE_ARRAYS = ("column", "value", "left", "fraction", "count")
+# whole numbers about 2^53, where a float64 stops holding every one
+near_2_53 = st.one_of(st.integers(min_value=2**53 - 2, max_value=2**53 + 3),
+                      st.sampled_from([2.0**53 - 1, 2.0**53, 2.0**53 + 2]))
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except CertsiftError as exc:
+        return exc
+
+
+def _float64_reading(payload) -> list:
+    """A tree payload's node arrays as loading always read them: each cell
+    as float64, a leaf's left as -1, then in the table's dtypes."""
+    column, value, left, fraction, count = (np.array(payload[name]).astype(np.float64)
+                                            for name in NODE_ARRAYS)
+    left = np.where(column < 0, -1.0, left)
+    return [column.astype(np.intp), value, left.astype(np.intp), fraction, count.astype(np.int64)]
+
+
+@pytest.mark.parametrize("kind", ["tree", "forest", "knn"])
+def test_a_model_file_loads_as_its_text_does(kind, trained_docs, tmp_path):
+    # load_model turns payload lists into arrays as the decoder closes each
+    # payload; model_from_json takes the lists: the same model, or the same
+    # error with the file's name in front
+    original = trained_docs[kind]
+    mutations = st.tuples(*_mutations(original))
+    leaves = []
+    if kind != "knn":
+        leaves = [i for i, column in enumerate(original["nodes"]["column"]) if column < 0]
+        mutations |= st.tuples(st.sampled_from(leaves).map(lambda i: ("nodes", "count", i)),
+                               near_2_53)
+    path = str(tmp_path / "model.json")
+
+    @PROPERTY
+    @given(mutations, query_vectors)
+    def run(mutation, vectors):
+        text = json.dumps(_mutated(original, *mutation))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        loaded = _outcome(load_model, path)
+        read = _outcome(model_from_json, json.loads(text))
+        where, value = mutation
+        if (where[:2] == ("nodes", "count") and where[2] in leaves
+                and type(value) in (int, float) and abs(value - 2**53) <= 3):
+            # a leaf count is read as a float64, which must be at most 2^53
+            assert isinstance(read, CertsiftError) == (float(value) > 2**53), read
+        if isinstance(read, CertsiftError):
+            assert type(loaded) is type(read) and str(loaded) == f"{path}: {read}"
+            return
+        assert not isinstance(loaded, CertsiftError), loaded
+        doc = json.loads(text)
+        if read.kind == "knn":
+            want = [np.array(doc["instances"][name], dtype=np.float64)
+                    for name in ("matrix", "labels")]
+            got = [[model.matrix, model.labels] for model in (loaded, read)]
+        else:
+            want = _float64_reading(doc["nodes"])
+            got = [[getattr(model.table, name) for name in NODE_ARRAYS] for model in (loaded, read)]
+        for arrays in got:
+            assert [(a.dtype, a.tobytes()) for a in arrays] == [(a.dtype, a.tobytes()) for a in want]
+        scored = [_outcome(model.predict_batch, vectors) for model in (loaded, read)]
+        if isinstance(scored[1], CertsiftError):
+            assert str(scored[0]) == str(scored[1])
+        else:
+            (labels, scores), (again, rescored) = scored
+            assert labels == again and scores.tobytes() == rescored.tobytes()
 
     run()
 
