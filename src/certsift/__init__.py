@@ -27,7 +27,6 @@ from .certs import (
 from .corpus import (
     CorpusIndex,
     CorpusWriter,
-    build_corpus_index,
     load_corpus,
     write_corpus,
 )
@@ -35,6 +34,7 @@ from .errors import CertsiftError
 from .features import (
     BogusValueList,
     FeatureVector,
+    build_corpus_index,
     extract_corpus,
     extract_features,
     jaccard,

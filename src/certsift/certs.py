@@ -31,6 +31,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
+from warnings import catch_warnings, simplefilter
 
 from .errors import MalformedInput, reading
 
@@ -211,7 +212,10 @@ def parse_certificate(blob: bytes | str) -> CertificateSummary:
 
 def _parse_certificate(blob: bytes | str, warnings: list[tuple]) -> CertificateSummary:
     """parse_certificate, which appends each warning it has, as a logging
-    (format, *args) tuple, to warnings instead of logging it."""
+    (format, *args) tuple, to warnings instead of logging it: first each
+    distinct Python warning cryptography raised as the certificate loaded
+    and its fields were read, recorded (which swaps process-wide state, so
+    certsift parses in one thread per process), then certsift's own."""
     from cryptography import x509
 
     if isinstance(blob, str):
@@ -222,20 +226,24 @@ def _parse_certificate(blob: bytes | str, warnings: list[tuple]) -> CertificateS
         der = _pem_to_der(blob)
     else:
         der = bytes(blob)
-    try:
-        cert = x509.load_der_x509_certificate(der)
-    except Exception as exc:
-        raise MalformedInput(f"certificate does not decode: {exc}") from exc
-
-    try:
-        serial = cert.serial_number
-        oid = cert.signature_algorithm_oid.dotted_string
-        issuer = _convert_name(cert.issuer)
-        subject = _convert_name(cert.subject)
-        not_before = int(cert.not_valid_before_utc.timestamp())
-        not_after = int(cert.not_valid_after_utc.timestamp())
-    except Exception as exc:
-        raise MalformedInput(f"certificate fields do not decode: {exc}") from exc
+    with catch_warnings(record=True) as raised:
+        simplefilter("always")
+        try:
+            try:
+                cert = x509.load_der_x509_certificate(der)
+            except Exception as exc:
+                raise MalformedInput(f"certificate does not decode: {exc}") from exc
+            try:
+                serial = cert.serial_number
+                oid = cert.signature_algorithm_oid.dotted_string
+                issuer = _convert_name(cert.issuer)
+                subject = _convert_name(cert.subject)
+                not_before = int(cert.not_valid_before_utc.timestamp())
+                not_after = int(cert.not_valid_after_utc.timestamp())
+            except Exception as exc:
+                raise MalformedInput(f"certificate fields do not decode: {exc}") from exc
+        finally:
+            warnings += [("%s", text) for text in dict.fromkeys(str(w.message) for w in raised)]
 
     if serial < 0:
         warnings.append(("negative serial %d normalized to absolute value", serial))
@@ -291,8 +299,10 @@ def _signature_valid(child: CertificateSummary, parent: CertificateSummary) -> b
     from cryptography.hazmat.primitives.asymmetric import dsa, ec, ed448, ed25519, rsa
 
     try:
-        child_x = x509.load_der_x509_certificate(child.der_bytes)
-        key = x509.load_der_x509_certificate(parent.der_bytes).public_key()
+        with catch_warnings():  # the parse of each already reported its warnings
+            simplefilter("ignore")
+            child_x = x509.load_der_x509_certificate(child.der_bytes)
+            key = x509.load_der_x509_certificate(parent.der_bytes).public_key()
         signature, tbs = child_x.signature, child_x.tbs_certificate_bytes
         if isinstance(key, rsa.RSAPublicKey):
             padding = child_x.signature_algorithm_parameters

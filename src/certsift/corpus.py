@@ -9,6 +9,10 @@ extraction needs: is this exact certificate served by more than one domain,
 and is this serial number shared by certificates of more than one
 domain/certificate pair.  Only the newest record per domain counts, so
 re-probing a domain updates rather than double-counts it.
+
+This module stores, reads and counts; it never parses a certificate.  The
+index is built in certsift.features, whose one leaf step decides how a
+harvested certificate is parsed, skipped and warned about.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .certs import CertificateSummary, parse_certificate
-from .errors import CorruptRecord, MalformedInput, SerializationFailure, StorageFull
+from .errors import CorruptRecord, SerializationFailure, StorageFull
 from .probe import DomainRecord
 
 log = logging.getLogger(__name__)
@@ -337,28 +340,3 @@ def latest_records(records: Iterable[DomainRecord]) -> list[DomainRecord]:
         if prev is None or record.harvest_time >= prev.harvest_time:
             latest[record.domain] = record
     return list(latest.values())
-
-
-def _parse_leaf(record: DomainRecord) -> CertificateSummary | None:
-    if record.cert_der is None:
-        return None
-    try:
-        return parse_certificate(record.cert_der)
-    except MalformedInput as exc:
-        log.warning("skipping unparseable certificate for %s: %s", record.domain, exc)
-        return None
-
-
-def build_corpus_index(records: Iterable[DomainRecord]) -> CorpusIndex:
-    """Index the newest record of every domain that delivered a certificate.
-
-    The record's bytes are parsed here, and records whose bytes do not
-    parse are skipped with a warning; they cannot contribute a serial and
-    their fingerprint would never be asked about by the feature extractor
-    (which parses first).
-    """
-    return CorpusIndex.from_entries(
-        (record.domain, summary.fingerprint, str(summary.serial))
-        for record in latest_records(records)
-        if (summary := _parse_leaf(record)) is not None
-    )

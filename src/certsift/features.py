@@ -279,6 +279,57 @@ def _newest(records: Iterable[DomainRecord] | CorpusFile) -> tuple[dict, Callabl
     return {r.domain: r for r in latest_records(records) if r.cert_der is not None}, iter
 
 
+# An event is (key, logger name, messages): a parse's warnings keyed by the
+# DER's digest, a skipped leaf keyed by its domain, each logged the first
+# time its key comes; a skipped chain certificate, key None, every time.
+def _parse(der: bytes, anchor_of: dict) -> tuple[CertificateSummary | str, tuple]:
+    """der's summary (an anchor's own when anchor_of, DER -> summary, holds
+    it), or the error text of a failed parse (an exception's traceback
+    would hold the caller's frame), and the events of its parse."""
+    summary = anchor_of.get(der)
+    if summary is not None:
+        return summary, ()
+    warnings: list[tuple] = []
+    try:
+        summary = _parse_certificate(der, warnings)
+    except MalformedInput as exc:
+        summary = str(exc)
+    if not warnings:
+        return summary, ()
+    return summary, ((hashlib.sha256(der).digest(), certs_log.name, tuple(warnings)),)
+
+
+def _leaf(record: DomainRecord, anchor_of: dict) -> tuple[CertificateSummary | None, tuple]:
+    """The one rule for a harvested leaf: its summary and its leaf row,
+    (events, the index's (domain, fingerprint, decimal serial)); or None and
+    (events, None), the skip warned about once per domain, if it does not parse."""
+    cert, events = _parse(record.cert_der, anchor_of)
+    if isinstance(cert, str):
+        skip = (record.domain, log.name, (("skipping %s: %s", record.domain, cert),))
+        return None, (events + (skip,), None)
+    return cert, (events, (record.domain, cert.fingerprint, str(cert.serial)))
+
+
+def _replay(events: Iterable[tuple], seen: set) -> None:
+    """Log the events whose key is not yet in seen, and add their keys."""
+    for key, logger, messages in events:
+        if key is None or key not in seen:
+            seen.add(key)
+            for message in messages:
+                logging.getLogger(logger).warning(*message)
+
+
+def build_corpus_index(records: Iterable[DomainRecord]) -> CorpusIndex:
+    """Index the newest record of every domain that delivered a certificate,
+    through extract_corpus's own leaf step: a leaf that does not parse is
+    skipped with extraction's warning, and each distinct certificate's
+    parse warnings are logged once."""
+    newest, read = _newest(records)
+    leaf_rows = [_leaf(record, {})[1] for record in read(newest.values())]
+    _replay(chain.from_iterable(events for events, _ in leaf_rows), set())
+    return CorpusIndex.from_entries(entry for _, entry in leaf_rows if entry)
+
+
 def extract_corpus(
     records: Iterable[DomainRecord] | CorpusFile,
     trust_store: IssuerIndex | Iterable[CertificateSummary] = (),
@@ -305,13 +356,14 @@ def extract_corpus(
     featurizes each.  It holds one record's objects at a time and a cache
     of the chain certificates it has parsed, which grows with the distinct
     CA certificates; a leaf that several domains serve is parsed once per
-    domain.  A share logs nothing and sends back compact rows: a vector
-    without f6 and f7, the leaf's fingerprint and serial, the record's
-    warnings as events, and the CA links it added to a copy of the
-    anchors' memo.  After the join this process logs the warnings in one
-    process's order (every leaf's, then the index corpus's, then each
-    record's chain certificates', up to any mismatch), builds the index
-    from the rows, and fills in f6 and f7.  A record the index lacks
+    domain.  A share logs nothing and sends back compact rows: _leaf's row
+    (the leaf's warnings as events, its index entry), a vector without f6
+    and f7, the chain certificates' events and the CA links it added to a
+    copy of the anchors' memo; an index record sends its leaf row alone.
+    After the join this process logs the warnings in one process's order
+    (every leaf's, then the index corpus's, then each record's chain
+    certificates', up to any mismatch), builds the index from the index
+    corpus's leaf rows, and fills in f6 and f7.  A record the index lacks
     raises IndexMismatch after the records before it, and only their links
     reach the caller's memo.  So the vectors, warnings and memo are one
     process's, and this process holds an offset per domain, the index (a
@@ -343,37 +395,10 @@ def extract_corpus(
     # servers often present an anchor, whose summary is at hand
     anchor_of = {anchor.der_bytes: anchor for anchor in anchors.by_fingerprint.values()}
 
-    # An event is (key, logger name, messages): a parse's warnings keyed by
-    # the DER's digest, a skipped leaf keyed by its domain, each logged the
-    # first time its key comes; a skipped chain certificate, key None,
-    # every time.
-    def parse(der: bytes) -> tuple[CertificateSummary | str, tuple]:
-        """der's summary, or the error text of a failed parse (an exception's
-        traceback would hold this frame), and the events of its parse."""
-        summary = anchor_of.get(der)
-        if summary is not None:
-            return summary, ()
-        warnings: list[tuple] = []
-        try:
-            summary = _parse_certificate(der, warnings)
-        except MalformedInput as exc:
-            summary = str(exc)
-        if not warnings:
-            return summary, ()
-        return summary, ((hashlib.sha256(der).digest(), certs_log.name, tuple(warnings)),)
-
-    def leaf(record: DomainRecord) -> tuple[CertificateSummary | None, tuple]:
-        cert, events = parse(record.cert_der)
-        if not isinstance(cert, str):
-            return cert, events
-        return None, events + ((record.domain, log.name, (("skipping %s: %s", record.domain, cert),)),)
-
     def run(part: tuple[list, list]) -> tuple[list, list]:
-        """The rows of a share's records, each (leaf events, vector,
-        fingerprint, decimal serial, chain events, CA links), and of its
-        index records, each (leaf events, (domain, fingerprint, decimal
-        serial)); all but the events are None for a leaf that does not
-        parse."""
+        """The rows of a share's records, each (leaf row, vector, chain
+        events, CA links), the last three None for a leaf that does not
+        parse, and the leaf rows of its index records."""
         mine, my_indexed = part
         # the anchors with a memo of this share's own: the caller's gains
         # only the links of records before any mismatch, after the join
@@ -382,16 +407,16 @@ def extract_corpus(
         chains: dict[bytes, tuple] = {}
         rows = []
         for record in read(mine):
-            cert, events = leaf(record)
+            cert, leaf_row = _leaf(record, anchor_of)
             if cert is None:
-                rows.append((events, None, None, None, None, None))
+                rows.append((leaf_row, None, None, None))
                 continue
             presented, chain_events = [], []
             for der in record.presented_chain_der or ():
                 if der == record.cert_der:
                     continue
                 if der not in chains:
-                    chains[der] = parse(der)
+                    chains[der] = _parse(der, anchor_of)
                 summary, warned = chains[der]
                 chain_events += warned
                 if isinstance(summary, str):
@@ -402,14 +427,9 @@ def extract_corpus(
             known = len(links)
             vector = _features(cert, canonical_domain(record.domain), record.harvest_time, memo,
                                bogus, presented, shingle_size)
-            rows.append((events, vector, cert.fingerprint, str(cert.serial), tuple(chain_events),
+            rows.append((leaf_row, vector, tuple(chain_events),
                          tuple(islice(links.items(), known, None))))
-        index_rows = []
-        for record in read_indexed(my_indexed):
-            cert, events = leaf(record)
-            index_rows.append(
-                (events, cert and (record.domain, cert.fingerprint, str(cert.serial))))
-        return rows, index_rows
+        return rows, [_leaf(record, anchor_of)[1] for record in read_indexed(my_indexed)]
 
     shares = [(wheres, index_wheres)]
     if (anchors.by_fingerprint and len(wheres) > _FORK_RECORDS
@@ -422,28 +442,17 @@ def extract_corpus(
         rows += share_rows
         index_rows += share_index_rows
 
+    leaf_rows = [leaf_row for leaf_row, *_ in rows]
     seen: set = set()
-
-    def replay(events: tuple) -> None:
-        for key, logger, messages in events:
-            if key is None or key not in seen:
-                seen.add(key)
-                for message in messages:
-                    logging.getLogger(logger).warning(*message)
-
-    for events, *_ in chain(rows, index_rows):
-        replay(events)
-    if index_records is None:
-        index = CorpusIndex.from_entries(
-            (vector.domain, fingerprint, serial) for _, vector, fingerprint, serial, *_ in rows
-            if vector)
-    else:
-        index = CorpusIndex.from_entries(entry for _, entry in index_rows if entry)
+    _replay(chain.from_iterable(events for events, _ in chain(leaf_rows, index_rows)), seen)
+    index = CorpusIndex.from_entries(
+        entry for _, entry in (leaf_rows if index_records is None else index_rows) if entry)
     vectors = []
-    for _, vector, fingerprint, serial, events, links in rows:
+    for (_, entry), vector, events, links in rows:
         if vector is None:
             continue
-        replay(events)
+        _replay(events, seen)
+        _, fingerprint, serial = entry
         if not index.contains(vector.domain, fingerprint):
             raise _mismatch(vector.domain, fingerprint)
         anchors.link_verdicts.update(links)

@@ -159,6 +159,14 @@ def key_pem(key: rsa.RSAPrivateKey) -> bytes:
     )
 
 
+# what cryptography warns, through Python's warnings, when it loads the
+# negative-serial certificate of chain_corpus; certsift logs it instead
+NEGATIVE_SERIAL_WARNING = (
+    "Parsed a serial number which wasn't positive (i.e., it was negative or zero), which is "
+    "disallowed by RFC 5280. Loading this certificate will cause an exception in a future "
+    "release of cryptography.")
+
+
 @functools.lru_cache(maxsize=1)
 def chain_corpus() -> tuple[tuple, bytes]:
     """(records, anchor DER): a corpus of the cases extraction must tell

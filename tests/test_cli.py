@@ -21,7 +21,9 @@ from pathlib import Path
 import pytest
 from cryptography import x509
 
-from certbuild import DAY, T0, make_cert, name, rsa_key, to_pem
+from certbuild import (
+    DAY, NEGATIVE_SERIAL_WARNING, T0, chain_corpus, make_cert, name, rsa_key, to_pem,
+)
 from certsift import (
     DomainRecord,
     Verdict,
@@ -838,6 +840,55 @@ class TestExtractCommand:
         ) == 0
         assert len(forks) == cpus - 1
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_EXTRACT
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="extraction forks on Linux alone")
+    def test_extract_stderr_is_the_same_in_shares_and_holds_no_python_warning(self, tmp_path):
+        # chain_corpus, plus a domain at each end serving its negative-serial
+        # certificate, in a fresh interpreter each time, so that no warning
+        # registry or filter of this one hides what a child prints
+        records, root_der = chain_corpus()
+        (chained,) = [r for r in records if r.domain == "negative-chain.test"]
+        negative = chained.presented_chain_der[1]
+        records += tuple(
+            DomainRecord(domain=domain, http_ok=True, https_ok=True, harvest_time=T0,
+                         cert_der=negative, presented_chain_der=(negative,))
+            for domain in ("a-negative.test", "z-negative.test"))
+        write_corpus(tmp_path / "corpus.ndjson", records)
+        (tmp_path / "anchors.pem").write_bytes(to_pem(root_der))
+        script = """
+import os, sys
+from certsift import features, parts
+from certsift.cli import main
+forks, fork = [], os.fork
+def counted():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counted
+features._FORK_RECORDS = 1
+parts.usable_cpus = lambda: int(sys.argv[1])
+code = main(["extract", "--corpus", "corpus.ndjson", "--trust-store", "anchors.pem",
+             "--out", "features.csv"])
+print(len(forks))
+sys.exit(code)
+"""
+        src = str(Path(features.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONWARNINGS", None)
+        outputs = []
+        for shares in (1, 2, 3):
+            result = subprocess.run([sys.executable, "-c", script, str(shares)], cwd=tmp_path,
+                                    env=env, capture_output=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == b"%d\n" % (shares - 1)
+            outputs.append((result.stderr, (tmp_path / "features.csv").read_bytes()))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        stderr = outputs[0][0].decode("utf-8")
+        assert "Warning" not in stderr
+        assert stderr.count(NEGATIVE_SERIAL_WARNING) == 1
+        assert stderr.count("negative serial -124171225709483 normalized") == 1
 
 
 class TestProbeCommand:

@@ -14,6 +14,7 @@ import pytest
 from certbuild import T0, make_cert, rsa_key
 from certsift import DomainRecord, build_corpus_index, load_corpus, write_corpus
 from certsift.corpus import (
+    CorpusFile,
     CorpusIndex,
     CorpusWriter,
     format_timestamp,
@@ -184,6 +185,58 @@ class TestCorpusFile:
         assert [r.domain for r in load_corpus_stream(whole)] == ["one.test", "two.test"]
         torn = LinesOnly((lines[0] + "\n" + lines[1][:20]).encode())
         assert [r.domain for r in load_corpus_stream(torn)] == ["one.test"]
+
+
+class TestCorpusFileTwoPasses:
+    """CorpusFile: opening it is the first pass, records_at the second."""
+
+    def test_offsets_are_those_of_the_records_latest_records_picks(self, tmp_path):
+        der_a, _ = make_cert("a.test")
+        der_b, _ = make_cert("b.test", key=rsa_key(1))
+        records = [
+            _record(domain="a.test", cert=der_a),
+            _record(domain="b.test", cert=der_b),
+            _record(domain="a.test", cert=der_b),  # a tie: the later line wins
+            _record(domain="b.test", https=False, time_=T0 + 5),  # newest, no certificate
+            _record(domain="c.test", cert=der_a, time_=T0 + 9),
+            _record(domain="c.test", cert=der_b),  # older
+        ]
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(path, records)
+        starts = [0]
+        for line in path.read_bytes().splitlines(keepends=True):
+            starts.append(starts[-1] + len(line))
+        corpus = CorpusFile(path)
+        assert corpus.offsets == {"a.test": starts[2], "c.test": starts[4]}
+        newest = [r for r in latest_records(records) if r.cert_der is not None]
+        assert list(corpus.records_at(corpus.offsets.values())) == newest
+        assert [r.domain for r in newest] == list(corpus.offsets)
+        assert corpus.records == len(records)
+
+    def test_records_counts_the_lines_that_decode(self, tmp_path):
+        der, _ = make_cert("a.test")
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(path, [_record(domain="a.test", cert=der), _record(domain="b.test")])
+        torn = record_to_line(_record(domain="c.test", cert=der)).encode("ascii")[:-7]
+        with open(path, "ab") as fh:
+            fh.write(b"\n   \n" + torn)
+        corpus = CorpusFile(path)
+        assert corpus.records == 2
+        assert list(corpus.offsets) == ["a.test"]
+
+    def test_a_line_changed_after_the_first_pass_names_its_byte_offset(self, tmp_path):
+        der, _ = make_cert("a.test")
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(path, [_record(domain="a.test", cert=der), _record(domain="b.test", cert=der)])
+        corpus = CorpusFile(path)
+        offset = corpus.offsets["b.test"]
+        with open(path, "r+b") as fh:
+            fh.seek(offset)
+            fh.write(b"[")
+        read = corpus.records_at(corpus.offsets.values())
+        assert next(read).domain == "a.test"
+        with pytest.raises(CorruptRecord, match=f"the line at byte {offset} no longer parses"):
+            next(read)
 
 
 class TestCorpusWriterClose:

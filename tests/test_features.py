@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import io
 import logging
 import os
@@ -15,7 +16,7 @@ import threading
 import pytest
 from cryptography import x509
 
-from certbuild import DAY, T0, chain_corpus, make_cert, name, rsa_key
+from certbuild import DAY, NEGATIVE_SERIAL_WARNING, T0, chain_corpus, make_cert, name, rsa_key
 from certsift import (
     BogusValueList,
     DomainRecord,
@@ -427,8 +428,39 @@ class TestExtractCorpus:
         assert without_chain[0].f5  # intermediate missing, path cannot build
 
 
+class TestBuildCorpusIndex:
+    """build_corpus_index runs extract_corpus's own leaf step, so it skips
+    and warns as extraction does."""
+
+    def test_a_certificate_two_domains_serve_is_warned_about_once(self, caplog):
+        (negative,) = [r for r in chain_corpus()[0] if r.domain == "negative-chain.test"]
+        der = negative.presented_chain_der[1]  # the negative-serial certificate
+        with caplog.at_level(logging.WARNING):
+            index = build_corpus_index(
+                [_corpus_record(domain, der) for domain in ("a.example", "b.example")])
+        assert [r.getMessage() for r in caplog.records] == [
+            NEGATIVE_SERIAL_WARNING,
+            "negative serial -124171225709483 normalized to absolute value",
+        ]
+        assert index.by_fingerprint == {hashlib.sha256(der).hexdigest(): 2}
+        assert index.by_serial == {"124171225709483": 2}
+
+    def test_an_unparseable_leaf_is_skipped_as_extraction_skips_it(self, caplog):
+        good_der, _ = make_cert("good.example")
+        records = [_corpus_record("junk.example", b"\xde\xad"),
+                   _corpus_record("good.example", good_der)]
+        with caplog.at_level(logging.WARNING):
+            extract_corpus(records[1:], index_records=records)
+        skipped = [(r.name, r.getMessage()) for r in caplog.records]
+        assert len(skipped) == 1 and "junk.example" in skipped[0][1]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            index = build_corpus_index(records)
+        assert [(r.name, r.getMessage()) for r in caplog.records] == skipped
+        assert list(index.fingerprints) == ["good.example"]
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="extraction forks on Linux alone")
-@pytest.mark.filterwarnings("ignore:Parsed a serial number which wasn't positive")
 class TestExtractionInShares:
     """extract_corpus's verify-and-feature loop, run in forked shares, makes
     one process's vectors, log records and CA link memo."""
@@ -474,6 +506,7 @@ class TestExtractionInShares:
         assert len(vectors) == 22 and sum(v.f5 for v in vectors) == 8
         assert [m for _, _, m in logged if "chain" in m or "negative" in m] == [
             "skipping unparseable chain certificate for junk-chain.test",
+            NEGATIVE_SERIAL_WARNING,
             "negative serial -124171225709483 normalized to absolute value",
         ]
         assert sorted(links.values()) == [False, True, True]  # tampered, shared CA links
@@ -522,7 +555,8 @@ class TestExtractionInShares:
                 patch.setattr(parts, "usable_cpus", lambda: cpus)
                 extract_corpus(records, [parse_certificate(root_der)])
             warned = [r.getMessage() for r in caplog.records if "negative" in r.getMessage()]
-            assert len(warned) == 1
+            assert warned == [NEGATIVE_SERIAL_WARNING,
+                              "negative serial -124171225709483 normalized to absolute value"]
         assert len(forks) == 1 + 2
 
     @pytest.mark.parametrize("failure", ["exits 1", "short data"])

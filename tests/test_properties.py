@@ -579,7 +579,6 @@ def _features_csv(records) -> str:
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="extraction forks on Linux alone")
-@pytest.mark.filterwarnings("ignore:Parsed a serial number which wasn't positive")
 def test_shuffled_corpus_lines_extract_the_same_features_csv_in_shares(monkeypatch):
     records = chain_corpus()[0]
     want = _features_csv(records)  # in one share: below the threshold
