@@ -20,7 +20,7 @@ import logging
 import os
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import chain
 from operator import attrgetter
 from sys import intern
 
@@ -279,13 +279,13 @@ def _newest(records: Iterable[DomainRecord] | CorpusFile) -> tuple[dict, Callabl
     return {r.domain: r for r in latest_records(records) if r.cert_der is not None}, iter
 
 
-# An event is (key, logger name, messages): a parse's warnings keyed by the
-# DER's digest, a skipped leaf keyed by its domain, each logged the first
-# time its key comes; a skipped chain certificate, key None, every time.
+# An event is (key, logger name, messages), logged the first time its key
+# comes: a certificate's parse warnings keyed by its DER's digest, a skipped
+# leaf keyed by its domain; a skipped chain certificate, key None, every time.
 def _parse(der: bytes, anchor_of: dict) -> tuple[CertificateSummary | str, tuple]:
     """der's summary (an anchor's own when anchor_of, DER -> summary, holds
     it), or the error text of a failed parse (an exception's traceback
-    would hold the caller's frame), and the events of its parse."""
+    would hold the caller's frame), and its parse's logging (format, *args) warnings."""
     summary = anchor_of.get(der)
     if summary is not None:
         return summary, ()
@@ -294,20 +294,28 @@ def _parse(der: bytes, anchor_of: dict) -> tuple[CertificateSummary | str, tuple
         summary = _parse_certificate(der, warnings)
     except MalformedInput as exc:
         summary = str(exc)
-    if not warnings:
-        return summary, ()
-    return summary, ((hashlib.sha256(der).digest(), certs_log.name, tuple(warnings)),)
+    return summary, tuple(warnings)
 
 
-def _leaf(record: DomainRecord, anchor_of: dict) -> tuple[CertificateSummary | None, tuple]:
-    """The one rule for a harvested leaf: its summary and its leaf row,
-    (events, the index's (domain, fingerprint, decimal serial)); or None and
-    (events, None), the skip warned about once per domain, if it does not parse."""
-    cert, events = _parse(record.cert_der, anchor_of)
+def _warned(der: bytes, warnings: tuple, domain: str, role: str) -> tuple:
+    """The event of a certificate's parse warnings, if any, each naming the
+    record: domain, role (leaf or chain) and the DER's SHA-256, cut to 16 digits."""
+    digest = hashlib.sha256(der)
+    return ((digest.digest(), certs_log.name, tuple(
+        ("%s: %s certificate %s: " + text, domain, role, digest.hexdigest()[:16], *args)
+        for text, *args in warnings)),) if warnings else ()
+
+
+def _leaf(record: DomainRecord, anchor_of: dict) -> tuple[CertificateSummary | None, tuple, tuple]:
+    """The one rule for a harvested leaf: its summary, its events and the
+    index's (domain, fingerprint, decimal serial); or, if it does not parse,
+    None, its events with the skip (warned about once per domain) and None."""
+    cert, warnings = _parse(record.cert_der, anchor_of)
+    events = _warned(record.cert_der, warnings, record.domain, "leaf")
     if isinstance(cert, str):
         skip = (record.domain, log.name, (("skipping %s: %s", record.domain, cert),))
-        return None, (events + (skip,), None)
-    return cert, (events, (record.domain, cert.fingerprint, str(cert.serial)))
+        return None, events + (skip,), None
+    return cert, events, (record.domain, cert.fingerprint, str(cert.serial))
 
 
 def _replay(events: Iterable[tuple], seen: set) -> None:
@@ -323,11 +331,11 @@ def build_corpus_index(records: Iterable[DomainRecord]) -> CorpusIndex:
     """Index the newest record of every domain that delivered a certificate,
     through extract_corpus's own leaf step: a leaf that does not parse is
     skipped with extraction's warning, and each distinct certificate's
-    parse warnings are logged once."""
+    parse warnings are logged once, naming the first domain that serves it."""
     newest, read = _newest(records)
-    leaf_rows = [_leaf(record, {})[1] for record in read(newest.values())]
-    _replay(chain.from_iterable(events for events, _ in leaf_rows), set())
-    return CorpusIndex.from_entries(entry for _, entry in leaf_rows if entry)
+    leaves = [_leaf(record, {})[1:] for record in read(newest.values())]
+    _replay(chain.from_iterable(events for events, _ in leaves), set())
+    return CorpusIndex.from_entries(entry for _, entry in leaves if entry)
 
 
 def extract_corpus(
@@ -342,9 +350,12 @@ def extract_corpus(
     Uses the newest record per domain.  The duplicate features are
     computed against index_records, or against the same records when it
     is None; either corpus may be records or a CorpusFile.  The trust
-    store and the default bogus list are built once per call.  Records
-    whose certificate bytes do not parse are skipped with one warning per
-    domain, and each distinct certificate's parse warnings are logged once.
+    store and the default bogus list are built once per call, and CA links
+    are checked against the call's own copy of the anchors' memo (see
+    IssuerIndex): a caller's IssuerIndex is read and never written.
+    Records whose certificate bytes do not parse are skipped with one
+    warning per domain, and each distinct certificate's parse warnings
+    are logged once, naming the record (see _warned).
 
     Two passes.  The first finds each domain's newest record that carries
     a certificate: a CorpusFile keeps its byte offset, made when the file
@@ -356,19 +367,18 @@ def extract_corpus(
     featurizes each.  It holds one record's objects at a time and a cache
     of the chain certificates it has parsed, which grows with the distinct
     CA certificates; a leaf that several domains serve is parsed once per
-    domain.  A share logs nothing and sends back compact rows: _leaf's row
-    (the leaf's warnings as events, its index entry), a vector without f6
-    and f7, the chain certificates' events and the CA links it added to a
-    copy of the anchors' memo; an index record sends its leaf row alone.
-    After the join this process logs the warnings in one process's order
-    (every leaf's, then the index corpus's, then each record's chain
-    certificates', up to any mismatch), builds the index from the index
-    corpus's leaf rows, and fills in f6 and f7.  A record the index lacks
-    raises IndexMismatch after the records before it, and only their links
-    reach the caller's memo.  So the vectors, warnings and memo are one
-    process's, and this process holds an offset per domain, the index (a
-    fingerprint per domain and counts per fingerprint and serial) and the
-    vectors: no record, DER or certificate summary outside its own share.
+    domain.  A share logs nothing and sends back one row per record,
+    (events, index entry, vector): its leaf's warnings, then its chain
+    certificates', as they arise; its leaf's entry; and its vector without
+    f6 and f7, None for an index record.  Both are None for a leaf that
+    does not parse.  After the join this process replays the index
+    corpus's rows, builds the index, and then, in one pass over the rows
+    in domain order, logs each row's events and fills in f6 and f7.  A
+    record the index lacks raises IndexMismatch after the records before
+    it, and later records log nothing.  So the vectors and warnings are
+    one process's, and this process holds an offset per domain, the index
+    (a fingerprint per domain and counts per fingerprint and serial) and
+    the vectors: no record, DER or certificate summary outside its share.
 
     Chain verification, a signature check per leaf, is most of the cost.
     The shares are cut from more than _FORK_RECORDS records that carry a
@@ -385,7 +395,8 @@ def extract_corpus(
     other sweeps two shares lost at every size, 1,000 records with anchors
     155 against 181 ms (0 of 20).
     """
-    anchors = IssuerIndex.of(trust_store)
+    anchors = copy.copy(IssuerIndex.of(trust_store))
+    anchors.link_verdicts = dict(anchors.link_verdicts)  # the call's own memo
     if bogus is None:
         bogus = BogusValueList.default()
     newest, read = _newest(records)
@@ -396,40 +407,31 @@ def extract_corpus(
     anchor_of = {anchor.der_bytes: anchor for anchor in anchors.by_fingerprint.values()}
 
     def run(part: tuple[list, list]) -> tuple[list, list]:
-        """The rows of a share's records, each (leaf row, vector, chain
-        events, CA links), the last three None for a leaf that does not
-        parse, and the leaf rows of its index records."""
+        """The rows of a share's records and of its index records."""
         mine, my_indexed = part
-        # the anchors with a memo of this share's own: the caller's gains
-        # only the links of records before any mismatch, after the join
-        memo = copy.copy(anchors)
-        memo.link_verdicts = links = dict(anchors.link_verdicts)
         chains: dict[bytes, tuple] = {}
         rows = []
         for record in read(mine):
-            cert, leaf_row = _leaf(record, anchor_of)
+            cert, events, entry = _leaf(record, anchor_of)
             if cert is None:
-                rows.append((leaf_row, None, None, None))
+                rows.append((events, None, None))
                 continue
-            presented, chain_events = [], []
+            presented = []
             for der in record.presented_chain_der or ():
                 if der == record.cert_der:
                     continue
                 if der not in chains:
                     chains[der] = _parse(der, anchor_of)
-                summary, warned = chains[der]
-                chain_events += warned
+                summary, warnings = chains[der]
+                events += _warned(der, warnings, record.domain, "chain")
                 if isinstance(summary, str):
-                    chain_events.append((None, log.name, (
-                        ("skipping unparseable chain certificate for %s", record.domain),)))
+                    events += ((None, log.name, (
+                        ("skipping unparseable chain certificate for %s", record.domain),)),)
                 else:
                     presented.append(summary)
-            known = len(links)
-            vector = _features(cert, canonical_domain(record.domain), record.harvest_time, memo,
-                               bogus, presented, shingle_size)
-            rows.append((leaf_row, vector, tuple(chain_events),
-                         tuple(islice(links.items(), known, None))))
-        return rows, [_leaf(record, anchor_of)[1] for record in read_indexed(my_indexed)]
+            rows.append((events, entry, _features(cert, record.domain, record.harvest_time,
+                                                  anchors, bogus, presented, shingle_size)))
+        return rows, [(*_leaf(record, anchor_of)[1:], None) for record in read_indexed(my_indexed)]
 
     shares = [(wheres, index_wheres)]
     if (anchors.by_fingerprint and len(wheres) > _FORK_RECORDS
@@ -437,25 +439,22 @@ def extract_corpus(
         n = min(cpus, len(wheres))
         shares = [tuple(items[len(items) * i // n : len(items) * (i + 1) // n]
                         for items in (wheres, index_wheres)) for i in range(n)]
-    rows, index_rows = [], []
-    for share_rows, share_index_rows in parts.in_parts(run, shares):
-        rows += share_rows
-        index_rows += share_index_rows
+    # each share's (rows, index rows), joined in share order
+    rows, index_rows = (list(chain.from_iterable(joined))
+                        for joined in zip(*parts.in_parts(run, shares)))
 
-    leaf_rows = [leaf_row for leaf_row, *_ in rows]
     seen: set = set()
-    _replay(chain.from_iterable(events for events, _ in chain(leaf_rows, index_rows)), seen)
+    _replay(chain.from_iterable(events for events, _, _ in index_rows), seen)
     index = CorpusIndex.from_entries(
-        entry for _, entry in (leaf_rows if index_records is None else index_rows) if entry)
+        entry for _, entry, _ in (rows if index_records is None else index_rows) if entry)
     vectors = []
-    for (_, entry), vector, events, links in rows:
+    for events, entry, vector in rows:
+        _replay(events, seen)
         if vector is None:
             continue
-        _replay(events, seen)
         _, fingerprint, serial = entry
         if not index.contains(vector.domain, fingerprint):
             raise _mismatch(vector.domain, fingerprint)
-        anchors.link_verdicts.update(links)
         f6, f7 = index.shared_certificate(fingerprint), index.shared_serial(serial)
         vectors.append(replace(vector, f6=f6, f7=f7) if f6 or f7 else vector)
     return vectors

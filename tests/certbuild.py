@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import datetime
 import functools
+import hashlib
 
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes, serialization
@@ -159,12 +160,98 @@ def key_pem(key: rsa.RSAPrivateKey) -> bytes:
     )
 
 
+def _der(tag: int, content: bytes) -> bytes:
+    """One DER element: a one-byte tag, the definite length, the content."""
+    size = len(content)
+    if size < 0x80:
+        return bytes([tag, size]) + content
+    width = (size.bit_length() + 7) // 8
+    return bytes([tag, 0x80 | width]) + size.to_bytes(width, "big") + content
+
+
+def _elements(content: bytes) -> list[tuple[int, bytes]]:
+    """The (tag, content) of each DER element that content holds in a row."""
+    elements, at = [], 0
+    while at < len(content):
+        tag, size, at = content[at], content[at + 1], at + 2
+        if size & 0x80:
+            width = size & 0x7F
+            size, at = int.from_bytes(content[at:at + width], "big"), at + width
+        elements.append((tag, content[at:at + size]))
+        at += size
+    return elements
+
+
+def _extension(oid: str, value: bytes, critical: bool = False) -> bytes:
+    """An Extension SEQUENCE for a dotted OID whose arcs after the first
+    two are each below 128, with value as its extnValue's content."""
+    first, second, *rest = (int(arc) for arc in oid.split("."))
+    body = _der(0x06, bytes([40 * first + second, *rest]))
+    return _der(0x30, body + (_der(0x01, b"\xff") if critical else b"") + _der(0x04, value))
+
+
+# TBS elements of make_cert's certificates, which are v3 without extensions:
+# version, serial, signature algorithm, issuer, validity, subject, key
+_SERIAL, _VALIDITY, _SUBJECT = 1, 4, 5
+
+
+def _put(at: int, element: tuple[int, bytes]):
+    return lambda tbs: tbs[:at] + [element] + tbs[at + 1:]
+
+
+def _extended(*extensions: bytes):
+    return lambda tbs: tbs + [(0xA3, _der(0x30, b"".join(extensions)))]
+
+
+# Certificate shapes that harvested servers serve and that cryptography's
+# builder refuses to make, as edits of a self-signed certificate's TBS
+# elements: the serials RFC 5280 forbids, names and dates at their limits,
+# extensions whose values do not decode, and a v1 certificate, which has
+# no version element and no extensions.
+SHAPES = {
+    "negative serial": _put(_SERIAL, (0x02, bytes.fromhex("8f1122334455"))),
+    "zero serial": _put(_SERIAL, (0x02, b"\x00")),
+    "21-byte serial": _put(_SERIAL, (0x02, bytes(range(1, 22)))),
+    "v1": lambda tbs: tbs[1:],
+    "empty subject": _put(_SUBJECT, (0x30, b"")),
+    "notBefore equals notAfter": lambda tbs: _put(_VALIDITY, (
+        0x30, 2 * _der(*_elements(tbs[_VALIDITY][1])[0])))(tbs),
+    "garbage basicConstraints": _extended(_extension("2.5.29.19", b"garbage")),
+    "garbage keyUsage": _extended(_extension("2.5.29.15", b"garbage")),
+    "garbage subjectAltName": _extended(_extension("2.5.29.17", b"garbage")),
+    "duplicated extension": _extended(*2 * [_extension("2.5.29.19", _der(0x30, b""))]),
+    "unknown critical extension": _extended(
+        _extension("1.3.6.1.4.1.99.1", _der(0x05, b""), critical=True)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def shape_certificate(shape: str, cn: str = "shape.test") -> bytes:
+    """A self-signed certificate for cn in one of SHAPES, its TBS edited and
+    signed again (RSA PKCS#1 v1.5, SHA-256), so its signature verifies."""
+    der, key = make_cert(cn, serial=4242, not_before=T0 - 30 * DAY, days=365)
+    ((_, cert),) = _elements(der)
+    (_, tbs), algorithm, _ = _elements(cert)
+    tbs = _der(0x30, b"".join(_der(*element) for element in SHAPES[shape](_elements(tbs))))
+    signature = key.sign(tbs, padding.PKCS1v15(), hashes.SHA256())
+    return _der(0x30, tbs + _der(*algorithm) + _der(0x03, b"\x00" + signature))
+
+
 # what cryptography warns, through Python's warnings, when it loads the
-# negative-serial certificate of chain_corpus; certsift logs it instead
+# negative-serial certificate of chain_corpus, or a certificate with a zero
+# serial; certsift logs it instead, and then its own note on the former
 NEGATIVE_SERIAL_WARNING = (
     "Parsed a serial number which wasn't positive (i.e., it was negative or zero), which is "
     "disallowed by RFC 5280. Loading this certificate will cause an exception in a future "
     "release of cryptography.")
+NEGATIVE_SERIAL_NOTE = "negative serial -124171225709483 normalized to absolute value"
+
+
+def record_warning(domain: str, role: str, der: bytes, message: str) -> str:
+    """A certificate's parse warning as extraction logs it, naming the
+    record: the domain, the certificate's role there (leaf or chain) and the
+    first 16 hex digits of its SHA-256."""
+    return f"{domain}: {role} certificate {hashlib.sha256(der).hexdigest()[:16]}: {message}"
 
 
 @functools.lru_cache(maxsize=1)

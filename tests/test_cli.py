@@ -22,7 +22,8 @@ import pytest
 from cryptography import x509
 
 from certbuild import (
-    DAY, NEGATIVE_SERIAL_WARNING, T0, chain_corpus, make_cert, name, rsa_key, to_pem,
+    DAY, NEGATIVE_SERIAL_NOTE, NEGATIVE_SERIAL_WARNING, T0, chain_corpus, make_cert, name,
+    record_warning, rsa_key, to_pem,
 )
 from certsift import (
     DomainRecord,
@@ -888,7 +889,11 @@ sys.exit(code)
         stderr = outputs[0][0].decode("utf-8")
         assert "Warning" not in stderr
         assert stderr.count(NEGATIVE_SERIAL_WARNING) == 1
-        assert stderr.count("negative serial -124171225709483 normalized") == 1
+        assert stderr.count(NEGATIVE_SERIAL_NOTE) == 1
+        # each names the first record in domain order that served it
+        lines = stderr.splitlines()
+        for message in (NEGATIVE_SERIAL_WARNING, NEGATIVE_SERIAL_NOTE):
+            assert record_warning("a-negative.test", "leaf", negative, message) in lines
 
 
 class TestProbeCommand:

@@ -16,7 +16,18 @@ import threading
 import pytest
 from cryptography import x509
 
-from certbuild import DAY, NEGATIVE_SERIAL_WARNING, T0, chain_corpus, make_cert, name, rsa_key
+from certbuild import (
+    DAY,
+    NEGATIVE_SERIAL_NOTE,
+    NEGATIVE_SERIAL_WARNING,
+    T0,
+    chain_corpus,
+    make_cert,
+    name,
+    record_warning,
+    rsa_key,
+    shape_certificate,
+)
 from certsift import (
     BogusValueList,
     DomainRecord,
@@ -31,7 +42,7 @@ from certsift import (
     serial_digit_count,
     write_features_csv,
 )
-from certsift import features, parts
+from certsift import certs, features, parts
 from certsift.certs import IssuerIndex
 from certsift.errors import IndexMismatch, SerializationFailure
 from certsift.features import (
@@ -439,8 +450,8 @@ class TestBuildCorpusIndex:
             index = build_corpus_index(
                 [_corpus_record(domain, der) for domain in ("a.example", "b.example")])
         assert [r.getMessage() for r in caplog.records] == [
-            NEGATIVE_SERIAL_WARNING,
-            "negative serial -124171225709483 normalized to absolute value",
+            record_warning("a.example", "leaf", der, NEGATIVE_SERIAL_WARNING),
+            record_warning("a.example", "leaf", der, NEGATIVE_SERIAL_NOTE),
         ]
         assert index.by_fingerprint == {hashlib.sha256(der).hexdigest(): 2}
         assert index.by_serial == {"124171225709483": 2}
@@ -463,7 +474,8 @@ class TestBuildCorpusIndex:
 @pytest.mark.skipif(sys.platform != "linux", reason="extraction forks on Linux alone")
 class TestExtractionInShares:
     """extract_corpus's verify-and-feature loop, run in forked shares, makes
-    one process's vectors, log records and CA link memo."""
+    one process's vectors and log records, and leaves the caller's trust
+    store as it came."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -481,35 +493,44 @@ class TestExtractionInShares:
 
     @staticmethod
     def extracted(monkeypatch, caplog, cpus, **kwargs):
-        """(vectors, warning records, final link memo) of one extract_corpus
-        call over chain_corpus, every loop past the threshold, on cpus usable
-        CPUs (None: those usable_cpus finds).  The tests' farm threads may
-        be alive, so the count is set here."""
+        """(vectors or the IndexMismatch text, warning records) of one
+        extract_corpus call over chain_corpus, every loop past the threshold,
+        on cpus usable CPUs (None: those usable_cpus finds), against its
+        anchor unless kwargs name a trust_store.  The tests' farm threads
+        may be alive, so the count is set here."""
         corpus, root_der = chain_corpus()
-        anchors = IssuerIndex([parse_certificate(root_der)])
+        kwargs.setdefault("trust_store", [parse_certificate(root_der)])
         caplog.clear()
         with monkeypatch.context() as patch, caplog.at_level(logging.WARNING):
             patch.setattr(features, "_FORK_RECORDS", 1)
             if cpus is not None:
                 patch.setattr(parts, "usable_cpus", lambda: cpus)
             try:
-                vectors = extract_corpus(corpus, anchors, **kwargs)
+                vectors = extract_corpus(corpus, **kwargs)
             except IndexMismatch as exc:
                 vectors = str(exc)
-        logged = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
-        return vectors, logged, anchors.link_verdicts
+        return vectors, [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
 
     def test_shares_equal_one_process(self, monkeypatch, caplog, forks):
-        want = self.extracted(monkeypatch, caplog, 1)
-        vectors, logged, links = want
+        checked, check = [], certs._signature_valid
+        with monkeypatch.context() as patch:
+            patch.setattr(certs, "_signature_valid",
+                          lambda child, parent: checked.append(child) or check(child, parent))
+            want = self.extracted(monkeypatch, caplog, 1)
+        vectors, logged = want
         assert not forks
         assert len(vectors) == 22 and sum(v.f5 for v in vectors) == 8
+        (negative,) = [r for r in chain_corpus()[0] if r.domain == "negative-chain.test"]
+        der = negative.presented_chain_der[1]
         assert [m for _, _, m in logged if "chain" in m or "negative" in m] == [
             "skipping unparseable chain certificate for junk-chain.test",
-            NEGATIVE_SERIAL_WARNING,
-            "negative serial -124171225709483 normalized to absolute value",
+            record_warning("negative-chain.test", "chain", der, NEGATIVE_SERIAL_WARNING),
+            record_warning("negative-chain.test", "chain", der, NEGATIVE_SERIAL_NOTE),
         ]
-        assert sorted(links.values()) == [False, True, True]  # tampered, shared CA links
+        # the call's own memo checks each CA link once: 16 leaf links, and the
+        # links of the shared intermediate (nine leaves reach it), the tampered
+        # one (two) and the anchor under itself; 28 checks without the memo
+        assert len(checked) == 16 + 3
         for cpus in (2, 3):
             assert self.extracted(monkeypatch, caplog, cpus) == want
             assert len(forks) == cpus - 1
@@ -517,35 +538,73 @@ class TestExtractionInShares:
 
     def test_first_index_mismatch_is_raised_after_the_same_records(
             self, monkeypatch, caplog, forks):
-        # the index lacks a domain in the middle: one process logs the chain
+        # the index lacks a domain in the middle: one process logs the
         # warnings of the records before it, then raises its IndexMismatch
         records = chain_corpus()[0]
         index_records = [r for r in records if r.domain != "inter3.test"]
         want = self.extracted(monkeypatch, caplog, 1, index_records=index_records)
         assert "inter3.test" in want[0]
-        assert not any("junk-chain" in m for _, _, m in want[1])
+        # the index corpus's skipped leaf, then nothing of a later record
+        assert len(want[1]) == 1 and want[1][0][2].startswith("skipping junk-leaf.test: ")
         for cpus in (2, 3):
             assert self.extracted(monkeypatch, caplog, cpus,
                                   index_records=index_records) == want
             assert len(forks) == cpus - 1
             forks.clear()
 
-    def test_after_a_mismatch_the_memo_holds_the_links_of_the_records_before_it(
+    def test_extraction_leaves_the_callers_trust_store_as_it_came(
             self, monkeypatch, caplog, forks):
+        # the call reads the caller's memo and keeps the links it checks in a
+        # copy of its own, whether it returns or raises an IndexMismatch
         records, root_der = chain_corpus()
         index_records = [r for r in records if r.domain != "inter3.test"]
-        before = [r for r in records if r.domain < "inter3.test"]
-        alone = IssuerIndex([parse_certificate(root_der)])
-        extract_corpus(before, alone)
+        seeded = {("0" * 64, "1" * 64): False}  # a link no chain here reaches
+        for kwargs in ({}, {"index_records": index_records}):
+            for cpus in (1, 2, 3):
+                anchors = IssuerIndex([parse_certificate(root_der)])
+                anchors.link_verdicts.update(seeded)
+                vectors, _ = self.extracted(monkeypatch, caplog, cpus, trust_store=anchors,
+                                            **kwargs)
+                assert isinstance(vectors, str) == bool(kwargs)
+                assert anchors.link_verdicts == seeded
+                assert len(forks) == cpus - 1
+                forks.clear()
+
+    def test_each_record_logs_its_leaf_then_its_chain_in_domain_order(
+            self, monkeypatch, caplog, forks):
+        # every domain serves a zero-serial leaf and a negative-serial CA
+        # certificate of its own, then an unparseable one, in any share cut
+        root_der = chain_corpus()[1]
+        domains = [f"{letter}.test" for letter in "fbdaec"]
+        served = {domain: (shape_certificate("zero serial", domain),
+                           shape_certificate("negative serial", f"ca.{domain}"))
+                  for domain in domains}
+        records = [DomainRecord(domain=domain, http_ok=True, https_ok=True, harvest_time=T0,
+                                cert_der=leaf, presented_chain_der=(leaf, ca, b"\x30\x03bad"))
+                   for domain, (leaf, ca) in served.items()]
+        want = []
+        for domain in sorted(domains):
+            leaf, ca = served[domain]
+            want += [record_warning(domain, "leaf", leaf, NEGATIVE_SERIAL_WARNING),
+                     record_warning(domain, "chain", ca, NEGATIVE_SERIAL_WARNING),
+                     record_warning(domain, "chain", ca, NEGATIVE_SERIAL_NOTE),
+                     f"skipping unparseable chain certificate for {domain}"]
         for cpus in (1, 2, 3):
-            _, _, links = self.extracted(monkeypatch, caplog, cpus, index_records=index_records)
-            assert links == alone.link_verdicts
+            caplog.clear()
+            with monkeypatch.context() as patch, caplog.at_level(logging.WARNING):
+                patch.setattr(features, "_FORK_RECORDS", 1)
+                patch.setattr(parts, "usable_cpus", lambda: cpus)
+                extract_corpus(records, [parse_certificate(root_der)])
+            assert [r.getMessage() for r in caplog.records] == want
+            assert len(forks) == cpus - 1
+            forks.clear()
 
     def test_a_certificate_in_two_shares_is_warned_about_once(self, monkeypatch, caplog, forks):
         # the negative-serial chain certificate, presented by a domain at
         # each end of the corpus
         records, root_der = chain_corpus()
         (negative,) = [r for r in records if r.domain == "negative-chain.test"]
+        der = negative.presented_chain_der[1]
         records += (dataclasses.replace(negative, domain="a-negative-chain.test"),
                     dataclasses.replace(negative, domain="z-negative-chain.test"))
         for cpus in (1, 2, 3):
@@ -555,8 +614,9 @@ class TestExtractionInShares:
                 patch.setattr(parts, "usable_cpus", lambda: cpus)
                 extract_corpus(records, [parse_certificate(root_der)])
             warned = [r.getMessage() for r in caplog.records if "negative" in r.getMessage()]
-            assert warned == [NEGATIVE_SERIAL_WARNING,
-                              "negative serial -124171225709483 normalized to absolute value"]
+            assert warned == [  # named after the first record in domain order
+                record_warning("a-negative-chain.test", "chain", der, NEGATIVE_SERIAL_WARNING),
+                record_warning("a-negative-chain.test", "chain", der, NEGATIVE_SERIAL_NOTE)]
         assert len(forks) == 1 + 2
 
     @pytest.mark.parametrize("failure", ["exits 1", "short data"])
