@@ -14,11 +14,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import shutil
 import sys
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
-from .corpus import CorpusFile, CorpusWriter, load_corpus, record_to_line
+# load_corpus is called nowhere here; perfbench/tracing.py still wraps cli.load_corpus
+from .corpus import CorpusFile, CorpusWriter, load_corpus, record_to_line  # noqa: F401
 from .errors import CertsiftError, MalformedInput, StorageFull, UsageError, reading
 from .features import (
     BogusValueList,
@@ -66,14 +68,30 @@ def _atomic_output(path: str | None) -> Iterator:
         raise
 
 
-def _read_domain_list(path: str) -> Iterable[str]:
+@contextlib.contextmanager
+def _rereadable(path: str) -> Iterator[str]:
+    """path if it is a regular file, else (a pipe, /dev/stdin) a copy of it
+    in TMPDIR, made 64 KiB at a time and removed as the block ends: the one
+    place that knows whether an input can be read twice.  An error raised
+    in the block names path, not the copy."""
+    if os.path.isfile(path):
+        yield path
+        return
+    fd, copy = tempfile.mkstemp(prefix="certsift-")
+    try:
+        with os.fdopen(fd, "wb") as out, open(path, "rb") as source:
+            shutil.copyfileobj(source, out, 1 << 16)
+        yield copy
+    except CertsiftError as exc:
+        raise type(exc)(str(exc).replace(copy, path)) from exc
+    finally:
+        os.unlink(copy)
+
+
+def _read_domain_list(path: str) -> Iterator[str]:
     """The names of a domain list, one a line, without blank lines and #
-    comments.  A regular file is read whole first, a piece at a time, so
-    that text that is not UTF-8 fails before any probe, and then streams
-    from a second read as probe_corpus asks for names; anything else, such
-    as a pipe, can be read once only, so its names are held."""
-    if not os.path.isfile(path):
-        return list(_domain_names(path))
+    comments, from a second read (see _rereadable) as probe_corpus asks;
+    the first, a piece at a time, fails text that is not UTF-8 up front."""
     with reading(path, MalformedInput) as fh:
         while fh.read(1 << 16):
             pass
@@ -119,15 +137,14 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:  # an option out of range
         raise UsageError(str(exc)) from None
-    domains = _read_domain_list(args.domains)
-    if args.out in (None, "-"):
-        summary = probe_corpus(
-            domains, config, sink=lambda record: sys.stdout.write(record_to_line(record) + "\n")
-        )
-        sys.stdout.flush()
-    else:
-        with CorpusWriter(args.out, append=True) as writer:
-            summary = probe_corpus(domains, config, sink=writer.append)
+    with _rereadable(args.domains) as path:
+        domains = _read_domain_list(path)
+        if args.out in (None, "-"):
+            summary = probe_corpus(domains, config, sink=lambda r: print(record_to_line(r)))
+            sys.stdout.flush()
+        else:
+            with CorpusWriter(args.out, append=True) as writer:
+                summary = probe_corpus(domains, config, sink=writer.append)
     _note(
         f"probed {summary.total} domains: {summary.both} both, "
         f"{summary.https_only} https_only, {summary.http_only} http_only, "
@@ -136,29 +153,16 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _corpus(path: str) -> tuple[int, CorpusFile | list]:
-    """(record count, records) of a corpus: a regular file streams through
-    CorpusFile, whose first pass reports damage before any work; anything
-    else, such as a pipe, can be read once only, so its records are held."""
-    if os.path.isfile(path):
-        corpus = CorpusFile(path)
-        return corpus.records, corpus
-    records = load_corpus(path)
-    return len(records), records
-
-
-def _extract_vectors(args: argparse.Namespace):
-    count, corpus = _corpus(args.corpus)
-    index_corpus = _corpus(args.index_corpus)[1] if args.index_corpus else None
-    trust = load_trust_store(args.trust_store) if args.trust_store else []
-    bogus = BogusValueList.from_file(args.bogus_list) if args.bogus_list else None
-    return count, extract_corpus(
-        corpus,
-        trust_store=trust,
-        bogus=bogus,
-        shingle_size=args.shingle,
-        index_records=index_corpus,
-    )
+def _extract_vectors(args: argparse.Namespace) -> tuple[int, list]:
+    """(record count of --corpus, its feature vectors); damage fails before any work."""
+    with contextlib.ExitStack() as inputs:
+        corpus = CorpusFile(inputs.enter_context(_rereadable(args.corpus)))
+        index = (CorpusFile(inputs.enter_context(_rereadable(args.index_corpus)))
+                 if args.index_corpus else None)
+        trust = load_trust_store(args.trust_store) if args.trust_store else []
+        bogus = BogusValueList.from_file(args.bogus_list) if args.bogus_list else None
+        return corpus.records, extract_corpus(corpus, trust_store=trust, bogus=bogus,
+                                              shingle_size=args.shingle, index_records=index)
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
@@ -212,10 +216,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if bool(args.features) == bool(args.corpus):
         raise UsageError("exactly one of --features or --corpus is required")
     model = load_model(args.model)
-    if args.features:
-        vectors = read_features_csv(args.features)
-    else:
-        _, vectors = _extract_vectors(args)
+    vectors = read_features_csv(args.features) if args.features else _extract_vectors(args)[1]
     labels, scores = model.predict_batch(vectors)
     with _atomic_output(args.out) as out:
         writerow = csv_row_writer(out)

@@ -21,6 +21,7 @@ import base64
 import binascii
 import errno
 import io
+import itertools
 import json
 import logging
 import os
@@ -245,26 +246,19 @@ class CorpusFile:
 
     Opening it is the first pass: every line is decoded by
     load_corpus_stream's rules, so damage raises CorruptRecord here, and
-    only the byte offset of each domain's newest record (as
-    latest_records picks it) is kept, for the domains whose newest record
-    carries a certificate.  records_at is the second: it reads and decodes
-    the lines at given offsets again, through a file of its own, so a
-    forked child reads its share without moving its parent's file offset.
+    only newest_per_domain's byte offsets with a certificate are kept.
+    records_at is the second: it reads and decodes the lines at given
+    offsets again, through a file of its own, so a forked child reads its
+    share without moving its parent's file offset.
     """
 
     def __init__(self, path: str | os.PathLike):
         self.path = os.fspath(path)
-        self.records = 0  # lines that decode as records
-        newest: dict[str, tuple[int, int | None]] = {}  # domain -> (harvest_time, offset)
+        read = itertools.count()  # zip advances it once per line it takes
         with open(self.path, "rb") as fh:
-            for offset, record in _offset_records(fh, self.path):
-                self.records += 1
-                prev = newest.get(record.domain)
-                if prev is None or record.harvest_time >= prev[0]:
-                    newest[record.domain] = (
-                        record.harvest_time, None if record.cert_der is None else offset)
-        # domain -> offset, in order of each domain's first record
-        self.offsets = {d: offset for d, (_, offset) in newest.items() if offset is not None}
+            self.offsets = newest_per_domain(  # domain -> offset
+                (line for line, _ in zip(_offset_records(fh, self.path), read)), certified=True)
+        self.records = next(read)  # lines that decode as records
 
     def records_at(self, offsets: Iterable[int]) -> Iterator[DomainRecord]:
         with open(self.path, "rb") as fh:
@@ -330,13 +324,19 @@ class CorpusIndex:
         return self.by_serial.get(str(serial), 0) >= 2
 
 
+def newest_per_domain(pairs: Iterable[tuple], certified: bool = False) -> dict:
+    """The one newest-record rule: from (where, record) pairs, domain ->
+    where of its newest record by harvest_time (ties go to the later pair),
+    in order of each domain's first pair; when certified, only those whose
+    newest record carries a certificate.  Domains are canonical_domain's."""
+    newest: dict[str, tuple] = {}  # domain -> (harvest_time, where, has a certificate)
+    for where, record in pairs:
+        prev = newest.get(record.domain)
+        if prev is None or record.harvest_time >= prev[0]:
+            newest[record.domain] = (record.harvest_time, where, record.cert_der is not None)
+    return {domain: where for domain, (_, where, cert) in newest.items() if cert or not certified}
+
+
 def latest_records(records: Iterable[DomainRecord]) -> list[DomainRecord]:
-    """Newest record per domain, by harvest_time; ties go to the later entry.
-    A record's domain is already in canonical_domain form, so every
-    spelling of one name is one domain here."""
-    latest: dict[str, DomainRecord] = {}
-    for record in records:
-        prev = latest.get(record.domain)
-        if prev is None or record.harvest_time >= prev.harvest_time:
-            latest[record.domain] = record
-    return list(latest.values())
+    """Newest record per domain, by newest_per_domain's rule."""
+    return list(newest_per_domain((record, record) for record in records).values())

@@ -34,7 +34,7 @@ from .certs import (
     verify_chain,
 )
 from .certs import log as certs_log
-from .corpus import CorpusFile, CorpusIndex, DomainRecord, latest_records
+from .corpus import CorpusFile, CorpusIndex, DomainRecord, newest_per_domain
 from .errors import IndexMismatch, MalformedInput, SerializationFailure, reading
 from .probe import canonical_domain
 
@@ -270,18 +270,16 @@ def _features(
 
 
 def _newest(records: Iterable[DomainRecord] | CorpusFile) -> tuple[dict, Callable]:
-    """domain -> where, for each domain whose newest record carries a
-    certificate, in the order of each domain's first record, and the reader
-    that turns a list of wheres into their records: byte offsets that a
-    CorpusFile reads, or the records themselves."""
+    """newest_per_domain's domain -> where for records with a certificate,
+    and the reader of a list of wheres: CorpusFile offsets, or records."""
     if isinstance(records, CorpusFile):
         return records.offsets, records.records_at
-    return {r.domain: r for r in latest_records(records) if r.cert_der is not None}, iter
+    return newest_per_domain(((r, r) for r in records), certified=True), iter
 
 
 # An event is (key, logger name, messages), logged the first time its key
 # comes: a certificate's parse warnings keyed by its DER's digest, a skipped
-# leaf keyed by its domain; a skipped chain certificate, key None, every time.
+# leaf keyed by its domain, a skipped chain certificate by the digest's hex.
 def _parse(der: bytes, anchor_of: dict) -> tuple[CertificateSummary | str, tuple]:
     """der's summary (an anchor's own when anchor_of, DER -> summary, holds
     it), or the error text of a failed parse (an exception's traceback
@@ -321,7 +319,7 @@ def _leaf(record: DomainRecord, anchor_of: dict) -> tuple[CertificateSummary | N
 def _replay(events: Iterable[tuple], seen: set) -> None:
     """Log the events whose key is not yet in seen, and add their keys."""
     for key, logger, messages in events:
-        if key is None or key not in seen:
+        if key not in seen:
             seen.add(key)
             for message in messages:
                 logging.getLogger(logger).warning(*message)
@@ -353,13 +351,13 @@ def extract_corpus(
     store and the default bogus list are built once per call, and CA links
     are checked against the call's own copy of the anchors' memo (see
     IssuerIndex): a caller's IssuerIndex is read and never written.
-    Records whose certificate bytes do not parse are skipped with one
-    warning per domain, and each distinct certificate's parse warnings
-    are logged once, naming the record (see _warned).
+    A leaf that does not parse is skipped with one warning per domain, a
+    chain certificate with one per certificate, and each certificate's
+    parse warnings are logged once, naming the record (see _warned).
 
     Two passes.  The first finds each domain's newest record that carries
     a certificate: a CorpusFile keeps its byte offset, made when the file
-    was opened; records are picked by latest_records.  The second runs in
+    was opened; records are picked by newest_per_domain.  The second runs in
     contiguous shares of those records in domain order, the index corpus's
     cut alongside, through parts.in_parts: all but the last share in
     forked children, the last here.  A share reads its records one at a
@@ -425,8 +423,9 @@ def extract_corpus(
                 summary, warnings = chains[der]
                 events += _warned(der, warnings, record.domain, "chain")
                 if isinstance(summary, str):
-                    events += ((None, log.name, (
-                        ("skipping unparseable chain certificate for %s", record.domain),)),)
+                    fp = hashlib.sha256(der).hexdigest()
+                    events += ((fp, log.name, (("skipping unparseable chain certificate for %s: "
+                                "chain certificate %s: %s", record.domain, fp[:16], summary),)),)
                 else:
                     presented.append(summary)
             rows.append((events, entry, _features(cert, record.domain, record.harvest_time,

@@ -14,6 +14,7 @@ import shutil
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -35,6 +36,7 @@ from certsift import (
 )
 from certsift import features, parts, probe
 from certsift.cli import _atomic_output, main
+from certsift.corpus import CorpusFile, record_to_line
 from certsift.ml import FeatureColumn, FeatureSchema, default_schema, load_model
 from certsift.synth import load_spec, spec_to_json
 
@@ -592,6 +594,31 @@ def _write_fixture_corpus(path, shared: bool):
     return records
 
 
+def _feed(fifo, chunks) -> threading.Thread:
+    """Make the named pipe fifo and start a thread writing the byte chunks
+    into it, one at a time (daemonic: blocked for good if nothing reads)."""
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer
+
+
+@pytest.fixture
+def spool(tmp_path, monkeypatch):
+    """An empty directory that TMPDIR names, where a piped input is copied."""
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    monkeypatch.setenv("TMPDIR", str(spool))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
+    return spool
+
+
 class TestExtractCommand:
     def test_extract_features_from_corpus(self, tmp_path):
         corpus = tmp_path / "corpus.ndjson"
@@ -652,7 +679,7 @@ class TestExtractCommand:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_corpus_from_a_pipe_extracts_as_from_a_file(self, tmp_path):
-        # a pipe cannot be read twice, so its records are held instead
+        # a pipe cannot be read twice, so it is copied to TMPDIR and read there
         corpus = tmp_path / "corpus.ndjson"
         _write_fixture_corpus(corpus, shared=True)
         from_file = tmp_path / "file.csv"
@@ -669,6 +696,69 @@ class TestExtractCommand:
             writer.join(timeout=10)
         assert not writer.is_alive()
         assert from_pipe.read_bytes() == from_file.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_piped_corpus_streams_through_a_copy(self, tmp_path, monkeypatch, spool):
+        # 20,000 records of 2 KiB each after the fixture's two: held as
+        # records they take tens of MiB, but the pipe is copied to TMPDIR in
+        # chunks and read from there in two passes, and the copy is removed
+        fixture = tmp_path / "fixture.ndjson"
+        _write_fixture_corpus(fixture, shared=True)
+
+        def lines():
+            yield fixture.read_bytes()
+            for i in range(20_000):
+                yield (record_to_line(DomainRecord(
+                    domain=f"filler{i % 100}.test", http_ok=False, https_ok=False,
+                    harvest_time=T0 + i, tls_error=f"{i:08d}" * 256)) + "\n").encode()
+
+        corpus = tmp_path / "corpus.ndjson"
+        corpus.write_bytes(b"".join(lines()))
+        from_file = tmp_path / "file.csv"
+        assert run("extract", "--corpus", str(corpus), "--out", str(from_file)) == 0
+        copies = []
+        monkeypatch.setattr("certsift.cli.CorpusFile",
+                            lambda path: copies.append(os.listdir(spool)) or CorpusFile(path))
+        pipe = tmp_path / "corpus.pipe"
+        tracemalloc.start()
+        try:
+            writer = _feed(pipe, lines())
+            from_pipe = tmp_path / "pipe.csv"
+            code = run("extract", "--corpus", str(pipe), "--out", str(from_pipe))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        writer.join(timeout=10)
+        assert code == 0 and not writer.is_alive()
+        assert peak < 2 * 2**20, peak  # 0.2 MiB streamed, 45 MiB held
+        assert from_pipe.read_bytes() == from_file.read_bytes()
+        assert [len(names) for names in copies] == [1]
+        assert os.listdir(spool) == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("failure", ["damaged middle line", "missing trust store"])
+    def test_a_failing_run_removes_the_copy_of_a_piped_corpus(
+            self, failure, tmp_path, monkeypatch, capsys, spool):
+        corpus = tmp_path / "corpus.ndjson"
+        _write_fixture_corpus(corpus, shared=False)
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        argv = ["extract", "--corpus", str(tmp_path / "corpus.pipe")]
+        if failure == "damaged middle line":
+            lines.insert(1, b"{not json\n")
+            monkeypatch.setattr("certsift.cli.extract_corpus", None)  # no work is begun
+        else:
+            argv += ["--trust-store", str(tmp_path / "missing.pem")]
+        writer = _feed(tmp_path / "corpus.pipe", lines)
+        code = run(*argv)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        err = capsys.readouterr().err
+        if failure == "damaged middle line":
+            assert code == 3
+            assert f"CorruptRecord: {tmp_path / 'corpus.pipe'}: line 2 does not parse" in err
+        else:
+            assert code == 2 and "missing.pem" in err
+        assert os.listdir(spool) == []
 
     def test_disjoint_index_corpus_exit_3(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.ndjson"
@@ -1011,15 +1101,21 @@ class TestProbeCommand:
         assert code == 1
         assert "usage error" in capsys.readouterr().err
 
-    def test_a_long_domain_list_streams_into_the_probes(self, tmp_path, monkeypatch, capsys):
-        # the list is read as probe_corpus asks for names, not held: at the
-        # 2,000th probe the traced peak stays far below the 200,000 names'
-        # 13.5 MiB as strings in a list, and no more threads than the
-        # concurrency are started
+    @pytest.mark.parametrize("source", ["file", pytest.param("fifo", marks=pytest.mark.skipif(
+        not hasattr(os, "mkfifo"), reason="needs named pipes"))])
+    def test_a_long_domain_list_streams_into_the_probes(
+            self, source, tmp_path, monkeypatch, capsys, spool):
+        # the list is read as probe_corpus asks for names, not held, from a
+        # pipe through its copy in TMPDIR: at the 2,000th probe the traced
+        # peak stays far below the 200,000 names' 13.5 MiB as strings in a
+        # list, and no more threads than the concurrency are started
         n, concurrency = 200_000, 2
         domains_file = tmp_path / "domains.txt"
-        domains_file.write_text("# targets\n" + "".join(f"d{i}.test\n\n" for i in range(n)),
-                                encoding="utf-8")
+        text = ("# targets\n" + "".join(f"d{i}.test\n\n" for i in range(n))).encode("utf-8")
+        if source == "file":
+            domains_file.write_bytes(text)
+        else:
+            writer = _feed(domains_file, [text])
         before = threading.active_count()
         started, calls, peak = [], [], []
 
@@ -1045,6 +1141,24 @@ class TestProbeCommand:
         assert max(started) <= concurrency
         with open(out, encoding="utf-8") as fh:
             assert [json.loads(line)["domain"] for line in fh] == [f"d{i}.test" for i in range(n)]
+        if source == "fifo":
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        assert os.listdir(spool) == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_piped_domain_list_that_is_not_utf8_exits_3_before_any_probe(
+            self, tmp_path, monkeypatch, capsys, spool):
+        fifo = tmp_path / "domains.fifo"
+        writer = _feed(fifo, [b"a.test\n", "caf\xe9.test\n".encode("latin-1")])
+        monkeypatch.setattr(probe, "probe_domain", None)  # no probe is begun
+        out = tmp_path / "corpus.ndjson"
+        code = run("probe", "--domains", str(fifo), "--out", str(out))
+        writer.join(timeout=10)
+        assert code == 3 and not writer.is_alive()
+        assert f"MalformedInput: {fifo}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+        assert os.listdir(spool) == []
 
     def test_a_domain_list_from_a_pipe_is_read_once(self, tmp_path, monkeypatch):
         fifo = tmp_path / "domains.fifo"

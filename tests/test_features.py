@@ -44,7 +44,7 @@ from certsift import (
 )
 from certsift import certs, features, parts
 from certsift.certs import IssuerIndex
-from certsift.errors import IndexMismatch, SerializationFailure
+from certsift.errors import IndexMismatch, MalformedInput, SerializationFailure
 from certsift.features import (
     BOOLEAN_FEATURES,
     CATEGORICAL_FEATURES,
@@ -55,6 +55,15 @@ from certsift.features import (
     NUMERIC_FEATURES,
     is_bogus_subject,
 )
+
+
+def chain_skip(domain: str, der: bytes) -> str:
+    """What extraction logs, once per certificate, for a chain certificate
+    that does not parse, naming the first record that presents it."""
+    with pytest.raises(MalformedInput) as info:
+        parse_certificate(der)
+    return "skipping unparseable chain certificate for " + record_warning(
+        domain, "chain", der, str(info.value))
 
 
 class TestNormalizeHostname:
@@ -408,7 +417,11 @@ class TestExtractCorpus:
             for domain in ("junk-a", "junk-b", "good", "good-too")
             if f" {domain}.example" in record.getMessage()
         )
-        assert warned == ["good", "good-too", "junk-a", "junk-b"]
+        # each junk leaf once per domain; the chain certificate both good
+        # domains present once, naming the first of them in domain order
+        assert warned == ["good-too", "junk-a", "junk-b"]
+        assert chain_skip("good-too.example", b"\xbe\xef") in [
+            r.getMessage() for r in caplog.records]
 
     def test_presented_chain_feeds_verification(self):
         root_der, root_key = make_cert(name("Chain Root"), key=rsa_key(1), ca=True)
@@ -521,9 +534,11 @@ class TestExtractionInShares:
         assert not forks
         assert len(vectors) == 22 and sum(v.f5 for v in vectors) == 8
         (negative,) = [r for r in chain_corpus()[0] if r.domain == "negative-chain.test"]
+        # junk-chain.test presents the bytes junk-leaf.test serves
+        (junk,) = [r for r in chain_corpus()[0] if r.domain == "junk-leaf.test"]
         der = negative.presented_chain_der[1]
         assert [m for _, _, m in logged if "chain" in m or "negative" in m] == [
-            "skipping unparseable chain certificate for junk-chain.test",
+            chain_skip("junk-chain.test", junk.cert_der),
             record_warning("negative-chain.test", "chain", der, NEGATIVE_SERIAL_WARNING),
             record_warning("negative-chain.test", "chain", der, NEGATIVE_SERIAL_NOTE),
         ]
@@ -573,7 +588,8 @@ class TestExtractionInShares:
     def test_each_record_logs_its_leaf_then_its_chain_in_domain_order(
             self, monkeypatch, caplog, forks):
         # every domain serves a zero-serial leaf and a negative-serial CA
-        # certificate of its own, then an unparseable one, in any share cut
+        # certificate of its own, then the same unparseable bytes, skipped
+        # once for the first domain, in any share cut
         root_der = chain_corpus()[1]
         domains = [f"{letter}.test" for letter in "fbdaec"]
         served = {domain: (shape_certificate("zero serial", domain),
@@ -587,8 +603,9 @@ class TestExtractionInShares:
             leaf, ca = served[domain]
             want += [record_warning(domain, "leaf", leaf, NEGATIVE_SERIAL_WARNING),
                      record_warning(domain, "chain", ca, NEGATIVE_SERIAL_WARNING),
-                     record_warning(domain, "chain", ca, NEGATIVE_SERIAL_NOTE),
-                     f"skipping unparseable chain certificate for {domain}"]
+                     record_warning(domain, "chain", ca, NEGATIVE_SERIAL_NOTE)]
+            if domain == "a.test":
+                want.append(chain_skip(domain, b"\x30\x03bad"))
         for cpus in (1, 2, 3):
             caplog.clear()
             with monkeypatch.context() as patch, caplog.at_level(logging.WARNING):
