@@ -72,8 +72,8 @@ def _atomic_output(path: str | None) -> Iterator:
 def _rereadable(path: str) -> Iterator[str]:
     """path if it is a regular file, else (a pipe, /dev/stdin) a copy of it
     in TMPDIR, made 64 KiB at a time and removed as the block ends: the one
-    place that knows whether an input can be read twice.  An error raised
-    in the block names path, not the copy."""
+    place that knows whether an input can be read twice.  Its readers name
+    path, not the copy, in what they report."""
     if os.path.isfile(path):
         yield path
         return
@@ -82,28 +82,27 @@ def _rereadable(path: str) -> Iterator[str]:
         with os.fdopen(fd, "wb") as out, open(path, "rb") as source:
             shutil.copyfileobj(source, out, 1 << 16)
         yield copy
-    except CertsiftError as exc:
-        raise type(exc)(str(exc).replace(copy, path)) from exc
     finally:
         os.unlink(copy)
 
 
-def _read_domain_list(path: str) -> Iterator[str]:
-    """The names of a domain list, one a line, without blank lines and #
-    comments, from a second read (see _rereadable) as probe_corpus asks;
-    the first, a piece at a time, fails text that is not UTF-8 up front."""
-    with reading(path, MalformedInput) as fh:
+def _read_domain_list(path: str, name: str) -> Iterator[str]:
+    """The names of the domain list at path, shown as name, one a line,
+    without blank lines and # comments, from a second read (see
+    _rereadable) as probe_corpus asks; the first, a piece at a time, fails
+    text that is not UTF-8 up front."""
+    with reading(path, MalformedInput, name) as fh:
         while fh.read(1 << 16):
             pass
-    return _domain_names(path)
+    return _domain_names(path, name)
 
 
-def _domain_names(path: str) -> Iterator[str]:
-    with reading(path, MalformedInput) as fh:
+def _domain_names(path: str, name: str) -> Iterator[str]:
+    with reading(path, MalformedInput, name) as fh:
         for line in fh:
-            name = line.strip()
-            if name and not name.startswith("#"):
-                yield name
+            domain = line.strip()
+            if domain and not domain.startswith("#"):
+                yield domain
 
 
 def _note(message: str) -> None:
@@ -138,7 +137,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     except ValueError as exc:  # an option out of range
         raise UsageError(str(exc)) from None
     with _rereadable(args.domains) as path:
-        domains = _read_domain_list(path)
+        domains = _read_domain_list(path, args.domains)
         if args.out in (None, "-"):
             summary = probe_corpus(domains, config, sink=lambda r: print(record_to_line(r)))
             sys.stdout.flush()
@@ -156,13 +155,14 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 def _extract_vectors(args: argparse.Namespace) -> tuple[int, list]:
     """(record count of --corpus, its feature vectors); damage fails before any work."""
     with contextlib.ExitStack() as inputs:
-        corpus = CorpusFile(inputs.enter_context(_rereadable(args.corpus)))
-        index = (CorpusFile(inputs.enter_context(_rereadable(args.index_corpus)))
-                 if args.index_corpus else None)
+        corpus = CorpusFile(inputs.enter_context(_rereadable(args.corpus)), args.corpus)
+        index = (CorpusFile(inputs.enter_context(_rereadable(args.index_corpus)),
+                            args.index_corpus) if args.index_corpus else None)
         trust = load_trust_store(args.trust_store) if args.trust_store else []
         bogus = BogusValueList.from_file(args.bogus_list) if args.bogus_list else None
+        shingle = args.shingle or DEFAULT_SHINGLE_SIZE
         return corpus.records, extract_corpus(corpus, trust_store=trust, bogus=bogus,
-                                              shingle_size=args.shingle, index_records=index)
+                                              shingle_size=shingle, index_records=index)
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
@@ -215,6 +215,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     if bool(args.features) == bool(args.corpus):
         raise UsageError("exactly one of --features or --corpus is required")
+    for flag in ("trust_store", "bogus_list", "index_corpus", "shingle"):
+        if args.features and getattr(args, flag) is not None:
+            raise UsageError(f"--{flag.replace('_', '-')} extracts from --corpus, not --features")
     model = load_model(args.model)
     vectors = read_features_csv(args.features) if args.features else _extract_vectors(args)[1]
     labels, scores = model.predict_batch(vectors)
@@ -283,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_extraction_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--trust-store", help="PEM bundle of trust anchors")
         p.add_argument("--bogus-list", help="file of placeholder subject values, one per line")
-        p.add_argument("--shingle", type=int, default=DEFAULT_SHINGLE_SIZE, choices=(1, 2, 3),
+        p.add_argument("--shingle", type=int, choices=(1, 2, 3),
                        help="shingle size for the name-similarity feature")
         p.add_argument("--index-corpus",
                        help="corpus to compute duplicate features against "

@@ -249,15 +249,17 @@ class CorpusFile:
     only newest_per_domain's byte offsets with a certificate are kept.
     records_at is the second: it reads and decodes the lines at given
     offsets again, through a file of its own, so a forked child reads its
-    share without moving its parent's file offset.
+    share without moving its parent's file offset.  Its warnings and errors
+    name the file by name, the path opened when None.
     """
 
-    def __init__(self, path: str | os.PathLike):
+    def __init__(self, path: str | os.PathLike, name: str | os.PathLike | None = None):
         self.path = os.fspath(path)
+        self.name = self.path if name is None else os.fspath(name)
         read = itertools.count()  # zip advances it once per line it takes
         with open(self.path, "rb") as fh:
             self.offsets = newest_per_domain(  # domain -> offset
-                (line for line, _ in zip(_offset_records(fh, self.path), read)), certified=True)
+                (line for line, _ in zip(_offset_records(fh, self.name), read)), certified=True)
         self.records = next(read)  # lines that decode as records
 
     def records_at(self, offsets: Iterable[int]) -> Iterator[DomainRecord]:
@@ -268,7 +270,7 @@ class CorpusFile:
                     yield _line_record(fh.readline())
                 except _UNDECODABLE as exc:  # the file changed since the first pass
                     raise CorruptRecord(
-                        f"{self.path}: the line at byte {offset} no longer parses: {exc}"
+                        f"{self.name}: the line at byte {offset} no longer parses: {exc}"
                     ) from exc
 
 

@@ -82,21 +82,23 @@ class UsageError(CertsiftError):
 
 
 @contextlib.contextmanager
-def reading(path: str | os.PathLike, error: type[CertsiftError]) -> Iterator[TextIO]:
+def reading(path: str | os.PathLike, error: type[CertsiftError],
+            name: str | os.PathLike | None = None) -> Iterator[TextIO]:
     """Open a text input as UTF-8, with newline="" as csv needs (line
-    readers strip their line ends).  Every input error names its file here:
-    a CertsiftError raised in the block is re-raised with the path in front,
-    and text that is not UTF-8, JSON that does not decode, or a
-    RecursionError (the JSON decoder recurses once per nesting level)
-    raises error."""
+    readers strip their line ends).  Every input error names its file here,
+    by name (the path opened when None): a CertsiftError raised in the
+    block is re-raised with the name in front, and text that is not UTF-8,
+    JSON that does not decode, or a RecursionError (the JSON decoder
+    recurses once per nesting level) raises error."""
+    name = path if name is None else name
     with open(path, encoding="utf-8", newline="") as fh:
         try:
             yield fh
         except CertsiftError as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
+            raise type(exc)(f"{name}: {exc}") from exc
         except UnicodeDecodeError as exc:
-            raise error(f"{path}: not UTF-8 text: {exc}") from exc
+            raise error(f"{name}: not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise error(f"{path}: not valid JSON: {exc}") from exc
+            raise error(f"{name}: not valid JSON: {exc}") from exc
         except RecursionError:
-            raise error(f"{path}: nested too deeply to load") from None
+            raise error(f"{name}: nested too deeply to load") from None

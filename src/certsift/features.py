@@ -359,10 +359,10 @@ def extract_corpus(
     a certificate: a CorpusFile keeps its byte offset, made when the file
     was opened; records are picked by newest_per_domain.  The second runs in
     contiguous shares of those records in domain order, the index corpus's
-    cut alongside, through parts.in_parts: all but the last share in
-    forked children, the last here.  A share reads its records one at a
-    time, by offset through a file of its own, and parses, verifies and
-    featurizes each.  It holds one record's objects at a time and a cache
+    cut alongside (parts.shares), through parts.in_parts: all but the last
+    share in forked children, the last here.  A share reads its records one
+    at a time, by offset through a file of its own, and parses, verifies
+    and featurizes each.  It holds one record's objects at a time and a cache
     of the chain certificates it has parsed, which grows with the distinct
     CA certificates; a leaf that several domains serve is parsed once per
     domain.  A share logs nothing and sends back one row per record,
@@ -379,19 +379,18 @@ def extract_corpus(
     the vectors: no record, DER or certificate summary outside its share.
 
     Chain verification, a signature check per leaf, is most of the cost.
-    The shares are cut from more than _FORK_RECORDS records that carry a
-    certificate, on Linux while no other thread is alive and with an
-    anchor in the store (without one no path reaches the store and no
-    signature is checked).  One share against two, alternating, 20 calls
-    each on the first N records of the seed-7 benchmark corpus (2-CPU Xeon
-    VM), with its 150 anchors, when the leaves were still parsed before
-    the shares: 32 records 10.7 against 11.9 ms (two won 4 of 20), 64 19.6
-    against 18.9 (11 of 20), 128 37.7 against 31.1 (17 of 20), 256 75.6
-    against 58.0 (20 of 20), 1,000 204 against 171 (19 of 20); with no
-    anchor, 128 records 17.2 against 20.3 ms (1 of 20) and 1,000 95.6
-    against 96.7 (11 of 20).  The host's second CPU is often busy: in two
-    other sweeps two shares lost at every size, 1,000 records with anchors
-    155 against 181 ms (0 of 20).
+    Forking is worth it from more than _FORK_RECORDS records that carry a
+    certificate, with an anchor in the store (without one no path reaches
+    the store and no signature is checked).  One share against two,
+    alternating, 20 calls each on the first N records of the seed-7
+    benchmark corpus (2-CPU Xeon VM), with its 150 anchors, when the leaves
+    were still parsed before the shares: 32 records 10.7 against 11.9 ms
+    (two won 4 of 20), 64 19.6 against 18.9 (11 of 20), 128 37.7 against
+    31.1 (17 of 20), 256 75.6 against 58.0 (20 of 20), 1,000 204 against 171
+    (19 of 20); with no anchor, 128 records 17.2 against 20.3 ms (1 of 20)
+    and 1,000 95.6 against 96.7 (11 of 20).  The host's second CPU is often
+    busy: in two other sweeps two shares lost at every size, 1,000 records
+    with anchors 155 against 181 ms (0 of 20).
     """
     anchors = copy.copy(IssuerIndex.of(trust_store))
     anchors.link_verdicts = dict(anchors.link_verdicts)  # the call's own memo
@@ -432,12 +431,8 @@ def extract_corpus(
                                                   anchors, bogus, presented, shingle_size)))
         return rows, [(*_leaf(record, anchor_of)[1:], None) for record in read_indexed(my_indexed)]
 
-    shares = [(wheres, index_wheres)]
-    if (anchors.by_fingerprint and len(wheres) > _FORK_RECORDS
-            and (cpus := parts.usable_cpus()) > 1):
-        n = min(cpus, len(wheres))
-        shares = [tuple(items[len(items) * i // n : len(items) * (i + 1) // n]
-                        for items in (wheres, index_wheres)) for i in range(n)]
+    shares = parts.shares(wheres, index_wheres,
+                          worth=bool(anchors.by_fingerprint) and len(wheres) > _FORK_RECORDS)
     # each share's (rows, index rows), joined in share order
     rows, index_rows = (list(chain.from_iterable(joined))
                         for joined in zip(*parts.in_parts(run, shares)))

@@ -60,34 +60,36 @@ seed-7 benchmark forest (2-CPU Xeon VM) peaked at 4.8 MiB of traced memory
 in 0.32 s with 2^13 rows; 2^11 gave 4.2 MiB in 0.43 s, 2^14 4.8 MiB in
 0.31 s, and no cut 7.7 MiB in 0.34 s.
 
-A batch of at least _FORK_ROWS bootstrap rows grows in parts, one per
-usable CPU (on Linux, while no other thread is alive), but in no more parts
-than it has runs of trees whose rngs start in equal states: such trees
-share draws (below), so a cut falls where the state changes, at the run
-start nearest its share of the rows.  Forest trees are independent
-(Breiman 2001), and each here has its own rng and bootstrap, so the parts
-grow apart, each by the one lockstep code of a batch, through the fork
-helper that extraction shares (parts.in_parts): all but the last in forked
-children, which send their tables back through a pipe, and the last in the
-parent.  A part whose child fails grows in the parent after.  The merge is
-exact.  In one batch every live tree searches one node a step, so
-a tree's k-th searched node is searched at step k whatever its batch-mates,
-and the children of a step's splits are numbered together, in tree order.
-So the one-batch table is the parts' roots in part order, then their other
-nodes stably sorted by the step that numbered them (NodeTable.join, given
-that order).  One part against two, alternating (2-CPU Xeon VM, medians of
-20): 5-fold 25-tree forest cross-validation of 16,000 rows took 53 against
-57 ms, of 24,000 79 against 72, of 32,000 108 against 97 (two parts won 17
-of 20), and of 50,000 170 against 147; a 100-tree forest train of 16,000
-rows 69 against 75 ms, of 24,000 94 against 90, and of 32,000 124 against
-108 (15 of 16).  Each part pays each step's fixed cost, a fork about 1 ms,
-and the copy-on-write faults after it a few ms in each process.
+A batch of at least _FORK_ROWS bootstrap rows grows in parts of whole
+trees, cut by the rule that cuts extraction's records (parts.shares): one
+contiguous part per usable CPU (on Linux, while no other thread is alive),
+of about equal tree counts.  A cut may fall inside a group of trees whose
+rngs start in equal states (below); each part then draws the group's
+subsets from its own first tree of it, whose equal state gives equal
+subsets.  Forest trees are independent (Breiman 2001), and each here has
+its own rng and bootstrap, so the parts grow apart, each by the one
+lockstep code of a batch, through the fork helper that extraction shares
+(parts.in_parts): all but the last in forked children, which send their
+tables back through a pipe, and the last in the parent.  A part whose child
+fails grows in the parent after.  The merge is exact.  In one batch every
+live tree searches one node a step, so a tree's k-th searched node is
+searched at step k whatever its batch-mates, and the children of a step's
+splits are numbered together, in tree order.  So the one-batch table is the
+parts' roots in part order, then their other nodes stably sorted by the
+step that numbered them (NodeTable.join, given that order).  One part
+against two, alternating (2-CPU Xeon VM, medians of 20): 5-fold 25-tree
+forest cross-validation of 16,000 rows took 53 against 57 ms, of 24,000 79
+against 72, of 32,000 108 against 97 (two parts won 17 of 20), and of
+50,000 170 against 147; a 100-tree forest train of 16,000 rows 69 against
+75 ms, of 24,000 94 against 90, and of 32,000 124 against 108 (15 of 16).
+Each part pays each step's fixed cost, a fork about 1 ms, and the
+copy-on-write faults after it a few ms in each process.
 
 A tree's k-th column subset is the k-th choice(d, n_sample_features,
 replace=False) of its rng, so it depends only on the rng's starting state.
 _ColumnDraws makes those subsets in bulk from the rng's raw stream, exactly
-as choice draws them, as masks indexed by draw: no call per node.  Trees of
-a batch whose rngs start in equal states (the same tree of several
+as choice draws them, as masks indexed by draw: no call per node.  Trees
+grown together whose rngs start in equal states (the same tree of several
 cross-validation folds with equal training sizes) form one group, which
 draws from its first tree's rng alone, and every tree reads the group's
 masks at its own draw count: exact, and never the case for the distinct
@@ -153,24 +155,25 @@ def grow_trees(
 ) -> Iterator[NodeTable]:
     """Grow one tree per bootstrap on encoded data and 0/1 labels (min_leaf
     >= 1), in batches of at most _GROW_ROWS bootstrap rows grown in lockstep
-    (in parts on the usable CPUs from _FORK_ROWS rows, module docstring);
-    yields each batch's NodeTable, whose values are X's codes and whose node
-    t is the root of the batch's t-th tree, batches and trees in the order of
-    boots.  A bootstrap is an array of row indices into X, repeats allowed.
-    boots is read once, each bootstrap collapsed to weights as it is drawn,
-    so a generator of bootstraps has one alive at a time.  eq_mask marks the
-    equality-tested columns (Encoder.eq_mask); the others are split on
-    thresholds.
+    (from _FORK_ROWS rows in parts of whole trees, cut by parts.shares as
+    extraction is; module docstring); yields each batch's NodeTable, whose
+    values are X's codes and whose node t is the root of the batch's t-th
+    tree, batches and trees in the order of boots.  A bootstrap is an array
+    of row indices into X, repeats allowed.  boots is read once, each
+    bootstrap collapsed to weights as it is drawn, so a generator of
+    bootstraps has one alive at a time.  eq_mask marks the equality-tested
+    columns (Encoder.eq_mask); the others are split on thresholds.
 
     When rngs (one per tree, read in step with boots, each used by that tree
     alone) and n_sample_features are set, each split first searches a random
     subset of that many columns and falls back to the remaining columns only
     if the subset offers no impurity reduction, so a usable split is never
     passed over just because the draw missed it.  The rngs are Generators
-    over PCG64, as default_rng makes.  Trees of one batch whose rngs are in
-    equal states share their draws (below): an rng that only replays is not
-    advanced, and one that draws ends past its last subset (or unadvanced,
-    where its part grew in a child process).
+    over PCG64, as default_rng makes.  Trees of one part whose rngs are in
+    equal states share their draws (below), and each part of a group cut in
+    two draws them anew: an rng that only replays is not advanced, and one
+    that draws ends past its last subset (or unadvanced, where its part grew
+    in a child process).
     """
     n, d = X.shape
     subsampling = rngs is not None and n_sample_features is not None and n_sample_features < d
@@ -431,15 +434,10 @@ def grow_trees(
         return table, np.array(step_ends, dtype=np.int64)
 
     def grow_batch(trees: list[tuple]) -> NodeTable:
-        """grow's table of a batch, emptying trees: grown in parts, one per
-        usable CPU, once the batch holds _FORK_ROWS bootstrap rows."""
-        sizes, cuts = [size for _, _, size, *_ in trees], []
-        if sum(sizes) >= _FORK_ROWS and (cpus := parts.usable_cpus()) > 1:
-            # cut where the rng state changes, as equal states share draws
-            states = [repr(rng.bit_generator.state) if subsampling else t
-                      for t, (*_, rng) in enumerate(trees)]
-            cuts = _cuts(sizes, states, cpus)
-        split = [trees[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(trees)])]
+        """grow's table of a batch, emptying trees: grown in parts
+        (parts.shares) once the batch holds _FORK_ROWS bootstrap rows."""
+        rows = sum(size for _, _, size, *_ in trees)
+        split = [share for share, in parts.shares(trees, worth=rows >= _FORK_ROWS)]
         trees.clear()
         if len(split) == 1:
             return grow(split[0])[0]
@@ -476,22 +474,6 @@ def _starts(keys: np.ndarray) -> np.ndarray:
 def _run_first(keys: np.ndarray) -> np.ndarray:
     """The index of the first of each key's run of equal keys."""
     return np.maximum.accumulate(np.where(_starts(keys), np.arange(keys.size), 0))
-
-
-def _cuts(sizes: Sequence[int], states: Sequence, cpus: int) -> list[int]:
-    """Where to cut a batch of trees, of sizes bootstrap rows and rng states
-    states, into min(cpus, runs of equal states) parts of about equal rows:
-    at the run start nearest each share of the rows.  Ascending, none at 0;
-    two shares nearest one start give one cut."""
-    starts = np.array([t for t in range(1, len(states)) if states[t] != states[t - 1]],
-                      dtype=np.intp)
-    n_parts = min(cpus, starts.size + 1)
-    if n_parts < 2:
-        return []
-    before = np.cumsum(sizes)[starts - 1]  # the rows ahead of each run start
-    shares = np.arange(1, n_parts) * (sum(sizes) / n_parts)
-    # not np.unique, whose plain form imports numpy.ma (13-15 ms, 1.3 MiB)
-    return sorted(set(starts[np.abs(before[:, None] - shares).argmin(axis=0)].tolist()))
 
 
 class _ColumnDraws:

@@ -2,9 +2,12 @@
 
 Lockstep tree growth (ml.tree) and feature extraction (features) both cut
 a job into independent parts whose results, joined in part order, are
-exactly what one process makes.  in_parts runs all parts but the last in
-forked children, which inherit the caller's state copy-on-write and send
-their results back pickled through a pipe, and the last in the caller.
+exactly what one process makes.  shares is the one cut: when its caller
+says forking is worth it, one contiguous share per usable CPU, each
+sequence of the job cut alongside the others; else one share.  in_parts
+runs all parts but the last in forked children, which inherit the caller's
+state copy-on-write and send their results back pickled through a pipe,
+and the last in the caller.
 
 What a second process buys depends on the host's state, not on the job
 alone.  On the 2-vCPU Xeon VM these thresholds were set on, five raw trials
@@ -35,6 +38,16 @@ def usable_cpus() -> int:
     if sys.platform != "linux" or threading.active_count() > 1:
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def shares(*sequences: Sequence, worth: bool) -> list[tuple]:
+    """The sequences cut alongside into contiguous shares, a tuple of one
+    slice of each a share: when worth, max(1, min(usable CPUs, len of the
+    first)) shares, each sequence's in proportion to its length; else one
+    share of the whole."""
+    n = max(1, min(usable_cpus(), len(sequences[0]))) if worth else 1
+    return [tuple(items[len(items) * i // n : len(items) * (i + 1) // n] for items in sequences)
+            for i in range(n)]
 
 
 def in_parts(fn: Callable, parts: Sequence) -> list:

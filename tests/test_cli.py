@@ -334,6 +334,17 @@ class TestClassifyCommand:
             "--features", str(synth_csv), "--corpus", str(corpus),
         ) == 1
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--trust-store", "roots.pem"), ("--bogus-list", "bogus.txt"),
+        ("--index-corpus", "index.ndjson"), ("--shingle", "2")])
+    def test_extraction_flags_with_features_are_a_usage_error(
+            self, flag, value, synth_csv, tmp_path, capsys):
+        # refused before the model loads: a missing model would exit 2
+        model = tmp_path / "missing.json"
+        assert run("classify", "--model", str(model), "--features", str(synth_csv),
+                   flag, value) == 1
+        assert f"usage error: {flag} extracts from --corpus" in capsys.readouterr().err
+
     # SHA-256 of `classify` output for each kind, trained on synth phishing vs
     # alexa (60 per class, seed 5) and applied to a fresh sample (seed 6).
     # Recorded before classify moved to batch prediction; the output bytes
@@ -717,8 +728,8 @@ class TestExtractCommand:
         from_file = tmp_path / "file.csv"
         assert run("extract", "--corpus", str(corpus), "--out", str(from_file)) == 0
         copies = []
-        monkeypatch.setattr("certsift.cli.CorpusFile",
-                            lambda path: copies.append(os.listdir(spool)) or CorpusFile(path))
+        monkeypatch.setattr("certsift.cli.CorpusFile", lambda path, name: copies.append(
+            os.listdir(spool)) or CorpusFile(path, name))
         pipe = tmp_path / "corpus.pipe"
         tracemalloc.start()
         try:
@@ -759,6 +770,22 @@ class TestExtractCommand:
         else:
             assert code == 2 and "missing.pem" in err
         assert os.listdir(spool) == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_torn_piped_corpus_is_warned_about_by_its_own_name(
+            self, tmp_path, capsys, caplog, spool):
+        corpus = tmp_path / "corpus.ndjson"
+        _write_fixture_corpus(corpus, shared=False)
+        torn = corpus.read_bytes().splitlines(keepends=True)[0][:40]  # a crash mid-append
+        pipe = tmp_path / "corpus.pipe"
+        writer = _feed(pipe, [corpus.read_bytes(), torn])
+        with caplog.at_level(logging.WARNING):
+            code = run("extract", "--corpus", str(pipe), "--out", str(tmp_path / "out.csv"))
+        writer.join(timeout=10)
+        assert code == 0 and not writer.is_alive()
+        messages = [record.getMessage() for record in caplog.records]
+        assert f"{pipe}: dropping torn final line 3" in messages
+        assert not [text for text in (*messages, *capsys.readouterr()) if "certsift-" in text]
 
     def test_disjoint_index_corpus_exit_3(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.ndjson"

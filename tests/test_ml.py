@@ -1576,13 +1576,13 @@ print("numpy.ma" in sys.modules)
     @pytest.mark.parametrize("kind", [KIND_TREE, KIND_BAGGING, KIND_FOREST])
     @pytest.mark.parametrize("layout", ["cv", "spread"])
     def test_grown_parts_equal_one_lockstep_batch(self, monkeypatch, forks, kind, layout):
-        split = []  # per batch cut in parts: whether one rng state lies in two parts
+        split = []  # per batch cut in parts: whether a cut falls inside a run of equal states
         grow_parts = parts.in_parts
 
         def spied(grow, parts):
-            states = [{repr(rng.bit_generator.state) for *_, rng in part if rng is not None}
+            states = [[repr(rng and rng.bit_generator.state) for *_, rng in part]
                       for part in parts]
-            split.append(any(a & b for i, a in enumerate(states) for b in states[i + 1:]))
+            split.append(any(a[-1] == b[0] for a, b in zip(states, states[1:])))
             return grow_parts(grow, parts)
 
         monkeypatch.setattr(parts, "in_parts", spied)
@@ -1596,9 +1596,9 @@ print("numpy.ma" in sys.modules)
                 self.assert_same_tables(got, want)
                 assert len(forks) == 2 * (cpus - 1)  # each batch in cpus parts
                 forks.clear()
-            if data[-1] is not None:  # a forest cuts where the rng state changes:
-                # between runs, or inside a group of equal states standing apart
-                assert any(split) == (layout == "spread")
+            if data[-1] is not None and layout == "cv":  # a forest's cut at tree 3 of 6
+                # (two CPUs) splits a run of equal states, each part drawing it anew
+                assert any(split)
             split.clear()
 
     @pytest.mark.parametrize("failure", ["exits 1", "short data"])
@@ -1655,12 +1655,17 @@ print("numpy.ma" in sys.modules)
         monkeypatch.setattr(sys, "platform", "darwin")
         assert parts.usable_cpus() == 1
 
-    def test_cuts_balance_rows_at_run_starts(self):
-        assert tree._cuts([10] * 6, list("aabbcc"), 2) == [2]
-        assert tree._cuts([10] * 6, list("aabbcc"), 3) == [2, 4]
-        assert tree._cuts([10] * 6, list("aabbcc"), 8) == [2, 4]  # one part a run
-        assert tree._cuts([50, 10, 10, 10, 10, 10], list("abcdef"), 2) == [1]
-        assert tree._cuts([10] * 4, list("aaaa"), 2) == []
+    def test_shares_cut_each_sequence_alongside(self, monkeypatch):
+        ten, three = list(range(10)), "abc"
+        monkeypatch.setattr(parts, "usable_cpus", lambda: 3)
+        assert parts.shares(ten, three, worth=True) == [
+            ([0, 1, 2], "a"), ([3, 4, 5], "b"), ([6, 7, 8, 9], "c")]
+        # never more shares than the first sequence has items, and one for none
+        assert parts.shares(ten[:2], three, worth=True) == [([0], "a"), ([1], "bc")]
+        assert parts.shares([], three, worth=True) == [([], "abc")]
+        assert parts.shares(ten, three, worth=False) == [(ten, three)]
+        monkeypatch.setattr(parts, "usable_cpus", lambda: 1)
+        assert parts.shares(ten, three, worth=True) == [(ten, three)]
 
 
 class TestPersistence:
