@@ -28,6 +28,7 @@ import hashlib
 import logging
 import re
 from collections.abc import Iterable
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -181,7 +182,40 @@ def _pem_body_to_der(body: bytes) -> bytes:
         raise MalformedInput(f"PEM body is not valid base64: {exc}") from exc
 
 
-def _pem_to_der(blob: bytes) -> bytes:
+def parse_certificate(blob: bytes | str) -> CertificateSummary:
+    """Parse one certificate from DER bytes or PEM text.
+
+    The summary's der_bytes are exactly the bytes that were transported
+    (for PEM input, the decoded block body), so the SHA-256 fingerprint
+    identifies the certificate as served.  A blob that loads as DER is
+    DER, even where a field of it holds the PEM armor text.  Serials with
+    a negative encoding are normalized to their absolute value with a
+    warning.
+
+    Raises MalformedInput for undecodable blobs, for PEM text holding
+    anything other than exactly one certificate block, and for
+    certificates whose validity window is inverted.
+    """
+    blob = blob.encode("utf-8", errors="replace") if isinstance(blob, str) else bytes(blob)
+    warnings: list[tuple] = []
+    try:
+        return _parse_certificate(_der_of(blob), warnings)
+    finally:
+        for warning in warnings:
+            log.warning(*warning)
+
+
+def _der_of(blob: bytes) -> bytes:
+    """blob, or the body of its one PEM block where it holds the armor text
+    and does not load as DER."""
+    if b"-----BEGIN CERTIFICATE-----" not in blob:
+        return blob
+    from cryptography import x509
+
+    with catch_warnings(), suppress(Exception):
+        simplefilter("ignore")  # _parse_certificate records them as it loads blob again
+        x509.load_der_x509_certificate(blob)
+        return blob
     blocks = _PEM_BLOCK.findall(blob)
     if len(blocks) != 1:
         raise MalformedInput(
@@ -190,42 +224,17 @@ def _pem_to_der(blob: bytes) -> bytes:
     return _pem_body_to_der(blocks[0])
 
 
-def parse_certificate(blob: bytes | str) -> CertificateSummary:
-    """Parse one certificate from DER bytes or PEM text.
-
-    The summary's der_bytes are exactly the bytes that were transported
-    (for PEM input, the decoded block body), so the SHA-256 fingerprint
-    identifies the certificate as served.  Serials with a negative
-    encoding are normalized to their absolute value with a warning.
-
-    Raises MalformedInput for undecodable blobs, for PEM text holding
-    anything other than exactly one certificate block, and for
-    certificates whose validity window is inverted.
-    """
-    warnings: list[tuple] = []
-    try:
-        return _parse_certificate(blob, warnings)
-    finally:
-        for warning in warnings:
-            log.warning(*warning)
-
-
-def _parse_certificate(blob: bytes | str, warnings: list[tuple]) -> CertificateSummary:
-    """parse_certificate, which appends each warning it has, as a logging
-    (format, *args) tuple, to warnings instead of logging it: first each
-    distinct Python warning cryptography raised as the certificate loaded
-    and its fields were read, recorded (which swaps process-wide state, so
-    certsift parses in one thread per process), then certsift's own."""
+def _parse_certificate(der: bytes, warnings: list[tuple]) -> CertificateSummary:
+    """parse_certificate of DER bytes alone, as a corpus holds them, which
+    appends each warning it has, as a logging (format, *args) tuple, to
+    warnings instead of logging it: first each distinct Python warning
+    cryptography raised as the certificate loaded and its fields were read,
+    recorded (which swaps process-wide state, so certsift parses in one
+    thread per process), then certsift's own."""
     from cryptography import x509
 
-    if isinstance(blob, str):
-        blob = blob.encode("utf-8", errors="replace")
-    if not blob:
+    if not der:
         raise MalformedInput("empty certificate blob")
-    if b"-----BEGIN CERTIFICATE-----" in blob:
-        der = _pem_to_der(blob)
-    else:
-        der = bytes(blob)
     with catch_warnings(record=True) as raised:
         simplefilter("always")
         try:

@@ -87,9 +87,10 @@ copy-on-write faults after it a few ms in each process.
 
 A tree's k-th column subset is the k-th choice(d, n_sample_features,
 replace=False) of its rng, so it depends only on the rng's starting state.
-_ColumnDraws makes those subsets in bulk from the rng's raw stream, exactly
-as choice draws them, as masks indexed by draw: no call per node.  Trees
-grown together whose rngs start in equal states (the same tree of several
+_ColumnDraws makes those subsets in bulk, as masks indexed by draw, with
+one Generator.integers call per rng and extension, which draws each value
+as choice does: no call per node, and any bit generator.  Trees grown
+together whose rngs start in equal states (the same tree of several
 cross-validation folds with equal training sizes) form one group, which
 draws from its first tree's rng alone, and every tree reads the group's
 masks at its own draw count: exact, and never the case for the distinct
@@ -168,12 +169,12 @@ def grow_trees(
     alone) and n_sample_features are set, each split first searches a random
     subset of that many columns and falls back to the remaining columns only
     if the subset offers no impurity reduction, so a usable split is never
-    passed over just because the draw missed it.  The rngs are Generators
-    over PCG64, as default_rng makes.  Trees of one part whose rngs are in
-    equal states share their draws (below), and each part of a group cut in
-    two draws them anew: an rng that only replays is not advanced, and one
-    that draws ends past its last subset (or unadvanced, where its part grew
-    in a child process).
+    passed over just because the draw missed it; any bit generator will do.
+    Trees of one part whose rngs are in equal states share their draws
+    (below), and each part of a group cut in two draws them anew: an rng
+    that only replays is not advanced, and one that draws ends where as
+    many choice calls as subsets it drew leave it, in blocks of at least 16
+    (or unadvanced, where its part grew in a child process).
     """
     n, d = X.shape
     subsampling = rngs is not None and n_sample_features is not None and n_sample_features < d
@@ -477,34 +478,23 @@ def _run_first(keys: np.ndarray) -> np.ndarray:
 
 
 class _ColumnDraws:
-    """The column subsets each of several Generators over PCG64 (as
-    default_rng makes) draws as Generator.choice(d, m, replace=False), one
-    call per subset, made in bulk from its raw stream: masks[g, k] marks the
-    columns of rng g's k-th subset (1 <= m < d <= 10,000).
+    """The column subsets each of several Generators draws as
+    Generator.choice(d, m, replace=False), one call per subset, made in
+    bulk: masks[g, k] marks the columns of rng g's k-th subset (1 <= m < d
+    <= 10,000).
 
     For such d, numpy's choice is Floyd's algorithm: for j = d - m, ...,
     d - 1 it draws v in [0, j] and picks v, or j if v is already picked;
     then it shuffles the m picks with m - 1 more draws, in [0, i] for i =
-    m - 1, ..., 1, which only consume the stream.  Each draw in [0, r) is
-    Lemire's bounded integer (Fast Random Integer Generation in an
-    Interval, 2019) on 32 bits: x * r >> 32 for the next uint32 x, redrawn
-    while x * r mod 2^32 < 2^32 mod r.  The uint32s are a buffered half
-    first, if the state holds one, then each raw 64-bit value's low half and
-    high half.  A redraw is rare but reproduced exactly.
-
-    Drawing advances each rng past its last subset drawn by a block of raw
-    values; the rngs are not meant for further use.
+    m - 1, ..., 1, which only consume the stream.  choice makes each draw
+    with the bounded-integer routine that Generator.integers runs for each
+    value of an array of bounds, so one integers call per rng draws all its
+    new subsets, over any bit generator, and leaves the rng where as many
+    choice calls would.
     """
 
-    _LOW = np.uint64(0xFFFFFFFF)
-
     def __init__(self, rngs: Sequence[np.random.Generator], d: int, m: int):
-        self.d, self.m = d, m
-        self.bit_generators = [rng.bit_generator for rng in rngs]
-        states = (bits.state for bits in self.bit_generators)
-        # each rng's uint32 values drawn but not yet used
-        self.unused = [np.array([state["uinteger"]] * state["has_uint32"], dtype=np.uint64)
-                       for state in states]
+        self.rngs, self.d, self.m = rngs, d, m
         # the bounds of one subset's draws: Floyd's, then the shuffle's
         self.bounds = np.concatenate([np.arange(d - m + 1, d + 1), np.arange(m, 1, -1)])
         self.masks = np.zeros((len(rngs), 0, d), dtype=bool)
@@ -512,41 +502,20 @@ class _ColumnDraws:
     def extend(self, count: int, which: np.ndarray) -> None:
         """Draw count more subsets from each rng listed in which; the other
         rngs' masks of those draws stay empty."""
-        bounds = np.tile(self.bounds, count).astype(np.uint64)
-        floor = 2**32 % bounds  # Lemire's rejection bound
-        picks = np.empty((which.size, count, self.m), dtype=np.intp)
-        for i, g in enumerate(which):  # Floyd's draws; the shuffle's only consume
-            picks[i] = self._bounded(g, bounds, floor).reshape(count, -1)[:, :self.m]
-        picks = picks.reshape(-1, self.m)
+        bounds = np.tile(self.bounds, count)
+        values = np.stack([self.rngs[g].integers(0, bounds, dtype=np.int64) for g in which])
+        # Floyd's draws; the shuffle's only consume
+        picks = values.reshape(-1, self.bounds.size)[:, :self.m]
         masks = np.zeros((picks.shape[0], self.d), dtype=bool)
         subset = np.arange(picks.shape[0])
         for i, j in enumerate(range(self.d - self.m, self.d)):  # Floyd's steps, every subset at once
             v = picks[:, i]
             masks[subset, np.where(masks[subset, v], j, v)] = True
         drawn = self.masks.shape[1]
-        grown = np.zeros((len(self.unused), drawn + count, self.d), dtype=bool)
+        grown = np.zeros((len(self.rngs), drawn + count, self.d), dtype=bool)
         grown[:, :drawn] = self.masks
         grown[which, drawn:] = masks.reshape(which.size, count, self.d)
         self.masks = grown
-
-    def _bounded(self, g: int, bounds: np.ndarray, floor: np.ndarray) -> np.ndarray:
-        """rng g's next draws in [0, bounds), each bound in turn."""
-        out = np.empty(bounds.size, dtype=np.uint64)
-        unused, done = self.unused[g], 0
-        while done < bounds.size:
-            need = bounds.size - done
-            if unused.size < need:
-                raw = self.bit_generators[g].random_raw((need - unused.size + 1) // 2)
-                halves = np.column_stack([raw & self._LOW, raw >> 32]).ravel()
-                unused = np.concatenate([unused, halves])
-            scaled = unused[:need] * bounds[done:]
-            redrawn = np.flatnonzero((scaled & self._LOW) < floor[done:])
-            kept = redrawn[0] if redrawn.size else need
-            out[done:done + kept] = scaled[:kept] >> 32
-            done += kept
-            unused = unused[kept + (kept < need):]  # a redrawn value is dropped
-        self.unused[g] = unused
-        return out
 
 
 class NodeTable:

@@ -280,7 +280,8 @@ def probe_corpus(
     is invoked from the calling thread, serially, in input order; every
     input domain yields exactly one record.  Syntactically invalid names
     are not dialed; they come back as unreachable with the reason in
-    tls_error.
+    tls_error.  If the sink (or a probe) raises, the probes already running
+    finish, the queued ones never start, and the exception propagates.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -305,10 +306,14 @@ def probe_corpus(
     window = 4 * config.max_concurrency
     pending: deque[Future[DomainRecord]] = deque()
     with ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
-        for domain in domains:
-            pending.append(pool.submit(one, domain))
-            if len(pending) == window:
+        try:
+            for domain in domains:
+                pending.append(pool.submit(one, domain))
+                if len(pending) == window:
+                    drain(pending.popleft())
+            while pending:
                 drain(pending.popleft())
-        while pending:
-            drain(pending.popleft())
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # the queued probes' records would be dropped
+            raise
     return summary

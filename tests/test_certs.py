@@ -90,6 +90,17 @@ class TestParseCertificate:
         with pytest.raises(MalformedInput):
             parse_certificate(pem)
 
+    @pytest.mark.parametrize("ou", [
+        "-----BEGIN CERTIFICATE-----",  # no whole block
+        "-----BEGIN CERTIFICATE-----AAAA-----END CERTIFICATE-----",  # one in subject and issuer
+    ])
+    def test_der_holding_the_pem_armor_text_is_der(self, ou):
+        der, _ = make_cert(name("evil.example", ou=ou))
+        summary = parse_certificate(der)
+        assert summary.subject.get("OU") == ou
+        assert summary.der_bytes == der
+        assert parse_certificate(to_pem(der)).der_bytes == der
+
     def test_fingerprint_is_lowercase_hex(self):
         der, _ = make_cert("fp.example")
         fp = parse_certificate(der).fingerprint

@@ -664,6 +664,14 @@ class TestExtractCommand:
         rows = read_features_csv(out)
         assert len(rows) == 1 and rows[0].f6
 
+    def test_a_certificate_holding_the_pem_armor_text_gets_its_row(self, tmp_path):
+        der, _ = make_cert(name("evil.test", ou="-----BEGIN CERTIFICATE-----"))
+        corpus, out = tmp_path / "corpus.ndjson", tmp_path / "features.csv"
+        write_corpus(corpus, [DomainRecord(domain="evil.test", http_ok=True, https_ok=True,
+                                           harvest_time=T0, cert_der=der)])
+        assert run("extract", "--corpus", str(corpus), "--out", str(out)) == 0
+        assert [fv.domain for fv in read_features_csv(out)] == ["evil.test"]
+
     def test_index_corpus_parses_each_leaf_once_per_corpus(self, tmp_path, monkeypatch, caplog):
         # one corpus as both inputs: no parse outlives its record, so each
         # leaf is parsed for extraction and again for the index, and the

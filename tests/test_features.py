@@ -393,6 +393,17 @@ class TestExtractCorpus:
         ]
         assert extract_corpus(records) == []
 
+    def test_a_certificate_holding_the_pem_armor_text_is_parsed_as_der(self, caplog):
+        # a corpus holds DER, whatever text a field of it holds
+        der, _ = make_cert(name("evil.example", ou="-----BEGIN CERTIFICATE-----"))
+        record = DomainRecord(domain="evil.example", http_ok=True, https_ok=True,
+                              harvest_time=T0, cert_der=der, presented_chain_der=(der,))
+        with caplog.at_level(logging.WARNING):
+            vectors = extract_corpus([record])
+        assert [fv.domain for fv in vectors] == ["evil.example"]
+        assert vectors[0].f3  # self-signed
+        assert not caplog.records
+
     def test_unparseable_certificates_warned_once_per_domain(self, caplog):
         good_der, _ = make_cert("good.example")
         records = [

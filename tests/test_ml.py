@@ -679,8 +679,9 @@ class TestHistogramGrowth:
 
     @pytest.mark.parametrize("d", [*range(2, 17), 40])
     def test_bulk_column_draws_equal_numpy_choice(self, d):
-        # a forest's column subsets are drawn in bulk from each rng's raw
-        # stream, and must be choice(d, m, replace=False)'s, draw for draw
+        # a forest's column subsets are drawn in bulk, a block of them per
+        # rng at a time, and must be choice(d, m, replace=False)'s, draw for
+        # draw, leaving each rng where as many choice calls would
         assert 2**32 % (13 - 4 + 1) == 6  # so a first uint32 of 0 is redrawn at d=13, m=4
         for m in sorted({1, math.ceil(math.sqrt(d)), d - 1}):
             rngs = [np.random.default_rng(seed) for seed in (11, 12, 13)]
@@ -689,7 +690,8 @@ class TestHistogramGrowth:
             state = rngs[2].bit_generator.state
             state.update(has_uint32=1, uinteger=0)  # redrawn where 2^32 mod bound > 0
             rngs[2].bit_generator.state = state
-            twins = [np.random.default_rng() for _ in rngs]
+            rngs.append(np.random.Generator(np.random.MT19937(14)))  # not PCG64
+            twins = [np.random.Generator(type(rng.bit_generator)()) for rng in rngs]
             for twin, rng in zip(twins, rngs):
                 twin.bit_generator.state = rng.bit_generator.state
             draws = tree._ColumnDraws(rngs, d, m)
@@ -700,6 +702,8 @@ class TestHistogramGrowth:
                 for k in range(17):
                     want[g, k, twin.choice(d, m, replace=False)] = True
             assert np.array_equal(draws.masks, want), (d, m)
+            assert [repr(rng.bit_generator.state) for rng in rngs] == [
+                repr(twin.bit_generator.state) for twin in twins], (d, m)
 
     def test_matches_reference_when_most_sampled_columns_offer_no_split(self, monkeypatch):
         # one sampled column, most of them constant: most nodes find no split

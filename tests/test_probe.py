@@ -11,7 +11,7 @@ import time
 import pytest
 
 from certsift import DomainRecord, ProbeConfig, probe_corpus, probe_domain
-from certsift.errors import InvalidDomainName
+from certsift.errors import InvalidDomainName, StorageFull
 from certsift.probe import validate_domain
 from conftest import (
     DOMAIN_BOTH,
@@ -262,6 +262,28 @@ class TestProbeCorpus:
         assert order == [f"host{i}.test" for i in range(20_000)]
         assert 1 <= state["lead"] <= window
         assert state["threads"] <= baseline + config.max_concurrency
+
+    def test_a_failing_sink_cancels_the_queued_probes(self, monkeypatch):
+        import certsift.probe as probe_module
+
+        lock, started = threading.Lock(), []
+
+        def stub(domain, config, now=None):  # the first returns at once, the others later
+            with lock:
+                started.append(domain)
+            if domain != "host0.test":
+                time.sleep(0.2)
+            return DomainRecord(domain=domain, http_ok=False, https_ok=False, harvest_time=0)
+
+        def sink(record):
+            raise StorageFull("no space appending to corpus.ndjson")
+
+        monkeypatch.setattr(probe_module, "probe_domain", stub)
+        config = ProbeConfig(max_concurrency=2)
+        with pytest.raises(StorageFull):
+            probe_corpus([f"host{i}.test" for i in range(100)], config, sink)
+        # host0, then at most one probe per thread before the sink raised; not the 8-domain window
+        assert "host0.test" in started and len(started) <= 3
 
 
 class TestDomainRecord:
