@@ -143,20 +143,15 @@ def _min_max(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         return np.where(hi == lo, 0.0, np.clip(offset / span, 0.0, 1.0))
 
 
-# (query row, training row) pairs that one pass of score_encoded filters:
-# 32 query rows against the 1,020-row seed-7 benchmark matrix.  Timed alone
-# on its 836 queries (2-CPU VM, median of 25), 2^14 to 2^17 pairs took
-# 12-16 ms, 2^12 32 ms and 2^18 25 ms, against 61-88 ms for the distance
-# scan this replaced; the tracemalloc peak doubles with the budget, 0.89 MiB
-# at 2^15.  Where every row ties at the cut, the refine step holds about 75
-# bytes a pair, so 2^16 would peak above that scan's 2.6 MiB.
+# (query row, training row) pairs whose distances one pass of score_encoded
+# holds: 32 query rows against the 1,020-row seed-7 benchmark matrix.  Timed
+# alone (2-CPU VM, three sweeps), its 836 queries took 9-13 ms from 2^14 to
+# 2^17 pairs and 18 ms at 2^12, while the tracemalloc peak doubles with the
+# budget: 0.74 MiB at 2^15, 1.31 at 2^16.  1,000 queries against random
+# 10,000- and 24,000-row matrices took 59-67 and 153-185 ms at 2^15, 48-59
+# and 132-148 ms at 2^16, and 96-119 and 132-152 ms at 2^17.  Above 16,384
+# training rows a chunk holds one query row.
 _CHUNK_CELLS = 2**15
-
-# How far above a query's k-th smallest S a training row's S may lie and
-# still be refined: more than twice the rounding between S and d times the
-# distance (under 1e-12, see the class).  A larger slack is exact too, but
-# refines more pairs.
-_SLACK = 1e-9
 
 
 class NearestNeighborModel(_Model):
@@ -171,34 +166,21 @@ class NearestNeighborModel(_Model):
     the edges, and a constant training column contributes 0).  Equidistant
     neighbors at the cut resolve by training row order, which is canonical.
 
-    score_encoded filters, then refines (the multi-step search of Korn et
-    al., VLDB 1996, and Seidl and Kriegel, SIGMOD 1998), over chunks of
-    about _CHUNK_CELLS (query, training row) pairs.  The filter sums, one
-    column at a time, each pair's mismatched equality columns and its
-    numeric |a - b|: S, which is d times the pair's distance up to rounding
-    (d columns).  Each query keeps the rows whose S is at most its k-th
-    smallest, S_k, plus _SLACK.  The refine step takes the distances of the
-    kept pairs only, orders each query's pairs by (distance, row), and
-    scores the sum of the first k labels over k.
+    The distance is S / d over the d columns, where S is the count of
+    mismatched equality columns plus each numeric column's |a - b|, added
+    in column order.  The count is a whole number, exact in any order, so
+    on the default schema, whose two numeric columns come last, S / d is
+    numpy's mean of the per-feature terms to the bit; a numeric column
+    before an equality column, or among the first eight, can put it one
+    ulp from that mean.
 
-    This is exact, not approximate: the rows scored are the first k of a
-    stable argsort of the query's distances to every row (a NaN distance,
-    or a NaN S, counts as the largest, as it sorts there), and the score is
-    their mean label to the bit, given what the load check (persist.py)
-    holds a stored model to (cells in [0, 1] or whole-number codes, finite
-    ranges, 0/1 labels).  Codes are whole numbers, so the per-column cap
-    min(|a - b|, 1) is a != b on equality columns, and they compare as the
-    narrow integers the filter reads them as; so S and d * distance sum the
-    same at most 15 terms in [0, 1] in other orders, and differ by some
-    delta < 1e-12.  Let D_k be the query's k-th smallest distance.  The
-    k rows of smallest S have d * distance <= S_k + delta, so d * D_k <= S_k
-    + delta; a row among the argsort's first k has distance <= D_k, so
-    S <= d * D_k + delta <= S_k + 2 delta, and it is kept.  A dropped row has
-    d * distance >= S - delta > S_k + _SLACK - delta > d * D_k, so it never
-    competes at the cut.  If fewer than k distances are finite, S_k is inf
-    and every row is kept.  Each kept distance is reduced along the same
-    contiguous last axis as a row scored alone, so it has the same bits;
-    and labels are 0/1, so their sum is exact in any order.
+    score_encoded takes the distances of about _CHUNK_CELLS (query,
+    training row) pairs at a time from _distances, the array distance()
+    reads too, so its selection is exact: a query's first k rows in a
+    stable argsort of its distances (a NaN one counting as the largest, as
+    it sorts there) are its first k by (distance, row) among the rows at or
+    below its k-th smallest distance.  Labels are 0/1, so the sum of the
+    first k is exact in any order.
     """
 
     kind = KIND_KNN
@@ -218,8 +200,6 @@ class NearestNeighborModel(_Model):
         self.labels = labels
         numeric = compress(self.encoder.columns, ~self.encoder.eq_mask)
         self._lo, self._hi = np.array([ranges[c.name] for c in numeric]).reshape(-1, 2).T
-        # the most a column contributes: 1 on an equality column, else unbounded
-        self._cap = np.where(self.encoder.eq_mask, 1.0, np.inf)
 
     def encode(self, rows: Sequence[FeatureVector]) -> np.ndarray:
         """Rows encoded and scaled into the space of the stored matrix."""
@@ -232,25 +212,22 @@ class NearestNeighborModel(_Model):
         X[:, numeric] = _min_max(X[:, numeric], self._lo, self._hi)
         return X
 
-    def _distances(self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Mean per-feature mismatch between encoded rows, over the last axis;
-        out, if given, holds the per-feature cells."""
-        cells = np.abs(np.subtract(a, b, out=out), out=out)
-        return np.minimum(cells, self._cap, out=cells).mean(axis=-1)
-
-    def distance(self, a: FeatureVector, b: FeatureVector) -> float:
-        """Distance between two vectors under this model's fitted scaling."""
-        return float(self._distances(*self.encode([a, b])))
-
-    def _candidates(self, X: np.ndarray, k: int, codes: np.ndarray, numeric: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """The filter: the (row of X, training row) pairs whose S is at most
-        that row's k-th smallest S plus _SLACK, by row of X, then training
-        row.  S is a pair's mismatched equality columns plus its numeric
-        |a - b|, with NaN as inf; codes and numeric are those columns of the
-        matrix, one a row."""
+    def _columns(self, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The columns of encoded and scaled rows that _distances reads, one
+        array row a column: the numeric ones, and the equality ones as the
+        narrowest integers that hold every code and -1, which compare fastest
+        (codes are whole numbers, as the load check in persist.py holds a
+        stored model's to)."""
         eq = self.encoder.eq_mask
-        shape = (len(X), len(self.matrix))
+        width = np.min_scalar_type(-self.encoder.code_counts().max(initial=2))
+        return matrix[:, eq].T.astype(width), np.ascontiguousarray(matrix[:, ~eq].T)
+
+    def _distances(self, X: np.ndarray, codes: np.ndarray, numeric: np.ndarray) -> np.ndarray:
+        """The distances from the rows of X, encoded and scaled, to the rows
+        whose columns _columns gave as codes and numeric: one array row per
+        row of X."""
+        eq = self.encoder.eq_mask
+        shape = (len(X), codes.shape[1])
         count = np.zeros(shape, np.uint8)  # at most 15 columns
         miss = np.empty(shape, bool)
         for a, b in zip(X[:, eq].T.astype(codes.dtype), codes):
@@ -259,34 +236,32 @@ class NearestNeighborModel(_Model):
         cell = np.empty(shape)
         for a, b in zip(X[:, ~eq].T, numeric):
             sums += np.abs(np.subtract(a[:, None], b, out=cell), out=cell)
-        sums[np.isnan(sums)] = np.inf
-        cut = np.partition(sums, k - 1, axis=1)[:, k - 1, None] + _SLACK
-        return np.divmod(np.flatnonzero(sums <= cut), shape[1])
+        sums /= X.shape[1]
+        return sums
+
+    def distance(self, a: FeatureVector, b: FeatureVector) -> float:
+        """Distance between two vectors under this model's fitted scaling."""
+        X = self.encode([a, b])
+        return float(self._distances(X[:1], *self._columns(X[1:]))[0, 0])
 
     def score_encoded(self, X: np.ndarray) -> np.ndarray:
         """The score of each row of X, encoded and scaled as encode does."""
-        n, d = self.matrix.shape
+        n = len(self.matrix)
         k = min(self.hyperparameters["k"], n)
-        # the equality columns as the narrowest integers that hold every code
-        # and -1, which compare fastest
-        eq = self.encoder.eq_mask
-        sizes = [2, *map(len, self.encoder.vocabs.values())]
-        codes = self.matrix[:, eq].T.astype(np.min_scalar_type(-max(sizes)))
-        numeric = np.ascontiguousarray(self.matrix[:, ~eq].T)
+        columns = self._columns(self.matrix)
         chunk = max(1, _CHUNK_CELLS // n)
-        # kept pairs refined a pass: the two arrays gathered for them hold
-        # _CHUNK_CELLS / 4 cells, however many pairs tie at the cut
-        step = max(1, _CHUNK_CELLS // (8 * d))
         scores = np.empty(len(X))
         for start in range(0, len(X), chunk):
             block = X[start:start + chunk]
-            query, row = self._candidates(block, k, codes, numeric)
-            dists = np.empty(query.size)
-            for at in range(0, query.size, step):
-                pairs = block[query[at:at + step]]
-                dists[at:at + step] = self._distances(pairs, self.matrix[row[at:at + step]], pairs)
+            dists = self._distances(block, *columns)
             # NaN sorts last in an argsort; every number here is at most 1
             dists[np.isnan(dists)] = np.inf
+            cut = np.partition(dists, k - 1, axis=1)[:, [k - 1]]
+            # each query's pairs at or below its k-th smallest distance, by
+            # query, then row; the block goes once they are taken
+            kept = np.flatnonzero(dists <= cut)
+            dists = dists.ravel()[kept]
+            query, row = np.divmod(kept, n)
             # by query, then distance, then row: a stable sort of pairs that
             # come by query, then row
             order = np.lexsort((dists, query))

@@ -235,13 +235,6 @@ def _v1_payload(roots: list, schema: FeatureSchema) -> dict:
     return {"vocabs": vocabs, **{name: list(cell) for name, cell in zip(_NODE_ARRAYS, zip(*cells))}}
 
 
-def _code_counts(encoder: Encoder) -> np.ndarray:
-    """The codes each column's values can take: 2 on a boolean (0/1), its
-    vocabulary's size on a categorical, none on a numeric column."""
-    return np.array([2 if col.kind == KIND_BOOLEAN else len(encoder.vocabs[col.name])
-                     if col.kind == KIND_CATEGORICAL else 0 for col in encoder.columns])
-
-
 def _are_codes(values: np.ndarray, counts) -> np.ndarray:
     """Which values are whole numbers in [0, counts); NaN never is."""
     return (values >= 0) & (values < counts) & (values == np.floor(values))
@@ -278,7 +271,7 @@ def _nodes_from_json(payload, kind: str, schema: FeatureSchema) -> tuple[NodeTab
         raise CorruptModel("a split tests a column the model does not read")
     split = np.flatnonzero(column >= 0)
     j, value_at, left_at = column[split].astype(np.intp, copy=False), value[split], left[split]
-    fits = np.where(encoder.eq_mask[j], _are_codes(value_at, _code_counts(encoder)[j]),
+    fits = np.where(encoder.eq_mask[j], _are_codes(value_at, encoder.code_counts()[j]),
                     ~np.isnan(value_at))
     if not fits.all():
         raise CorruptModel("a split value does not fit its column's kind")
@@ -302,12 +295,11 @@ def _nodes_from_json(payload, kind: str, schema: FeatureSchema) -> tuple[NodeTab
 
 
 def _check_knn(model: NearestNeighborModel) -> None:
-    """Reject what training never writes and exact filter-and-refine prediction
-    relies on (classifiers.NearestNeighborModel): k a whole number >= 1,
-    0/1 labels, finite numeric ranges with lo <= hi, and matrix cells that
-    are codes of their column's kind (0/1 booleans, categories below the
-    vocabulary's size) or scaled numerics in [0, 1].  NaN and infinities
-    fail every kind."""
+    """Reject what training never writes and exact prediction relies on
+    (classifiers.NearestNeighborModel): k a whole number >= 1, 0/1 labels,
+    finite numeric ranges with lo <= hi, and matrix cells that are codes of
+    their column's kind (0/1 booleans, categories below the vocabulary's
+    size) or scaled numerics in [0, 1].  NaN and infinities fail every kind."""
     k = model.hyperparameters.get("k")
     if type(k) is not int or k < 1:
         raise CorruptModel(f"nearest-neighbor k {k!r} is not a whole number >= 1")
@@ -317,7 +309,7 @@ def _check_knn(model: NearestNeighborModel) -> None:
     if not (np.isfinite(ranges).all() and (ranges[:, 0] <= ranges[:, 1]).all()):
         raise CorruptModel("nearest-neighbor numeric ranges are not all finite with lo <= hi")
     X = model.matrix
-    fits = np.where(model.encoder.eq_mask, _are_codes(X, _code_counts(model.encoder)),
+    fits = np.where(model.encoder.eq_mask, _are_codes(X, model.encoder.code_counts()),
                     (X >= 0.0) & (X <= 1.0))
     bad = [col.name for col in compress(model.encoder.columns, ~fits.all(axis=0))]
     if bad:

@@ -136,6 +136,12 @@ class Encoder:
             dtype=bool,
         )
 
+    def code_counts(self) -> np.ndarray:
+        """The codes each column's values can take: 2 on a boolean (0/1), its
+        vocabulary's size on a categorical, none on a numeric column."""
+        return np.array([2 if col.kind == KIND_BOOLEAN else len(self.vocabs[col.name])
+                         if col.kind == KIND_CATEGORICAL else 0 for col in self.columns])
+
     def encode_rows(self, rows: Sequence[FeatureVector]) -> np.ndarray:
         """Rows as the float matrix; a column that is not a feature of its
         kind (a model file may declare one) raises SchemaError."""

@@ -2,7 +2,7 @@
 
 Builds throwaway certificates with controllable subject, issuer, serial,
 validity window, and signature algorithm: RSA (PKCS#1 v1.5 by default, or
-PSS), ECDSA P-256 or Ed25519, following the signing key's type.  Modern crypto backends
+PSS), ECDSA P-256, Ed25519 or DSA, following the signing key's type.  Modern crypto backends
 refuse to *sign* with MD5, so md5WithRSAEncryption certificates are made
 by signing with SHA-256 and patching both AlgorithmIdentifier OIDs in the
 DER afterwards; the resulting bytes parse fine and carry the MD5 OID, and
@@ -18,7 +18,7 @@ import hashlib
 
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import ec, ed25519, padding, rsa
+from cryptography.hazmat.primitives.asymmetric import dsa, ec, ed25519, padding, rsa
 from cryptography.x509.oid import NameOID
 
 _SHA256_RSA_OID_DER = bytes.fromhex("06092a864886f70d01010b")
@@ -46,6 +46,12 @@ def ec_key(slot: int = 0) -> ec.EllipticCurvePrivateKey:
 @functools.lru_cache(maxsize=2)
 def ed25519_key(slot: int = 0) -> ed25519.Ed25519PrivateKey:
     return ed25519.Ed25519PrivateKey.generate()
+
+
+@functools.lru_cache(maxsize=1)
+def dsa_key() -> dsa.DSAPrivateKey:
+    """A 2048-bit DSA key, which takes about half a second to generate."""
+    return dsa.generate_private_key(key_size=2048)
 
 
 def name(cn: str | None = None, **attrs: str) -> x509.Name:

@@ -6,11 +6,13 @@ import hashlib
 
 import pytest
 from cryptography import x509
+from cryptography.hazmat.primitives.asymmetric import x25519
 from cryptography.x509.oid import NameOID
 
 from certbuild import (
     DAY,
     T0,
+    dsa_key,
     ec_key,
     ed25519_key,
     make_cert,
@@ -369,6 +371,7 @@ class TestVerifyChain:
         "rsa-pss": (lambda: rsa_key(1), {"pss": True}),
         "ecdsa-p256": (ec_key, {}),
         "ed25519": (ed25519_key, {}),
+        "dsa": (dsa_key, {}),
     }
 
     @pytest.mark.parametrize("tampered", [False, True])
@@ -392,6 +395,52 @@ class TestVerifyChain:
             parse_certificate(leaf_der), [], [parse_certificate(anchor_der)], T0
         )
         assert outcome.verdict is (Verdict.BAD_SIGNATURE if tampered else Verdict.VERIFIED)
+
+    def test_issuer_key_that_cannot_sign_is_bad_signature(self, root):
+        root_summary, root_cert, root_key = root
+        ca_der, _ = make_cert(
+            name("X25519 Intermediate"),
+            issuer_cert=root_cert,
+            issuer_key=root_key,
+            key=x25519.X25519PrivateKey.generate(),
+            ca=True,
+        )
+        # claims the X25519 CA as issuer; no signature verifies under its key
+        leaf_der, _ = make_cert(
+            "x25519.example", issuer_name=name("X25519 Intermediate"), key=rsa_key(3)
+        )
+        outcome = verify_chain(
+            parse_certificate(leaf_der), [parse_certificate(ca_der)], [root_summary], T0
+        )
+        assert outcome.verdict is Verdict.BAD_SIGNATURE
+        assert "'CN=X25519 Intermediate'" in outcome.detail
+
+    def test_path_longer_than_sixteen_is_malformed(self, root):
+        root_summary, issuer_cert, issuer_key = root
+        presented = []
+        for depth in range(17):
+            der, issuer_key = make_cert(
+                name(f"Deep Intermediate {depth}"),
+                issuer_cert=issuer_cert,
+                issuer_key=issuer_key,
+                key=rsa_key(3),
+                ca=True,
+            )
+            issuer_cert = x509.load_der_x509_certificate(der)
+            presented.append(parse_certificate(der))
+        leaf_der, _ = make_cert(
+            "deep.example", issuer_cert=issuer_cert, issuer_key=issuer_key, key=rsa_key(4)
+        )
+        outcome = verify_chain(parse_certificate(leaf_der), presented, [root_summary], T0)
+        assert outcome.verdict is Verdict.MALFORMED_CHAIN
+        assert outcome.detail == "path longer than 16"
+
+    def test_anchor_leaf_whose_self_signature_fails(self):
+        anchor_der, _ = make_cert(name("Tampered Root", o="Test Roots"), key=rsa_key(1), ca=True)
+        anchor = parse_certificate(tamper_signature(anchor_der))
+        outcome = verify_chain(anchor, [], [anchor], T0)
+        assert outcome.verdict is Verdict.BAD_SIGNATURE
+        assert outcome.detail == "trust anchor self-signature does not verify"
 
     def test_empty_trust_store_is_untrusted(self):
         root_summary, root_cert, root_key = _ca("Lonely Root", 1)

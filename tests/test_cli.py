@@ -1023,8 +1023,10 @@ sys.exit(code)
 
 class TestProbeCommand:
     def _probe_argv(self, farm, domains_file, out_path, resolve=None):
+        """certsift probe against the farm, writing to out_path (stdout if None)."""
         argv = [
-            "probe", "--domains", str(domains_file), "--out", str(out_path),
+            "probe", "--domains", str(domains_file),
+            *(() if out_path is None else ("--out", str(out_path))),
             "--timeout", "2000", "--retries", "0", "--concurrency", "4",
             "--http-port", str(farm.http_port), "--https-port", str(farm.https_port),
         ]
@@ -1060,6 +1062,29 @@ class TestProbeCommand:
             doc = json.loads(line)
             if doc["domain"] == DOMAIN_BOTH:
                 assert base64.b64decode(doc["cert_der_b64"]) == farm.leaf_der[DOMAIN_BOTH]
+
+    @pytest.mark.parametrize("out", [None, "-"])
+    def test_records_go_to_stdout_without_an_out_file(self, farm, tmp_path, capsys, out):
+        domains = [DOMAIN_DEAD, DOMAIN_TLS_ONLY, DOMAIN_BOTH, DOMAIN_HTTP_ONLY]
+        domains_file = tmp_path / "domains.txt"
+        domains_file.write_text("\n".join(domains) + "\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.ndjson"
+        assert main(self._probe_argv(farm, domains_file, corpus)) == 0
+        capsys.readouterr()
+        assert main(self._probe_argv(farm, domains_file, out)) == 0
+        captured = capsys.readouterr()
+
+        def undated(line: str) -> dict:
+            doc = json.loads(line)
+            del doc["harvest_time"]
+            return doc
+
+        lines = captured.out.splitlines()
+        assert captured.out == "".join(line + "\n" for line in lines)
+        assert [json.loads(line)["domain"] for line in lines] == domains
+        want = [undated(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
+        assert [undated(line) for line in lines] == want
+        assert "probed 4 domains" in captured.err
 
     def test_probe_then_extract_with_trust_store(self, farm, tmp_path):
         domains_file = tmp_path / "domains.txt"

@@ -26,6 +26,7 @@ from certsift.errors import (
     TooFewRows,
     VersionMismatch,
 )
+from certsift.features import FEATURE_KINDS, NUMERIC_FEATURES
 from certsift.ml import (
     DEFAULT_SEED,
     KIND_BAGGING,
@@ -49,7 +50,7 @@ from certsift.ml import (
 )
 from certsift.ml import classifiers, evaluate, tree
 from certsift.ml.persist import TEST_EQ, TEST_LE, model_to_json, write_model
-from certsift.ml.schema import Encoder, canonical_key
+from certsift.ml.schema import Encoder, canonical_key, encode_labels
 from certsift.ml.tree import (
     _MIN_GAIN,
     NodeTable,
@@ -1161,23 +1162,103 @@ class TestNearestNeighbor:
         assert np.isnan(X[:, [c.name for c in model.encoder.columns].index("f14")]).all()
         assert scores.tolist() == reference_knn_scores(model, X) == [model.labels[:5].mean()] * 4
 
-    def test_near_tie_kept_by_the_slack(self, monkeypatch):
+    def test_sums_one_ulp_apart_tie_in_the_distance(self):
         # rows 0 and 1 differ from the all-zero query in f15 alone, so S is
         # their f15 value: row 0's is one ulp above row 1's, yet both divide
         # by 13 columns to the same distance, so the stable argsort picks row
-        # 0; a filter that kept only S <= S_k would leave row 1 alone
+        # 0; a cut on S rather than on S / d would keep row 1 alone
         x = next(v for v in np.linspace(0.5, 0.9, 1001) if np.nextafter(v, 1.0) / 13 == v / 13)
         matrix = np.zeros((3, 13))
         matrix[:, 12] = [np.nextafter(x, 1.0), x, 1.0]
         model = self._model(matrix, [1, 0, 0], k=1)
         X = np.zeros((1, 13))
         assert model.score_encoded(X).tolist() == reference_knn_scores(model, X) == [1.0]
-        monkeypatch.setattr(classifiers, "_SLACK", 0.0)
-        assert model.score_encoded(X).tolist() == [0.0]
+
+    @staticmethod
+    def _layout_model(names, ranges, k: int) -> NearestNeighborModel:
+        """A model over a schema that includes the named columns, in that
+        order, categories a, b and c coded 0, 1 and 2; its matrix is empty
+        until the caller encodes training rows into it."""
+        schema = FeatureSchema(tuple(FeatureColumn(name, FEATURE_KINDS[name], True) for name in names))
+        encoder = Encoder(schema, vocabs={f"f{i}": {"a": 0, "b": 1, "c": 2} for i in (9, 10, 11, 12)})
+        return NearestNeighborModel(encoder, {"k": k}, 0, ranges, np.empty((0, len(names))),
+                                    np.empty(0))
+
+    @staticmethod
+    def _layout_terms(model: NearestNeighborModel, a: FeatureVector, b: FeatureVector) -> np.ndarray:
+        """Each column's term of the distance between a and b: a mismatch
+        (0/1) on an equality column, |a - b| on a numeric one."""
+        x, y = model.encode([a, b])
+        return np.where(model.encoder.eq_mask, x != y, np.abs(x - y))
+
+    @classmethod
+    def _layout_distance(cls, model: NearestNeighborModel, a: FeatureVector, b: FeatureVector) -> float:
+        """The distance's definition, in Python floats: the mismatches
+        counted, then each numeric term added in column order, over the
+        column count."""
+        terms, eq = cls._layout_terms(model, a, b), model.encoder.eq_mask
+        total = float(terms[eq].sum())  # whole numbers, exact in any order
+        for term in terms[~eq]:
+            total += float(term)
+        return total / len(terms)
+
+    @staticmethod
+    def _grid_row(rng: np.random.Generator, domain: str, label=None, categories="abc") -> FeatureVector:
+        """A row whose every feature is drawn from a small grid, so distances
+        tie often: numerics from 0-3 (f15 in thirds), categories from
+        categories."""
+        return fv(domain, label, **{f"f{j}": bool(rng.integers(0, 2)) for j in range(1, 9)},
+                  **{f"f{j}": str(rng.choice(list(categories))) for j in (9, 10, 11, 12)},
+                  f13=int(rng.integers(0, 4)), f14=int(rng.integers(0, 4)),
+                  f15=int(rng.integers(0, 4)) / 3)
+
+    def test_distance_adds_numeric_terms_in_column_order(self):
+        # (f14, f15, f1): numpy's mean adds the first two terms first, and
+        # lands one ulp away from the definition's count-first sum
+        model = self._layout_model(["f14", "f15", "f1"], {"f14": (0.0, 1000.0), "f15": (0.0, 1.0)}, 1)
+        a = fv("a.example", f14=1, f15=0.2, f1=True)
+        b = fv("b.example", f14=0, f15=0.0, f1=False)
+        assert model.distance(a, b) == ((1 + 0.001) + 0.2) / 3 == self._layout_distance(model, a, b)
+        assert model.distance(a, b) != np.mean([0.001, 0.2, 1.0])
+
+    def test_scores_are_a_stable_sort_over_distance_on_any_layout(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        spans = [(0.0, 3.0), (0.0, 1.0), (-np.inf, np.inf)]  # the last scales to NaN
+        off_mean = 0
+        for case in range(120):
+            names = [str(name) for name in rng.permutation(list(FEATURE_KINDS))]
+            names = names[:int(rng.integers(1, len(names) + 1))]
+            ranges = {name: spans[int(rng.choice(3, p=[0.45, 0.45, 0.1]))]
+                      for name in names if name in NUMERIC_FEATURES}
+            n = int(rng.integers(1, 20))
+            k = int(rng.choice([1, 2, 3, 5, n, n + 3]))
+            model = self._layout_model(names, ranges, k)
+            rows = [self._grid_row(rng, f"r{i}.example", ("neg", "pos")[int(rng.integers(0, 2))])
+                    for i in range(n)]
+            queries = [self._grid_row(rng, f"q{i}.example", categories="abcz")
+                       for i in range(int(rng.integers(0, 10)))]
+            budget = (classifiers._CHUNK_CELLS, 1, int(rng.integers(2, 6)) * n)
+            monkeypatch.setattr(classifiers, "_CHUNK_CELLS", budget[case % 3])
+            with np.errstate(invalid="ignore"):
+                model.matrix, model.labels = model.encode(rows), encode_labels(rows)
+                scores = model.predict_batch(queries)[1].tolist()
+                want = []
+                for query in queries:
+                    dists = [model.distance(query, r) for r in rows]
+                    for r, dist in zip(rows, dists):
+                        want_dist = self._layout_distance(model, query, r)
+                        assert dist == want_dist or math.isnan(dist) and math.isnan(want_dist)
+                        mean = self._layout_terms(model, query, r).mean()
+                        off_mean += dist != mean and not math.isnan(dist)
+                    nearest = sorted(range(n), key=lambda i: (np.inf if math.isnan(dists[i])
+                                                              else dists[i], i))[:k]
+                    want.append(float(model.labels[nearest].mean()))
+            assert scores == want, case
+        assert off_mean  # some layouts put a distance off numpy's mean
 
     def test_all_ties_under_a_budget_of_one_pair(self, monkeypatch):
-        # every row ties with every query, so the filter keeps every pair and
-        # the refine step takes one pair a pass
+        # every row ties with every query, so each query keeps every pair,
+        # and a chunk holds one query
         rng = np.random.default_rng(11)
         matrix = np.tile(rng.integers(0, 2, 13).astype(np.float64), (40, 1))
         model = self._model(matrix, rng.integers(0, 2, 40), k=7)
